@@ -14,7 +14,6 @@ import sys
 
 from . import pipeline
 from .config import ConfigError, NotRelevantN, PipelineConfig, load_config, primitive_pair
-from .domain import find_pairing
 
 
 def _parse_selector(text: str) -> tuple[int, int]:
@@ -31,8 +30,6 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
         cfg.match_tol = args.tol
     if getattr(args, "limit", None) is not None:
         cfg.limit = args.limit
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     srcs = getattr(args, "seed_src", None)
     dsts = getattr(args, "seed_dst", None)
     revs = getattr(args, "seed_reversing", None)
@@ -60,7 +57,6 @@ def _add_common(sub, seeds: bool = False):
     sub.add_argument("--depth", type=int, default=None, help="distance-set depth override")
     sub.add_argument("--tol", type=float, default=None, help="matching tolerance override")
     sub.add_argument("--limit", type=int, default=None, help="solution cap override")
-    sub.add_argument("--workers", type=int, default=None, help="worker pool size")
     if seeds:
         sub.add_argument(
             "--seed-src",
@@ -109,13 +105,6 @@ def _stage_objects(cfg: PipelineConfig, out, need):
     return dset, F, L
 
 
-def _seeds_from_cfg(cfg: PipelineConfig, L):
-    if cfg.seed_pairs is None:
-        raise ConfigError("this subcommand needs explicit seed pairings")
-    r1, r2 = cfg.seed_pairs
-    return find_pairing(L, *r1), find_pairing(L, *r2)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "primitive-pair":
@@ -157,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             return pipeline.EXIT_OK
         if args.command == "candidates":
             dset, F, L = _stage_objects(cfg, out, {"distances", "domain", "pairings"})
-            p1, p2 = _seeds_from_cfg(cfg, L)
+            p1, p2 = pipeline.resolve_seeds(cfg, L)
             C = pipeline.stage_candidates(cfg, F, dset, p1, p2, out)
             print(f"{len(C)} candidates -> {out}/candidates.json")
             return pipeline.EXIT_OK
@@ -168,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "render":
             dset, F, L = _stage_objects(cfg, out, {"domain"})
             if cfg.seed_pairs is not None:
-                p1, p2 = _seeds_from_cfg(cfg, L)
+                p1, p2 = pipeline.resolve_seeds(cfg, L)
                 pipeline.stage_candidates(cfg, F, dset, p1, p2, out)
             print(f"figures -> {out}/*.svg")
             return pipeline.EXIT_OK

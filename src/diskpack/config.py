@@ -63,7 +63,6 @@ class PipelineConfig:
     frame_rotation_deg: float = 0.0
     orientable: bool = False
     out_dir: str = "out"
-    workers: int = 1
 
     @property
     def k(self) -> int:
@@ -86,8 +85,6 @@ class PipelineConfig:
             raise ConfigError("depth must be at least 1")
         if self.limit < 1:
             raise ConfigError("limit must be at least 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         if self.seed_pairs is not None and len(self.seed_pairs) != 2:
             raise ConfigError("seed_pairs must list exactly the two seed pairings")
 
@@ -110,7 +107,6 @@ class PipelineConfig:
             "frame_rotation_deg": self.frame_rotation_deg,
             "orientable": self.orientable,
             "out_dir": self.out_dir,
-            "workers": self.workers,
         }
         if self.seed_pairs is not None:
             d["seed_pairs"] = [_record_to_json(r) for r in self.seed_pairs]
@@ -121,7 +117,7 @@ class PipelineConfig:
         known = {
             "n", "attachments", "depth", "match_tol", "dedup_tol",
             "candidate_dedup", "angle_tol", "seed_pairs", "limit",
-            "frame_rotation_deg", "orientable", "out_dir", "workers",
+            "frame_rotation_deg", "orientable", "out_dir",
         }
         unknown = set(d) - known
         if unknown:
@@ -137,11 +133,10 @@ class PipelineConfig:
         return cls(**kwargs)
 
     def config_hash(self) -> str:
-        """Hash of the mathematical configuration (output path and worker
-        count do not change what is computed)."""
+        """Hash of the mathematical configuration (the output path does not
+        change what is computed)."""
         d = self.to_json_dict()
         d.pop("out_dir", None)
-        d.pop("workers", None)
         canon = json.dumps(d, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 

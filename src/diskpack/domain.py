@@ -17,6 +17,9 @@ dropped from the list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .geom import (
     GLIDE,
@@ -62,8 +65,9 @@ class EdgeRef:
     def key(self) -> tuple[int, int]:
         return (self.poly, self.edge)
 
-    def margin(self, z: complex) -> float:
-        """Signed sinh-distance to the carrier, positive on the inward side."""
+    def margin(self, z):
+        """Signed sinh-distance to the carrier, positive on the inward side;
+        z is a point or an array of points."""
         return self.inward * signed_offset(z, self.carrier)
 
 
@@ -91,19 +95,31 @@ class FundamentalDomain:
     def is_internal(self, poly: int, edge: int) -> bool:
         return any((poly, edge) in pair for pair in self.internal_edges)
 
-    def polygon_margin(self, z: complex, poly: int) -> float:
-        return min(e.margin(z) for e in self.edges[poly])
+    def polygon_margin(self, z, poly: int):
+        margins = [e.margin(z) for e in self.edges[poly]]
+        if isinstance(z, np.ndarray):
+            return np.minimum.reduce(margins)
+        return min(margins)
 
-    def contains(self, z: complex, tol: float = INSIDE_TOL) -> bool:
-        """True when z is strictly inside some tile or on an internal edge."""
+    def contains(self, z, tol: float = INSIDE_TOL):
+        """Whether z is strictly inside some tile or within tol of two tiles
+        (on an internal edge).  z is a point, or an array of points for which
+        the answer is a boolean array."""
+        strict = False
         near = 0
         for poly in range(self.k):
             m = self.polygon_margin(z, poly)
-            if m > tol:
-                return True
-            if m >= -tol:
-                near += 1
-        return near >= 2
+            strict = strict | (m > tol)
+            near = near + (m >= -tol)
+        return strict | (near >= 2)
+
+    @cached_property
+    def interior_vertices(self) -> tuple[int, ...]:
+        """Indices into vertex_classes() of the vertices inside F: those where
+        three tile corners of angle 2 pi / 3 meet, a full angle."""
+        return tuple(
+            i for i, (_, members) in enumerate(self.vertex_classes()) if len(members) == 3
+        )
 
     def vertex_classes(self) -> list[tuple[complex, list[tuple[int, int]]]]:
         """Geometric vertices with the tile corners meeting there.
@@ -287,19 +303,12 @@ def find_pairing(
     raise KeyError(f"no side pairing with record {record}")
 
 
-def contains_point(F: FundamentalDomain, z: complex) -> bool:
-    return F.contains(z)
-
-
 def pairing_json(p: SidePairing) -> dict:
     """JSON record; polygon indices are 1-based to match the printed labels."""
-    m = p.map
-    mat = [m.a, m.b, m.b.conjugate(), m.a.conjugate()]
     return {
         "type": p.type_tag,
         "label": p.label,
         "src": {"poly": p.src.poly + 1, "edge": p.src.edge},
         "dst": {"poly": p.dst.poly + 1, "edge": p.dst.edge},
-        "matrix": [[z.real, z.imag] for z in mat],
-        "reversing": p.reversing,
+        **p.map.to_json(),
     }

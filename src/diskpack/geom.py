@@ -132,6 +132,16 @@ class Isometry:
     def is_identity(self, tol: float = 1e-9) -> bool:
         return not self.reversing and self.matrix_dist(Isometry.identity()) <= tol
 
+    def to_json(self) -> dict:
+        """Artifact form: the matrix [a, b, conj(b), conj(a)] as [re, im] pairs."""
+        mat = [self.a, self.b, self.b.conjugate(), self.a.conjugate()]
+        return {"matrix": [[v.real, v.imag] for v in mat], "reversing": self.reversing}
+
+    @classmethod
+    def from_json(cls, d: dict) -> "Isometry":
+        (ar, ai), (br, bi) = d["matrix"][0], d["matrix"][1]
+        return cls(complex(ar, ai), complex(br, bi), bool(d["reversing"]))
+
 
 @dataclass(frozen=True)
 class IsometryClass:
@@ -292,11 +302,20 @@ def axis(g: Isometry) -> GeneralizedCircle:
     return geodesic_through(u / abs(u), v / abs(v))
 
 
-def signed_offset(z: complex, A: GeneralizedCircle) -> float:
-    """Signed sinh of the hyperbolic distance from z to the geodesic A."""
+def signed_offset(z, A: GeneralizedCircle):
+    """Signed sinh of the hyperbolic distance from z to the geodesic A.
+
+    z is a complex scalar or a numpy array of points (the result then has
+    its shape); both take the same arithmetic, so they agree bit for bit.
+    """
+    x, y = z.real, z.imag
+    D = 1.0 - (x * x + y * y)
     if A.kind == "circle":
-        return A.side(z) / (A.radius * (1.0 - abs(z) ** 2))
-    return 2.0 * A.side(z) / (1.0 - abs(z) ** 2)
+        # squares as products: numpy squares arrays that way, while a float
+        # ** 2 goes through libm pow, which may round differently
+        dx, dy, r = x - A.center.real, y - A.center.imag, A.radius
+        return (dx * dx + dy * dy - r * r) / (r * D)
+    return 2.0 * (A.normal.real * x + A.normal.imag * y - A.offset) / D
 
 
 def dist_to_geodesic(z: complex, A: GeneralizedCircle) -> float:

@@ -169,24 +169,21 @@ def _best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
 
 
 def normalizes(
-    t: Isometry,
-    G: GroupPresentation,
-    residual_tol: float = RESIDUAL_TOL,
-    stop_on_failure: bool = False,
+    t: Isometry, G: GroupPresentation, residual_tol: float = RESIDUAL_TOL
 ) -> tuple[bool, list[MembershipResult]]:
     """Whether t g t^-1 lies in the group for every listed generator g.
 
-    With ``stop_on_failure`` the check returns at the first non-member
-    (cheap rejection for screening); the result list is then partial.
+    The check stops at the first non-member, so a failing result list ends
+    with it; a passing one holds every generator's evidence.
     """
     t_inv = t.inverse()
     results = []
     for g in G.generators:
         res = reduce_to_domain(t * g * t_inv, G, residual_tol=residual_tol)
         results.append(res)
-        if stop_on_failure and not res.member:
+        if not res.member:
             return False, results
-    return all(r.member for r in results), results
+    return True, results
 
 
 def second_packing_certificate(
@@ -201,7 +198,8 @@ def second_packing_certificate(
     O' is the image of the second-neighbor tile center (ca)^2 b (0) under the
     domain's frame; tau is the order-two rotation about the midpoint of P and
     O'.  The certificate passes when tau conjugates every generator into the
-    group and swaps P with O'.
+    group and swaps P with O'.  The returned record carries the tolerances
+    it was decided with.
     """
     rot = gens.rotation
     o_prime = G.domain.placements[0]((rot * rot * gens.b)(0j))
@@ -211,13 +209,7 @@ def second_packing_certificate(
     tau = elliptic_about(m, math.pi)
     swap_residual = dist(tau(P), o_prime)
     try:
-        ok, results = normalizes(
-            tau, G, residual_tol=residual_tol, stop_on_failure=True
-        )
-        if ok:
-            # rerun without the short circuit so the artifact carries the
-            # full per-generator evidence
-            ok, results = normalizes(tau, G, residual_tol=residual_tol)
+        ok, results = normalizes(tau, G, residual_tol=residual_tol)
         stalled = False
     except ReductionStalled:
         ok, results, stalled = False, [], True
@@ -227,6 +219,8 @@ def second_packing_certificate(
         "midpoint": m,
         "tau": tau,
         "swap_residual": swap_residual,
+        "residual_tol": residual_tol,
+        "swap_tol": swap_tol,
         "normalizes": ok,
         "memberships": results,
         "stalled": stalled,

@@ -9,10 +9,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from . import render
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .domain import (
     FundamentalDomain,
     SidePairing,
@@ -55,16 +54,6 @@ def _cpx(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _iso_json(m: Isometry) -> dict:
-    mat = [m.a, m.b, m.b.conjugate(), m.a.conjugate()]
-    return {"matrix": [_cpx(v) for v in mat], "reversing": m.reversing}
-
-
-def _iso_from_json(d: dict) -> Isometry:
-    (ar, ai), (br, bi) = d["matrix"][0], d["matrix"][1]
-    return Isometry(complex(ar, ai), complex(br, bi), bool(d["reversing"]))
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -103,7 +92,7 @@ def stage_domain(cfg: PipelineConfig, out: str | None = None) -> FundamentalDoma
             "n": F.n,
             "k": F.k,
             "genus": cfg.genus,
-            "placements": [_iso_json(p) for p in F.placements],
+            "placements": [p.to_json() for p in F.placements],
             "internal_edges": [
                 [[p + 1, e], [q + 1, f]] for (p, e), (q, f) in F.internal_edges
             ],
@@ -191,31 +180,27 @@ def filter_candidates(
     dset: DistanceSet,
     C: list[Candidate],
 ) -> list[dict]:
-    """Per-candidate compatible pairings and edge coverage.
+    """Per-candidate compatible pairings and edge coverage, in candidate order.
 
-    Items are independent; with workers > 1 they are assembled by a thread
-    pool and merged back in candidate order.
+    ``cfg`` is unused; it keeps the stage functions' leading argument.
     """
     matrix = compatibility_matrix([c.point for c in C], L, dset)
     centers = [F.center(i) for i in range(F.k)]
-
-    def one(i: int) -> dict:
-        c = C[i]
-        Lc = [p for p, ok in zip(L, matrix[i]) if ok]
+    items = []
+    for c, row in zip(C, matrix):
+        Lc = [p for p, ok in zip(L, row) if ok]
         cov = edge_coverage(Lc, F)
         uncovered = sorted(k for k, v in cov.items() if not v)
-        return {
-            "candidate": c,
-            "Lc": Lc,
-            "covered": not uncovered,
-            "uncovered": uncovered,
-            "is_center": any(abs(c.point - z) < 1e-6 for z in centers),
-        }
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(one, range(len(C))))
-    return [one(i) for i in range(len(C))]
+        items.append(
+            {
+                "candidate": c,
+                "Lc": Lc,
+                "covered": not uncovered,
+                "uncovered": uncovered,
+                "is_center": any(abs(c.point - z) < 1e-6 for z in centers),
+            }
+        )
+    return items
 
 
 def _filtering_json(items: list[dict]) -> list[dict]:
@@ -274,13 +259,13 @@ def certificate_json(
             "candidate": _cpx(cert["candidate"]),
             "o_prime": _cpx(cert["o_prime"]),
             "midpoint": _cpx(cert["midpoint"]),
-            "tau": _iso_json(cert["tau"]),
+            "tau": cert["tau"].to_json(),
             "swap_residual": cert["swap_residual"],
-            "residual_tol": 1e-6,
-            "swap_tol": 1e-8,
+            "residual_tol": cert["residual_tol"],
+            "swap_tol": cert["swap_tol"],
             "basepoint": _cpx(G.basepoint),
             "generators": [
-                {"label": lbl, **_iso_json(g)}
+                {"label": lbl, **g.to_json()}
                 for lbl, g in zip(G.labels, G.generators)
             ],
             "memberships": [
@@ -295,15 +280,16 @@ def certificate_json(
     )
 
 
-def _resolve_seeds(cfg: PipelineConfig, L: list[SidePairing]):
+def resolve_seeds(cfg: PipelineConfig, L: list[SidePairing]):
+    """The configured seed pairings p1, p2 looked up in L."""
+    if cfg.seed_pairs is None:
+        raise ConfigError("this subcommand needs explicit seed pairings")
     r1, r2 = cfg.seed_pairs
     return find_pairing(L, *r1), find_pairing(L, *r2)
 
 
-def _seed_pair_iter(cfg: PipelineConfig, L: list[SidePairing]):
-    if cfg.seed_pairs is not None:
-        yield _resolve_seeds(cfg, L)
-        return
+def _seed_pair_iter(L: list[SidePairing]):
+    """Auto mode: every unordered pair of L, in list order."""
     for i, j in itertools.combinations(range(len(L)), 2):
         yield L[i], L[j]
 
@@ -337,9 +323,9 @@ def run_pipeline(cfg: PipelineConfig, progress=None, certify: bool = True) -> in
     gens = triangle_generators(cfg.n)
 
     if cfg.seed_pairs is not None:
-        seed_iter = [_staged("candidates", _resolve_seeds, cfg, L)]
+        seed_iter = [_staged("candidates", resolve_seeds, cfg, L)]
     else:
-        seed_iter = _seed_pair_iter(cfg, L)
+        seed_iter = _seed_pair_iter(L)
     for p1, p2 in seed_iter:
         try:
             C = stage_candidates(cfg, F, dset, p1, p2, out)
@@ -355,8 +341,6 @@ def run_pipeline(cfg: PipelineConfig, progress=None, certify: bool = True) -> in
         )
         if code is not None:
             return code
-        if cfg.seed_pairs is not None:
-            break
     return EXIT_EXHAUSTED
 
 
@@ -383,24 +367,25 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
     for it in items:
         if not it["covered"] or it["is_center"]:
             continue
-        sols = complete_pairing(it["Lc"], F, limit=cfg.limit)
-        entry = {"point": _cpx(it["candidate"].point), "solutions": []}
-        for sol in sols:
-            topo = verify_topology(sol, F)
-            entry["solutions"].append(_solution_json(sol, topo))
-        solutions_log.append(entry)
+        sols = complete_pairing(it["Lc"], F, limit=cfg.limit, angle_tol=cfg.angle_tol)
+        topos = [verify_topology(sol, F, angle_tol=cfg.angle_tol) for sol in sols]
+        solutions_log.append(
+            {
+                "point": _cpx(it["candidate"].point),
+                "solutions": [_solution_json(s, t) for s, t in zip(sols, topos)],
+            }
+        )
         if sols and first_solution is None:
             first_solution = (it, sols[0])
         if not certify or result is not None:
             continue
-        for sol in sols:
+        for sol, topo in zip(sols, topos):
             G = group_from_solution(sol, F)
             try:
                 cert = second_packing_certificate(it["candidate"].point, G, gens)
             except (ReductionStalled, ValueError):
                 continue
             if cert["passed"]:
-                topo = verify_topology(sol, F)
                 result = (it, sol, topo, G, cert)
                 break
     write_json(
@@ -467,8 +452,8 @@ def verify_certificate_file(path: str, word_tol: float = 1e-7) -> tuple[bool, li
     with open(path, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
     problems: list[str] = []
-    gens = [_iso_from_json(g) for g in cert["generators"]]
-    tau = _iso_from_json(cert["tau"])
+    gens = [Isometry.from_json(g) for g in cert["generators"]]
+    tau = Isometry.from_json(cert["tau"])
     P = complex(*cert["candidate"])
     o_prime = complex(*cert["o_prime"])
     if abs(dist(tau(P), o_prime) - cert["swap_residual"]) > 1e-9:

@@ -23,10 +23,10 @@ from .geom import (
     Isometry,
     axis,
     displacement_offset,
-    dist,
     dist_to_geodesic,
     hypercycle,
     intersect,
+    signed_offset,
 )
 from .tess import DistanceSet
 
@@ -96,28 +96,6 @@ def _domain_offset_bound(F: FundamentalDomain, A: GeneralizedCircle) -> float:
     ) + 1e-6
 
 
-def _contains_many(F: FundamentalDomain, zs: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Vectorized FundamentalDomain.contains over an array of points."""
-    x, y = zs.real, zs.imag
-    denom = 1.0 - (x * x + y * y)
-    strict = np.zeros(zs.shape, dtype=bool)
-    near_count = np.zeros(zs.shape, dtype=np.int32)
-    for poly in range(F.k):
-        margin = np.full(zs.shape, np.inf)
-        for e in F.edges[poly]:
-            c = e.carrier
-            if c.kind == "circle":
-                s = ((x - c.center.real) ** 2 + (y - c.center.imag) ** 2 - c.radius**2) / (
-                    c.radius * denom
-                )
-            else:
-                s = 2.0 * (c.normal.real * x + c.normal.imag * y - c.offset) / denom
-            margin = np.minimum(margin, e.inward * s)
-        strict |= margin > tol
-        near_count += margin >= -tol
-    return strict | (near_count >= 2)
-
-
 INTERSECT_RADIUS_CUT = 1e5
 
 
@@ -143,17 +121,16 @@ def _split_curves(records, A):
 
 def _sigma_and_grad(A: GeneralizedCircle, x, y):
     """Signed sinh-distance to the geodesic A and its gradient, vectorized."""
+    s = signed_offset(x + 1j * y, A)
     D = 1.0 - (x * x + y * y)
     if A.kind == "circle":
         cx, cy, r = A.center.real, A.center.imag, A.radius
-        num = (x - cx) ** 2 + (y - cy) ** 2 - r * r
-        s = num / (r * D)
+        num = s * (r * D)
         sx = (2.0 * (x - cx) * D + 2.0 * x * num) / (r * D * D)
         sy = (2.0 * (y - cy) * D + 2.0 * y * num) / (r * D * D)
     else:
         nx, ny = A.normal.real, A.normal.imag
-        p = nx * x + ny * y - A.offset
-        s = 2.0 * p / D
+        p = 0.5 * s * D
         sx = (2.0 * nx * D + 4.0 * x * p) / (D * D)
         sy = (2.0 * ny * D + 4.0 * y * p) / (D * D)
     return s, sx, sy
@@ -269,7 +246,7 @@ def candidates(
     rec2 = np.concatenate([p[2] for p in pieces])
 
     zs = _newton_polish(A1, rec1[:, 1], A2, rec2[:, 1], zs)
-    keep = (np.abs(zs) < 1.0) & _contains_many(F, zs)
+    keep = (np.abs(zs) < 1.0) & F.contains(zs)
     raw = [
         (z, d_a, d_b)
         for z, d_a, d_b, ok in zip(zs, rec1[:, 0], rec2[:, 0], keep)
@@ -290,14 +267,6 @@ def candidates(
             out.append(Candidate(complex(z), (p1, p2), (float(d_a), float(d_b))))
     out.sort(key=lambda c: (c.point.real, c.point.imag))
     return out
-
-
-def compatible_pairings(
-    c: Candidate | complex, L: list[SidePairing], dset: DistanceSet
-) -> list[SidePairing]:
-    """The sublist of L displacing the candidate by an admissible distance."""
-    z = c.point if isinstance(c, Candidate) else c
-    return [p for p in L if dset.is_admissible(dist(z, p.map(z)))]
 
 
 def compatibility_matrix(
@@ -332,10 +301,6 @@ def edge_coverage(
     return cov
 
 
-def full_coverage(cov: dict) -> bool:
-    return all(cov.values())
-
-
 @dataclass(frozen=True)
 class PairingSolution:
     pairings: tuple[SidePairing, ...]  # one entry per identification, src key minimal
@@ -364,7 +329,7 @@ class _BoundaryStructure:
         classes = F.vertex_classes()
         self.points: list[complex] = []
         self.angles: list[float] = []
-        self.interior: list[int] = []
+        self.interior = F.interior_vertices
         index_of: dict[tuple[int, int], int] = {}
         for point, members in classes:
             idx = len(self.points)
@@ -372,8 +337,6 @@ class _BoundaryStructure:
             self.angles.append(WEDGE * len(members))
             for key in members:
                 index_of[key] = idx
-            if len(members) * WEDGE > 2.0 * math.pi - ANGLE_TOL:
-                self.interior.append(idx)
         self.corner_class = index_of
 
         boundary_keys = {e.key for e in F.boundary}
@@ -465,7 +428,7 @@ class _ChainState:
         st.closed = list(self.closed)
         return st
 
-    def add_link(self, u: int, w: int, angles: list[float], tol: float = ANGLE_TOL) -> bool:
+    def add_link(self, u: int, w: int, angles: list[float], tol: float) -> bool:
         if u in self.succ or w in self.pred:
             return False
         self.succ[u] = w
@@ -508,14 +471,16 @@ def complete_pairing(
     F: FundamentalDomain,
     limit: int = 32,
     require_reversing: bool = True,
+    angle_tol: float = ANGLE_TOL,
 ) -> list[PairingSolution]:
     """Backtracking completion of Lc into full side-pairing sets.
 
     Picks the unmatched boundary edge with the fewest live options, tries its
     compatible pairings in canonical order, and prunes on the Poincare vertex
     condition: a closing cycle must total 2 pi and a partial chain may never
-    exceed it.  Returns up to ``limit`` solutions in deterministic order;
-    an empty list means the search space is exhausted with no solution.
+    exceed it, both within ``angle_tol``.  Returns up to ``limit`` solutions
+    in deterministic order; an empty list means the search space is exhausted
+    with no solution.
     """
     struct = _BoundaryStructure(F)
     by_src: dict[tuple[int, int], list[SidePairing]] = {e.key: [] for e in F.boundary}
@@ -536,7 +501,7 @@ def complete_pairing(
             return
         unmatched = [k for k in edge_keys if k not in matched]
         if not unmatched:
-            _emit_solution(matched, struct, solutions, require_reversing)
+            _emit_solution(matched, struct, solutions, require_reversing, angle_tol)
             return
         best_key, best_opts = None, None
         for key in unmatched:
@@ -549,7 +514,7 @@ def complete_pairing(
             st = state.copy()
             ok = True
             for u, w in link_cache[p.record]:
-                if not st.add_link(u, w, struct.slot_angle):
+                if not st.add_link(u, w, struct.slot_angle, angle_tol):
                     ok = False
                     break
             if not ok:
@@ -598,7 +563,7 @@ def solution_cycles(
     return out
 
 
-def _emit_solution(matched, struct, solutions, require_reversing):
+def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
     chosen = {}
     for p in matched.values():
         chosen[p.identification] = min(
@@ -610,7 +575,7 @@ def _emit_solution(matched, struct, solutions, require_reversing):
         return
     cycles = solution_cycles(pairings, struct)
     for _, total in cycles:
-        if abs(total - 2.0 * math.pi) > ANGLE_TOL:
+        if abs(total - 2.0 * math.pi) > angle_tol:
             raise InvalidCellStructure(f"vertex cycle closes at {total}")
     vertex_cycles = tuple(
         (tuple(struct.points[v] for v in cyc), total) for cyc, total in cycles
@@ -618,15 +583,16 @@ def _emit_solution(matched, struct, solutions, require_reversing):
     solutions.append(PairingSolution(pairings, vertex_cycles, reversing_count))
 
 
-def verify_topology(sol: PairingSolution, F: FundamentalDomain) -> dict:
+def verify_topology(
+    sol: PairingSolution, F: FundamentalDomain, angle_tol: float = ANGLE_TOL
+) -> dict:
     """Cell counts and genus of the quotient surface."""
-    struct = _BoundaryStructure(F)
     for _, total in sol.vertex_cycles:
-        if abs(total - 2.0 * math.pi) > ANGLE_TOL:
+        if abs(total - 2.0 * math.pi) > angle_tol:
             raise InvalidCellStructure(f"vertex cycle angle sum {total} != 2 pi")
     faces = F.k
     edges = len(F.internal_edges) + len(sol.pairings)
-    vertices = len(sol.vertex_cycles) + len(struct.interior)
+    vertices = len(sol.vertex_cycles) + len(F.interior_vertices)
     chi = vertices - edges + faces
     orientable = sol.reversing_count == 0
     if orientable:

@@ -127,10 +127,6 @@ class DistanceSet:
         return self.values[best]
 
 
-def is_admissible(d: float, dset: DistanceSet) -> bool:
-    return dset.is_admissible(d)
-
-
 def _compose_arrays(a1, b1, a2, b2):
     # (a1, b1) o (a2, b2) for conformal matrices [[a, b], [conj b, conj a]]
     return a1 * a2 + b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)

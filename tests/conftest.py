@@ -70,9 +70,9 @@ def n14():
 @pytest.fixture(scope="session")
 def n14_solution(n14):
     """The published 18-generator solution and its group presentation."""
-    from reference_data import GOOD_CANDIDATE, SOLUTION_18_IDENTS
+    from reference_data import GOOD_CANDIDATE, SOLUTION_18_IDENTS, compatible_pairings
     from diskpack.group import group_from_solution
-    from diskpack.search import compatible_pairings, complete_pairing
+    from diskpack.search import complete_pairing
 
     good = min(n14.C, key=lambda c: abs(c.point - GOOD_CANDIDATE))
     Lc = compatible_pairings(good, n14.L, n14.dset)

@@ -1,4 +1,7 @@
-"""Published reference data for the N=14 worked example (1-based polygons)."""
+"""Published reference data for the N=14 worked example (1-based polygons),
+and the scalar oracle the vectorized compatibility filter is checked against."""
+
+from diskpack.geom import dist
 
 GOOD_CANDIDATE = 0.516 - 0.248j
 REJECTED_CANDIDATE = 0.324 - 0.478j
@@ -47,3 +50,10 @@ def ident(rec):
 
 LC_REJECTED_IDENTS = frozenset(ident(r) for r in LC_REJECTED)
 SOLUTION_18_IDENTS = frozenset(ident(r) for r in SOLUTION_18)
+
+
+def compatible_pairings(c, L, dset):
+    """The sublist of L displacing the candidate (or point) c by an admissible
+    distance, one pairing at a time; compatibility_matrix must agree."""
+    z = getattr(c, "point", c)
+    return [p for p in L if dset.is_admissible(dist(z, p.map(z)))]

@@ -19,6 +19,7 @@ from reference_data import (
     LC_REJECTED_IDENTS,
     REJECTED_CANDIDATE,
     SOLUTION_18_IDENTS,
+    compatible_pairings,
 )
 from diskpack.config import RELEVANT_N, ConfigError, NotRelevantN, PipelineConfig, load_config, primitive_pair
 from diskpack.geom import (
@@ -32,7 +33,7 @@ from diskpack.geom import (
     signed_offset,
 )
 from diskpack.group import second_packing_certificate
-from diskpack.search import compatible_pairings, edge_coverage, verify_topology
+from diskpack.search import edge_coverage, verify_topology
 from diskpack.tess import admissible_distances, polygon_metrics, triangle_generators
 
 

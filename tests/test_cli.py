@@ -5,11 +5,7 @@ import pytest
 
 from diskpack.cli import main
 from diskpack.config import load_config
-from diskpack.pipeline import (
-    filter_candidates,
-    run_pipeline,
-    verify_certificate_file,
-)
+from diskpack.pipeline import run_pipeline, verify_certificate_file
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +112,9 @@ def test_primitive_pair_subcommand(capsys):
 
 
 def test_auto_mode_iterates_pairs_in_order(n14):
-    from diskpack.config import PipelineConfig
-    from diskpack.domain import Attachment
     from diskpack.pipeline import _seed_pair_iter
 
-    cfg = PipelineConfig(
-        n=14, attachments=[Attachment(0, 0), Attachment(0, 1)]
-    )
-    it = _seed_pair_iter(cfg, n14.L)
+    it = _seed_pair_iter(n14.L)
     first = next(it)
     second = next(it)
     assert first == (n14.L[0], n14.L[1])
@@ -140,20 +131,3 @@ def test_degenerate_explicit_seeds_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["stage"] == "candidates"
-
-
-def test_worker_pool_matches_sequential(n14):
-    from diskpack.config import PipelineConfig
-    from diskpack.domain import Attachment
-
-    cfg = PipelineConfig(
-        n=14,
-        attachments=[Attachment(0, 0), Attachment(0, 1)],
-        frame_rotation_deg=-90.0,
-    )
-    seq = filter_candidates(cfg, n14.F, n14.L, n14.dset, n14.C[:60])
-    cfg.workers = 3
-    par = filter_candidates(cfg, n14.F, n14.L, n14.dset, n14.C[:60])
-    assert [
-        (it["covered"], it["uncovered"], len(it["Lc"])) for it in seq
-    ] == [(it["covered"], it["uncovered"], len(it["Lc"])) for it in par]

@@ -110,11 +110,12 @@ class TestPipelineConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             PipelineConfig.from_json_dict({"n": 14, "shape": "banana"})
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_json_dict({"n": 14, "workers": 2})
 
     def test_hash_ignores_output_location(self):
         a, b = self._n14(), self._n14()
         b.out_dir = "elsewhere"
-        b.workers = 4
         assert a.config_hash() == b.config_hash()
         b.depth = 4
         assert a.config_hash() != b.config_hash()

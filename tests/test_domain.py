@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from conftest import random_point
 from reference_data import SEED_P1, ident
 from diskpack.domain import (
     Attachment,
@@ -129,6 +131,19 @@ class TestContains:
         classes = F.vertex_classes()
         triple = next(pt for pt, members in classes if len(members) == 3)
         assert F.contains(triple)
+
+    def test_array_matches_scalar(self, n14, rng):
+        F = n14.F
+        pts = [c.point for c in n14.C]
+        for (p, e), _ in F.internal_edges:
+            a, b = F.edge_ref(p, e).endpoints
+            pts.append(0.5 * (a + b))
+        pts += [pt for pt, members in F.vertex_classes() if len(members) == 3]
+        pts += [0.999 + 0j, -0.95j] + [random_point(rng, 0.98) for _ in range(300)]
+        got = F.contains(np.array(pts))
+        assert got.dtype == bool
+        assert got.tolist() == [F.contains(z) for z in pts]
+        assert got.any() and not got.all()
 
 
 class TestEnumeratePairings:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -387,3 +388,13 @@ class TestSegmentAligner:
             hv = h(v)
             assert abs(hv.imag) < 1e-12 and hv.real > 0
             assert dist(0j, hv) == pytest.approx(dist(u, v), abs=1e-12)
+
+
+class TestSignedOffset:
+    def test_array_matches_scalar_bit_for_bit(self, rng):
+        zs = np.array([random_point(rng, 0.99) for _ in range(300)])
+        circle = geodesic_through(0.2 + 0.1j, -0.3 + 0.4j)
+        line = geodesic_through(0.3 + 0.1j, -0.6 - 0.2j)
+        assert (circle.kind, line.kind) == ("circle", "line")
+        for A in (circle, line):
+            assert signed_offset(zs, A).tolist() == [signed_offset(z, A) for z in zs.tolist()]

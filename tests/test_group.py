@@ -91,7 +91,7 @@ class TestNormalizes:
     def test_generic_elliptic_does_not(self, n14_solution):
         G = n14_solution.group
         t = elliptic_about(0.37 + 0.11j, math.pi)
-        ok, results = normalizes(t, G, stop_on_failure=True)
+        ok, results = normalizes(t, G)
         assert not ok
         assert results[-1].residual > 1e-6
 
@@ -106,6 +106,16 @@ class TestCertificate:
         assert cert["swap_residual"] < 1e-8
         assert len(cert["memberships"]) == 36
         assert max(m.residual for m in cert["memberships"]) < 1e-6
+
+    def test_records_the_tolerances_applied(self, n14, n14_solution):
+        cert = second_packing_certificate(
+            n14_solution.candidate.point,
+            n14_solution.group,
+            n14.gens,
+            residual_tol=2e-6,
+            swap_tol=3e-8,
+        )
+        assert (cert["residual_tol"], cert["swap_tol"]) == (2e-6, 3e-8)
 
     def test_o_prime_is_translated_second_neighbor(self, n14, n14_solution):
         cert = second_packing_certificate(

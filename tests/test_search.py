@@ -8,6 +8,7 @@ from reference_data import (
     LC_REJECTED_IDENTS,
     REJECTED_CANDIDATE,
     SOLUTION_18_IDENTS,
+    compatible_pairings,
 )
 from diskpack.domain import build_domain
 from diskpack.geom import axis, dist
@@ -18,10 +19,8 @@ from diskpack.search import (
     bananas,
     candidates,
     compatibility_matrix,
-    compatible_pairings,
     complete_pairing,
     edge_coverage,
-    full_coverage,
     solution_cycles,
     trace_cycles,
     verify_topology,
@@ -128,12 +127,12 @@ class TestEdgeCoverage:
         c2 = min(n14.C, key=lambda c: abs(c.point - REJECTED_CANDIDATE))
         cov = edge_coverage(compatible_pairings(c2, n14.L, n14.dset), n14.F)
         assert cov[(0, 3)] == []
-        assert not full_coverage(cov)
+        assert not all(cov.values())
 
     def test_good_candidate_fully_covered(self, n14):
         c1 = min(n14.C, key=lambda c: abs(c.point - GOOD_CANDIDATE))
         cov = edge_coverage(compatible_pairings(c1, n14.L, n14.dset), n14.F)
-        assert full_coverage(cov)
+        assert all(cov.values())
         assert len(cov[(0, 3)]) >= 6
 
     def test_whole_list_covers_everything(self):
@@ -141,7 +140,7 @@ class TestEdgeCoverage:
         from diskpack.domain import enumerate_pairings
 
         L = enumerate_pairings(F)
-        assert full_coverage(edge_coverage(L, F))
+        assert all(edge_coverage(L, F).values())
 
 
 class TestCompletePairing:
@@ -174,6 +173,11 @@ class TestCompletePairing:
             s.identifications for s in sols_b
         }
         assert len(sols_a) == len(sols_b) == 165
+
+    def test_angle_tol_is_applied(self, n14, n14_solution):
+        # the N = 14 cycles close at exactly 2 pi in floating point, so only a
+        # negative tolerance shows that the argument reaches the closure test
+        assert complete_pairing(n14_solution.Lc, n14.F, angle_tol=-1.0) == []
 
     def test_limit_caps_output(self, n14, n14_solution):
         sols = complete_pairing(n14_solution.Lc, n14.F, limit=5)
@@ -254,3 +258,5 @@ class TestVerifyTopology:
         mock = PairingSolution(n14_solution.reference.pairings, broken, 4)
         with pytest.raises(InvalidCellStructure):
             verify_topology(mock, n14.F)
+        with pytest.raises(InvalidCellStructure):
+            verify_topology(n14_solution.reference, n14.F, angle_tol=-1.0)

@@ -7,7 +7,6 @@ from diskpack.geom import Isometry, classify, dist
 from diskpack.tess import (
     NotHyperbolic,
     admissible_distances,
-    is_admissible,
     polygon_metrics,
     triangle_generators,
 )
@@ -222,9 +221,9 @@ class TestAdmissibleDistances:
 
     def test_is_admissible_matching(self):
         dset = admissible_distances(14, 1)
-        assert is_admissible(0.0, dset)
-        assert is_admissible(2 * INRADIUS_14 + 0.5 * dset.match_tol, dset)
-        assert not is_admissible(2 * INRADIUS_14 + 10 * dset.match_tol, dset)
+        assert dset.is_admissible(0.0)
+        assert dset.is_admissible(2 * INRADIUS_14 + 0.5 * dset.match_tol)
+        assert not dset.is_admissible(2 * INRADIUS_14 + 10 * dset.match_tol)
 
     def test_random_product_is_member(self, rng):
         gens = triangle_generators(7)
