@@ -10,6 +10,8 @@ import itertools
 import json
 import os
 
+import numpy as np
+
 from . import render
 from .config import ConfigError, PipelineConfig
 from .domain import (
@@ -41,6 +43,10 @@ from .tess import DistanceSet, admissible_distances, triangle_generators
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EXHAUSTED = 2
+
+# solutions.json layout; version 2 gives pairings as indices into
+# pairings.json and vertex cycles as ids into its own vertices table
+SOLUTIONS_SCHEMA_VERSION = 2
 
 
 class StageError(RuntimeError):
@@ -188,7 +194,7 @@ def filter_candidates(
     centers = [F.center(i) for i in range(F.k)]
     items = []
     for c, row in zip(C, matrix):
-        Lc = [p for p, ok in zip(L, row) if ok]
+        Lc = [L[j] for j in np.flatnonzero(row)]
         cov = edge_coverage(Lc, F)
         uncovered = sorted(k for k, v in cov.items() if not v)
         items.append(
@@ -219,6 +225,8 @@ def _filtering_json(items: list[dict]) -> list[dict]:
 
 
 def _solution_json(sol, topo) -> dict:
+    """A solution with its pairings and vertex cycles written out in full
+    (the certificate's self-contained form)."""
     return {
         "identifications": [
             {
@@ -232,6 +240,20 @@ def _solution_json(sol, topo) -> dict:
         "reversing_count": sol.reversing_count,
         "vertex_cycles": [
             {"vertices": [_cpx(v) for v in verts], "angle_sum": total}
+            for verts, total in sol.vertex_cycles
+        ],
+        "topology": topo,
+    }
+
+
+def _solution_record(sol, topo, pairing_index: dict, vertex_index: dict) -> dict:
+    """A solution as solutions.json stores it: pairings as indices into
+    pairings.json's list, vertex cycles as ids into the vertices table."""
+    return {
+        "pairings": [pairing_index[p.record] for p in sol.pairings],
+        "reversing_count": sol.reversing_count,
+        "vertex_cycles": [
+            {"vertices": [vertex_index[v] for v in verts], "angle_sum": total}
             for verts, total in sol.vertex_cycles
         ],
         "topology": topo,
@@ -361,6 +383,9 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
             },
         ),
     )
+    pairing_index = {p.record: i for i, p in enumerate(L)}
+    vertices = [point for point, _ in F.vertex_classes()]
+    vertex_index = {point: i for i, point in enumerate(vertices)}
     solutions_log: list[dict] = []
     result = None
     first_solution = None
@@ -372,7 +397,10 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
         solutions_log.append(
             {
                 "point": _cpx(it["candidate"].point),
-                "solutions": [_solution_json(s, t) for s, t in zip(sols, topos)],
+                "solutions": [
+                    _solution_record(s, t, pairing_index, vertex_index)
+                    for s, t in zip(sols, topos)
+                ],
             }
         )
         if sols and first_solution is None:
@@ -394,8 +422,10 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
             cfg,
             "solutions",
             {
+                "schema_version": SOLUTIONS_SCHEMA_VERSION,
                 "seed_pair": [list(p1.record), list(p2.record)],
                 "limit": cfg.limit,
+                "vertices": [_cpx(z) for z in vertices],
                 "candidates": solutions_log,
             },
         ),
@@ -442,17 +472,48 @@ def _render_final(out, F, C, it, sol, cert):
         )
 
 
-def verify_certificate_file(path: str, word_tol: float = 1e-7) -> tuple[bool, list[str]]:
+def verify_certificate_file(
+    path: str, word_tol: float = 1e-7, config_hash: str | None = None
+) -> tuple[bool, list[str]]:
     """Re-check a certificate artifact without re-running the search.
 
-    Verifies unit determinants, word soundness (each membership word composes
-    to the conjugated generator), residuals against stored values, the
-    normalizer verdict, and the swap of the candidate with O'.
+    Verifies that the generators are the embedded solution's side pairings
+    and their inverses, with no boundary edge paired twice; word soundness
+    (each membership word composes to the conjugated generator); the stored
+    swap residual and the swap of the candidate with O'; the passed flag;
+    and, when ``config_hash`` is given, that the artifact was made by that
+    config.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
     problems: list[str] = []
+    if config_hash is not None and cert["config_hash"] != config_hash:
+        problems.append(
+            f"config hash {cert['config_hash']} is not the configuration's {config_hash}"
+        )
     gens = [Isometry.from_json(g) for g in cert["generators"]]
+    pairings = cert["solution"]["pairings"]
+    if len(gens) != 2 * len(pairings):
+        problems.append(
+            f"{len(gens)} generators for {len(pairings)} side pairings and their inverses"
+        )
+    else:
+        for i, pj in enumerate(pairings):
+            p = Isometry.from_json(pj)
+            if (
+                gens[2 * i].matrix_dist(p) > word_tol
+                or gens[2 * i + 1].matrix_dist(p.inverse()) > word_tol
+            ):
+                problems.append(
+                    f"generators {2 * i}, {2 * i + 1} are not side pairing {i} "
+                    "and its inverse"
+                )
+    edges = [
+        (pj[end]["poly"], pj[end]["edge"]) for pj in pairings for end in ("src", "dst")
+    ]
+    twice = sorted({e for e in edges if edges.count(e) > 1})
+    if twice:
+        problems.append(f"boundary edges paired twice: {twice}")
     tau = Isometry.from_json(cert["tau"])
     P = complex(*cert["candidate"])
     o_prime = complex(*cert["o_prime"])

@@ -303,7 +303,7 @@ def edge_coverage(
 
 @dataclass(frozen=True)
 class PairingSolution:
-    pairings: tuple[SidePairing, ...]  # one entry per identification, src key minimal
+    pairings: tuple[SidePairing, ...]  # chosen pairing per identification, by sort_key
     vertex_cycles: tuple[tuple[tuple[complex, ...], float], ...]
     reversing_count: int
 
@@ -339,7 +339,6 @@ class _BoundaryStructure:
                 index_of[key] = idx
         self.corner_class = index_of
 
-        boundary_keys = {e.key for e in F.boundary}
         self.incident: dict[int, list[tuple[int, int]]] = {}
         for e in F.boundary:
             for corner in (e.edge - 1, e.edge):
@@ -360,7 +359,6 @@ class _BoundaryStructure:
                 self.slot_of[(key, v)] = len(self.slots)
                 self.slots.append((key, v))
         self.slot_angle = [self.angles[v] for _, v in self.slots]
-        self._boundary_keys = boundary_keys
 
     def vertex_at(self, z: complex) -> int:
         for idx, p in enumerate(self.points):
@@ -387,83 +385,52 @@ class _BoundaryStructure:
         ) + self._links_one_direction(p.dst.key, p.src.key, p.map.inverse())
 
 
-def trace_cycles(links: dict[int, int], angles: dict[int, float]):
-    """Cycles of the permutation ``links`` with their angle sums."""
-    seen = set()
+def trace_cycles(succ: list[int], angles: list[float]):
+    """Cycles of the slot permutation ``succ`` (slot s is followed by
+    succ[s], -1 for none), each listed from its smallest slot, with their
+    angle sums."""
+    seen = [False] * len(succ)
     cycles = []
-    for start in sorted(links):
-        if start in seen:
+    for start in range(len(succ)):
+        if seen[start]:
             continue
         cyc = [start]
-        seen.add(start)
-        cur = links[start]
+        seen[start] = True
+        cur = succ[start]
         while cur != start:
-            if cur in seen or cur not in links:
+            if cur < 0 or seen[cur]:
                 raise InvalidCellStructure("vertex links do not form a permutation")
             cyc.append(cur)
-            seen.add(cur)
-            cur = links[cur]
+            seen[cur] = True
+            cur = succ[cur]
         cycles.append((tuple(cyc), sum(angles[v] for v in cyc)))
     return cycles
 
 
-class _ChainState:
-    """Partial vertex permutation with chain angle accounting."""
+def _vertex_cycles(struct: _BoundaryStructure, succ: list[int], angle_tol: float):
+    """Vertex cycles of a full slot permutation as (vertex points, angle sum).
 
-    __slots__ = ("succ", "pred", "head", "chains", "closed")
-
-    def __init__(self):
-        self.succ: dict[int, int] = {}
-        self.pred: dict[int, int] = {}
-        self.head: dict[int, int] = {}
-        self.chains: dict[int, tuple[int, float]] = {}  # head -> (tail, consumed)
-        self.closed: list[tuple[int, float]] = []  # (head, total angle)
-
-    def copy(self) -> "_ChainState":
-        st = _ChainState.__new__(_ChainState)
-        st.succ = dict(self.succ)
-        st.pred = dict(self.pred)
-        st.head = dict(self.head)
-        st.chains = dict(self.chains)
-        st.closed = list(self.closed)
-        return st
-
-    def add_link(self, u: int, w: int, angles: list[float], tol: float) -> bool:
-        if u in self.succ or w in self.pred:
-            return False
-        self.succ[u] = w
-        self.pred[w] = u
-        hu = self.head.get(u, u)
-        if hu not in self.chains:
-            self.chains[hu] = (hu, 0.0)
-            self.head[hu] = hu
-        tail_u, sum_u = self.chains[hu]
-        if tail_u != u:
-            return False
-        if w == hu:
-            total = sum_u + angles[u]
-            del self.chains[hu]
-            if abs(total - 2.0 * math.pi) > tol:
-                return False
-            self.closed.append((hu, total))
-            return True
-        hw = self.head.get(w, w)
-        if hw not in self.chains:
-            self.chains[hw] = (hw, 0.0)
-            self.head[hw] = hw
-        tail_w, sum_w = self.chains[hw]
-        merged = sum_u + angles[u] + sum_w
-        if merged + angles[tail_w] > 2.0 * math.pi + tol:
-            return False
-        del self.chains[hw]
-        self.chains[hu] = (tail_w, merged)
-        node = w
-        while True:
-            self.head[node] = hu
-            if node == tail_w:
-                break
-            node = self.succ[node]
-        return True
+    Each quotient vertex on the boundary shows up as a mirror pair of slot
+    cycles over the same vertices; the smaller vertex sequence represents it.
+    """
+    by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], float]]] = {}
+    for cyc, total in trace_cycles(succ, struct.slot_angle):
+        verts = tuple(struct.slots[s][1] for s in cyc)
+        by_vertex_set.setdefault(frozenset(verts), []).append((verts, total))
+    cycles = []
+    for group in by_vertex_set.values():
+        if len(group) != 2:
+            raise InvalidCellStructure(
+                "slot cycles do not pair up; an identification fixes a vertex"
+            )
+        cycles.append(min(group))
+    cycles.sort()
+    for _, total in cycles:
+        if abs(total - 2.0 * math.pi) > angle_tol:
+            raise InvalidCellStructure(f"vertex cycle closes at {total}")
+    return tuple(
+        (tuple(struct.points[v] for v in verts), total) for verts, total in cycles
+    )
 
 
 def complete_pairing(
@@ -473,114 +440,140 @@ def complete_pairing(
     require_reversing: bool = True,
     angle_tol: float = ANGLE_TOL,
 ) -> list[PairingSolution]:
-    """Backtracking completion of Lc into full side-pairing sets.
+    """Exact-cover completion of Lc into full side-pairing sets.
 
-    Picks the unmatched boundary edge with the fewest live options, tries its
-    compatible pairings in canonical order, and prunes on the Poincare vertex
-    condition: a closing cycle must total 2 pi and a partial chain may never
-    exceed it, both within ``angle_tol``.  Returns up to ``limit`` solutions
-    in deterministic order; an empty list means the search space is exhausted
-    with no solution.
+    Every boundary edge must be matched exactly once.  The search picks the
+    first unmatched edge (in key order) with the fewest live options, tries
+    the pairings leaving it in canonical order, and prunes on the Poincare
+    vertex condition: a closing cycle must total 2 pi and a partial chain
+    may never exceed it, both within ``angle_tol``.  Returns up to ``limit``
+    solutions in deterministic order; an empty list means the search space
+    is exhausted with no solution.
+
+    State is kept in flat integer arrays (after Knuth's "Dancing Links"):
+    per-edge live option counts, and the slot permutation built so far as
+    ``succ``/``pred`` with chain endpoints and consumed angles, undone from a
+    log on backtrack.  A solution's vertex cycles are read off ``succ``.
     """
     struct = _BoundaryStructure(F)
-    by_src: dict[tuple[int, int], list[SidePairing]] = {e.key: [] for e in F.boundary}
-    for p in sorted(set(Lc), key=SidePairing.sort_key):
-        if p.src.key in by_src and p.dst.key in by_src and p.src.key != p.dst.key:
-            by_src[p.src.key].append(p)
-    link_cache: dict[tuple, list[tuple[int, int]]] = {}
-    for plist in by_src.values():
-        for p in plist:
-            if p.record not in link_cache:
-                link_cache[p.record] = struct.links_for(p)
+    edge_keys = sorted(e.key for e in F.boundary)
+    edge_of = {key: i for i, key in enumerate(edge_keys)}
+    unique: dict[tuple, SidePairing] = {}
+    for p in Lc:
+        unique.setdefault(p.record, p)
+    # option o is the o-th usable pairing in canonical order
+    options = sorted(
+        (
+            p
+            for p in unique.values()
+            if p.src.key in edge_of and p.dst.key in edge_of and p.src.key != p.dst.key
+        ),
+        key=SidePairing.sort_key,
+    )
+    n_edges, n_opts = len(edge_keys), len(options)
+    opt_dst = [edge_of[p.dst.key] for p in options]
+    opt_links = [tuple(struct.links_for(p)) for p in options]
+    by_edge: list[list[int]] = [[] for _ in range(n_edges)]
+    into: list[list[int]] = [[] for _ in range(n_edges)]  # src edges of options ending here
+    for o, p in enumerate(options):
+        by_edge[edge_of[p.src.key]].append(o)
+        into[opt_dst[o]].append(edge_of[p.src.key])
+    # live[e]: options of e whose target edge is unmatched; a matched edge
+    # carries an extra `done`, so min(live) > n_opts once every edge is matched
+    done = n_opts + 1
+    live = [len(opts) for opts in by_edge]
 
-    edge_keys = sorted(by_src)
+    angle = struct.slot_angle
+    n_slots = len(angle)
+    succ = [-1] * n_slots
+    pred = [-1] * n_slots
+    head_of = list(range(n_slots))  # valid at chain tails
+    tail_of = list(range(n_slots))  # valid at chain heads
+    consumed = [0.0] * n_slots  # valid at chain heads: angles of linked slots
+    two_pi = 2.0 * math.pi
+    ceiling = two_pi + angle_tol
+    undo: list[tuple[int, int, int, int, float]] = []
+    chosen: list[int] = []
     solutions: list[PairingSolution] = []
 
-    def descend(matched: dict, state: _ChainState):
-        if len(solutions) >= limit:
-            return
-        unmatched = [k for k in edge_keys if k not in matched]
-        if not unmatched:
-            _emit_solution(matched, struct, solutions, require_reversing, angle_tol)
-            return
-        best_key, best_opts = None, None
-        for key in unmatched:
-            opts = [p for p in by_src[key] if p.dst.key not in matched]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_key, best_opts = key, opts
-                if not opts:
-                    return
-        for p in best_opts:
-            st = state.copy()
-            ok = True
-            for u, w in link_cache[p.record]:
-                if not st.add_link(u, w, struct.slot_angle, angle_tol):
-                    ok = False
-                    break
-            if not ok:
+    def link(o: int) -> bool:
+        """Add option o's slot links; False (links added so far stay logged)
+        when a slot is taken or the angle condition fails."""
+        for u, w in opt_links[o]:
+            if succ[u] >= 0 or pred[w] >= 0:
+                return False
+            hu = head_of[u]
+            if w == hu:
+                if abs(consumed[hu] + angle[u] - two_pi) > angle_tol:
+                    return False
+                succ[u] = w
+                pred[w] = u
+                undo.append((u, w, -1, -1, 0.0))
                 continue
-            matched[best_key] = p
-            matched[p.dst.key] = p
-            descend(matched, st)
-            del matched[best_key]
-            del matched[p.dst.key]
+            tw = tail_of[w]
+            merged = consumed[hu] + angle[u] + consumed[w]
+            if merged + angle[tw] > ceiling:
+                return False
+            succ[u] = w
+            pred[w] = u
+            undo.append((u, w, hu, tw, consumed[hu]))
+            tail_of[hu] = tw
+            head_of[tw] = hu
+            consumed[hu] = merged
+        return True
+
+    def unlink(mark: int) -> None:
+        while len(undo) > mark:
+            u, w, hu, tw, old = undo.pop()
+            succ[u] = -1
+            pred[w] = -1
+            if hu >= 0:
+                tail_of[hu] = u
+                head_of[tw] = w
+                consumed[hu] = old
+
+    def cover(e: int, delta: int) -> None:
+        live[e] += delta * done
+        for s in into[e]:
+            live[s] -= delta
+
+    def emit() -> None:
+        picked = sorted(chosen)
+        pairings = tuple(options[o] for o in picked)
+        reversing_count = sum(1 for p in pairings if p.reversing)
+        if require_reversing and reversing_count == 0:
+            return
+        cycles = _vertex_cycles(struct, succ, angle_tol)
+        solutions.append(PairingSolution(pairings, cycles, reversing_count))
+
+    def descend() -> None:
+        fewest = min(live, default=done)
+        if fewest > n_opts:
+            emit()
+            return
+        if fewest == 0:
+            return
+        e = live.index(fewest)
+        for o in by_edge[e]:
+            d = opt_dst[o]
+            if live[d] > n_opts:
+                continue
+            mark = len(undo)
+            if link(o):
+                cover(e, 1)
+                cover(d, 1)
+                chosen.append(o)
+                descend()
+                chosen.pop()
+                cover(d, -1)
+                cover(e, -1)
+            unlink(mark)
             if len(solutions) >= limit:
                 return
 
-    descend({}, _ChainState())
+    if limit > 0:
+        descend()
     return solutions
-
-
-def solution_cycles(
-    pairings, struct: _BoundaryStructure
-) -> list[tuple[tuple[int, ...], float]]:
-    """Vertex cycles of a full identification set, one per mirror pair.
-
-    Returns (vertex class ids in cycle order, angle sum) for each quotient
-    vertex coming from the boundary.
-    """
-    links: dict[int, int] = {}
-    for p in pairings:
-        for u, w in struct.links_for(p):
-            if u in links:
-                raise InvalidCellStructure("boundary edge identified twice")
-            links[u] = w
-    if len(links) != len(struct.slots):
-        raise InvalidCellStructure("identifications do not cover the boundary")
-    slot_cycles = trace_cycles(links, dict(enumerate(struct.slot_angle)))
-    by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], float]]] = {}
-    for cyc, total in slot_cycles:
-        verts = tuple(struct.slots[s][1] for s in cyc)
-        by_vertex_set.setdefault(frozenset(verts), []).append((verts, total))
-    out = []
-    for group in by_vertex_set.values():
-        if len(group) != 2:
-            raise InvalidCellStructure(
-                "slot cycles do not pair up; an identification fixes a vertex"
-            )
-        out.append(min(group))
-    out.sort()
-    return out
-
-
-def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
-    chosen = {}
-    for p in matched.values():
-        chosen[p.identification] = min(
-            chosen.get(p.identification, p), p, key=SidePairing.sort_key
-        )
-    pairings = tuple(sorted(chosen.values(), key=SidePairing.sort_key))
-    reversing_count = sum(1 for p in pairings if p.reversing)
-    if require_reversing and reversing_count == 0:
-        return
-    cycles = solution_cycles(pairings, struct)
-    for _, total in cycles:
-        if abs(total - 2.0 * math.pi) > angle_tol:
-            raise InvalidCellStructure(f"vertex cycle closes at {total}")
-    vertex_cycles = tuple(
-        (tuple(struct.points[v] for v in cyc), total) for cyc, total in cycles
-    )
-    solutions.append(PairingSolution(pairings, vertex_cycles, reversing_count))
 
 
 def verify_topology(

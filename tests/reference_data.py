@@ -1,7 +1,18 @@
 """Published reference data for the N=14 worked example (1-based polygons),
-and the scalar oracle the vectorized compatibility filter is checked against."""
+and the oracles the fast paths are checked against: the scalar compatibility
+filter, and the backtracker whose state is copied at every node (with its
+cycle re-trace) for the exact-cover completion engine."""
 
+import math
+
+from diskpack.domain import FundamentalDomain, SidePairing
 from diskpack.geom import dist
+from diskpack.search import (
+    ANGLE_TOL,
+    InvalidCellStructure,
+    PairingSolution,
+    _BoundaryStructure,
+)
 
 GOOD_CANDIDATE = 0.516 - 0.248j
 REJECTED_CANDIDATE = 0.324 - 0.478j
@@ -57,3 +68,199 @@ def compatible_pairings(c, L, dset):
     distance, one pairing at a time; compatibility_matrix must agree."""
     z = getattr(c, "point", c)
     return [p for p in L if dset.is_admissible(dist(z, p.map(z)))]
+
+
+def reference_trace_cycles(links: dict[int, int], angles: dict[int, float]):
+    """Cycles of the permutation ``links`` with their angle sums."""
+    seen = set()
+    cycles = []
+    for start in sorted(links):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        cur = links[start]
+        while cur != start:
+            if cur in seen or cur not in links:
+                raise InvalidCellStructure("vertex links do not form a permutation")
+            cyc.append(cur)
+            seen.add(cur)
+            cur = links[cur]
+        cycles.append((tuple(cyc), sum(angles[v] for v in cyc)))
+    return cycles
+
+
+class _ChainState:
+    """Partial vertex permutation with chain angle accounting."""
+
+    __slots__ = ("succ", "pred", "head", "chains", "closed")
+
+    def __init__(self):
+        self.succ: dict[int, int] = {}
+        self.pred: dict[int, int] = {}
+        self.head: dict[int, int] = {}
+        self.chains: dict[int, tuple[int, float]] = {}  # head -> (tail, consumed)
+        self.closed: list[tuple[int, float]] = []  # (head, total angle)
+
+    def copy(self) -> "_ChainState":
+        st = _ChainState.__new__(_ChainState)
+        st.succ = dict(self.succ)
+        st.pred = dict(self.pred)
+        st.head = dict(self.head)
+        st.chains = dict(self.chains)
+        st.closed = list(self.closed)
+        return st
+
+    def add_link(self, u: int, w: int, angles: list[float], tol: float) -> bool:
+        if u in self.succ or w in self.pred:
+            return False
+        self.succ[u] = w
+        self.pred[w] = u
+        hu = self.head.get(u, u)
+        if hu not in self.chains:
+            self.chains[hu] = (hu, 0.0)
+            self.head[hu] = hu
+        tail_u, sum_u = self.chains[hu]
+        if tail_u != u:
+            return False
+        if w == hu:
+            total = sum_u + angles[u]
+            del self.chains[hu]
+            if abs(total - 2.0 * math.pi) > tol:
+                return False
+            self.closed.append((hu, total))
+            return True
+        hw = self.head.get(w, w)
+        if hw not in self.chains:
+            self.chains[hw] = (hw, 0.0)
+            self.head[hw] = hw
+        tail_w, sum_w = self.chains[hw]
+        merged = sum_u + angles[u] + sum_w
+        if merged + angles[tail_w] > 2.0 * math.pi + tol:
+            return False
+        del self.chains[hw]
+        self.chains[hu] = (tail_w, merged)
+        node = w
+        while True:
+            self.head[node] = hu
+            if node == tail_w:
+                break
+            node = self.succ[node]
+        return True
+
+
+def reference_complete_pairing(
+    Lc: list[SidePairing],
+    F: FundamentalDomain,
+    limit: int = 32,
+    require_reversing: bool = True,
+    angle_tol: float = ANGLE_TOL,
+) -> list[PairingSolution]:
+    """The copy-per-node backtracker that complete_pairing replaced.
+
+    Picks the unmatched boundary edge with the fewest live options, tries its
+    compatible pairings in canonical order, and prunes on the Poincare vertex
+    condition: a closing cycle must total 2 pi and a partial chain may never
+    exceed it, both within ``angle_tol``.  Returns up to ``limit`` solutions
+    in deterministic order; an empty list means the search space is exhausted
+    with no solution.
+    """
+    struct = _BoundaryStructure(F)
+    by_src: dict[tuple[int, int], list[SidePairing]] = {e.key: [] for e in F.boundary}
+    for p in sorted(set(Lc), key=SidePairing.sort_key):
+        if p.src.key in by_src and p.dst.key in by_src and p.src.key != p.dst.key:
+            by_src[p.src.key].append(p)
+    link_cache: dict[tuple, list[tuple[int, int]]] = {}
+    for plist in by_src.values():
+        for p in plist:
+            if p.record not in link_cache:
+                link_cache[p.record] = struct.links_for(p)
+
+    edge_keys = sorted(by_src)
+    solutions: list[PairingSolution] = []
+
+    def descend(matched: dict, state: _ChainState):
+        if len(solutions) >= limit:
+            return
+        unmatched = [k for k in edge_keys if k not in matched]
+        if not unmatched:
+            _emit_solution(matched, struct, solutions, require_reversing, angle_tol)
+            return
+        best_key, best_opts = None, None
+        for key in unmatched:
+            opts = [p for p in by_src[key] if p.dst.key not in matched]
+            if best_opts is None or len(opts) < len(best_opts):
+                best_key, best_opts = key, opts
+                if not opts:
+                    return
+        for p in best_opts:
+            st = state.copy()
+            ok = True
+            for u, w in link_cache[p.record]:
+                if not st.add_link(u, w, struct.slot_angle, angle_tol):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            matched[best_key] = p
+            matched[p.dst.key] = p
+            descend(matched, st)
+            del matched[best_key]
+            del matched[p.dst.key]
+            if len(solutions) >= limit:
+                return
+
+    descend({}, _ChainState())
+    return solutions
+
+
+def solution_cycles(
+    pairings, struct: _BoundaryStructure
+) -> list[tuple[tuple[int, ...], float]]:
+    """Vertex cycles of a full identification set, one per mirror pair.
+
+    Returns (vertex class ids in cycle order, angle sum) for each quotient
+    vertex coming from the boundary.
+    """
+    links: dict[int, int] = {}
+    for p in pairings:
+        for u, w in struct.links_for(p):
+            if u in links:
+                raise InvalidCellStructure("boundary edge identified twice")
+            links[u] = w
+    if len(links) != len(struct.slots):
+        raise InvalidCellStructure("identifications do not cover the boundary")
+    slot_cycles = reference_trace_cycles(links, dict(enumerate(struct.slot_angle)))
+    by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], float]]] = {}
+    for cyc, total in slot_cycles:
+        verts = tuple(struct.slots[s][1] for s in cyc)
+        by_vertex_set.setdefault(frozenset(verts), []).append((verts, total))
+    out = []
+    for group in by_vertex_set.values():
+        if len(group) != 2:
+            raise InvalidCellStructure(
+                "slot cycles do not pair up; an identification fixes a vertex"
+            )
+        out.append(min(group))
+    out.sort()
+    return out
+
+
+def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
+    chosen = {}
+    for p in matched.values():
+        chosen[p.identification] = min(
+            chosen.get(p.identification, p), p, key=SidePairing.sort_key
+        )
+    pairings = tuple(sorted(chosen.values(), key=SidePairing.sort_key))
+    reversing_count = sum(1 for p in pairings if p.reversing)
+    if require_reversing and reversing_count == 0:
+        return
+    cycles = solution_cycles(pairings, struct)
+    for _, total in cycles:
+        if abs(total - 2.0 * math.pi) > angle_tol:
+            raise InvalidCellStructure(f"vertex cycle closes at {total}")
+    vertex_cycles = tuple(
+        (tuple(struct.points[v] for v in cyc), total) for cyc, total in cycles
+    )
+    solutions.append(PairingSolution(pairings, vertex_cycles, reversing_count))

@@ -5,6 +5,7 @@ import pytest
 
 from diskpack.cli import main
 from diskpack.config import load_config
+from diskpack.geom import Isometry
 from diskpack.pipeline import run_pipeline, verify_certificate_file
 
 
@@ -63,6 +64,96 @@ def test_verify_detects_tampering(completed_run, tmp_path):
     bad.write_text(json.dumps(cert))
     ok, problems = verify_certificate_file(str(bad))
     assert not ok and problems
+
+
+def _forged(completed_run, tmp_path, forge):
+    cert = json.load(open(os.path.join(completed_run, "certificate.json")))
+    forge(cert)
+    out = tmp_path / "forged"
+    out.mkdir()
+    (out / "certificate.json").write_text(json.dumps(cert))
+    return str(out)
+
+
+def test_verify_rejects_generators_that_are_not_the_pairings(completed_run, tmp_path):
+    # tau and its inverse normalize the group they generate, with one-letter
+    # words; only the link to the embedded solution exposes the forgery
+    def forge(cert):
+        tau = Isometry.from_json(cert["tau"])
+        cert["generators"] = [
+            {"label": "t", **tau.to_json()},
+            {"label": "t'", **tau.inverse().to_json()},
+        ]
+        cert["memberships"] = [
+            {**cert["memberships"][i], "generator": i, "word": [i]} for i in (0, 1)
+        ]
+
+    out = _forged(completed_run, tmp_path, forge)
+    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
+    assert not ok
+    assert any("side pairings" in p for p in problems)
+
+
+def test_verify_rejects_an_edge_paired_twice(completed_run, tmp_path):
+    def forge(cert):
+        pairings = cert["solution"]["pairings"]
+        pairings[1]["src"] = dict(pairings[0]["src"])
+
+    out = _forged(completed_run, tmp_path, forge)
+    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
+    assert not ok
+    assert any("paired twice" in p for p in problems)
+
+
+def test_verify_checks_the_config_hash(n14_cfg_path, completed_run, tmp_path, capsys):
+    def forge(cert):
+        cert["config_hash"] = "0" * 16
+
+    out = _forged(completed_run, tmp_path, forge)
+    path = os.path.join(out, "certificate.json")
+    assert verify_certificate_file(path) == (True, [])  # no hash to compare with
+    expected = load_config(n14_cfg_path).config_hash()
+    ok, problems = verify_certificate_file(path, config_hash=expected)
+    assert not ok and "config hash" in problems[0]
+    assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+
+
+def test_solutions_json_decodes_to_the_certified_solution(completed_run):
+    # schema 2: pairings index pairings.json, vertex cycles index "vertices"
+    def load(name):
+        with open(os.path.join(completed_run, name), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    sols, L, cert = load("solutions.json"), load("pairings.json"), load("certificate.json")
+    assert sols["schema_version"] == 2
+    assert os.path.getsize(os.path.join(completed_run, "solutions.json")) < 2_000_000
+    vertices = sols["vertices"]
+
+    def decode(s):
+        return {
+            "pairings": [L["pairings"][i] for i in s["pairings"]],
+            "reversing_count": s["reversing_count"],
+            "vertex_cycles": [
+                {
+                    "vertices": [vertices[v] for v in c["vertices"]],
+                    "angle_sum": c["angle_sum"],
+                }
+                for c in s["vertex_cycles"]
+            ],
+            "topology": s["topology"],
+        }
+
+    (entry,) = [c for c in sols["candidates"] if c["point"] == cert["candidate"]]
+    embedded = cert["solution"]
+    hits = [
+        d
+        for d in map(decode, entry["solutions"])
+        if d["pairings"] == embedded["pairings"]
+    ]
+    assert len(hits) == 1
+    assert hits[0] == {k: v for k, v in embedded.items() if k != "identifications"}
 
 
 def test_distances_subcommand(n14_cfg_path, capsys):

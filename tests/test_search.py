@@ -9,19 +9,22 @@ from reference_data import (
     REJECTED_CANDIDATE,
     SOLUTION_18_IDENTS,
     compatible_pairings,
+    reference_complete_pairing,
+    solution_cycles,
 )
 from diskpack.domain import build_domain
 from diskpack.geom import axis, dist
+from diskpack.pipeline import filter_candidates
 from diskpack.search import (
     InvalidCellStructure,
     PairingSolution,
     _BoundaryStructure,
+    _vertex_cycles,
     bananas,
     candidates,
     compatibility_matrix,
     complete_pairing,
     edge_coverage,
-    solution_cycles,
     trace_cycles,
     verify_topology,
 )
@@ -193,9 +196,9 @@ class TestCycleMachinery:
     def test_torus_mock(self):
         # square with opposite sides glued: slots 0..3 in one cycle of
         # quarter-turn wedges; V - E + F = 1 - 2 + 1 = 0
-        links = {0: 1, 1: 2, 2: 3, 3: 0}
-        angles = {i: math.pi / 2 for i in range(4)}
-        cycles = trace_cycles(links, angles)
+        succ = [1, 2, 3, 0]
+        angles = [math.pi / 2] * 4
+        cycles = trace_cycles(succ, angles)
         assert len(cycles) == 1
         assert cycles[0][1] == pytest.approx(2 * math.pi)
         vertices, edges, faces = 1, 2, 1
@@ -203,7 +206,9 @@ class TestCycleMachinery:
 
     def test_non_permutation_detected(self):
         with pytest.raises(InvalidCellStructure):
-            trace_cycles({0: 1, 1: 0, 2: 1}, {0: 1.0, 1: 1.0, 2: 1.0})
+            trace_cycles([1, 0, 1], [1.0, 1.0, 1.0])
+        with pytest.raises(InvalidCellStructure):
+            trace_cycles([1, -1], [1.0, 1.0])  # slot 1 has no successor
 
     def test_solution_cycles_pair_up(self, n14, n14_solution):
         struct = _BoundaryStructure(n14.F)
@@ -224,6 +229,89 @@ class TestCycleMachinery:
             if v not in struct.interior
         )
         assert total == pytest.approx(boundary_angle, abs=1e-5)
+
+
+    @staticmethod
+    def _reference_succ(struct, pairings):
+        succ = [-1] * len(struct.slots)
+        for p in pairings:
+            for u, w in struct.links_for(p):
+                succ[u] = w
+        return succ
+
+    def test_vertex_cycles_match_reference(self, n14, n14_solution):
+        struct = _BoundaryStructure(n14.F)
+        succ = self._reference_succ(struct, n14_solution.reference.pairings)
+        cycles = _vertex_cycles(struct, succ, 1e-6)
+        expected = solution_cycles(n14_solution.reference.pairings, struct)
+        assert cycles == tuple(
+            (tuple(struct.points[v] for v in verts), total) for verts, total in expected
+        )
+        assert cycles == n14_solution.reference.vertex_cycles
+
+    def test_unclosed_cycle_rejected(self, n14, n14_solution):
+        struct = _BoundaryStructure(n14.F)
+        succ = self._reference_succ(struct, n14_solution.reference.pairings)
+        with pytest.raises(InvalidCellStructure):
+            _vertex_cycles(struct, succ, -1.0)
+
+    def test_unpaired_slot_cycles_rejected(self, n14):
+        # both slots of one vertex in a single cycle, every other slot fixed:
+        # that vertex's slot cycle has no mirror partner
+        struct = _BoundaryStructure(n14.F)
+        succ = list(range(len(struct.slots)))
+        v = struct.slots[0][1]
+        a, b = (s for s, (_, w) in enumerate(struct.slots) if w == v)
+        succ[a], succ[b] = b, a
+        with pytest.raises(InvalidCellStructure, match="pair up"):
+            _vertex_cycles(struct, succ, 10.0)
+
+
+@pytest.fixture(scope="module")
+def n14_survivors(n14):
+    """L_c of every covered, non-center N = 14 candidate (depth 5)."""
+    items = filter_candidates(None, n14.F, n14.L, n14.dset, n14.C)
+    return [it["Lc"] for it in items if it["covered"] and not it["is_center"]]
+
+
+class TestCompletionOracle:
+    """The exact-cover engine against the copy-per-node backtracker it
+    replaced: the same solutions in the same order, every float equal."""
+
+    def test_three_survivors(self, n14_survivors):
+        assert len(n14_survivors) == 3
+
+    @pytest.mark.parametrize("limit", [1, 5, 256])
+    def test_survivors_match_reference(self, n14, n14_survivors, limit):
+        for Lc in n14_survivors:
+            got = complete_pairing(Lc, n14.F, limit=limit)
+            assert got == reference_complete_pairing(Lc, n14.F, limit=limit)
+            assert len(got) == min(limit, 165)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_and_pruned_match_reference(self, n14, n14_survivors, seed):
+        rng = random.Random(seed)
+        Lc = list(n14_survivors[seed % 3])
+        rng.shuffle(Lc)
+        if seed % 2:
+            # thin out the pairings at six random edges
+            keys = sorted({p.src.key for p in Lc})
+            cut = set(rng.sample(keys, 6))
+            Lc = [
+                p
+                for p in Lc
+                if not (p.src.key in cut or p.dst.key in cut) or rng.random() < 0.5
+            ]
+        else:
+            Lc = [p for p in Lc if rng.random() < 0.9]
+        kwargs = {"limit": rng.choice([3, 40]), "require_reversing": seed % 3 != 0}
+        got = complete_pairing(Lc, n14.F, **kwargs)
+        assert got == reference_complete_pairing(Lc, n14.F, **kwargs)
+
+    def test_pruned_edge_matches_reference(self, n14, n14_survivors):
+        Lc = [p for p in n14_survivors[0] if (0, 3) not in (p.src.key, p.dst.key)]
+        assert complete_pairing(Lc, n14.F, limit=4) == []
+        assert reference_complete_pairing(Lc, n14.F, limit=4) == []
 
 
 class TestVerifyTopology:
