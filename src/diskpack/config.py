@@ -85,6 +85,10 @@ class PipelineConfig:
             raise ConfigError("depth must be at least 1")
         if self.limit < 1:
             raise ConfigError("limit must be at least 1")
+        for name in ("match_tol", "dedup_tol", "candidate_dedup", "angle_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, not {value}")
         if self.seed_pairs is not None and len(self.seed_pairs) != 2:
             raise ConfigError("seed_pairs must list exactly the two seed pairings")
 

@@ -22,7 +22,7 @@ from .domain import (
     find_pairing,
     pairing_json,
 )
-from .geom import CoincidentCurves, Isometry, dist
+from .geom import CoincidentCurves, GeometryError, Isometry, dist
 from .group import (
     GroupPresentation,
     ReductionStalled,
@@ -472,6 +472,13 @@ def _render_final(out, F, C, it, sol, cert):
         )
 
 
+# the top-level keys verify_certificate_file reads
+_CERTIFICATE_KEYS = (
+    "generators", "memberships", "tau", "candidate", "o_prime",
+    "swap_residual", "swap_tol", "passed", "solution",
+)
+
+
 def verify_certificate_file(
     path: str, word_tol: float = 1e-7, config_hash: str | None = None
 ) -> tuple[bool, list[str]]:
@@ -482,24 +489,43 @@ def verify_certificate_file(
     (each membership word composes to the conjugated generator); the stored
     swap residual and the swap of the candidate with O'; the passed flag;
     and, when ``config_hash`` is given, that the artifact was made by that
-    config.
+    config.  Malformed input (a missing key, a matrix or point that does
+    not decode, a generator or word index out of range) is reported as a
+    problem, not raised.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
+    if not isinstance(cert, dict):
+        return False, ["certificate is not a JSON object"]
+    missing = [key for key in _CERTIFICATE_KEYS if key not in cert]
+    if missing:
+        return False, [f"certificate lacks {', '.join(missing)}"]
+    try:
+        gens = [Isometry.from_json(g) for g in cert["generators"]]
+        pairings = cert["solution"]["pairings"]
+        sides = [Isometry.from_json(pj) for pj in pairings]
+        edges = [
+            (pj[end]["poly"], pj[end]["edge"]) for pj in pairings for end in ("src", "dst")
+        ]
+        tau = Isometry.from_json(cert["tau"])
+        P = complex(*cert["candidate"])
+        o_prime = complex(*cert["o_prime"])
+        swap_residual = float(cert["swap_residual"])
+        swap_tol = float(cert["swap_tol"])
+        memberships = [dict(m) for m in cert["memberships"]]
+    except (KeyError, IndexError, TypeError, ValueError, GeometryError) as exc:
+        return False, [f"certificate does not decode: {type(exc).__name__}: {exc}"]
     problems: list[str] = []
-    if config_hash is not None and cert["config_hash"] != config_hash:
+    if config_hash is not None and cert.get("config_hash") != config_hash:
         problems.append(
-            f"config hash {cert['config_hash']} is not the configuration's {config_hash}"
+            f"config hash {cert.get('config_hash')} is not the configuration's {config_hash}"
         )
-    gens = [Isometry.from_json(g) for g in cert["generators"]]
-    pairings = cert["solution"]["pairings"]
-    if len(gens) != 2 * len(pairings):
+    if len(gens) != 2 * len(sides):
         problems.append(
-            f"{len(gens)} generators for {len(pairings)} side pairings and their inverses"
+            f"{len(gens)} generators for {len(sides)} side pairings and their inverses"
         )
     else:
-        for i, pj in enumerate(pairings):
-            p = Isometry.from_json(pj)
+        for i, p in enumerate(sides):
             if (
                 gens[2 * i].matrix_dist(p) > word_tol
                 or gens[2 * i + 1].matrix_dist(p.inverse()) > word_tol
@@ -508,36 +534,39 @@ def verify_certificate_file(
                     f"generators {2 * i}, {2 * i + 1} are not side pairing {i} "
                     "and its inverse"
                 )
-    edges = [
-        (pj[end]["poly"], pj[end]["edge"]) for pj in pairings for end in ("src", "dst")
-    ]
     twice = sorted({e for e in edges if edges.count(e) > 1})
     if twice:
         problems.append(f"boundary edges paired twice: {twice}")
-    tau = Isometry.from_json(cert["tau"])
-    P = complex(*cert["candidate"])
-    o_prime = complex(*cert["o_prime"])
-    if abs(dist(tau(P), o_prime) - cert["swap_residual"]) > 1e-9:
+    if abs(dist(tau(P), o_prime) - swap_residual) > 1e-9:
         problems.append("stored swap residual does not match recomputation")
-    if cert["swap_residual"] > cert["swap_tol"]:
+    if swap_residual > swap_tol:
         problems.append("tau does not swap the candidate with O'")
-    if len(cert["memberships"]) != len(gens):
+
+    def generator_index(i) -> bool:
+        return type(i) is int and 0 <= i < len(gens)
+
+    covered = [m.get("generator") for m in memberships]
+    if sorted(i for i in covered if generator_index(i)) != list(range(len(gens))):
         problems.append("certificate does not cover every generator")
     tau_inv = tau.inverse()
-    for m in cert["memberships"]:
-        g = gens[m["generator"]]
-        h = tau * g * tau_inv
-        if not m["member"]:
-            problems.append(f"membership failed for generator {m['generator']}")
+    for m in memberships:
+        gi = m.get("generator")
+        if not generator_index(gi):
+            problems.append(f"membership names generator {gi!r}, not one of {len(gens)}")
+            continue
+        if not m.get("member"):
+            problems.append(f"membership failed for generator {gi}")
+            continue
+        letters = m.get("word")
+        if not (isinstance(letters, list) and all(generator_index(i) for i in letters)):
+            problems.append(f"word for generator {gi} is not a list of generator indices")
             continue
         word = Isometry.identity()
-        for idx in m["word"]:
+        for idx in letters:
             word = word * gens[idx]
-        res = word.matrix_dist(h)
+        res = word.matrix_dist(tau * gens[gi] * tau_inv)
         if res > word_tol:
-            problems.append(
-                f"word for generator {m['generator']} misses by {res:.2e}"
-            )
+            problems.append(f"word for generator {gi} misses by {res:.2e}")
     if not cert["passed"]:
         problems.append("certificate is marked failed")
     return (not problems), problems

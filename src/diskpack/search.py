@@ -28,7 +28,7 @@ from .geom import (
     intersect,
     signed_offset,
 )
-from .tess import DistanceSet
+from .tess import AdmissibilityTable, DistanceSet
 
 CANDIDATE_DEDUP = 1e-6
 ANGLE_TOL = 1e-6
@@ -269,22 +269,73 @@ def candidates(
     return out
 
 
+# cells (identifications x points) per block of compatibility_matrix: its
+# complex temporaries stay at 256 KB each however many points come in
+BLOCK_CELLS = 1 << 14
+
+
 def compatibility_matrix(
     points: list[complex], L: list[SidePairing], dset: DistanceSet
 ) -> np.ndarray:
-    """Boolean matrix admissible[i, j]: pairing L[j] displaces points[i] admissibly."""
-    zs = np.array(points)
-    vals = np.array(dset.values)
-    out = np.zeros((len(points), len(L)), dtype=bool)
+    """Boolean matrix admissible[i, j]: pairing L[j] displaces points[i] admissibly.
+
+    The displacement of z by g is d = 2 artanh(|gz - z| / |1 - conj(gz) z|).
+    Since d(z, g^-1 z) = d(gz, z), a pairing and its inverse have the same
+    displacement function, so d is computed once per identification: L[j]
+    with record (rev, sp, se, dp, de) shares its column with the entry
+    (rev, dp, de, sp, se), and an entry without such a partner gets its own.
+    The work runs in blocks of at most BLOCK_CELLS identifications x points,
+    conformal and reversing ones apart (w = z or conj z), with the formula's
+    operations in the one-pairing-at-a-time order, so d is the float that
+    order gives for the first entry of each identification.  The inverse's
+    own d differs from it by rounding only, which changes a cell only for d
+    within a few ulp of v -+ match_tol (no such cell occurs at N = 14, depths
+    3 and 5).  Each block's admissible cells are set straight in the result;
+    admissibility is decided by tess.AdmissibilityTable, a binned table
+    built once per call.
+    """
+    zs = np.asarray(points, dtype=complex)
+    out = np.zeros((len(zs), len(L)), dtype=bool)
+    if out.size == 0:
+        return out
+    groups: dict[tuple, list[int]] = {}
     for j, p in enumerate(L):
-        w = np.conj(zs) if p.reversing else zs
-        img = (p.map.a * w + p.map.b) / (np.conj(p.map.b) * w + np.conj(p.map.a))
-        d = 2.0 * np.arctanh(np.abs(img - zs) / np.abs(1.0 - np.conj(img) * zs))
-        idx = np.searchsorted(vals, d)
-        lo = np.clip(idx - 1, 0, len(vals) - 1)
-        hi = np.clip(idx, 0, len(vals) - 1)
-        near = np.minimum(np.abs(vals[lo] - d), np.abs(vals[hi] - d))
-        out[:, j] = near <= dset.match_tol
+        rev, sp, se, dp, de = p.record
+        ident = (rev,) + min((sp, se, dp, de), (dp, de, sp, se))
+        groups.setdefault(ident, []).append(j)
+    admissible = AdmissibilityTable(dset)
+    rows = min(len(zs), BLOCK_CELLS)
+    per_block = max(1, BLOCK_CELLS // rows)
+    for reversing in (False, True):
+        ws = np.conj(zs) if reversing else zs
+        kind = [cols for key, cols in groups.items() if key[0] == reversing]
+        a = np.array([L[cols[0]].map.a for cols in kind])
+        b = np.array([L[cols[0]].map.b for cols in kind])
+        for g0 in range(0, len(kind), per_block):
+            blk = slice(g0, g0 + per_block)
+            ga, gb = a[blk, None], b[blk, None]
+            gac, gbc = np.conj(ga), np.conj(gb)
+            src = [i for i, cols in enumerate(kind[blk]) for _ in cols]
+            dst = np.array([j for cols in kind[blk] for j in cols])
+            for r0 in range(0, len(zs), rows):
+                z = zs[None, r0 : r0 + rows]
+                w = ws[None, r0 : r0 + rows]
+                img = ga * w
+                img += gb
+                den = gbc * w
+                den += gac
+                img /= den
+                np.conj(img, out=den)
+                den *= z
+                np.subtract(1.0, den, out=den)
+                img -= z
+                d = np.abs(img)
+                d /= np.abs(den)
+                np.arctanh(d, out=d)
+                d *= 2.0
+                # out is all False so far: set the admissible cells alone
+                col, row = np.nonzero(admissible(d)[src])
+                out[r0 + row, dst[col]] = True
     return out
 
 

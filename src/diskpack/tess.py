@@ -118,6 +118,10 @@ class DistanceSet:
                 return True
         return False
 
+    def admissible_mask(self, d: np.ndarray) -> np.ndarray:
+        """is_admissible for every element of d, with the same answers."""
+        return AdmissibilityTable(self)(d)
+
     def nearest(self, d: float) -> float:
         i = bisect.bisect_left(self.values, d)
         best = min(
@@ -125,6 +129,62 @@ class DistanceSet:
             key=lambda j: abs(self.values[j] - d),
         )
         return self.values[best]
+
+
+# the table never exceeds this many bins; a smaller match_tol widens them
+TABLE_MAX_BINS = 1 << 18
+
+
+class AdmissibilityTable:
+    """The admissibility rule |v - d| <= match_tol over arrays of d, by table.
+
+    The d axis is cut into uniform bins of width match_tol (wider when that
+    would take more than TABLE_MAX_BINS bins).  A bin is "check" when it
+    holds an end v -+ match_tol of an admissible interval or neighbours one,
+    and "out" otherwise; only d in "check" bins go through the exact rule,
+    nearest value by bisection as in DistanceSet.is_admissible.  A bin
+    wholly inside an interval would be a third, "in" state, but an interval
+    is at most two bins wide, so each of its bins is a "check" bin.
+
+    The bin of d is floor((d - origin) / width), one formula for d and for
+    the interval ends, and it never decreases as d grows.  The exact rule's
+    boundary lies within a few ulp of the computed end, hence in the end's
+    bin or a neighbour, so every d in an "out" bin fails the exact rule.
+    Non-finite d are clamped into the first or last bin, where the exact
+    rule fails them too.
+    """
+
+    def __init__(self, dset: DistanceSet):
+        vals = np.array(dset.values)
+        tol = dset.match_tol
+        self.values = vals
+        self.match_tol = tol
+        self.width = max(tol, (vals[-1] - vals[0] + 2.0 * tol) / TABLE_MAX_BINS)
+        self.origin = vals[0] - tol - 2.0 * self.width
+        ends = np.concatenate([vals - tol, vals + tol])
+        k = np.floor((ends - self.origin) / self.width).astype(np.intp)
+        self.last = int(k.max()) + 2
+        check = np.zeros(self.last + 1, dtype=bool)
+        for off in (-1, 0, 1):
+            check[k + off] = True
+        self.check = check
+
+    def __call__(self, d: np.ndarray) -> np.ndarray:
+        d = np.asarray(d, dtype=float)
+        k = (d - self.origin) / self.width
+        np.fmax(k, 0.0, out=k)  # fmax sends NaN to bin 0
+        np.fmin(k, float(self.last), out=k)
+        check = np.flatnonzero(self.check[k.astype(np.intp)])
+        hit = np.zeros(d.shape, dtype=bool)
+        if check.size:
+            dc = d.reshape(-1)[check]
+            vals = self.values
+            i = np.searchsorted(vals, dc)
+            below = vals[np.maximum(i - 1, 0)]
+            above = vals[np.minimum(i, len(vals) - 1)]
+            near = np.minimum(np.abs(below - dc), np.abs(above - dc))
+            hit.reshape(-1)[check] = near <= self.match_tol
+        return hit
 
 
 def _compose_arrays(a1, b1, a2, b2):

@@ -1,9 +1,12 @@
 """Published reference data for the N=14 worked example (1-based polygons),
 and the oracles the fast paths are checked against: the scalar compatibility
-filter, and the backtracker whose state is copied at every node (with its
+filter and the per-pairing compatibility loop for the blocked compatibility
+kernel, and the backtracker whose state is copied at every node (with its
 cycle re-trace) for the exact-cover completion engine."""
 
 import math
+
+import numpy as np
 
 from diskpack.domain import FundamentalDomain, SidePairing
 from diskpack.geom import dist
@@ -264,3 +267,21 @@ def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
         (tuple(struct.points[v] for v in cyc), total) for cyc, total in cycles
     )
     solutions.append(PairingSolution(pairings, vertex_cycles, reversing_count))
+
+
+def reference_compatibility_matrix(points, L, dset):
+    """The per-pairing compatibility loop: one pass over the points per entry
+    of L, nearest admissible distance by searchsorted."""
+    zs = np.array(points)
+    vals = np.array(dset.values)
+    out = np.zeros((len(points), len(L)), dtype=bool)
+    for j, p in enumerate(L):
+        w = np.conj(zs) if p.reversing else zs
+        img = (p.map.a * w + p.map.b) / (np.conj(p.map.b) * w + np.conj(p.map.a))
+        d = 2.0 * np.arctanh(np.abs(img - zs) / np.abs(1.0 - np.conj(img) * zs))
+        idx = np.searchsorted(vals, d)
+        lo = np.clip(idx - 1, 0, len(vals) - 1)
+        hi = np.clip(idx, 0, len(vals) - 1)
+        near = np.minimum(np.abs(vals[lo] - d), np.abs(vals[hi] - d))
+        out[:, j] = near <= dset.match_tol
+    return out

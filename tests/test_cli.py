@@ -120,6 +120,38 @@ def test_verify_checks_the_config_hash(n14_cfg_path, completed_run, tmp_path, ca
     assert report["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda c: c["memberships"][0].update(generator=99), "generator 99"),
+        (lambda c: c["memberships"][5]["word"].append(99), "not a list of generator indices"),
+        (lambda c: c["memberships"][5]["word"].append(-1), "not a list of generator indices"),
+        (lambda c: c["memberships"][5].update(word=7), "not a list of generator indices"),
+        (lambda c: c.pop("solution"), "lacks solution"),
+        (lambda c: c.pop("tau"), "lacks tau"),
+        (lambda c: c["solution"].pop("pairings"), "KeyError: 'pairings'"),
+        (lambda c: c["generators"][3].pop("matrix"), "KeyError: 'matrix'"),
+        (lambda c: c["tau"].update(matrix=[[1, 0], [1, 0], [1, 0], [1, 0]]), "GeometryError"),
+        (lambda c: c.update(memberships=5), "TypeError"),
+        (lambda c: c["memberships"].__setitem__(1, c["memberships"][0]), "every generator"),
+    ],
+    ids=[
+        "generator-99", "word-index-99", "word-index-negative", "word-not-a-list",
+        "no-solution", "no-tau", "no-solution-pairings", "no-generator-matrix",
+        "singular-tau", "memberships-not-a-list", "generator-listed-twice",
+    ],
+)
+def test_verify_reports_malformed_certificates(
+    n14_cfg_path, completed_run, tmp_path, capsys, forge, message
+):
+    out = _forged(completed_run, tmp_path, forge)
+    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
+    assert not ok and any(message in p for p in problems)
+    assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and any(message in p for p in report["problems"])
+
+
 def test_solutions_json_decodes_to_the_certified_solution(completed_run):
     # schema 2: pairings index pairings.json, vertex cycles index "vertices"
     def load(name):
@@ -181,6 +213,15 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["stage"] == "config"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])
+def test_run_rejects_a_bad_tol(n14_cfg_path, tmp_path, tol, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", n14_cfg_path, f"--tol={tol}", "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["stage"] == "config" and "match_tol" in err["error"]
+    assert not os.path.exists(out)
 
 
 def test_exhausted_search_exits_2(tmp_path):

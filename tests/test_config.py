@@ -102,6 +102,20 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "name", ["match_tol", "dedup_tol", "candidate_dedup", "angle_tol"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_tolerances_must_be_finite_and_positive(self, tmp_path, name, value):
+        cfg = self._n14()
+        setattr(cfg, name, value)
+        with pytest.raises(ConfigError, match=name):
+            cfg.validate()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_json_dict()))
+        with pytest.raises(ConfigError, match=name):
+            load_config(str(path))
+
     def test_json_round_trip(self):
         cfg = self._n14()
         again = PipelineConfig.from_json_dict(cfg.to_json_dict())

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from reference_data import (
@@ -9,13 +10,16 @@ from reference_data import (
     REJECTED_CANDIDATE,
     SOLUTION_18_IDENTS,
     compatible_pairings,
+    reference_compatibility_matrix,
     reference_complete_pairing,
     solution_cycles,
 )
-from diskpack.domain import build_domain
+from diskpack.domain import build_domain, find_pairing
 from diskpack.geom import axis, dist
 from diskpack.pipeline import filter_candidates
+from diskpack.tess import admissible_distances
 from diskpack.search import (
+    BLOCK_CELLS,
     InvalidCellStructure,
     PairingSolution,
     _BoundaryStructure,
@@ -123,6 +127,62 @@ class TestCompatiblePairings:
         records = {p.record for p in Lc}
         for rev, sp, se, dp, de in records:
             assert (rev, dp, de, sp, se) in records
+
+
+class TestCompatibilityKernel:
+    """The blocked kernel against the per-pairing loop, cell for cell."""
+
+    # depth-3 seed pairs (0-based records) with about 26, 690 and 1380
+    # candidates; the first two give rows where every pairing is admissible
+    DEPTH3_SEED_PAIRS = [
+        ((False, 2, 9, 2, 13), (True, 2, 11, 2, 12)),
+        ((False, 0, 3, 2, 8), (True, 1, 6, 2, 8)),
+        ((False, 0, 4, 0, 12), (True, 1, 8, 2, 6)),
+    ]
+
+    def test_all_depth5_candidates(self, n14):
+        pts = [c.point for c in n14.C]
+        assert len(pts) == 816 and len(pts) * len(n14.L) > 100 * BLOCK_CELLS
+        m = compatibility_matrix(pts, n14.L, n14.dset)
+        assert m.shape == (816, len(n14.L)) and m.flags.c_contiguous
+        assert np.array_equal(m, reference_compatibility_matrix(pts, n14.L, n14.dset))
+
+    @pytest.mark.parametrize("pair", range(3))
+    def test_depth3_seed_pairs(self, n14, pair):
+        dset = admissible_distances(14, 3)
+        p1, p2 = (find_pairing(n14.L, *rec) for rec in self.DEPTH3_SEED_PAIRS[pair])
+        pts = [c.point for c in candidates(p1, p2, dset, n14.F)]
+        assert len(pts) == (26, 688, 1378)[pair]
+        m = compatibility_matrix(pts, n14.L, dset)
+        assert np.array_equal(m, reference_compatibility_matrix(pts, n14.L, dset))
+        if pair < 2:
+            assert m.all(axis=1).any()
+
+    def test_no_points(self, n14):
+        m = compatibility_matrix([], n14.L, n14.dset)
+        assert m.shape == (0, len(n14.L)) and m.dtype == bool
+        assert np.array_equal(m, reference_compatibility_matrix([], n14.L, n14.dset))
+
+    def test_sublist_with_unpartnered_pairings(self, n14):
+        # every third entry, then a duplicate: most inverses are missing
+        sub = n14.L[::3] + [n14.L[7]]
+        records = {p.record for p in sub}
+        inverse = {p.record: (p.record[0],) + p.record[3:] + p.record[1:3] for p in sub}
+        lone = [p for p in sub if inverse[p.record] not in records]
+        assert len(lone) > len(sub) // 2
+        pts = [c.point for c in n14.C[::5]]
+        m = compatibility_matrix(pts, sub, n14.dset)
+        assert np.array_equal(m, reference_compatibility_matrix(pts, sub, n14.dset))
+
+    def test_inverse_entries_are_inverse_maps(self, n14):
+        # the identity the kernel's column sharing rests on, to rounding
+        by_record = {p.record: p for p in n14.L}
+        for p in n14.L:
+            rev, sp, se, dp, de = p.record
+            q = by_record[(rev, dp, de, sp, se)]
+            assert q.reversing == p.reversing
+            scale = abs(p.map.a) + abs(p.map.b)
+            assert q.map.matrix_dist(p.map.inverse()) < 1e-11 * scale
 
 
 class TestEdgeCoverage:

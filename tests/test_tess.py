@@ -1,10 +1,14 @@
 import cmath
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from diskpack.geom import Isometry, classify, dist
 from diskpack.tess import (
+    TABLE_MAX_BINS,
+    AdmissibilityTable,
     NotHyperbolic,
     admissible_distances,
     polygon_metrics,
@@ -237,3 +241,51 @@ class TestAdmissibleDistances:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             admissible_distances(7, 0)
+
+
+def _edge_distances(dset):
+    """Each interval end v +- match_tol moved by -2 .. +2 ulp, d below the
+    first value and above the last, and the non-finite values."""
+    vals = np.array(dset.values)
+    ends = np.concatenate([vals - dset.match_tol, vals + dset.match_tol])
+    moved = [ends]
+    for direction in (-np.inf, np.inf):
+        step = ends
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            moved.append(step)
+    outside = [vals[0] - 1.0, vals[0] - 2 * dset.match_tol, vals[-1] + 2 * dset.match_tol,
+               vals[-1] + 1.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    return np.concatenate(moved + [np.array(outside)])
+
+
+class TestAdmissibleMask:
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_equals_scalar_rule_at_interval_ends(self, depth):
+        dset = admissible_distances(14, depth)
+        d = _edge_distances(dset)
+        expected = np.array([dset.is_admissible(float(x)) for x in d])
+        assert np.array_equal(dset.admissible_mask(d), expected)
+        # the ulp moves straddle the rule's boundary on both sides
+        assert expected.any() and not expected.all()
+
+    @pytest.mark.parametrize("tol", [0.3, 1e-9])
+    def test_equals_scalar_rule_at_other_bin_widths(self, tol, rng):
+        # 0.3 merges neighbouring intervals; 1e-9 would need more than
+        # TABLE_MAX_BINS bins, so the bins widen
+        dset = dataclasses.replace(admissible_distances(14, 3), match_tol=tol)
+        table = AdmissibilityTable(dset)
+        assert table.width >= tol and len(table.check) <= TABLE_MAX_BINS + 8
+        assert (table.width > tol) == (tol < 1e-3)
+        hi = dset.values[-1] + 1.0
+        uniform = [rng.uniform(-1.0, hi) for _ in range(4000)]
+        d = np.concatenate([_edge_distances(dset), uniform])
+        expected = np.array([dset.is_admissible(float(x)) for x in d])
+        assert np.array_equal(dset.admissible_mask(d), expected)
+
+    def test_keeps_the_shape_of_d(self):
+        dset = admissible_distances(14, 2)
+        d = np.array(dset.values[:6]).reshape(2, 3)
+        assert dset.admissible_mask(d).shape == (2, 3)
+        assert dset.admissible_mask(d).all()
+        assert dset.admissible_mask(np.empty(0)).shape == (0,)
