@@ -71,6 +71,63 @@ class EdgeRef:
         return self.inward * signed_offset(z, self.carrier)
 
 
+@dataclass(frozen=True, eq=False)
+class _CarrierTable:
+    """The edge carriers of a domain as arrays, for the margins of one point
+    at every edge in one pass.  Circle carriers fill arrays of shape (k, n)
+    with signed_offset's circle constants (line slots hold harmless
+    dummies); the line carriers, if any, are listed apart with the line
+    formula's constants.  The inward sign is folded into the radius and the
+    line formula's factor 2: negating a factor or a divisor negates an IEEE
+    product or quotient exactly, so the margins keep their bits."""
+
+    cx: np.ndarray
+    cy: np.ndarray
+    r2: np.ndarray
+    signed_r: np.ndarray
+    line_at: tuple[np.ndarray, np.ndarray] | None
+    line_nx: np.ndarray
+    line_ny: np.ndarray
+    line_offset: np.ndarray
+    line_twice_inward: np.ndarray
+
+    @classmethod
+    def of(cls, edges: tuple[tuple[EdgeRef, ...], ...]) -> "_CarrierTable":
+        is_line = np.array([[e.carrier.kind == "line" for e in row] for row in edges])
+
+        def table(value, dummy):
+            return np.array(
+                [[dummy if e.carrier.kind == "line" else value(e) for e in row] for row in edges],
+                dtype=float,
+            )
+
+        r = table(lambda e: e.carrier.radius, 1.0)
+        lines = [e for row in edges for e in row if e.carrier.kind == "line"]  # row-major
+        return cls(
+            cx=table(lambda e: e.carrier.center.real, 0.0),
+            cy=table(lambda e: e.carrier.center.imag, 0.0),
+            r2=r * r,
+            signed_r=r * table(lambda e: e.inward, 1.0),
+            line_at=np.nonzero(is_line) if lines else None,
+            line_nx=np.array([e.carrier.normal.real for e in lines]),
+            line_ny=np.array([e.carrier.normal.imag for e in lines]),
+            line_offset=np.array([e.carrier.offset for e in lines]),
+            line_twice_inward=np.array([2.0 * e.inward for e in lines]),
+        )
+
+    def margins(self, z: complex) -> np.ndarray:
+        # signed_offset's operations in its order, on float64 like the
+        # scalar path, so every entry equals EdgeRef.margin bit for bit
+        x, y = z.real, z.imag
+        D = 1.0 - (x * x + y * y)
+        dx, dy = x - self.cx, y - self.cy
+        m = (dx * dx + dy * dy - self.r2) / (self.signed_r * D)
+        if self.line_at is not None:
+            offsets = self.line_nx * x + self.line_ny * y - self.line_offset
+            m[self.line_at] = self.line_twice_inward * offsets / D
+        return m
+
+
 @dataclass(frozen=True)
 class FundamentalDomain:
     n: int
@@ -96,15 +153,16 @@ class FundamentalDomain:
         return any((poly, edge) in pair for pair in self.internal_edges)
 
     def polygon_margin(self, z, poly: int):
-        margins = [e.margin(z) for e in self.edges[poly]]
-        if isinstance(z, np.ndarray):
-            return np.minimum.reduce(margins)
-        return min(margins)
+        return np.minimum.reduce([e.margin(z) for e in self.edges[poly]])
 
     def contains(self, z, tol: float = INSIDE_TOL):
         """Whether z is strictly inside some tile or within tol of two tiles
-        (on an internal edge).  z is a point, or an array of points for which
-        the answer is a boolean array."""
+        (on an internal edge).  z is a point, for which the answer is a
+        bool, or an array of points, for which it is a boolean array; both
+        take the margins by signed_offset's arithmetic, so they agree."""
+        if not isinstance(z, np.ndarray):
+            tiles = np.minimum.reduce(self._carriers.margins(z), axis=1).tolist()
+            return any(m > tol for m in tiles) or sum(m >= -tol for m in tiles) >= 2
         strict = False
         near = 0
         for poly in range(self.k):
@@ -112,6 +170,31 @@ class FundamentalDomain:
             strict = strict | (m > tol)
             near = near + (m >= -tol)
         return strict | (near >= 2)
+
+    @cached_property
+    def _carriers(self) -> _CarrierTable:
+        return _CarrierTable.of(self.edges)
+
+    def clear_point(self, nudge: complex) -> complex:
+        """Interior point of tile 0 with clearance from every edge carrier:
+        the first of nudge, 2 nudge, 4 nudge, 8 nudge whose image under tile
+        0's placement has tile-0 margin and distance to every carrier above
+        1e-6 (in sinh-distance).  Computed once per nudge."""
+        memo = self._clear_points
+        if nudge not in memo:
+            for scale in (1.0, 2.0, 4.0, 8.0):
+                z = self.placements[0](scale * nudge)
+                m = self._carriers.margins(z)
+                if m[0].min() > 1e-6 and np.abs(m).min() > 1e-6:
+                    memo[nudge] = z
+                    break
+            else:
+                raise ValueError("could not place a basepoint clear of all edge carriers")
+        return memo[nudge]
+
+    @cached_property
+    def _clear_points(self) -> dict[complex, complex]:
+        return {}
 
     @cached_property
     def interior_vertices(self) -> tuple[int, ...]:

@@ -14,6 +14,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .domain import FundamentalDomain
 from .geom import Isometry, dist, elliptic_about, midpoint
@@ -26,6 +29,9 @@ BASEPOINT_NUDGE = 0.001 + 0.0013j
 GREEDY_STEP_LIMIT = 4096
 BFS_DEPTH = 12
 BFS_NODE_LIMIT = 200_000
+# allowance of the greedy pre-screen: its numpy distance d may differ from
+# the scalar one by rounding, by far less than SCREEN_TOL cosh(cur) cosh(d)
+SCREEN_TOL = 1e-11
 
 
 class ReductionStalled(Exception):
@@ -42,6 +48,14 @@ class GroupPresentation:
     labels: tuple[str, ...]
     domain: FundamentalDomain
     basepoint: complex
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """The generators' a, conj(a), b, conj(b) and reversing flags as arrays."""
+        a = np.array([g.a for g in self.generators], dtype=complex)
+        b = np.array([g.b for g in self.generators], dtype=complex)
+        reversing = np.array([g.reversing for g in self.generators], dtype=bool)
+        return a, a.conj(), b, b.conj(), reversing
 
 
 @dataclass(frozen=True)
@@ -64,24 +78,41 @@ def group_from_solution(
         labels.append(tag)
         gens.append(p.map.inverse())
         labels.append(tag + "'")
-    basepoint = _clear_basepoint(F, nudge)
-    return GroupPresentation(tuple(gens), tuple(labels), F, basepoint)
-
-
-def _clear_basepoint(F: FundamentalDomain, nudge: complex) -> complex:
-    """Interior point of tile 0 with clearance from every edge carrier."""
-    for scale in (1.0, 2.0, 4.0, 8.0):
-        z = F.placements[0](scale * nudge)
-        clear = min(
-            abs(e.margin(z)) for poly in range(F.k) for e in F.edges[poly]
-        )
-        if F.polygon_margin(z, 0) > 1e-6 and clear > 1e-6:
-            return z
-    raise ValueError("could not place a basepoint clear of all edge carriers")
+    return GroupPresentation(tuple(gens), tuple(labels), F, F.clear_point(nudge))
 
 
 def _inverse_index(i: int) -> int:
     return i ^ 1
+
+
+def _greedy_contenders(G: GroupPresentation, w: complex, cur: float) -> list[int]:
+    """The generator indices, in increasing order, that the greedy rule could
+    accept at w; every other index is ruled out.
+
+    The rule walks the indices in order and accepts g when dist(bp, g w) is
+    below the best distance so far minus 1e-12, the best starting at cur.
+    An accepted index therefore has a distance below cur - 1e-12 and below
+    the distance of every earlier index.  All distances are computed at
+    once in numpy, whose rounding may differ from the scalar path's; each
+    gets the allowance SCREEN_TOL cosh(cur) cosh(d), and an index is ruled
+    out only when its distance minus its allowance fails one of those two
+    bounds, the earlier indices' distances plus their allowances standing
+    in for theirs.  A NaN distance rules nothing out.
+    """
+    a, a_conj, b, b_conj, reversing = G.matrices
+    v = np.where(reversing, w.conjugate(), w)
+    gw = (a * v + b) / (b_conj * v + a_conj)
+    bp = G.basepoint
+    d = 2.0 * np.arctanh(np.abs(bp - gw) / np.abs(1.0 - gw.conj() * bp))
+    err = SCREEN_TOL * math.cosh(cur) * np.cosh(d)
+    bound = cur - 1e-12  # and below every earlier distance plus allowance
+    out = []
+    for i, (x, e) in enumerate(zip(d.tolist(), err.tolist())):
+        if not x - e >= bound:
+            out.append(i)
+        if x + e < bound:
+            bound = x + e
+    return out
 
 
 def reduce_to_domain(
@@ -93,8 +124,14 @@ def reduce_to_domain(
     """Decide membership of h in the group by fundamental-domain reduction.
 
     Greedy phase: while the tracked point is outside the domain, apply the
-    generator whose image is strictly nearest the basepoint.  If greedy
-    stalls, fall back to best-first search over generator words up to
+    generator whose image is strictly nearest the basepoint: walking the
+    generators in index order, take one whose distance is below the best
+    so far minus 1e-12.  A numpy pre-screen (``_greedy_contenders``) rules
+    out the indices that rule cannot take, with an allowance for its own
+    rounding; the rest are re-decided by the rule itself on scalar images,
+    in index order, so the chosen generator, its image and its distance
+    are exactly those of the rule over all generators.  If greedy stalls,
+    fall back to best-first search over generator words up to
     ``bfs_depth``.  The result's word composes to h when membership holds.
     """
     F, bp = G.domain, G.basepoint
@@ -108,8 +145,8 @@ def reduce_to_domain(
     while not F.contains(w):
         strategy = "greedy"
         best_i, best_d, best_w = -1, cur, w
-        for i, g in enumerate(G.generators):
-            gw = g(w)
+        for i in _greedy_contenders(G, w, cur):
+            gw = G.generators[i](w)
             d = dist(bp, gw)
             if d < best_d - 1e-12:
                 best_i, best_d, best_w = i, d, gw
@@ -131,20 +168,28 @@ def reduce_to_domain(
 
 
 def _best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
-    """Best-first search (by distance of the tracked point to the basepoint)."""
+    """Best-first search (by distance of the tracked point to the basepoint).
+
+    A node carries its parent's accumulated isometry and its own generator
+    index; the product is formed when the node is popped, from the same
+    operands as at the push, and only popped nodes need it.  The children's
+    images and distances take Isometry.__call__'s and dist's operations
+    inline, so every value, and with it the visiting order, is theirs.
+    """
     F, bp = G.domain, G.basepoint
     start = h(bp)
-    seen: set[tuple[int, int]] = set()
-
-    def key(z: complex) -> tuple[int, int]:
-        return (round(z.real * 1e9), round(z.imag * 1e9))
-
-    heap = [(dist(bp, start), 0, start, Isometry.identity(), ())]
-    seen.add(key(start))
+    seen = {(round(start.real * 1e9), round(start.imag * 1e9))}
+    heap = [(dist(bp, start), 0, start, -1, Isometry.identity(), ())]
     counter = 1
-    best_acc, best_res = Isometry.identity(), math.inf
+    best_res = math.inf
+    letters = [
+        (i, g.a, g.b, g.b.conjugate(), g.a.conjugate(), g.reversing)
+        for i, g in enumerate(G.generators)
+    ]
     while heap and counter < BFS_NODE_LIMIT:
-        d, _, w, acc, applied = heapq.heappop(heap)
+        _, _, w, last, acc, applied = heapq.heappop(heap)
+        if last >= 0:
+            acc, applied = G.generators[last] * acc, applied + (last,)
         if F.contains(w):
             return acc, list(applied)
         res = (acc * h).matrix_dist(Isometry.identity())
@@ -152,15 +197,16 @@ def _best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
             best_res = res
         if len(applied) >= depth_cap:
             continue
-        for i, g in enumerate(G.generators):
-            gw = g(w)
-            k = key(gw)
+        w_conj = w.conjugate()
+        for i, a, b, b_conj, a_conj, reversing in letters:
+            v = w_conj if reversing else w
+            gw = (a * v + b) / (b_conj * v + a_conj)
+            k = (round(gw.real * 1e9), round(gw.imag * 1e9))
             if k in seen:
                 continue
             seen.add(k)
-            heapq.heappush(
-                heap, (dist(bp, gw), counter, gw, g * acc, applied + (i,))
-            )
+            d = 2.0 * math.atanh(abs(bp - gw) / abs(1.0 - gw.conjugate() * bp))
+            heapq.heappush(heap, (d, counter, gw, i, acc, applied))
             counter += 1
     raise ReductionStalled(
         f"reduction exhausted {counter} nodes without reaching the domain",

@@ -60,10 +60,36 @@ def _cpx(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+# the C encoder: json uses it for a one-shot encode without indentation
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_json(path: str, payload: dict) -> None:
+    """Write an artifact as one JSON document, one record per line.
+
+    Layout: a ``{`` line; each top-level key in sorted order on its own
+    line, indented one space; a non-empty list value opens with ``[`` and
+    puts each element on its own line, indented two spaces; every other
+    value is compact on its key's line; then ``}`` and a newline.  Each
+    line is encoded by the C encoder (sorted keys, default separators,
+    ASCII escapes, floats by repr) and streamed to the file, so the whole
+    artifact never exists as one string.
+    """
+    keys = sorted(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write("{\n")
+        for n, key in enumerate(keys, start=1):
+            value = payload[key]
+            end = ",\n" if n < len(keys) else "\n"
+            if isinstance(value, list) and value:
+                fh.write(f" {_encode(key)}: [\n")
+                last = len(value) - 1
+                for i, item in enumerate(value):
+                    fh.write(f"  {_encode(item)}{',' if i < last else ''}\n")
+                fh.write(f" ]{end}")
+            else:
+                fh.write(f" {_encode(key)}: {_encode(value)}{end}")
+        fh.write("}\n")
 
 
 def _artifact(cfg: PipelineConfig, stage: str, data: dict) -> dict:
@@ -389,6 +415,7 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
     solutions_log: list[dict] = []
     result = None
     first_solution = None
+    attempts = 0
     for it in items:
         if not it["covered"] or it["is_center"]:
             continue
@@ -409,6 +436,7 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
             continue
         for sol, topo in zip(sols, topos):
             G = group_from_solution(sol, F)
+            attempts += 1
             try:
                 cert = second_packing_certificate(it["candidate"].point, G, gens)
             except (ReductionStalled, ValueError):
@@ -443,10 +471,13 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
         )
         log(
             f"certificate passed at {it['candidate'].point:.6f} "
-            f"(genus {topo['genus']}, chi {topo['euler_characteristic']})"
+            f"(genus {topo['genus']}, chi {topo['euler_characteristic']}) "
+            f"after {attempts} attempts"
         )
         _render_final(out, F, C, it, sol, cert)
         return EXIT_OK
+    if certify:
+        log(f"no certificate for this seed pair after {attempts} attempts")
     return None
 
 

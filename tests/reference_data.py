@@ -1,15 +1,28 @@
 """Published reference data for the N=14 worked example (1-based polygons),
 and the oracles the fast paths are checked against: the scalar compatibility
 filter and the per-pairing compatibility loop for the blocked compatibility
-kernel, and the backtracker whose state is copied at every node (with its
-cycle re-trace) for the exact-cover completion engine."""
+kernel, the backtracker whose state is copied at every node (with its
+cycle re-trace) for the exact-cover completion engine, and the membership
+reduction that scans every generator at each greedy step and composes every
+child's isometry at the push, for the screened reduction."""
 
+import heapq
 import math
 
 import numpy as np
 
 from diskpack.domain import FundamentalDomain, SidePairing
-from diskpack.geom import dist
+from diskpack.geom import Isometry, dist
+from diskpack.group import (
+    BFS_DEPTH,
+    BFS_NODE_LIMIT,
+    GREEDY_STEP_LIMIT,
+    RESIDUAL_TOL,
+    GroupPresentation,
+    MembershipResult,
+    ReductionStalled,
+    _inverse_index,
+)
 from diskpack.search import (
     ANGLE_TOL,
     InvalidCellStructure,
@@ -285,3 +298,87 @@ def reference_compatibility_matrix(points, L, dset):
         near = np.minimum(np.abs(vals[lo] - d), np.abs(vals[hi] - d))
         out[:, j] = near <= dset.match_tol
     return out
+
+
+def reference_reduce_to_domain(
+    h: Isometry,
+    G: GroupPresentation,
+    bfs_depth: int = BFS_DEPTH,
+    residual_tol: float = RESIDUAL_TOL,
+) -> MembershipResult:
+    """Decide membership of h in the group by fundamental-domain reduction.
+
+    Greedy phase: while the tracked point is outside the domain, apply the
+    generator whose image is strictly nearest the basepoint.  If greedy
+    stalls, fall back to best-first search over generator words up to
+    ``bfs_depth``.  The result's word composes to h when membership holds.
+    """
+    F, bp = G.domain, G.basepoint
+    w = h(bp)
+    acc = Isometry.identity()
+    applied: list[int] = []
+    strategy = "immediate"
+    cur = dist(bp, w)
+    steps = 0
+    stalled = False
+    while not F.contains(w):
+        strategy = "greedy"
+        best_i, best_d, best_w = -1, cur, w
+        for i, g in enumerate(G.generators):
+            gw = g(w)
+            d = dist(bp, gw)
+            if d < best_d - 1e-12:
+                best_i, best_d, best_w = i, d, gw
+        if best_i < 0 or steps >= GREEDY_STEP_LIMIT:
+            stalled = True
+            break
+        w, cur = best_w, best_d
+        acc = G.generators[best_i] * acc
+        applied.append(best_i)
+        steps += 1
+    if stalled:
+        strategy = "bfs"
+        acc, applied = reference_best_first(h, G, bfs_depth)
+    residual_iso = acc * h
+    residual = residual_iso.matrix_dist(Isometry.identity())
+    member = residual < residual_tol
+    word = tuple(_inverse_index(i) for i in applied) if member else ()
+    return MembershipResult(member, word, residual, strategy)
+
+
+def reference_best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
+    """Best-first search (by distance of the tracked point to the basepoint)."""
+    F, bp = G.domain, G.basepoint
+    start = h(bp)
+    seen: set[tuple[int, int]] = set()
+
+    def key(z: complex) -> tuple[int, int]:
+        return (round(z.real * 1e9), round(z.imag * 1e9))
+
+    heap = [(dist(bp, start), 0, start, Isometry.identity(), ())]
+    seen.add(key(start))
+    counter = 1
+    best_acc, best_res = Isometry.identity(), math.inf
+    while heap and counter < BFS_NODE_LIMIT:
+        d, _, w, acc, applied = heapq.heappop(heap)
+        if F.contains(w):
+            return acc, list(applied)
+        res = (acc * h).matrix_dist(Isometry.identity())
+        if res < best_res:
+            best_res = res
+        if len(applied) >= depth_cap:
+            continue
+        for i, g in enumerate(G.generators):
+            gw = g(w)
+            k = key(gw)
+            if k in seen:
+                continue
+            seen.add(k)
+            heapq.heappush(
+                heap, (dist(bp, gw), counter, gw, g * acc, applied + (i,))
+            )
+            counter += 1
+    raise ReductionStalled(
+        f"reduction exhausted {counter} nodes without reaching the domain",
+        best_res,
+    )

@@ -263,3 +263,17 @@ def test_degenerate_explicit_seeds_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["stage"] == "candidates"
+
+
+def test_run_reports_certificate_attempts(n14_cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", n14_cfg_path, "--depth", "3", "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 63 attempts"
+    )
+    # one solution per survivor: three attempts, none passes
+    args = ["run", "--config", n14_cfg_path, "--depth", "3", "--limit", "1", "--out", out]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "no certificate for this seed pair after 3 attempts"
+    )

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_point
 from reference_data import SEED_P1, ident
 from diskpack.domain import (
+    INSIDE_TOL,
     Attachment,
     DisconnectedAssembly,
     OverlappingPolygons,
@@ -97,6 +98,40 @@ class TestBuildDomain:
             assert abs(u - v) < 1e-12
 
 
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _per_tile_rule(F, z, tol=INSIDE_TOL) -> bool:
+    """Strictly inside some tile, or within tol of two: tile by tile, edge by
+    edge, in plain floats."""
+    tiles = [min(F.edges[q][j].margin(z) for j in range(F.n)) for q in range(F.k)]
+    return any(m > tol for m in tiles) or sum(m >= -tol for m in tiles) >= 2
+
+
+def _point_at_margin(ref, target: float) -> complex:
+    """A point on the perpendicular bisector of ref's chord where ref's
+    computed margin crosses target: bisection down to adjacent floats."""
+    a, b = ref.endpoints
+    mid, normal = 0.5 * (a + b), 1j * (b - a) / abs(b - a)
+
+    def excess(t):
+        return ref.margin(mid + t * normal) - target
+
+    lo, hi = -0.1, 0.1
+    if excess(lo) > 0:
+        lo, hi = hi, lo
+    assert excess(lo) <= 0 < excess(hi)
+    while (t := 0.5 * (lo + hi)) not in (lo, hi):
+        if excess(t) > 0:
+            hi = t
+        else:
+            lo = t
+    return mid + hi * normal
+
+
 class TestContains:
     def test_origin_inside(self, n14):
         assert n14.F.contains(0j)
@@ -144,6 +179,45 @@ class TestContains:
         assert got.dtype == bool
         assert got.tolist() == [F.contains(z) for z in pts]
         assert got.any() and not got.all()
+
+    def test_tolerance_edge(self, n14):
+        # points where the margin at a boundary edge or at an internal edge
+        # is +-INSIDE_TOL, moved -2..+2 ulp in each coordinate: the scalar
+        # answer is a bool and equals the array's and the per-tile rule's
+        F = n14.F
+        # the two tiles' carriers of an internal edge differ by rounding, so
+        # some internal edges leave a sliver of overlap and others a gap
+        internal = [F.edge_ref(*key) for key, _ in F.internal_edges]
+        pts = []
+        for ref in [F.boundary[0], F.boundary[17]] + internal:
+            for target in (INSIDE_TOL, -INSIDE_TOL):
+                z = _point_at_margin(ref, target)
+                near = [
+                    complex(_ulps(z.real, dx), _ulps(z.imag, dy))
+                    for dx in range(-2, 3)
+                    for dy in range(-2, 3)
+                ]
+                margins = [ref.margin(w) for w in near]
+                assert min(margins) < target < max(margins)
+                assert all(abs(m - target) < 1e-13 for m in margins)
+                pts += near
+        scalar = [F.contains(z) for z in pts]
+        assert all(type(x) is bool for x in scalar)
+        assert scalar == F.contains(np.array(pts)).tolist()
+        assert scalar == [_per_tile_rule(F, z) for z in pts]
+        assert any(scalar) and not all(scalar)
+        # margins are too coarse here to land on +-INSIDE_TOL exactly, so
+        # also move tol onto each point's tile margin and -2..+2 ulp off it
+        for z in pts:
+            for m in [min(edge.margin(z) for edge in tile) for tile in F.edges]:
+                if abs(abs(m) - INSIDE_TOL) > 1e-12:
+                    continue
+                for k in range(-2, 3):
+                    tol = _ulps(abs(m), k)
+                    got = F.contains(z, tol)
+                    assert type(got) is bool
+                    assert got == F.contains(np.array([z]), tol)[0]
+                    assert got == _per_tile_rule(F, z, tol)
 
 
 class TestEnumeratePairings:

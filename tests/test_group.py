@@ -2,12 +2,18 @@ import math
 
 import pytest
 
-from diskpack.geom import Isometry, classify, dist, elliptic_about
+from reference_data import reference_reduce_to_domain
+from diskpack import pipeline
+from diskpack.config import load_config
+from diskpack.geom import Isometry, classify, dist, elliptic_about, midpoint
 from diskpack.group import (
+    ReductionStalled,
+    group_from_solution,
     normalizes,
     reduce_to_domain,
     second_packing_certificate,
 )
+from diskpack.search import candidates, complete_pairing
 
 
 class TestGroupPresentation:
@@ -146,3 +152,86 @@ class TestCertificate:
         cert = second_packing_certificate(perturbed, n14_solution.group, n14.gens)
         assert not cert["normalizes"]
         assert not cert["passed"]
+
+
+def _outcome(reduce, h, G, **kwargs):
+    """A reduction's result with its residual's bits, or the stall with the
+    best residual it reports."""
+    try:
+        res = reduce(h, G, **kwargs)
+    except ReductionStalled as exc:
+        return ("stalled", exc.best_residual.hex())
+    return (res, res.residual.hex())
+
+
+def _check_attempt(P, G, gens) -> bool:
+    """Compare the reduction with its oracle on every generator conjugate
+    that normalizes checks for the half-turn of one certificate attempt;
+    returns whether the attempt normalizes."""
+    rot = gens.rotation
+    o_prime = G.domain.placements[0]((rot * rot * gens.b)(0j))
+    tau = elliptic_about(midpoint(P, o_prime), math.pi)
+    tau_inv = tau.inverse()
+    for g in G.generators:
+        h = tau * g * tau_inv
+        got = _outcome(reduce_to_domain, h, G)
+        assert got == _outcome(reference_reduce_to_domain, h, G)
+        if got[0] == "stalled" or not got[0].member:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def depth3_attempts():
+    """(candidate, group) for every certificate attempt of the depth-3 run,
+    in the run's order, up to and including the one that passes."""
+    cfg = load_config("configs/n14.json")
+    cfg.depth = 3
+    dset = pipeline.stage_distances(cfg)
+    F = pipeline.stage_domain(cfg)
+    L = pipeline.stage_pairings(cfg, F)
+    p1, p2 = pipeline.resolve_seeds(cfg, L)
+    C = candidates(p1, p2, dset, F, dedup=cfg.candidate_dedup)
+    out = []
+    for it in pipeline.filter_candidates(cfg, F, L, dset, C):
+        if not it["covered"] or it["is_center"]:
+            continue
+        for sol in complete_pairing(it["Lc"], F, limit=cfg.limit, angle_tol=cfg.angle_tol):
+            out.append((it["candidate"].point, group_from_solution(sol, F)))
+            cert = second_packing_certificate(out[-1][0], out[-1][1], F.gens)
+            if cert["passed"]:
+                return out
+    raise AssertionError("the depth-3 run has no passing attempt")
+
+
+class TestReductionOracle:
+    """The screened greedy step and the pop-time composition decide exactly
+    as the reduction that scans every generator (tests/reference_data.py)."""
+
+    def test_every_depth3_certificate_attempt(self, n14, depth3_attempts):
+        assert len(depth3_attempts) == 63
+        passed = [_check_attempt(P, G, n14.gens) for P, G in depth3_attempts]
+        assert passed[-1] and not any(passed[:-1])
+
+    def test_depth5_attempts_at_the_certified_candidate(self, n14, n14_solution):
+        P = n14_solution.candidate.point
+        passed = []
+        for sol in n14_solution.solutions:
+            passed.append(_check_attempt(P, group_from_solution(sol, n14.F), n14.gens))
+            if passed[-1]:
+                break
+        assert passed[-1] and len(passed) > 1
+
+    def test_stall_reports_the_same_best_residual(self, n14_solution):
+        G = n14_solution.group
+        h = elliptic_about(0.9 + 0j, math.pi)
+        got = _outcome(reduce_to_domain, h, G, bfs_depth=1)
+        assert got[0] == "stalled"
+        assert got == _outcome(reference_reduce_to_domain, h, G, bfs_depth=1)
+
+    def test_basepoint_depends_only_on_domain_and_nudge(self, n14, n14_solution):
+        sol = n14_solution.reference
+        G1, G2 = group_from_solution(sol, n14.F), group_from_solution(sol, n14.F)
+        assert G1.basepoint == G2.basepoint == n14_solution.group.basepoint
+        other = group_from_solution(sol, n14.F, nudge=0.002 - 0.001j)
+        assert other.basepoint != G1.basepoint and n14.F.contains(other.basepoint)
