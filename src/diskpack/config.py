@@ -77,8 +77,9 @@ class PipelineConfig:
             raise NotRelevantN(
                 f"N={self.n} is not in the arithmetic list {RELEVANT_N}"
             )
-        g = self.genus  # raises ConfigError when the divisibility fails
-        chi = 2 - g if not self.orientable else 2 - 2 * g
+        if self.orientable:  # completion requires a reversing pairing
+            raise ConfigError("orientable: the search builds non-orientable surfaces only")
+        chi = 2 - self.genus  # raises ConfigError when the divisibility fails
         if self.n * self.k != 6 * (self.k - chi):
             raise ConfigError("internal consistency N k = 6(k - chi) failed")
         if self.depth < 1:

@@ -5,13 +5,14 @@ further tile is attached across an edge of an earlier one and takes its edge
 labels through the neighbor map, so an attached tile's edge 0 is the shared
 edge and labels increase counterclockwise.
 
-Side pairings identify ordered pairs of boundary edges.  For each ordered
-pair there is one conformal matching (endpoints crossed, so the inward side
-of the source maps to the outward side of the target) and one reversing
-matching (endpoints parallel).  Matchings whose isometry is not hyperbolic
-or glide (for instance the vertex rotations arising between edges that share
-an endpoint) cannot occur in a torsion-free uniformizing group and are
-dropped from the list.
+Side pairings identify pairs of boundary edges.  For each pair there is one
+conformal matching (endpoints crossed, so the inward side of the source maps
+to the outward side of the target) and one reversing matching (endpoints
+parallel); a matching and its inverse glue the same two edges, so each is
+listed once, from the smaller edge key to the larger.  Matchings whose
+isometry is not hyperbolic or glide (for instance the vertex rotations
+arising between edges that share an endpoint) cannot occur in a torsion-free
+uniformizing group and are dropped from the list.
 """
 
 from __future__ import annotations
@@ -323,6 +324,10 @@ class SidePairing:
         ends = sorted([self.src.key, self.dst.key])
         return (self.reversing, ends[0], ends[1])
 
+    @cached_property
+    def inverse_map(self) -> Isometry:
+        return self.map.inverse()
+
     @property
     def type_tag(self) -> str:
         return "or-hyperbolic" if self.reversing else "hyperbolic"
@@ -348,16 +353,19 @@ def pairing_between(F: FundamentalDomain, src: EdgeRef, dst: EdgeRef, reversing:
 
 
 def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
-    """All axial side pairings between ordered pairs of distinct boundary edges.
+    """The axial side pairings of F, one per identification, by sort_key.
 
-    Generates 2 E (E-1) matchings and keeps those classified hyperbolic
-    (conformal) or glide (reversing); vertex-fixing elliptics and mirror
-    reflections are impossible in a torsion-free group and are discarded.
+    Generates the E (E-1) matchings of src onto dst, src.key < dst.key, and
+    keeps those classified hyperbolic (conformal) or glide (reversing);
+    vertex-fixing elliptics and mirror reflections are impossible in a
+    torsion-free group and are discarded.  An entry's inverse, with the same
+    displacement function, would repeat its bananas, compatibility and
+    completion choice, so it is not listed.
     """
     out = []
     for src in F.boundary:
         for dst in F.boundary:
-            if src.key == dst.key:
+            if src.key >= dst.key:
                 continue
             for reversing in (False, True):
                 m = pairing_between(F, src, dst, reversing)
@@ -378,11 +386,15 @@ def find_pairing(
     dst_poly: int,
     dst_edge: int,
 ) -> SidePairing:
-    """Look up a pairing by its record (0-based polygon indices)."""
-    record = (reversing, src_poly, src_edge, dst_poly, dst_edge)
+    """Look up the entry of L for an identification by its record (0-based
+    polygon indices), given in either direction: a record and its flip
+    (reversing, dst_poly, dst_edge, src_poly, src_edge) name the same entry."""
+    ends = sorted([(src_poly, src_edge), (dst_poly, dst_edge)])
+    ident = (reversing, ends[0], ends[1])
     for p in L:
-        if p.record == record:
+        if p.identification == ident:
             return p
+    record = (reversing, src_poly, src_edge, dst_poly, dst_edge)
     raise KeyError(f"no side pairing with record {record}")
 
 

@@ -69,15 +69,16 @@ class MembershipResult:
 def group_from_solution(
     sol: PairingSolution, F: FundamentalDomain, nudge: complex = BASEPOINT_NUDGE
 ) -> GroupPresentation:
+    """Each side pairing of the solution and its inverse, in that order, with
+    their labels; the inverse is cached on the pairing, which every solution
+    drawn from the same L_c shares."""
     gens: list[Isometry] = []
     labels: list[str] = []
     for p in sol.pairings:
         rev, (sp, se), (dp, de) = p.identification
         tag = f"{'r' if rev else 'h'}:{sp}.{se}-{dp}.{de}"
-        gens.append(p.map)
-        labels.append(tag)
-        gens.append(p.map.inverse())
-        labels.append(tag + "'")
+        gens += (p.map, p.inverse_map)
+        labels += (tag, tag + "'")
     return GroupPresentation(tuple(gens), tuple(labels), F, F.clear_point(nudge))
 
 

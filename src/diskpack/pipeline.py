@@ -254,14 +254,6 @@ def _solution_json(sol, topo) -> dict:
     """A solution with its pairings and vertex cycles written out in full
     (the certificate's self-contained form)."""
     return {
-        "identifications": [
-            {
-                "type": "or-hyperbolic" if rev else "hyperbolic",
-                "a": [a[0] + 1, a[1]],
-                "b": [b[0] + 1, b[1]],
-            }
-            for rev, a, b in sorted(sol.identifications)
-        ],
         "pairings": [pairing_json(p) for p in sol.pairings],
         "reversing_count": sol.reversing_count,
         "vertex_cycles": [

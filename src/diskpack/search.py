@@ -269,8 +269,8 @@ def candidates(
     return out
 
 
-# cells (identifications x points) per block of compatibility_matrix: its
-# complex temporaries stay at 256 KB each however many points come in
+# cells (pairings x points) per block of compatibility_matrix: its complex
+# temporaries stay at 256 KB each however many points come in
 BLOCK_CELLS = 1 << 14
 
 
@@ -279,44 +279,30 @@ def compatibility_matrix(
 ) -> np.ndarray:
     """Boolean matrix admissible[i, j]: pairing L[j] displaces points[i] admissibly.
 
-    The displacement of z by g is d = 2 artanh(|gz - z| / |1 - conj(gz) z|).
-    Since d(z, g^-1 z) = d(gz, z), a pairing and its inverse have the same
-    displacement function, so d is computed once per identification: L[j]
-    with record (rev, sp, se, dp, de) shares its column with the entry
-    (rev, dp, de, sp, se), and an entry without such a partner gets its own.
-    The work runs in blocks of at most BLOCK_CELLS identifications x points,
-    conformal and reversing ones apart (w = z or conj z), with the formula's
-    operations in the one-pairing-at-a-time order, so d is the float that
-    order gives for the first entry of each identification.  The inverse's
-    own d differs from it by rounding only, which changes a cell only for d
-    within a few ulp of v -+ match_tol (no such cell occurs at N = 14, depths
-    3 and 5).  Each block's admissible cells are set straight in the result;
-    admissibility is decided by tess.AdmissibilityTable, a binned table
-    built once per call.
+    The displacement of z by g is d = 2 artanh(|gz - z| / |1 - conj(gz) z|),
+    computed for every cell with the formula's operations in the
+    one-pairing-at-a-time order, so each cell is that pairing's own value.
+    The work runs in blocks of at most BLOCK_CELLS pairings x points,
+    conformal and reversing pairings apart (w = z or conj z); each block's
+    admissible cells are set straight in the result.  Admissibility is
+    decided by tess.AdmissibilityTable, a binned table built once per call.
     """
     zs = np.asarray(points, dtype=complex)
     out = np.zeros((len(zs), len(L)), dtype=bool)
     if out.size == 0:
         return out
-    groups: dict[tuple, list[int]] = {}
-    for j, p in enumerate(L):
-        rev, sp, se, dp, de = p.record
-        ident = (rev,) + min((sp, se, dp, de), (dp, de, sp, se))
-        groups.setdefault(ident, []).append(j)
     admissible = AdmissibilityTable(dset)
     rows = min(len(zs), BLOCK_CELLS)
     per_block = max(1, BLOCK_CELLS // rows)
     for reversing in (False, True):
         ws = np.conj(zs) if reversing else zs
-        kind = [cols for key, cols in groups.items() if key[0] == reversing]
-        a = np.array([L[cols[0]].map.a for cols in kind])
-        b = np.array([L[cols[0]].map.b for cols in kind])
-        for g0 in range(0, len(kind), per_block):
+        cols = np.flatnonzero([p.reversing == reversing for p in L])
+        a = np.array([L[j].map.a for j in cols])
+        b = np.array([L[j].map.b for j in cols])
+        for g0 in range(0, len(cols), per_block):
             blk = slice(g0, g0 + per_block)
             ga, gb = a[blk, None], b[blk, None]
             gac, gbc = np.conj(ga), np.conj(gb)
-            src = [i for i, cols in enumerate(kind[blk]) for _ in cols]
-            dst = np.array([j for cols in kind[blk] for j in cols])
             for r0 in range(0, len(zs), rows):
                 z = zs[None, r0 : r0 + rows]
                 w = ws[None, r0 : r0 + rows]
@@ -334,8 +320,8 @@ def compatibility_matrix(
                 np.arctanh(d, out=d)
                 d *= 2.0
                 # out is all False so far: set the admissible cells alone
-                col, row = np.nonzero(admissible(d)[src])
-                out[r0 + row, dst[col]] = True
+                col, row = np.nonzero(admissible(d))
+                out[r0 + row, cols[blk][col]] = True
     return out
 
 
@@ -354,7 +340,7 @@ def edge_coverage(
 
 @dataclass(frozen=True)
 class PairingSolution:
-    pairings: tuple[SidePairing, ...]  # chosen pairing per identification, by sort_key
+    pairings: tuple[SidePairing, ...]  # from L_c, one per identification, by sort_key
     vertex_cycles: tuple[tuple[tuple[complex, ...], float], ...]
     reversing_count: int
 
@@ -433,7 +419,7 @@ class _BoundaryStructure:
         """The four slot links induced by choosing identification p."""
         return self._links_one_direction(
             p.src.key, p.dst.key, p.map
-        ) + self._links_one_direction(p.dst.key, p.src.key, p.map.inverse())
+        ) + self._links_one_direction(p.dst.key, p.src.key, p.inverse_map)
 
 
 def trace_cycles(succ: list[int], angles: list[float]):
@@ -493,13 +479,16 @@ def complete_pairing(
 ) -> list[PairingSolution]:
     """Exact-cover completion of Lc into full side-pairing sets.
 
-    Every boundary edge must be matched exactly once.  The search picks the
-    first unmatched edge (in key order) with the fewest live options, tries
-    the pairings leaving it in canonical order, and prunes on the Poincare
-    vertex condition: a closing cycle must total 2 pi and a partial chain
-    may never exceed it, both within ``angle_tol``.  Returns up to ``limit``
-    solutions in deterministic order; an empty list means the search space
-    is exhausted with no solution.
+    Every boundary edge must be matched exactly once.  Each identification
+    of Lc is one option (the first entry of Lc naming it, in either
+    direction), listed under both of its edges, at edge e in the order
+    (reversing, other edge's key).  The search picks the first unmatched
+    edge (in key order) with the fewest live options, tries its options in
+    that order, and prunes on the Poincare vertex condition: a closing cycle
+    must total 2 pi and a partial chain may never exceed it, both within
+    ``angle_tol``.  Returns up to ``limit`` solutions in deterministic
+    order; an empty list means the search space is exhausted with no
+    solution.
 
     State is kept in flat integer arrays (after Knuth's "Dancing Links"):
     per-edge live option counts, and the slot permutation built so far as
@@ -511,25 +500,20 @@ def complete_pairing(
     edge_of = {key: i for i, key in enumerate(edge_keys)}
     unique: dict[tuple, SidePairing] = {}
     for p in Lc:
-        unique.setdefault(p.record, p)
-    # option o is the o-th usable pairing in canonical order
-    options = sorted(
-        (
-            p
-            for p in unique.values()
-            if p.src.key in edge_of and p.dst.key in edge_of and p.src.key != p.dst.key
-        ),
-        key=SidePairing.sort_key,
-    )
+        if p.src.key in edge_of and p.dst.key in edge_of and p.src.key != p.dst.key:
+            unique.setdefault(p.identification, p)
+    # option o is the o-th usable identification in canonical order
+    options = sorted(unique.values(), key=SidePairing.sort_key)
     n_edges, n_opts = len(edge_keys), len(options)
-    opt_dst = [edge_of[p.dst.key] for p in options]
     opt_links = [tuple(struct.links_for(p)) for p in options]
-    by_edge: list[list[int]] = [[] for _ in range(n_edges)]
-    into: list[list[int]] = [[] for _ in range(n_edges)]  # src edges of options ending here
+    # by_edge[e]: (option, other edge) for the options touching edge e
+    ranked: list[list[tuple[bool, int, int]]] = [[] for _ in range(n_edges)]
     for o, p in enumerate(options):
-        by_edge[edge_of[p.src.key]].append(o)
-        into[opt_dst[o]].append(edge_of[p.src.key])
-    # live[e]: options of e whose target edge is unmatched; a matched edge
+        a, b = edge_of[p.src.key], edge_of[p.dst.key]
+        ranked[a].append((p.reversing, b, o))
+        ranked[b].append((p.reversing, a, o))
+    by_edge = [[(o, d) for _, d, o in sorted(opts)] for opts in ranked]
+    # live[e]: options of e whose other edge is unmatched; a matched edge
     # carries an extra `done`, so min(live) > n_opts once every edge is matched
     done = n_opts + 1
     live = [len(opts) for opts in by_edge]
@@ -585,8 +569,8 @@ def complete_pairing(
 
     def cover(e: int, delta: int) -> None:
         live[e] += delta * done
-        for s in into[e]:
-            live[s] -= delta
+        for _, d in by_edge[e]:
+            live[d] -= delta
 
     def emit() -> None:
         picked = sorted(chosen)
@@ -605,8 +589,7 @@ def complete_pairing(
         if fewest == 0:
             return
         e = live.index(fewest)
-        for o in by_edge[e]:
-            d = opt_dst[o]
+        for o, d in by_edge[e]:
             if live[d] > n_opts:
                 continue
             mark = len(undo)

@@ -47,8 +47,9 @@ def rng() -> random.Random:
 
 @pytest.fixture(scope="session")
 def n14():
-    """The N=14 worked example up to candidate generation, computed once."""
-    from reference_data import SEED_P1, SEED_P2
+    """The N=14 worked example up to candidate generation, computed once;
+    L2 is the oracle's list of every identification in both directions."""
+    from reference_data import SEED_P1, SEED_P2, reference_enumerate_pairings
     from diskpack.domain import Attachment, build_domain, enumerate_pairings, find_pairing
     from diskpack.search import candidates
     from diskpack.tess import admissible_distances, triangle_generators
@@ -63,7 +64,14 @@ def n14():
     p2 = find_pairing(L, rev2, sp2 - 1, se2, dp2 - 1, de2)
     C = candidates(p1, p2, dset, F)
     return SimpleNamespace(
-        F=F, L=L, dset=dset, gens=triangle_generators(14), p1=p1, p2=p2, C=C
+        F=F,
+        L=L,
+        L2=reference_enumerate_pairings(F),
+        dset=dset,
+        gens=triangle_generators(14),
+        p1=p1,
+        p2=p2,
+        C=C,
     )
 
 

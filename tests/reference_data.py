@@ -1,18 +1,21 @@
 """Published reference data for the N=14 worked example (1-based polygons),
-and the oracles the fast paths are checked against: the scalar compatibility
-filter and the per-pairing compatibility loop for the blocked compatibility
-kernel, the backtracker whose state is copied at every node (with its
-cycle re-trace) for the exact-cover completion engine, and the membership
-reduction that scans every generator at each greedy step and composes every
-child's isometry at the push, for the screened reduction."""
+and the oracles the fast paths are checked against: the enumeration that
+lists every identification in both directions, for the one-entry-per-
+identification list L; the scalar compatibility filter and the per-pairing
+compatibility loop for the blocked compatibility kernel; the backtracker
+whose state is copied at every node (with its cycle re-trace), fed both
+directions of each identification, for the exact-cover completion engine;
+and the membership reduction that scans every generator at each greedy step
+and composes every child's isometry at the push, for the screened
+reduction."""
 
 import heapq
 import math
 
 import numpy as np
 
-from diskpack.domain import FundamentalDomain, SidePairing
-from diskpack.geom import Isometry, dist
+from diskpack.domain import FundamentalDomain, SidePairing, pairing_between
+from diskpack.geom import GLIDE, HYPERBOLIC, Isometry, classify, dist
 from diskpack.group import (
     BFS_DEPTH,
     BFS_NODE_LIMIT,
@@ -77,6 +80,42 @@ def ident(rec):
 
 LC_REJECTED_IDENTS = frozenset(ident(r) for r in LC_REJECTED)
 SOLUTION_18_IDENTS = frozenset(ident(r) for r in SOLUTION_18)
+
+
+def reference_enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
+    """All axial side pairings between ordered pairs of distinct boundary edges.
+
+    Generates 2 E (E-1) matchings and keeps those classified hyperbolic
+    (conformal) or glide (reversing); vertex-fixing elliptics and mirror
+    reflections are impossible in a torsion-free group and are discarded.
+    """
+    out = []
+    for src in F.boundary:
+        for dst in F.boundary:
+            if src.key == dst.key:
+                continue
+            for reversing in (False, True):
+                m = pairing_between(F, src, dst, reversing)
+                cls = classify(m)
+                want = GLIDE if reversing else HYPERBOLIC
+                if cls.tag != want:
+                    continue
+                out.append(SidePairing(m, src, dst, reversing, cls))
+    out.sort(key=SidePairing.sort_key)
+    return out
+
+
+def flipped(record):
+    """The record of the same identification in the other direction."""
+    rev, sp, se, dp, de = record
+    return (rev, dp, de, sp, se)
+
+
+def both_directions(Lc, L2):
+    """Each entry of Lc followed by the entry of the two-direction list L2
+    (reference_enumerate_pairings) for its flipped record."""
+    by_record = {p.record: p for p in L2}
+    return [q for p in Lc for q in (p, by_record[flipped(p.record)])]
 
 
 def compatible_pairings(c, L, dset):

@@ -185,12 +185,32 @@ def test_solutions_json_decodes_to_the_certified_solution(completed_run):
         if d["pairings"] == embedded["pairings"]
     ]
     assert len(hits) == 1
-    assert hits[0] == {k: v for k, v in embedded.items() if k != "identifications"}
+    assert hits[0] == embedded
 
 
 def test_distances_subcommand(n14_cfg_path, capsys):
     assert main(["distances", "--config", n14_cfg_path]) == 0
     assert "admissible distances" in capsys.readouterr().out
+
+
+def test_seed_flags_in_the_opposite_direction(n14_cfg_path, completed_run, tmp_path):
+    # the config names p1 as 1.13 -> 1.10; named 1.10 -> 1.13 (and p2 the
+    # other way too) it is the same entry of L, so the run is the same
+    out = str(tmp_path / "flipped")
+    args = [
+        "run", "--config", n14_cfg_path, "--out", out,
+        "--seed-src", "1.10,2.7", "--seed-dst", "1.13,1.2", "--seed-reversing", "1,0",
+    ]
+    assert main(args) == 0
+    for name in ("certificate.json", "candidates.json"):
+        with open(os.path.join(completed_run, name), encoding="utf-8") as fh:
+            before = json.load(fh)
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            after = json.load(fh)
+        assert before.pop("config_hash") != after.pop("config_hash")
+        assert after == before
+    # seed records are written in L's direction, smaller edge key first
+    assert after["seed_pair"] == [[True, 0, 10, 0, 13], [False, 0, 2, 1, 7]]
 
 
 def test_candidates_subcommand_with_seed_flags(n14_cfg_path, capsys):
@@ -213,6 +233,16 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["stage"] == "config"
+
+
+def test_orientable_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "orientable.json"
+    path.write_text(json.dumps({"n": 12, "attachments": [[0, 0]], "orientable": True}))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(path), "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["stage"] == "config" and "non-orientable" in err["error"]
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])
@@ -254,7 +284,7 @@ def test_auto_mode_iterates_pairs_in_order(n14):
 
 
 def test_degenerate_explicit_seeds_exit_1(tmp_path, capsys):
-    # a pairing and its inverse share every displacement curve
+    # a record and its flip name the same entry of L: no second seed
     cfg = load_config("configs/n14.json")
     cfg.seed_pairs = [(True, 0, 13, 0, 10), (True, 0, 10, 0, 13)]
     cfg.out_dir = str(tmp_path / "out")

@@ -102,6 +102,22 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    def test_orientable_rejected(self, tmp_path):
+        # completion requires a reversing pairing in every solution, so no
+        # run could build the orientable genus-2 surface this config names
+        d = {"n": 12, "attachments": [[0, 0]], "orientable": True}
+        cfg = PipelineConfig.from_json_dict(d)
+        assert cfg.genus == 2
+        with pytest.raises(ConfigError, match="non-orientable"):
+            cfg.validate()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match="non-orientable"):
+            load_config(str(path))
+        cfg.orientable = False
+        cfg.validate()
+        assert cfg.genus == 4
+
     @pytest.mark.parametrize(
         "name", ["match_tol", "dedup_tol", "candidate_dedup", "angle_tol"]
     )
@@ -146,3 +162,4 @@ class TestPipelineConfig:
         assert cfg.n == 14 and cfg.k == 3 and cfg.depth == 5
         assert cfg.match_tol == 1e-4
         assert cfg.seed_pairs == [(True, 0, 13, 0, 10), (False, 0, 2, 1, 7)]
+        assert cfg.config_hash() == "4c1190ac8f442be4"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point
-from reference_data import SEED_P1, ident
+from reference_data import SEED_P1, flipped, ident
 from diskpack.domain import (
     INSIDE_TOL,
     Attachment,
@@ -224,10 +224,28 @@ class TestEnumeratePairings:
     def test_count_and_classes(self, n14):
         L = n14.L
         E = len(n14.F.boundary)
-        assert len(L) <= 2 * E * (E - 1)
-        assert len(L) == 2340  # 2520 matchings minus the 180 vertex elliptics
+        assert len(L) <= E * (E - 1)
+        assert len(L) == 1170  # 1260 matchings minus the 90 vertex elliptics
         for p in L:
             assert p.cls.tag == ("glide" if p.reversing else "hyperbolic")
+            assert p.src.key < p.dst.key
+
+    def test_equals_the_oracles_forward_entries(self, n14):
+        # the entries from the smaller edge key to the larger, bit for bit
+        forward = [p for p in n14.L2 if p.src.key < p.dst.key]
+        assert len(n14.L2) == 2340 and len(forward) == 1170
+        assert [p.record for p in n14.L] == [p.record for p in forward]
+        for p, q in zip(n14.L, forward):
+            assert (p.map.a, p.map.b, p.map.reversing) == (q.map.a, q.map.b, q.map.reversing)
+            assert p.cls == q.cls
+            assert (p.src, p.dst) == (q.src, q.dst)
+        # no identification of the oracle is lost
+        assert {p.identification for p in n14.L} == {p.identification for p in n14.L2}
+
+    def test_no_entry_is_listed_in_both_directions(self, n14):
+        records = {p.record for p in n14.L}
+        assert not any(flipped(r) in records for r in records)
+        assert len({p.identification for p in n14.L}) == len(n14.L)
 
     def test_sorted_canonically(self, n14):
         keys = [p.sort_key() for p in n14.L]
@@ -258,27 +276,44 @@ class TestEnumeratePairings:
             assert p.dst.margin(image) < 0
 
     def test_closed_under_inversion(self, n14):
-        by_record = {p.record: p for p in n14.L}
+        # every identification's other direction, which L does not list, is
+        # the inverse of its entry
+        by_record = {p.record: p for p in n14.L2}
         for p in n14.L[::61]:
-            inv_record = (p.reversing, p.dst.poly, p.dst.edge, p.src.poly, p.src.edge)
-            q = by_record[inv_record]
+            q = by_record[flipped(p.record)]
             assert (p.map * q.map).matrix_dist(Isometry.identity()) < 1e-9
 
     def test_seed_records_present_and_glide(self, n14):
-        assert n14.p1.record == (True, 0, 13, 0, 10)
+        # the config names p1 as pol1 13 -> pol1 10; L lists it the other way
+        assert n14.p1.record == (True, 0, 10, 0, 13)
         assert n14.p1.cls.tag == "glide"
+        assert n14.p2.record == (False, 0, 2, 1, 7)
         assert n14.p2.cls.tag == "hyperbolic"
+
+    def test_find_pairing_resolves_either_direction(self, n14):
+        for p in n14.L[::13] + [n14.p1, n14.p2]:
+            assert find_pairing(n14.L, *p.record) is p
+            assert find_pairing(n14.L, *flipped(p.record)) is p
 
     def test_find_pairing_missing(self, n14):
         with pytest.raises(KeyError):
             find_pairing(n14.L, False, 0, 0, 1, 0)  # internal edges not in L
+        with pytest.raises(KeyError):
+            find_pairing(n14.L, True, 0, 3, 0, 3)  # an edge onto itself
+
+    def test_cached_inverse(self, n14):
+        p = n14.p1
+        assert p.inverse_map is p.inverse_map
+        inv = p.map.inverse()
+        assert (p.inverse_map.a, p.inverse_map.b) == (inv.a, inv.b)
+        assert p.inverse_map.reversing == inv.reversing
 
     def test_json_record_shape(self, n14):
         rec = pairing_json(n14.p1)
         assert rec["type"] == "or-hyperbolic"
         assert rec["label"] == "de pol1 a pol1"
-        assert rec["src"] == {"poly": 1, "edge": 13}
-        assert rec["dst"] == {"poly": 1, "edge": 10}
+        assert rec["src"] == {"poly": 1, "edge": 10}
+        assert rec["dst"] == {"poly": 1, "edge": 13}
         assert len(rec["matrix"]) == 4
         assert rec["reversing"] is True
 

@@ -9,7 +9,9 @@ from reference_data import (
     LC_REJECTED_IDENTS,
     REJECTED_CANDIDATE,
     SOLUTION_18_IDENTS,
+    both_directions,
     compatible_pairings,
+    flipped,
     reference_compatibility_matrix,
     reference_complete_pairing,
     solution_cycles,
@@ -122,11 +124,14 @@ class TestCompatiblePairings:
             assert scalar == vector
 
     def test_closed_under_inversion(self, n14):
+        # over the oracle's two-direction list a pairing and its inverse are
+        # compatible together, so L loses nothing by listing one of them
         c2 = min(n14.C, key=lambda c: abs(c.point - REJECTED_CANDIDATE))
-        Lc = compatible_pairings(c2, n14.L, n14.dset)
+        Lc = compatible_pairings(c2, n14.L2, n14.dset)
         records = {p.record for p in Lc}
-        for rev, sp, se, dp, de in records:
-            assert (rev, dp, de, sp, se) in records
+        assert len(records) == 2 * len(LC_REJECTED_IDENTS)
+        for record in records:
+            assert flipped(record) in records
 
 
 class TestCompatibilityKernel:
@@ -142,7 +147,8 @@ class TestCompatibilityKernel:
 
     def test_all_depth5_candidates(self, n14):
         pts = [c.point for c in n14.C]
-        assert len(pts) == 816 and len(pts) * len(n14.L) > 100 * BLOCK_CELLS
+        # 816 x 1170 cells: about 58 blocks
+        assert len(pts) == 816 and len(pts) * len(n14.L) > 50 * BLOCK_CELLS
         m = compatibility_matrix(pts, n14.L, n14.dset)
         assert m.shape == (816, len(n14.L)) and m.flags.c_contiguous
         assert np.array_equal(m, reference_compatibility_matrix(pts, n14.L, n14.dset))
@@ -164,25 +170,29 @@ class TestCompatibilityKernel:
         assert np.array_equal(m, reference_compatibility_matrix([], n14.L, n14.dset))
 
     def test_sublist_with_unpartnered_pairings(self, n14):
-        # every third entry, then a duplicate: most inverses are missing
-        sub = n14.L[::3] + [n14.L[7]]
+        # every third entry of the two-direction list, then a duplicate: most
+        # inverses are missing, and every cell is still its own pairing's
+        sub = n14.L2[::3] + [n14.L2[7]]
         records = {p.record for p in sub}
-        inverse = {p.record: (p.record[0],) + p.record[3:] + p.record[1:3] for p in sub}
-        lone = [p for p in sub if inverse[p.record] not in records]
+        lone = [p for p in sub if flipped(p.record) not in records]
         assert len(lone) > len(sub) // 2
         pts = [c.point for c in n14.C[::5]]
         m = compatibility_matrix(pts, sub, n14.dset)
         assert np.array_equal(m, reference_compatibility_matrix(pts, sub, n14.dset))
 
     def test_inverse_entries_are_inverse_maps(self, n14):
-        # the identity the kernel's column sharing rests on, to rounding
-        by_record = {p.record: p for p in n14.L}
-        for p in n14.L:
-            rev, sp, se, dp, de = p.record
-            q = by_record[(rev, dp, de, sp, se)]
+        # the identity that lets L drop an identification's other direction:
+        # the dropped entry is the inverse map, to rounding, and at every
+        # depth-5 candidate it has the same column as the kept one
+        by_record = {p.record: p for p in n14.L2}
+        inverses = [by_record[flipped(p.record)] for p in n14.L]
+        for p, q in zip(n14.L, inverses):
             assert q.reversing == p.reversing
             scale = abs(p.map.a) + abs(p.map.b)
             assert q.map.matrix_dist(p.map.inverse()) < 1e-11 * scale
+        pts = [c.point for c in n14.C]
+        m = compatibility_matrix(pts, n14.L, n14.dset)
+        assert np.array_equal(m, compatibility_matrix(pts, inverses, n14.dset))
 
 
 class TestEdgeCoverage:
@@ -208,16 +218,11 @@ class TestEdgeCoverage:
 
 class TestCompletePairing:
     def test_singleton_cover_returned_verbatim(self, n14, n14_solution):
-        by_record = {p.record: p for p in n14.L}
-        both = []
-        for p in n14_solution.reference.pairings:
-            both.append(p)
-            both.append(
-                by_record[(p.reversing, p.dst.poly, p.dst.edge, p.src.poly, p.src.edge)]
-            )
-        sols = complete_pairing(both, n14.F, limit=8)
-        assert len(sols) == 1
-        assert sols[0].identifications == SOLUTION_18_IDENTS
+        ref = n14_solution.reference
+        # given once, or in both directions: one solution, ref's own entries
+        for Lc in (list(ref.pairings), both_directions(ref.pairings, n14.L2)):
+            sols = complete_pairing(Lc, n14.F, limit=8)
+            assert len(sols) == 1 and sols[0] == ref
 
     def test_reference_solution_found(self, n14_solution):
         idents = [s.identifications for s in n14_solution.solutions]
@@ -334,9 +339,16 @@ def n14_survivors(n14):
     return [it["Lc"] for it in items if it["covered"] and not it["is_center"]]
 
 
+def _summary(sols):
+    """Per solution, in order: identification set, vertex cycles (compared
+    bit for bit) and reversing count."""
+    return [(s.identifications, s.vertex_cycles, s.reversing_count) for s in sols]
+
+
 class TestCompletionOracle:
     """The exact-cover engine against the copy-per-node backtracker it
-    replaced: the same solutions in the same order, every float equal."""
+    replaced, fed the two-direction L_c that backtracker was written for:
+    the same solutions in the same order, every float equal."""
 
     def test_three_survivors(self, n14_survivors):
         assert len(n14_survivors) == 3
@@ -345,33 +357,52 @@ class TestCompletionOracle:
     def test_survivors_match_reference(self, n14, n14_survivors, limit):
         for Lc in n14_survivors:
             got = complete_pairing(Lc, n14.F, limit=limit)
-            assert got == reference_complete_pairing(Lc, n14.F, limit=limit)
+            ref = reference_complete_pairing(
+                both_directions(Lc, n14.L2), n14.F, limit=limit
+            )
+            assert _summary(got) == _summary(ref)
             assert len(got) == min(limit, 165)
+            assert all(p in Lc for s in got for p in s.pairings)
+
+    def test_both_directions_give_each_solution_once(self, n14, n14_survivors):
+        Lc = n14_survivors[2]
+        got = complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=256)
+        assert _summary(got) == _summary(complete_pairing(Lc, n14.F, limit=256))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_shuffled_and_pruned_match_reference(self, n14, n14_survivors, seed):
         rng = random.Random(seed)
         Lc = list(n14_survivors[seed % 3])
         rng.shuffle(Lc)
+        # the oracle's first solution is never thinned out, so every case
+        # compares solutions and not only two exhausted searches
+        first = reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=1)
+        kept = first[0].identifications
+        # an identification survives with the odds it had when each of its
+        # two directions was kept on its own (0.5 and 0.9 each): 1 - (1 - q)^2
         if seed % 2:
             # thin out the pairings at six random edges
-            keys = sorted({p.src.key for p in Lc})
+            keys = sorted({key for p in Lc for key in (p.src.key, p.dst.key)})
             cut = set(rng.sample(keys, 6))
             Lc = [
                 p
                 for p in Lc
-                if not (p.src.key in cut or p.dst.key in cut) or rng.random() < 0.5
+                if p.identification in kept
+                or not (p.src.key in cut or p.dst.key in cut)
+                or rng.random() < 0.75
             ]
         else:
-            Lc = [p for p in Lc if rng.random() < 0.9]
+            Lc = [p for p in Lc if p.identification in kept or rng.random() < 0.99]
         kwargs = {"limit": rng.choice([3, 40]), "require_reversing": seed % 3 != 0}
         got = complete_pairing(Lc, n14.F, **kwargs)
-        assert got == reference_complete_pairing(Lc, n14.F, **kwargs)
+        ref = reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, **kwargs)
+        assert got
+        assert _summary(got) == _summary(ref)
 
     def test_pruned_edge_matches_reference(self, n14, n14_survivors):
         Lc = [p for p in n14_survivors[0] if (0, 3) not in (p.src.key, p.dst.key)]
         assert complete_pairing(Lc, n14.F, limit=4) == []
-        assert reference_complete_pairing(Lc, n14.F, limit=4) == []
+        assert reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=4) == []
 
 
 class TestVerifyTopology:
