@@ -17,6 +17,7 @@ uniformizing group and are dropped from the list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,6 +130,23 @@ class _CarrierTable:
         return m
 
 
+@dataclass(frozen=True, eq=False)
+class DomainSymmetry:
+    """An isometry mapping the domain onto itself, with the permutation it
+    induces on the boundary edges (edge key -> key of the image edge)."""
+
+    map: Isometry
+    edges: dict[tuple[int, int], tuple[int, int]]
+
+    def identification(self, ident: tuple) -> tuple:
+        """Image of an identification (reversing, key, key): conjugating a
+        side pairing by the symmetry keeps its orientation type and glues
+        the image edges, written smaller key first."""
+        reversing, a, b = ident
+        ends = sorted([self.edges[a], self.edges[b]])
+        return (reversing, ends[0], ends[1])
+
+
 @dataclass(frozen=True)
 class FundamentalDomain:
     n: int
@@ -198,6 +216,53 @@ class FundamentalDomain:
         return {}
 
     @cached_property
+    def symmetries(self) -> tuple[DomainSymmetry, ...]:
+        """The isometries mapping F onto itself, the identity first; built on
+        first use, never during set-up.
+
+        A symmetry maps tile 0 onto some tile j of F, so it is placements[j]
+        after a symmetry of the central tile (a rotation by 2 pi m / n, after
+        the reflection in the real axis or not) after placements[0]^-1: 2 k n
+        candidates.  They are screened at once on the tile centers, which a
+        symmetry permutes; a candidate that passes is composed and kept when
+        it also maps every tile corner onto one and the boundary onto itself.
+        """
+        n = self.n
+        to_central = self.placements[0].inverse()
+        centers = np.array([self.center(i) for i in range(self.k)])
+        corners = np.array(self.corners).ravel()
+        ends = np.array([e.endpoints for e in self.boundary])
+        keys = [e.key for e in self.boundary]
+
+        def near(zs: np.ndarray, points: np.ndarray) -> np.ndarray:
+            """near[..., j]: zs[...] lies within the edge tolerance of points[j]."""
+            return np.abs(zs[..., None] - points) < EDGE_MATCH_TOL
+
+        # row f n + m: the centers in the central frame, reflected when f = 1,
+        # then turned by 2 pi m / n
+        q = _images(to_central, centers)
+        turns = np.exp(2j * np.pi * np.arange(n) / n)[:, None]
+        local = np.concatenate([turns * q, turns * np.conj(q)])
+        out = []
+        for place in self.placements:
+            screened = near(_images(place, local), centers).any(axis=-1).all(axis=-1)
+            for row in np.flatnonzero(screened):
+                f, m = divmod(int(row), n)
+                g = place * Isometry.rotation(2.0 * math.pi * m / n)
+                g = g * (Isometry(1.0, 0.0, True) if f else Isometry.identity()) * to_central
+                if not near(_images(g, corners), corners).any(axis=1).all():
+                    continue
+                # boundary edge i goes onto edge j when the endpoints match
+                # in either order
+                u, v = _images(g, ends[:, 0]), _images(g, ends[:, 1])
+                hit = near(u, ends[:, 0]) & near(v, ends[:, 1])
+                hit |= near(u, ends[:, 1]) & near(v, ends[:, 0])
+                if hit.any(axis=1).all():
+                    images = {keys[i]: keys[j] for i, j in zip(*np.nonzero(hit))}
+                    out.append(DomainSymmetry(g, images))
+        return tuple(out)
+
+    @cached_property
     def interior_vertices(self) -> tuple[int, ...]:
         """Indices into vertex_classes() of the vertices inside F: those where
         three tile corners of angle 2 pi / 3 meet, a full angle."""
@@ -221,6 +286,12 @@ class FundamentalDomain:
                 else:
                     classes.append((v, [(poly, j)]))
         return classes
+
+
+def _images(g: Isometry, zs: np.ndarray) -> np.ndarray:
+    """g applied to an array of points."""
+    w = np.conj(zs) if g.reversing else zs
+    return (g.a * w + g.b) / (np.conj(g.b) * w + np.conj(g.a))
 
 
 def build_domain(

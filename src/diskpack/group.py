@@ -233,6 +233,13 @@ def normalizes(
     return True, results
 
 
+def second_neighbor_center(F: FundamentalDomain, gens: TriangleGenerators) -> complex:
+    """O', the second-neighbor tile center (ca)^2 b (0) under the domain's
+    frame: the obvious center a half-turn must swap with the hidden one."""
+    rot = gens.rotation
+    return F.placements[0]((rot * rot * gens.b)(0j))
+
+
 def second_packing_certificate(
     P: complex,
     G: GroupPresentation,
@@ -242,14 +249,12 @@ def second_packing_certificate(
 ) -> dict:
     """Certificate that a half-turn swaps the obvious center with P.
 
-    O' is the image of the second-neighbor tile center (ca)^2 b (0) under the
-    domain's frame; tau is the order-two rotation about the midpoint of P and
-    O'.  The certificate passes when tau conjugates every generator into the
-    group and swaps P with O'.  The returned record carries the tolerances
-    it was decided with.
+    O' is second_neighbor_center(G.domain, gens); tau is the order-two
+    rotation about the midpoint of P and O'.  The certificate passes when
+    tau conjugates every generator into the group and swaps P with O'.  The
+    returned record carries the tolerances it was decided with.
     """
-    rot = gens.rotation
-    o_prime = G.domain.placements[0]((rot * rot * gens.b)(0j))
+    o_prime = second_neighbor_center(G.domain, gens)
     if abs(P - o_prime) < 1e-9:
         raise ValueError("candidate coincides with O'; midpoint undefined")
     m = midpoint(P, o_prime)

@@ -27,6 +27,7 @@ from .group import (
     GroupPresentation,
     ReductionStalled,
     group_from_solution,
+    second_neighbor_center,
     second_packing_certificate,
 )
 from .search import (
@@ -34,8 +35,7 @@ from .search import (
     bananas,
     candidates,
     compatibility_matrix,
-    complete_pairing,
-    edge_coverage,
+    complete_survivors,
     verify_topology,
 )
 from .tess import DistanceSet, admissible_distances, triangle_generators
@@ -194,8 +194,8 @@ def stage_candidates(
                 },
             ),
         )
-        fam1 = bananas(p1, dset)
-        fam2 = bananas(p2, dset)
+        fam1 = bananas(p1, dset, max_families=render.BANANA_FAMILIES)
+        fam2 = bananas(p2, dset, max_families=render.BANANA_FAMILIES)
         with open(os.path.join(out, "bananas.svg"), "w", encoding="utf-8") as fh:
             fh.write(render.render_svg(render.scene_bananas(F, p1, p2, fam1, fam2)))
         with open(os.path.join(out, "candidates.svg"), "w", encoding="utf-8") as fh:
@@ -214,19 +214,30 @@ def filter_candidates(
 ) -> list[dict]:
     """Per-candidate compatible pairings and edge coverage, in candidate order.
 
+    A candidate covers a boundary edge when one of its compatible pairings
+    glues it, so coverage for every candidate is the boolean product of the
+    compatibility matrix with the pairing x boundary-edge incidence matrix:
+    per edge, an any() over the matrix columns of the pairings touching it.
     ``cfg`` is unused; it keeps the stage functions' leading argument.
     """
     matrix = compatibility_matrix([c.point for c in C], L, dset)
+    touching: dict[tuple[int, int], list[int]] = {
+        key: [] for key in sorted(e.key for e in F.boundary)
+    }
+    for j, p in enumerate(L):
+        for key in (p.src.key, p.dst.key):
+            if key in touching:
+                touching[key].append(j)
+    keys = list(touching)
+    covered = np.stack([matrix[:, cols].any(axis=1) for cols in touching.values()], axis=1)
     centers = [F.center(i) for i in range(F.k)]
     items = []
-    for c, row in zip(C, matrix):
-        Lc = [L[j] for j in np.flatnonzero(row)]
-        cov = edge_coverage(Lc, F)
-        uncovered = sorted(k for k, v in cov.items() if not v)
+    for c, row, cov in zip(C, matrix, covered):
+        uncovered = [keys[i] for i in np.flatnonzero(~cov)]
         items.append(
             {
                 "candidate": c,
-                "Lc": Lc,
+                "Lc": [L[j] for j in np.flatnonzero(row)],
                 "covered": not uncovered,
                 "uncovered": uncovered,
                 "is_center": any(abs(c.point - z) < 1e-6 for z in centers),
@@ -404,14 +415,19 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
     pairing_index = {p.record: i for i, p in enumerate(L)}
     vertices = [point for point, _ in F.vertex_classes()]
     vertex_index = {point: i for i, point in enumerate(vertices)}
+    survivors = [it for it in items if it["covered"] and not it["is_center"]]
+    completed, searches = complete_survivors(
+        [it["Lc"] for it in survivors], F, limit=cfg.limit, angle_tol=cfg.angle_tol
+    )
+    carried = len(survivors) - searches
+    log(
+        f"completion: {len(survivors)} survivor{'s' * (len(survivors) != 1)}, "
+        f"{searches} search{'es' * (searches != 1)}, {carried} carried by symmetry "
+        f"(group of order {len(F.symmetries)})"
+    )
     solutions_log: list[dict] = []
-    result = None
-    first_solution = None
-    attempts = 0
-    for it in items:
-        if not it["covered"] or it["is_center"]:
-            continue
-        sols = complete_pairing(it["Lc"], F, limit=cfg.limit, angle_tol=cfg.angle_tol)
+    solved = []  # (item, solutions, topologies) in candidate order
+    for it, sols in zip(survivors, completed):
         topos = [verify_topology(sol, F, angle_tol=cfg.angle_tol) for sol in sols]
         solutions_log.append(
             {
@@ -422,20 +438,8 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
                 ],
             }
         )
-        if sols and first_solution is None:
-            first_solution = (it, sols[0])
-        if not certify or result is not None:
-            continue
-        for sol, topo in zip(sols, topos):
-            G = group_from_solution(sol, F)
-            attempts += 1
-            try:
-                cert = second_packing_certificate(it["candidate"].point, G, gens)
-            except (ReductionStalled, ValueError):
-                continue
-            if cert["passed"]:
-                result = (it, sol, topo, G, cert)
-                break
+        if sols:
+            solved.append((it, sols, topos))
     write_json(
         os.path.join(out, "solutions.json"),
         _artifact(
@@ -450,26 +454,38 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
             },
         ),
     )
-    if not certify and first_solution is not None:
-        it, sol = first_solution
+    if not certify:
+        if not solved:
+            return None
+        it, sols, _ = solved[0]
         log(f"solutions found at {it['candidate'].point:.6f}")
-        _render_final(out, F, C, it, sol, None)
+        _render_final(out, F, C, it, sols[0], None)
         return EXIT_OK
-    if result is not None:
-        it, sol, topo, G, cert = result
-        write_json(
-            os.path.join(out, "certificate.json"),
-            certificate_json(cfg, G, cert, sol, topo),
-        )
-        log(
-            f"certificate passed at {it['candidate'].point:.6f} "
-            f"(genus {topo['genus']}, chi {topo['euler_characteristic']}) "
-            f"after {attempts} attempts"
-        )
-        _render_final(out, F, C, it, sol, cert)
-        return EXIT_OK
-    if certify:
-        log(f"no certificate for this seed pair after {attempts} attempts")
+    # survivors nearest O' first (a stable sort: ties in candidate order),
+    # each solution in turn, until one passes
+    o_prime = second_neighbor_center(F, gens)
+    attempts = 0
+    for it, sols, topos in sorted(solved, key=lambda s: dist(s[0]["candidate"].point, o_prime)):
+        for sol, topo in zip(sols, topos):
+            G = group_from_solution(sol, F)
+            attempts += 1
+            try:
+                cert = second_packing_certificate(it["candidate"].point, G, gens)
+            except (ReductionStalled, ValueError):
+                continue
+            if cert["passed"]:
+                write_json(
+                    os.path.join(out, "certificate.json"),
+                    certificate_json(cfg, G, cert, sol, topo),
+                )
+                log(
+                    f"certificate passed at {it['candidate'].point:.6f} "
+                    f"(genus {topo['genus']}, chi {topo['euler_characteristic']}) "
+                    f"after {attempts} attempts"
+                )
+                _render_final(out, F, C, it, sol, cert)
+                return EXIT_OK
+    log(f"no certificate for this seed pair after {attempts} attempts")
     return None
 
 

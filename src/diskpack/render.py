@@ -16,6 +16,8 @@ from .geom import GeneralizedCircle, axis
 SIZE = 800.0
 MARGIN = 20.0
 R_VIEW = 0.5 * SIZE - MARGIN
+# banana families per seed pairing drawn in the bananas figure
+BANANA_FAMILIES = 8
 
 
 def _fmt(v: float) -> str:
@@ -174,7 +176,9 @@ def scene_base(F: FundamentalDomain | None = None) -> Scene:
     return scene
 
 
-def scene_bananas(F, p1: SidePairing, p2: SidePairing, fam1, fam2, max_families: int = 8) -> Scene:
+def scene_bananas(
+    F, p1: SidePairing, p2: SidePairing, fam1, fam2, max_families: int = BANANA_FAMILIES
+) -> Scene:
     scene = scene_base(F)
     for name, p, fam, color in (
         ("bananas-p1", p1, fam1, "#3060c0"),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import FundamentalDomain, SidePairing
+from .domain import DomainSymmetry, FundamentalDomain, SidePairing
 from .geom import (
     CoincidentCurves,
     GeneralizedCircle,
@@ -47,17 +47,25 @@ class Candidate:
 
 
 def _banana_records(
-    p: SidePairing, dset: DistanceSet, max_offset: float | None = None
+    p: SidePairing,
+    dset: DistanceSet,
+    max_offset: float | None = None,
+    max_families: int | None = None,
 ) -> tuple[GeneralizedCircle, list[tuple[float, float, GeneralizedCircle]]]:
-    """Axis and (distance, signed sinh offset, curve) records of p's bananas."""
+    """Axis and (distance, signed sinh offset, curve) records of p's bananas,
+    at the first ``max_families`` distances that have one (all by default)."""
     A = axis(p.map)
     recs = []
+    families = 0
     for d in dset.values:
+        if families == max_families:
+            break
         delta = displacement_offset(p.cls, d)
         if delta is None:
             continue
         if max_offset is not None and delta > max_offset:
             continue
+        families += 1
         if delta == 0.0:
             recs.append((d, 0.0, A))
         else:
@@ -68,16 +76,21 @@ def _banana_records(
 
 
 def bananas(
-    p: SidePairing, dset: DistanceSet, max_offset: float | None = None
+    p: SidePairing,
+    dset: DistanceSet,
+    max_offset: float | None = None,
+    max_families: int | None = None,
 ) -> list[tuple[float, list[GeneralizedCircle]]]:
     """Displacement loci of p at every admissible distance that has one.
 
     Distances below the minimal displacement are skipped; the distance equal
     to the translation length of a hyperbolic map contributes the axis as a
     single degenerate curve.  ``max_offset`` drops loci farther than that
-    from the axis (used to restrict to curves that can meet the domain).
+    from the axis (used to restrict to curves that can meet the domain);
+    ``max_families`` stops after that many distances (a figure draws only
+    the first few).
     """
-    _, recs = _banana_records(p, dset, max_offset)
+    _, recs = _banana_records(p, dset, max_offset, max_families)
     grouped: dict[float, list[GeneralizedCircle]] = {}
     order: list[float] = []
     for d, _, curve in recs:
@@ -470,6 +483,89 @@ def _vertex_cycles(struct: _BoundaryStructure, succ: list[int], angle_tol: float
     )
 
 
+class _ExactCover:
+    """Completion of one L_c as an exact-cover problem over boundary edges.
+
+    Each identification of Lc is one option (the first entry of Lc naming
+    it, in either direction); options are numbered in SidePairing.sort_key
+    order and listed under both of their edges, at edge e in the order
+    (reversing, other edge's key).  ``links[o]`` holds the slot links that
+    choosing option o adds.  The branching rule lives here, shared by the
+    search and by the emission order of carried solutions: live[e] counts
+    the options of e whose other edge is unmatched, a matched edge carries
+    an extra ``done`` (so min(live) > n_opts once every edge is matched),
+    and the search branches on the first unmatched edge, in key order, with
+    the fewest live options.  Live counts depend only on which edges are
+    matched, never on angles.
+    """
+
+    def __init__(self, Lc: list[SidePairing], F: FundamentalDomain):
+        self.struct = _BoundaryStructure(F)
+        edge_keys = sorted(e.key for e in F.boundary)
+        edge_of = {key: i for i, key in enumerate(edge_keys)}
+        unique: dict[tuple, SidePairing] = {}
+        for p in Lc:
+            if p.src.key in edge_of and p.dst.key in edge_of and p.src.key != p.dst.key:
+                unique.setdefault(p.identification, p)
+        self.options = sorted(unique.values(), key=SidePairing.sort_key)
+        self.links = [tuple(self.struct.links_for(p)) for p in self.options]
+        # by_edge[e]: (option, other edge) for the options touching edge e
+        ranked: list[list[tuple[bool, int, int]]] = [[] for _ in edge_keys]
+        for o, p in enumerate(self.options):
+            a, b = edge_of[p.src.key], edge_of[p.dst.key]
+            ranked[a].append((p.reversing, b, o))
+            ranked[b].append((p.reversing, a, o))
+        self.by_edge = [[(o, d) for _, d, o in sorted(opts)] for opts in ranked]
+        self.n_opts = len(self.options)
+        self.done = self.n_opts + 1
+
+    def live_counts(self) -> list[int]:
+        """live before any edge is matched."""
+        return [len(opts) for opts in self.by_edge]
+
+    def cover(self, live: list[int], e: int, delta: int) -> None:
+        """Mark edge e matched (delta 1) or unmatched again (delta -1)."""
+        live[e] += delta * self.done
+        for _, d in self.by_edge[e]:
+            live[d] -= delta
+
+    def branching_edge(self, live: list[int]) -> int:
+        """The edge to branch on; -1 once every edge is matched."""
+        fewest = min(live, default=self.done)
+        return -1 if fewest > self.n_opts else live.index(fewest)
+
+    def emission_order(self, picks: list[set[int]]) -> list[int]:
+        """Indices into ``picks`` (complete solutions, each a set of options)
+        in the order the search emits them.
+
+        A solution's place is fixed by its branching path: at each branching
+        edge, the position of its option in that edge's list, and the search
+        emits in the order of those paths.  The branching edges depend only
+        on the edges matched so far, so this replays the search over the
+        given solutions alone; solutions sharing a path prefix are carried
+        along it together.
+        """
+        live = self.live_counts()
+        order: list[int] = []
+
+        def replay(members: list[int]) -> None:
+            e = self.branching_edge(live)
+            if e < 0:
+                order.extend(members)
+                return
+            for o, d in self.by_edge[e]:
+                group = [i for i in members if o in picks[i]]
+                if group:
+                    self.cover(live, e, 1)
+                    self.cover(live, d, 1)
+                    replay(group)
+                    self.cover(live, d, -1)
+                    self.cover(live, e, -1)
+
+        replay(list(range(len(picks))))
+        return order
+
+
 def complete_pairing(
     Lc: list[SidePairing],
     F: FundamentalDomain,
@@ -479,44 +575,24 @@ def complete_pairing(
 ) -> list[PairingSolution]:
     """Exact-cover completion of Lc into full side-pairing sets.
 
-    Every boundary edge must be matched exactly once.  Each identification
-    of Lc is one option (the first entry of Lc naming it, in either
-    direction), listed under both of its edges, at edge e in the order
-    (reversing, other edge's key).  The search picks the first unmatched
-    edge (in key order) with the fewest live options, tries its options in
-    that order, and prunes on the Poincare vertex condition: a closing cycle
-    must total 2 pi and a partial chain may never exceed it, both within
-    ``angle_tol``.  Returns up to ``limit`` solutions in deterministic
-    order; an empty list means the search space is exhausted with no
-    solution.
+    Every boundary edge must be matched exactly once by an option of
+    _ExactCover(Lc, F).  The search branches on that problem's branching
+    edge, tries its live options in their listed order, and prunes on the
+    Poincare vertex condition: a closing cycle must total 2 pi and a partial
+    chain may never exceed it, both within ``angle_tol``.  Returns up to
+    ``limit`` solutions in deterministic order; an empty list means the
+    search space is exhausted with no solution.
 
     State is kept in flat integer arrays (after Knuth's "Dancing Links"):
     per-edge live option counts, and the slot permutation built so far as
     ``succ``/``pred`` with chain endpoints and consumed angles, undone from a
     log on backtrack.  A solution's vertex cycles are read off ``succ``.
     """
-    struct = _BoundaryStructure(F)
-    edge_keys = sorted(e.key for e in F.boundary)
-    edge_of = {key: i for i, key in enumerate(edge_keys)}
-    unique: dict[tuple, SidePairing] = {}
-    for p in Lc:
-        if p.src.key in edge_of and p.dst.key in edge_of and p.src.key != p.dst.key:
-            unique.setdefault(p.identification, p)
-    # option o is the o-th usable identification in canonical order
-    options = sorted(unique.values(), key=SidePairing.sort_key)
-    n_edges, n_opts = len(edge_keys), len(options)
-    opt_links = [tuple(struct.links_for(p)) for p in options]
-    # by_edge[e]: (option, other edge) for the options touching edge e
-    ranked: list[list[tuple[bool, int, int]]] = [[] for _ in range(n_edges)]
-    for o, p in enumerate(options):
-        a, b = edge_of[p.src.key], edge_of[p.dst.key]
-        ranked[a].append((p.reversing, b, o))
-        ranked[b].append((p.reversing, a, o))
-    by_edge = [[(o, d) for _, d, o in sorted(opts)] for opts in ranked]
-    # live[e]: options of e whose other edge is unmatched; a matched edge
-    # carries an extra `done`, so min(live) > n_opts once every edge is matched
-    done = n_opts + 1
-    live = [len(opts) for opts in by_edge]
+    problem = _ExactCover(Lc, F)
+    struct, options, opt_links = problem.struct, problem.options, problem.links
+    by_edge, n_opts = problem.by_edge, problem.n_opts
+    cover, branching_edge = problem.cover, problem.branching_edge
+    live = problem.live_counts()
 
     angle = struct.slot_angle
     n_slots = len(angle)
@@ -567,11 +643,6 @@ def complete_pairing(
                 head_of[tw] = w
                 consumed[hu] = old
 
-    def cover(e: int, delta: int) -> None:
-        live[e] += delta * done
-        for _, d in by_edge[e]:
-            live[d] -= delta
-
     def emit() -> None:
         picked = sorted(chosen)
         pairings = tuple(options[o] for o in picked)
@@ -582,25 +653,24 @@ def complete_pairing(
         solutions.append(PairingSolution(pairings, cycles, reversing_count))
 
     def descend() -> None:
-        fewest = min(live, default=done)
-        if fewest > n_opts:
+        e = branching_edge(live)
+        if e < 0:
             emit()
             return
-        if fewest == 0:
+        if live[e] == 0:
             return
-        e = live.index(fewest)
         for o, d in by_edge[e]:
             if live[d] > n_opts:
                 continue
             mark = len(undo)
             if link(o):
-                cover(e, 1)
-                cover(d, 1)
+                cover(live, e, 1)
+                cover(live, d, 1)
                 chosen.append(o)
                 descend()
                 chosen.pop()
-                cover(d, -1)
-                cover(e, -1)
+                cover(live, d, -1)
+                cover(live, e, -1)
             unlink(mark)
             if len(solutions) >= limit:
                 return
@@ -608,6 +678,85 @@ def complete_pairing(
     if limit > 0:
         descend()
     return solutions
+
+
+def carry_solutions(
+    sols: list[PairingSolution],
+    sym: DomainSymmetry,
+    Lc: list[SidePairing],
+    F: FundamentalDomain,
+    angle_tol: float = ANGLE_TOL,
+) -> list[PairingSolution]:
+    """complete_pairing's output for Lc, given its exhaustive output ``sols``
+    for an L_c that the domain symmetry ``sym`` maps onto Lc.
+
+    A symmetry permutes the boundary edges, vertex classes and slots, and
+    keeps the slot angles, so the solutions for Lc are the images of
+    ``sols``.  Each image is relabeled to Lc's options, its vertex cycles
+    are read off the slot permutation its links build (the engine's own
+    arithmetic, so the same bits), and the images are put in the engine's
+    emission order (_ExactCover.emission_order).
+    """
+    problem = _ExactCover(Lc, F)
+    option_of = {p.identification: o for o, p in enumerate(problem.options)}
+    image_of: dict[tuple, int] = {}  # record of a source pairing -> its image option
+    images, picks = [], []
+    for sol in sols:
+        picked = []
+        for p in sol.pairings:
+            o = image_of.get(p.record)
+            if o is None:
+                o = image_of[p.record] = option_of[sym.identification(p.identification)]
+            picked.append(o)
+        picked.sort()
+        succ = [-1] * len(problem.struct.slots)
+        for o in picked:
+            for u, w in problem.links[o]:
+                succ[u] = w
+        pairings = tuple(problem.options[o] for o in picked)
+        cycles = _vertex_cycles(problem.struct, succ, angle_tol)
+        images.append(PairingSolution(pairings, cycles, sum(p.reversing for p in pairings)))
+        picks.append(set(picked))
+    return [images[i] for i in problem.emission_order(picks)]
+
+
+def complete_survivors(
+    Lcs: list[list[SidePairing]],
+    F: FundamentalDomain,
+    limit: int = 32,
+    angle_tol: float = ANGLE_TOL,
+) -> tuple[list[list[PairingSolution]], int]:
+    """complete_pairing for every L_c in order, one search per symmetry orbit.
+
+    When a symmetry of F maps the identification set of an earlier L_c whose
+    search was exhaustive (fewer than ``limit`` solutions) exactly onto this
+    one's, that search's solutions are carried over (carry_solutions)
+    instead of searching again.  Returns the solutions per L_c and the
+    number of searches run.
+    """
+    exhaustive: list[tuple[frozenset, list[PairingSolution]]] = []
+    out = []
+    searches = 0
+    for Lc in Lcs:
+        idents = frozenset(p.identification for p in Lc)
+        sols = None
+        for source, source_sols in exhaustive:
+            if len(source) != len(idents):
+                continue
+            sym = next(
+                (s for s in F.symmetries if {s.identification(i) for i in source} == idents),
+                None,
+            )
+            if sym is not None:
+                sols = carry_solutions(source_sols, sym, Lc, F, angle_tol)
+                break
+        if sols is None:
+            sols = complete_pairing(Lc, F, limit=limit, angle_tol=angle_tol)
+            searches += 1
+            if len(sols) < limit:
+                exhaustive.append((idents, sols))
+        out.append(sols)
+    return out, searches
 
 
 def verify_topology(

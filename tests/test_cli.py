@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 
@@ -20,9 +22,17 @@ def n14_cfg_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def completed_run(n14_cfg_path):
-    assert main(["run", "--config", n14_cfg_path]) == 0
-    return os.path.join(os.path.dirname(n14_cfg_path), "out")
+def depth5_run(n14_cfg_path):
+    """The shipped config's run: its output directory and its stderr log."""
+    log = io.StringIO()
+    with contextlib.redirect_stderr(log):
+        assert main(["run", "--config", n14_cfg_path]) == 0
+    return os.path.join(os.path.dirname(n14_cfg_path), "out"), log.getvalue()
+
+
+@pytest.fixture(scope="module")
+def completed_run(depth5_run):
+    return depth5_run[0]
 
 
 def test_run_writes_all_artifacts(completed_run):
@@ -295,11 +305,16 @@ def test_degenerate_explicit_seeds_exit_1(tmp_path, capsys):
     assert err["stage"] == "candidates"
 
 
-def test_run_reports_certificate_attempts(n14_cfg_path, tmp_path, capsys):
+def test_run_reports_certificate_attempts(n14_cfg_path, depth5_run, tmp_path, capsys):
+    # survivors are tried nearest O' first, and the certified candidate is
+    # the nearest: it passes at its 5th solution at depth 5, its 3rd at depth 3
+    assert depth5_run[1].splitlines()[-1] == (
+        "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 5 attempts"
+    )
     out = str(tmp_path / "out")
     assert main(["run", "--config", n14_cfg_path, "--depth", "3", "--out", out]) == 0
     assert capsys.readouterr().err.splitlines()[-1] == (
-        "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 63 attempts"
+        "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 3 attempts"
     )
     # one solution per survivor: three attempts, none passes
     args = ["run", "--config", n14_cfg_path, "--depth", "3", "--limit", "1", "--out", out]
@@ -307,3 +322,13 @@ def test_run_reports_certificate_attempts(n14_cfg_path, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == (
         "no certificate for this seed pair after 3 attempts"
     )
+
+
+def test_run_reports_completion(depth5_run):
+    out, log = depth5_run
+    line = "completion: 3 survivors, 1 search, 2 carried by symmetry (group of order 6)"
+    assert line in log.splitlines()
+    for name in os.listdir(out):
+        with open(os.path.join(out, name), "rb") as fh:
+            text = fh.read()
+        assert b"carried" not in text and b"symmetry" not in text

@@ -11,10 +11,12 @@ from diskpack.domain import (
     DisconnectedAssembly,
     OverlappingPolygons,
     build_domain,
+    enumerate_pairings,
     find_pairing,
     pairing_json,
 )
 from diskpack.geom import Isometry, dist
+from diskpack.search import _BoundaryStructure
 
 
 class TestBuildDomain:
@@ -319,3 +321,46 @@ class TestEnumeratePairings:
 
     def test_identification_is_direction_free(self, n14):
         assert n14.p1.identification == ident(SEED_P1)
+
+
+class TestSymmetries:
+    def test_n14_group_has_order_six(self, n14):
+        group = n14.F.symmetries
+        assert len(group) == 6
+        assert group[0].map.is_identity()
+        assert sum(s.map.reversing for s in group) == 3
+        keys = sorted(e.key for e in n14.F.boundary)
+        for s in group:
+            assert sorted(s.edges) == keys and sorted(s.edges.values()) == keys
+
+    def test_maps_every_entry_of_L_to_the_permuted_identification(self, n14):
+        by_ident = {p.identification: p for p in n14.L}
+        for s in n14.F.symmetries:
+            g, g_inv = s.map, s.map.inverse()
+            for p in n14.L:
+                q = by_ident[s.identification(p.identification)]
+                # g p g^-1 glues g(src) onto g(dst); q may run the other way
+                want = q.map if q.src.key == s.edges[p.src.key] else q.inverse_map
+                assert (g * p.map * g_inv).matrix_dist(want) < 1e-9
+
+    def test_permutes_the_slots_keeping_their_angles(self, n14):
+        struct = _BoundaryStructure(n14.F)
+        for s in n14.F.symmetries:
+            images = []
+            for key, v in struct.slots:
+                w = struct.vertex_at(s.map(struct.points[v]))
+                images.append(struct.slot_of[(s.edges[key], w)])
+            assert sorted(images) == list(range(len(struct.slots)))
+            assert [struct.slot_angle[t] for t in images] == struct.slot_angle
+
+    def test_built_on_first_use_only(self):
+        F = build_domain(14, [Attachment(0, 0), Attachment(0, 1)])
+        enumerate_pairings(F)
+        F.contains(0.1 + 0.1j)
+        assert "symmetries" not in vars(F)
+        assert F.symmetries is F.symmetries
+
+    def test_other_domains(self):
+        # one heptagon: its dihedral group; two 14-gons: swap and mirror
+        assert len(build_domain(7, []).symmetries) == 14
+        assert len(build_domain(14, [Attachment(0, 4)]).symmetries) == 4

@@ -11,6 +11,7 @@ from diskpack.group import (
     group_from_solution,
     normalizes,
     reduce_to_domain,
+    second_neighbor_center,
     second_packing_certificate,
 )
 from diskpack.search import candidates, complete_pairing
@@ -145,6 +146,7 @@ class TestCertificate:
         rot = n14.gens.rotation
         expected = n14.F.placements[0]((rot * rot * n14.gens.b)(0j))
         assert abs(cert["o_prime"] - expected) < 1e-12
+        assert cert["o_prime"] == second_neighbor_center(n14.F, n14.gens)
         # the half-turn exchanges P and O'
         tau = cert["tau"]
         assert dist(tau(cert["o_prime"]), cert["candidate"]) < 1e-9

@@ -3,6 +3,7 @@ import os
 
 from diskpack import pipeline
 from diskpack.config import load_config
+from diskpack.domain import FundamentalDomain
 from diskpack.pipeline import write_json
 
 PAYLOAD = {
@@ -72,3 +73,28 @@ def test_depth3_artifacts_decode_to_the_payloads_written(tmp_path, monkeypatch):
         lists = sum(len(v) + 2 for v in payload.values() if isinstance(v, list) and v)
         others = sum(1 for v in payload.values() if not (isinstance(v, list) and v))
         assert len(lines) == 2 + lists + others
+
+
+def _depth3_run(out_dir: str) -> list[str]:
+    cfg = load_config("configs/n14.json")
+    cfg.depth = 3
+    cfg.out_dir = out_dir
+    log: list[str] = []
+    assert pipeline.run_pipeline(cfg, progress=log.append) == pipeline.EXIT_OK
+    return log
+
+
+def test_one_search_per_survivor_writes_the_same_artifacts(tmp_path, monkeypatch):
+    orbit = _depth3_run(str(tmp_path / "orbit"))
+    # with the identity as the only symmetry, every survivor is searched
+    group = FundamentalDomain.__dict__["symmetries"].func
+    monkeypatch.setattr(FundamentalDomain, "symmetries", property(lambda F: group(F)[:1]))
+    alone = _depth3_run(str(tmp_path / "alone"))
+    assert "completion: 3 survivors, 1 search, 2 carried by symmetry (group of order 6)" in orbit
+    assert "completion: 3 survivors, 3 searches, 0 carried by symmetry (group of order 1)" in alone
+    assert orbit[-1] == alone[-1]
+    names = sorted(os.listdir(tmp_path / "orbit"))
+    assert names == sorted(os.listdir(tmp_path / "alone"))
+    assert {"solutions.json", "certificate.json", "solution.svg"} <= set(names)
+    for name in names:
+        assert (tmp_path / "orbit" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()

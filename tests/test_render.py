@@ -1,5 +1,14 @@
 from diskpack.geom import GeneralizedCircle, geodesic_through
-from diskpack.render import Scene, render_svg, scene_base, scene_candidates, scene_solution
+from diskpack.render import (
+    BANANA_FAMILIES,
+    Scene,
+    render_svg,
+    scene_bananas,
+    scene_base,
+    scene_candidates,
+    scene_solution,
+)
+from diskpack.search import bananas
 
 
 def test_empty_scene_is_disk_boundary_only():
@@ -73,3 +82,12 @@ def test_all_path_anchor_points_inside_viewport(n14):
         x0, y0, x1, y1 = coords[0], coords[1], coords[-2], coords[-1]
         for v in (x0, y0, x1, y1):
             assert -1.0 <= v <= 801.0
+
+
+def test_bananas_figure_needs_only_the_families_it_draws(n14):
+    fams = [bananas(p, n14.dset) for p in (n14.p1, n14.p2)]
+    drawn = [bananas(p, n14.dset, max_families=BANANA_FAMILIES) for p in (n14.p1, n14.p2)]
+    assert all(len(f) > BANANA_FAMILIES for f in fams)
+    assert render_svg(scene_bananas(n14.F, n14.p1, n14.p2, *drawn)) == render_svg(
+        scene_bananas(n14.F, n14.p1, n14.p2, *fams)
+    )

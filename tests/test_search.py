@@ -16,6 +16,7 @@ from reference_data import (
     reference_complete_pairing,
     solution_cycles,
 )
+from diskpack import search
 from diskpack.domain import build_domain, find_pairing
 from diskpack.geom import axis, dist
 from diskpack.pipeline import filter_candidates
@@ -28,8 +29,10 @@ from diskpack.search import (
     _vertex_cycles,
     bananas,
     candidates,
+    carry_solutions,
     compatibility_matrix,
     complete_pairing,
+    complete_survivors,
     edge_coverage,
     trace_cycles,
     verify_topology,
@@ -69,6 +72,13 @@ class TestBananas:
         full = bananas(n14.p1, n14.dset)
         pruned = bananas(n14.p1, n14.dset, max_offset=1.0)
         assert len(pruned) < len(full)
+
+    def test_max_families_builds_the_first_families_only(self, n14):
+        for p in (n14.p1, n14.p2):
+            every = bananas(p, n14.dset)
+            assert len(every) > 8
+            assert bananas(p, n14.dset, max_families=8) == every[:8]
+            assert bananas(p, n14.dset, max_families=len(every) + 1) == every
 
 
 class TestCandidates:
@@ -195,7 +205,30 @@ class TestCompatibilityKernel:
         assert np.array_equal(m, compatibility_matrix(pts, inverses, n14.dset))
 
 
+@pytest.fixture(scope="module")
+def n14_filtered(n14):
+    """filter_candidates' items for every depth-3 and depth-5 candidate."""
+    dset3 = admissible_distances(14, 3)
+    C3 = candidates(n14.p1, n14.p2, dset3, n14.F)
+    return {
+        3: filter_candidates(None, n14.F, n14.L, dset3, C3),
+        5: filter_candidates(None, n14.F, n14.L, n14.dset, n14.C),
+    }
+
+
 class TestEdgeCoverage:
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_filtering_coverage_matches_edge_coverage(self, n14, n14_filtered, depth):
+        items = n14_filtered[depth]
+        assert len(items) == {3: 379, 5: 816}[depth]
+        for it in items:
+            cov = edge_coverage(it["Lc"], n14.F)
+            uncovered = sorted(key for key, touching in cov.items() if not touching)
+            assert it["uncovered"] == uncovered
+            assert it["covered"] is (not uncovered)
+        assert any(it["covered"] for it in items)
+        assert any(not it["covered"] for it in items)
+
     def test_rejected_candidate_misses_edge_3(self, n14):
         c2 = min(n14.C, key=lambda c: abs(c.point - REJECTED_CANDIDATE))
         cov = edge_coverage(compatible_pairings(c2, n14.L, n14.dset), n14.F)
@@ -403,6 +436,84 @@ class TestCompletionOracle:
         Lc = [p for p in n14_survivors[0] if (0, 3) not in (p.src.key, p.dst.key)]
         assert complete_pairing(Lc, n14.F, limit=4) == []
         assert reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=4) == []
+
+
+def _carries(F, Lcs, target):
+    """(source index, symmetry) for every symmetry of F mapping an L_c of
+    Lcs onto Lcs[target] as identification sets."""
+    want = {p.identification for p in Lcs[target]}
+    return [
+        (i, sym)
+        for i, Lc in enumerate(Lcs)
+        for sym in F.symmetries
+        if {sym.identification(p.identification) for p in Lc} == want
+    ]
+
+
+class TestOrbitCarry:
+    """Solutions carried along a symmetry of F against the engine's own:
+    the same pairings in the same order, reversing counts, and vertex
+    cycles bit for bit."""
+
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_carried_solutions_equal_the_engine(self, n14, n14_filtered, depth):
+        Lcs = [it["Lc"] for it in n14_filtered[depth] if it["covered"] and not it["is_center"]]
+        assert len(Lcs) == 3
+        engine = [complete_pairing(Lc, n14.F, limit=256) for Lc in Lcs]
+        assert [len(sols) for sols in engine] == [{3: 30, 5: 165}[depth]] * 3
+        for target, want in enumerate(engine):
+            carries = _carries(n14.F, Lcs, target)
+            # one orbit: every survivor, itself included, reaches each one
+            assert {i for i, _ in carries} == {0, 1, 2}
+            for i, sym in carries:
+                got = carry_solutions(engine[i], sym, Lcs[target], n14.F)
+                assert [s.pairings for s in got] == [s.pairings for s in want]
+                assert _summary(got) == _summary(want)
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        engine = search.complete_pairing
+
+        def counting(Lc, *args, **kwargs):
+            calls.append(len(Lc))
+            return engine(Lc, *args, **kwargs)
+
+        monkeypatch.setattr(search, "complete_pairing", counting)
+        return calls
+
+    def _check(self, n14, Lcs, limit, searches, monkeypatch):
+        calls = self._counted(monkeypatch)
+        got, n = complete_survivors(Lcs, n14.F, limit=limit)
+        assert n == len(calls) == searches
+        monkeypatch.undo()
+        want = [complete_pairing(Lc, n14.F, limit=limit) for Lc in Lcs]
+        assert [_summary(s) for s in got] == [_summary(s) for s in want]
+
+    def test_one_search_for_the_orbit(self, n14, n14_survivors, monkeypatch):
+        self._check(n14, n14_survivors, 256, 1, monkeypatch)
+
+    @pytest.mark.parametrize("limit", [1, 165])
+    def test_a_search_cut_by_the_limit_is_not_carried(
+        self, n14, n14_survivors, limit, monkeypatch
+    ):
+        # 165 solutions in all: a search that stops at the limit may have
+        # missed some, so each mate runs the engine
+        self._check(n14, n14_survivors, limit, 3, monkeypatch)
+
+    def test_limit_above_the_count_carries(self, n14, n14_survivors, monkeypatch):
+        self._check(n14, n14_survivors, 166, 1, monkeypatch)
+
+    def test_a_mate_that_lost_an_identification_is_searched(
+        self, n14, n14_survivors, monkeypatch
+    ):
+        # the identification dropped is in no solution's way: the mate keeps
+        # solutions, but its L_c is no image of the first survivor's
+        sols = complete_pairing(n14_survivors[2], n14.F, limit=256)
+        used = set().union(*(s.identifications for s in sols))
+        spare = next(p for p in n14_survivors[2] if p.identification not in used)
+        Lcs = [*n14_survivors[:2], [p for p in n14_survivors[2] if p is not spare]]
+        self._check(n14, Lcs, 256, 2, monkeypatch)
 
 
 class TestVerifyTopology:
