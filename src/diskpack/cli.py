@@ -17,8 +17,24 @@ from .config import ConfigError, NotRelevantN, PipelineConfig, load_config, prim
 
 
 def _parse_selector(text: str) -> tuple[int, int]:
-    poly, edge = text.split(".")
-    return int(poly) - 1, int(edge)
+    """POLY.EDGE (1-based polygon) as (0-based polygon, edge)."""
+    try:
+        poly, edge = text.split(".")
+        return int(poly) - 1, int(edge)
+    except ValueError:
+        raise ConfigError(f"bad edge selector {text!r}, expected POLY.EDGE") from None
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_flag(text: str) -> bool:
+    try:
+        return _FLAGS[text.strip()]
+    except KeyError:
+        raise ConfigError(
+            f"bad orientation flag {text!r}, expected one of {', '.join(_FLAGS)}"
+        ) from None
 
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
@@ -40,7 +56,7 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
             )
         src_list = [_parse_selector(s) for s in srcs.split(",")]
         dst_list = [_parse_selector(s) for s in dsts.split(",")]
-        rev_list = [s.strip() in ("1", "true", "yes") for s in revs.split(",")]
+        rev_list = [_parse_flag(s) for s in revs.split(",")]
         if not (len(src_list) == len(dst_list) == len(rev_list) == 2):
             raise ConfigError("seed flags must describe exactly two pairings")
         cfg.seed_pairs = [

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSymmetry, FundamentalDomain, SidePairing
+from .domain import FundamentalDomain, SidePairing
 from .geom import (
     CoincidentCurves,
     GeneralizedCircle,
@@ -483,116 +483,63 @@ def _vertex_cycles(struct: _BoundaryStructure, succ: list[int], angle_tol: float
     )
 
 
-class _ExactCover:
-    """Completion of one L_c as an exact-cover problem over boundary edges.
-
-    Each identification of Lc is one option (the first entry of Lc naming
-    it, in either direction); options are numbered in SidePairing.sort_key
-    order and listed under both of their edges, at edge e in the order
-    (reversing, other edge's key).  ``links[o]`` holds the slot links that
-    choosing option o adds.  The branching rule lives here, shared by the
-    search and by the emission order of carried solutions: live[e] counts
-    the options of e whose other edge is unmatched, a matched edge carries
-    an extra ``done`` (so min(live) > n_opts once every edge is matched),
-    and the search branches on the first unmatched edge, in key order, with
-    the fewest live options.  Live counts depend only on which edges are
-    matched, never on angles.
-    """
-
-    def __init__(self, Lc: list[SidePairing], F: FundamentalDomain):
-        self.struct = _BoundaryStructure(F)
-        edge_keys = sorted(e.key for e in F.boundary)
-        edge_of = {key: i for i, key in enumerate(edge_keys)}
-        unique: dict[tuple, SidePairing] = {}
-        for p in Lc:
-            if p.src.key in edge_of and p.dst.key in edge_of and p.src.key != p.dst.key:
-                unique.setdefault(p.identification, p)
-        self.options = sorted(unique.values(), key=SidePairing.sort_key)
-        self.links = [tuple(self.struct.links_for(p)) for p in self.options]
-        # by_edge[e]: (option, other edge) for the options touching edge e
-        ranked: list[list[tuple[bool, int, int]]] = [[] for _ in edge_keys]
-        for o, p in enumerate(self.options):
-            a, b = edge_of[p.src.key], edge_of[p.dst.key]
-            ranked[a].append((p.reversing, b, o))
-            ranked[b].append((p.reversing, a, o))
-        self.by_edge = [[(o, d) for _, d, o in sorted(opts)] for opts in ranked]
-        self.n_opts = len(self.options)
-        self.done = self.n_opts + 1
-
-    def live_counts(self) -> list[int]:
-        """live before any edge is matched."""
-        return [len(opts) for opts in self.by_edge]
-
-    def cover(self, live: list[int], e: int, delta: int) -> None:
-        """Mark edge e matched (delta 1) or unmatched again (delta -1)."""
-        live[e] += delta * self.done
-        for _, d in self.by_edge[e]:
-            live[d] -= delta
-
-    def branching_edge(self, live: list[int]) -> int:
-        """The edge to branch on; -1 once every edge is matched."""
-        fewest = min(live, default=self.done)
-        return -1 if fewest > self.n_opts else live.index(fewest)
-
-    def emission_order(self, picks: list[set[int]]) -> list[int]:
-        """Indices into ``picks`` (complete solutions, each a set of options)
-        in the order the search emits them.
-
-        A solution's place is fixed by its branching path: at each branching
-        edge, the position of its option in that edge's list, and the search
-        emits in the order of those paths.  The branching edges depend only
-        on the edges matched so far, so this replays the search over the
-        given solutions alone; solutions sharing a path prefix are carried
-        along it together.
-        """
-        live = self.live_counts()
-        order: list[int] = []
-
-        def replay(members: list[int]) -> None:
-            e = self.branching_edge(live)
-            if e < 0:
-                order.extend(members)
-                return
-            for o, d in self.by_edge[e]:
-                group = [i for i in members if o in picks[i]]
-                if group:
-                    self.cover(live, e, 1)
-                    self.cover(live, d, 1)
-                    replay(group)
-                    self.cover(live, d, -1)
-                    self.cover(live, e, -1)
-
-        replay(list(range(len(picks))))
-        return order
-
-
 def complete_pairing(
     Lc: list[SidePairing],
     F: FundamentalDomain,
     limit: int = 32,
     require_reversing: bool = True,
     angle_tol: float = ANGLE_TOL,
+    within: list[frozenset] | None = None,
 ) -> list[PairingSolution]:
     """Exact-cover completion of Lc into full side-pairing sets.
 
-    Every boundary edge must be matched exactly once by an option of
-    _ExactCover(Lc, F).  The search branches on that problem's branching
-    edge, tries its live options in their listed order, and prunes on the
-    Poincare vertex condition: a closing cycle must total 2 pi and a partial
-    chain may never exceed it, both within ``angle_tol``.  Returns up to
-    ``limit`` solutions in deterministic order; an empty list means the
-    search space is exhausted with no solution.
+    Each identification of Lc is one option (the first entry of Lc naming
+    it), numbered in SidePairing.sort_key order and listed under both of its
+    edges by (reversing, other edge's key).  Every boundary edge must be
+    matched exactly once.  The search branches on the first unmatched edge,
+    in key order, with the fewest live options, tries them in listed order,
+    and prunes on the Poincare vertex condition: a closing cycle must total
+    2 pi and a partial chain may never exceed it, both within ``angle_tol``.
+    Returns up to ``limit`` solutions in deterministic order; an empty list
+    means the search space is exhausted with no solution.
+
+    ``within`` (identification sets) keeps only the branches that still
+    lead to one of them: an option that no target left contains is skipped.
+    Branching and option order stay those of the full Lc, so the targets
+    that pass the same link, angle and cover checks come back in the full
+    search's order.
 
     State is kept in flat integer arrays (after Knuth's "Dancing Links"):
     per-edge live option counts, and the slot permutation built so far as
     ``succ``/``pred`` with chain endpoints and consumed angles, undone from a
     log on backtrack.  A solution's vertex cycles are read off ``succ``.
     """
-    problem = _ExactCover(Lc, F)
-    struct, options, opt_links = problem.struct, problem.options, problem.links
-    by_edge, n_opts = problem.by_edge, problem.n_opts
-    cover, branching_edge = problem.cover, problem.branching_edge
-    live = problem.live_counts()
+    struct = _BoundaryStructure(F)
+    edge_keys = sorted(e.key for e in F.boundary)
+    edge_of = {key: i for i, key in enumerate(edge_keys)}
+    unique: dict[tuple, SidePairing] = {}
+    for p in Lc:
+        if p.src.key in edge_of and p.dst.key in edge_of and p.src.key != p.dst.key:
+            unique.setdefault(p.identification, p)
+    options = sorted(unique.values(), key=SidePairing.sort_key)
+    opt_links = [tuple(struct.links_for(p)) for p in options]
+    # by_edge[e]: (option, other edge) for the options touching edge e
+    ranked: list[list[tuple[bool, int, int]]] = [[] for _ in edge_keys]
+    for o, p in enumerate(options):
+        a, b = edge_of[p.src.key], edge_of[p.dst.key]
+        ranked[a].append((p.reversing, b, o))
+        ranked[b].append((p.reversing, a, o))
+    by_edge = [[(o, d) for _, d, o in sorted(opts)] for opts in ranked]
+    # live[e]: options of e whose other edge is unmatched; a matched edge
+    # carries an extra ``done``, so min(live) > n_opts once all are matched
+    n_opts = len(options)
+    done = n_opts + 1
+    live = [len(opts) for opts in by_edge]
+
+    def cover(e: int, delta: int) -> None:
+        live[e] += delta * done
+        for _, d in by_edge[e]:
+            live[d] -= delta
 
     angle = struct.slot_angle
     n_slots = len(angle)
@@ -652,72 +599,47 @@ def complete_pairing(
         cycles = _vertex_cycles(struct, succ, angle_tol)
         solutions.append(PairingSolution(pairings, cycles, reversing_count))
 
-    def descend() -> None:
-        e = branching_edge(live)
-        if e < 0:
-            emit()
+    def descend(targets: list[frozenset] | None) -> None:
+        fewest = min(live, default=done)
+        if fewest > n_opts:
+            # the targets left contain every chosen option: emit if one is no more
+            if targets is None or any(len(t) == len(chosen) for t in targets):
+                emit()
             return
-        if live[e] == 0:
+        if fewest == 0:
             return
+        e = live.index(fewest)
         for o, d in by_edge[e]:
             if live[d] > n_opts:
                 continue
+            kept = None
+            if targets is not None:
+                kept = [t for t in targets if o in t]
+                if not kept:
+                    continue
             mark = len(undo)
             if link(o):
-                cover(live, e, 1)
-                cover(live, d, 1)
+                cover(e, 1)
+                cover(d, 1)
                 chosen.append(o)
-                descend()
+                descend(kept)
                 chosen.pop()
-                cover(live, d, -1)
-                cover(live, e, -1)
+                cover(d, -1)
+                cover(e, -1)
             unlink(mark)
             if len(solutions) >= limit:
                 return
 
+    targets = None
+    if within is not None:
+        # as option sets; a target naming an identification outside Lc is no cover
+        option_of = {p.identification: o for o, p in enumerate(options)}
+        targets = [
+            frozenset(option_of[i] for i in t) for t in within if t.issubset(option_of)
+        ]
     if limit > 0:
-        descend()
+        descend(targets)
     return solutions
-
-
-def carry_solutions(
-    sols: list[PairingSolution],
-    sym: DomainSymmetry,
-    Lc: list[SidePairing],
-    F: FundamentalDomain,
-    angle_tol: float = ANGLE_TOL,
-) -> list[PairingSolution]:
-    """complete_pairing's output for Lc, given its exhaustive output ``sols``
-    for an L_c that the domain symmetry ``sym`` maps onto Lc.
-
-    A symmetry permutes the boundary edges, vertex classes and slots, and
-    keeps the slot angles, so the solutions for Lc are the images of
-    ``sols``.  Each image is relabeled to Lc's options, its vertex cycles
-    are read off the slot permutation its links build (the engine's own
-    arithmetic, so the same bits), and the images are put in the engine's
-    emission order (_ExactCover.emission_order).
-    """
-    problem = _ExactCover(Lc, F)
-    option_of = {p.identification: o for o, p in enumerate(problem.options)}
-    image_of: dict[tuple, int] = {}  # record of a source pairing -> its image option
-    images, picks = [], []
-    for sol in sols:
-        picked = []
-        for p in sol.pairings:
-            o = image_of.get(p.record)
-            if o is None:
-                o = image_of[p.record] = option_of[sym.identification(p.identification)]
-            picked.append(o)
-        picked.sort()
-        succ = [-1] * len(problem.struct.slots)
-        for o in picked:
-            for u, w in problem.links[o]:
-                succ[u] = w
-        pairings = tuple(problem.options[o] for o in picked)
-        cycles = _vertex_cycles(problem.struct, succ, angle_tol)
-        images.append(PairingSolution(pairings, cycles, sum(p.reversing for p in pairings)))
-        picks.append(set(picked))
-    return [images[i] for i in problem.emission_order(picks)]
 
 
 def complete_survivors(
@@ -726,20 +648,21 @@ def complete_survivors(
     limit: int = 32,
     angle_tol: float = ANGLE_TOL,
 ) -> tuple[list[list[PairingSolution]], int]:
-    """complete_pairing for every L_c in order, one search per symmetry orbit.
+    """complete_pairing for every L_c in order, one full search per orbit.
 
     When a symmetry of F maps the identification set of an earlier L_c whose
     search was exhaustive (fewer than ``limit`` solutions) exactly onto this
-    one's, that search's solutions are carried over (carry_solutions)
-    instead of searching again.  Returns the solutions per L_c and the
-    number of searches run.
+    one's, the images of that search's solutions are replayed through
+    complete_pairing(..., within=images), which checks each one and puts
+    them in the full search's order, instead of searching again.  Returns
+    the solutions per L_c and the number of full searches run.
     """
     exhaustive: list[tuple[frozenset, list[PairingSolution]]] = []
     out = []
     searches = 0
     for Lc in Lcs:
         idents = frozenset(p.identification for p in Lc)
-        sols = None
+        within = None
         for source, source_sols in exhaustive:
             if len(source) != len(idents):
                 continue
@@ -748,10 +671,12 @@ def complete_survivors(
                 None,
             )
             if sym is not None:
-                sols = carry_solutions(source_sols, sym, Lc, F, angle_tol)
+                within = [
+                    frozenset(map(sym.identification, s.identifications)) for s in source_sols
+                ]
                 break
-        if sols is None:
-            sols = complete_pairing(Lc, F, limit=limit, angle_tol=angle_tol)
+        sols = complete_pairing(Lc, F, limit=limit, angle_tol=angle_tol, within=within)
+        if within is None:
             searches += 1
             if len(sols) < limit:
                 exhaustive.append((idents, sols))

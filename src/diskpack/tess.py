@@ -48,10 +48,6 @@ class PolygonMetrics:
         """Endpoints of edge m in counterclockwise order."""
         return self.corner(m - 1), self.corner(m)
 
-    def edge_midpoint(self, m: int) -> complex:
-        r = math.tanh(0.5 * self.inradius)
-        return r * cmath.exp(2j * math.pi * m / self.n)
-
 
 def polygon_metrics(n: int) -> PolygonMetrics:
     if n <= 6:
@@ -117,10 +113,6 @@ class DistanceSet:
             if 0 <= j < len(self.values) and abs(self.values[j] - d) <= self.match_tol:
                 return True
         return False
-
-    def admissible_mask(self, d: np.ndarray) -> np.ndarray:
-        """is_admissible for every element of d, with the same answers."""
-        return AdmissibilityTable(self)(d)
 
     def nearest(self, d: float) -> float:
         i = bisect.bisect_left(self.values, d)

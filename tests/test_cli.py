@@ -223,6 +223,23 @@ def test_seed_flags_in_the_opposite_direction(n14_cfg_path, completed_run, tmp_p
     assert after["seed_pair"] == [[True, 0, 10, 0, 13], [False, 0, 2, 1, 7]]
 
 
+def test_search_subcommand_stops_before_the_certificate(n14_cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["search", "--config", n14_cfg_path, "--depth", "3", "--out", out]) == 0
+    names = set(os.listdir(out))
+    assert {"solutions.json", "solution.svg"} <= names
+    assert "certificate.json" not in names
+    line = "completion: 3 survivors, 1 search, 2 carried by symmetry (group of order 6)"
+    assert line in capsys.readouterr().err.splitlines()
+
+
+def test_render_subcommand_writes_the_figures(n14_cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["render", "--config", n14_cfg_path, "--depth", "3", "--out", out]) == 0
+    assert {"domain.svg", "bananas.svg", "candidates.svg"} <= set(os.listdir(out))
+    assert "figures" in capsys.readouterr().out
+
+
 def test_candidates_subcommand_with_seed_flags(n14_cfg_path, capsys):
     code = main(
         [
@@ -275,6 +292,30 @@ def test_missing_seed_flags_rejected(n14_cfg_path):
     assert (
         main(["candidates", "--config", n14_cfg_path, "--seed-src", "1.13,1.2"]) == 1
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--seed-src", "1.x,1.2", "'1.x'"),
+        ("--seed-src", "1,1.2", "'1'"),
+        ("--seed-src", "1.13,1.2.3", "'1.2.3'"),
+        ("--seed-dst", "1.10,", "''"),
+        ("--seed-reversing", "2,0", "'2'"),
+        ("--seed-reversing", "1,maybe", "'maybe'"),
+    ],
+)
+def test_malformed_seed_flags_exit_1(n14_cfg_path, tmp_path, flag, value, named, capsys):
+    seeds = {"--seed-src": "1.13,1.2", "--seed-dst": "1.10,2.7", "--seed-reversing": "1,0"}
+    seeds[flag] = value
+    out = str(tmp_path / "out")
+    args = ["candidates", "--config", n14_cfg_path, "--out", out]
+    for name, text in seeds.items():
+        args.append(f"{name}={text}")
+    assert main(args) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["stage"] == "config" and named in err["error"]
+    assert not os.path.exists(out)
 
 
 def test_primitive_pair_subcommand(capsys):

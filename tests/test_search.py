@@ -29,7 +29,6 @@ from diskpack.search import (
     _vertex_cycles,
     bananas,
     candidates,
-    carry_solutions,
     compatibility_matrix,
     complete_pairing,
     complete_survivors,
@@ -451,9 +450,9 @@ def _carries(F, Lcs, target):
 
 
 class TestOrbitCarry:
-    """Solutions carried along a symmetry of F against the engine's own:
-    the same pairings in the same order, reversing counts, and vertex
-    cycles bit for bit."""
+    """Solutions carried along a symmetry of F are replayed by the engine
+    under ``within``: against the engine's full search, the same pairings in
+    the same order, reversing counts, and vertex cycles bit for bit."""
 
     @pytest.mark.parametrize("depth", [3, 5])
     def test_carried_solutions_equal_the_engine(self, n14, n14_filtered, depth):
@@ -466,17 +465,82 @@ class TestOrbitCarry:
             # one orbit: every survivor, itself included, reaches each one
             assert {i for i, _ in carries} == {0, 1, 2}
             for i, sym in carries:
-                got = carry_solutions(engine[i], sym, Lcs[target], n14.F)
+                images = [
+                    frozenset(map(sym.identification, s.identifications)) for s in engine[i]
+                ]
+                got = complete_pairing(Lcs[target], n14.F, limit=256, within=images)
                 assert [s.pairings for s in got] == [s.pairings for s in want]
                 assert _summary(got) == _summary(want)
 
     @staticmethod
+    def _survivor3(n14_filtered):
+        return next(
+            it["Lc"] for it in n14_filtered[3] if it["covered"] and not it["is_center"]
+        )
+
+    def test_a_target_that_is_no_solution_is_not_emitted(self, n14, n14_filtered):
+        Lc = self._survivor3(n14_filtered)
+        want = complete_pairing(Lc, n14.F, limit=256)
+        first = want[0].identifications
+        dropped = first - {min(first)}
+        idents = {p.identification for p in Lc}
+        outside = next(p.identification for p in n14.L if p.identification not in idents)
+        spare = next(i for i in sorted(idents) if i not in first)
+        # one short, one too many (from L_c or from outside it), one swapped
+        # out for one outside L_c or for one of L_c
+        bad = [
+            dropped,
+            first | {spare},
+            first | {outside},
+            dropped | {outside},
+            dropped | {spare},
+        ]
+        assert complete_pairing(Lc, n14.F, limit=256, within=bad) == []
+        targets = bad + [s.identifications for s in want]
+        got = complete_pairing(Lc, n14.F, limit=256, within=targets)
+        assert _summary(got) == _summary(want)
+        assert complete_pairing(Lc, n14.F, limit=256, within=[]) == []
+
+    def test_a_shuffled_within_comes_back_in_engine_order(self, n14, n14_filtered):
+        Lc = self._survivor3(n14_filtered)
+        want = complete_pairing(Lc, n14.F, limit=256)
+        targets = [s.identifications for s in want]
+        random.Random(5).shuffle(targets)
+        assert targets != [s.identifications for s in want]
+        got = complete_pairing(Lc, n14.F, limit=256, within=targets)
+        assert _summary(got) == _summary(want)
+        # a part of them: that part alone, still in engine order
+        part = set(targets[::3])
+        got = complete_pairing(Lc, n14.F, limit=256, within=targets[::3])
+        assert _summary(got) == _summary([s for s in want if s.identifications in part])
+
+    def test_limit_and_require_reversing_apply_under_within(self, n14, n14_filtered):
+        Lc = self._survivor3(n14_filtered)
+        every = complete_pairing(Lc, n14.F, limit=256, require_reversing=False)
+        targets = [s.identifications for s in every]
+        # 40 solutions, 10 of them without a reversing pairing
+        assert len(every) == 40 and sum(s.reversing_count == 0 for s in every) == 10
+        got = complete_pairing(Lc, n14.F, limit=256, within=targets)
+        assert _summary(got) == _summary(complete_pairing(Lc, n14.F, limit=256))
+        assert len(got) == 30
+        loose = complete_pairing(
+            Lc, n14.F, limit=256, require_reversing=False, within=targets
+        )
+        assert _summary(loose) == _summary(every)
+        for limit in (0, 1, 7):
+            cut = complete_pairing(Lc, n14.F, limit=limit, within=targets)
+            assert _summary(cut) == _summary(complete_pairing(Lc, n14.F, limit=limit))
+            assert len(cut) == limit
+
+    @staticmethod
     def _counted(monkeypatch):
+        """Full searches run: calls to the engine without ``within``."""
         calls = []
         engine = search.complete_pairing
 
         def counting(Lc, *args, **kwargs):
-            calls.append(len(Lc))
+            if kwargs.get("within") is None:
+                calls.append(len(Lc))
             return engine(Lc, *args, **kwargs)
 
         monkeypatch.setattr(search, "complete_pairing", counting)

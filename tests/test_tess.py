@@ -265,7 +265,7 @@ class TestAdmissibleMask:
         dset = admissible_distances(14, depth)
         d = _edge_distances(dset)
         expected = np.array([dset.is_admissible(float(x)) for x in d])
-        assert np.array_equal(dset.admissible_mask(d), expected)
+        assert np.array_equal(AdmissibilityTable(dset)(d), expected)
         # the ulp moves straddle the rule's boundary on both sides
         assert expected.any() and not expected.all()
 
@@ -281,11 +281,12 @@ class TestAdmissibleMask:
         uniform = [rng.uniform(-1.0, hi) for _ in range(4000)]
         d = np.concatenate([_edge_distances(dset), uniform])
         expected = np.array([dset.is_admissible(float(x)) for x in d])
-        assert np.array_equal(dset.admissible_mask(d), expected)
+        assert np.array_equal(AdmissibilityTable(dset)(d), expected)
 
     def test_keeps_the_shape_of_d(self):
         dset = admissible_distances(14, 2)
         d = np.array(dset.values[:6]).reshape(2, 3)
-        assert dset.admissible_mask(d).shape == (2, 3)
-        assert dset.admissible_mask(d).all()
-        assert dset.admissible_mask(np.empty(0)).shape == (0,)
+        admissible = AdmissibilityTable(dset)
+        assert admissible(d).shape == (2, 3)
+        assert admissible(d).all()
+        assert admissible(np.empty(0)).shape == (0,)
