@@ -39,6 +39,7 @@ from .tess import TriangleGenerators, triangle_generators
 
 EDGE_MATCH_TOL = 1e-9
 INSIDE_TOL = 1e-9
+WEDGE = 2.0 * math.pi / 3.0  # a tile's corner angle: three tiles meet at a vertex
 
 
 class OverlappingPolygons(ValueError):
@@ -46,6 +47,10 @@ class OverlappingPolygons(ValueError):
 
 
 class DisconnectedAssembly(ValueError):
+    pass
+
+
+class InvalidCellStructure(ValueError):
     pass
 
 
@@ -263,6 +268,11 @@ class FundamentalDomain:
         return tuple(out)
 
     @cached_property
+    def slots(self) -> "BoundarySlots":
+        """The boundary's corner slots, built on first use and shared by every completion."""
+        return BoundarySlots(self)
+
+    @cached_property
     def interior_vertices(self) -> tuple[int, ...]:
         """Indices into vertex_classes() of the vertices inside F: those where
         three tile corners of angle 2 pi / 3 meet, a full angle."""
@@ -411,18 +421,6 @@ class SidePairing:
         return (self.src.poly, self.src.edge, self.reversing, self.dst.poly, self.dst.edge)
 
 
-def pairing_between(F: FundamentalDomain, src: EdgeRef, dst: EdgeRef, reversing: bool) -> Isometry:
-    """The matching of src onto dst carrying the inward side of src outward."""
-    u1, u2 = src.endpoints
-    v1, v2 = dst.endpoints
-    h1 = segment_aligner(u1, u2)
-    if reversing:
-        # endpoints kept parallel; the orientation flip crosses the sides
-        return segment_aligner(v1, v2).inverse() * Isometry(1.0, 0.0, True) * h1
-    # endpoints crossed; conformality crosses the sides
-    return segment_aligner(v2, v1).inverse() * h1
-
-
 def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
     """The axial side pairings of F, one per identification, by sort_key.
 
@@ -432,21 +430,107 @@ def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
     torsion-free group and are discarded.  An entry's inverse, with the same
     displacement function, would repeat its bananas, compatibility and
     completion choice, so it is not listed.
+
+    A matching is dst's factor times src's aligner h1 = aligner(u1, u2):
+    aligner(v2, v1)^-1 when conformal (endpoints crossed), aligner(v1, v2)^-1 R
+    when reversing (R the reflection in the real axis).  Each edge's aligner
+    and both factors are built once.
     """
+    aligner = {e.key: segment_aligner(*e.endpoints) for e in F.boundary}
+    onto = {  # edge key -> (conformal factor, reversing factor)
+        e.key: (
+            segment_aligner(e.endpoints[1], e.endpoints[0]).inverse(),
+            aligner[e.key].inverse() * Isometry(1.0, 0.0, True),
+        )
+        for e in F.boundary
+    }
     out = []
     for src in F.boundary:
+        h1 = aligner[src.key]
         for dst in F.boundary:
             if src.key >= dst.key:
                 continue
             for reversing in (False, True):
-                m = pairing_between(F, src, dst, reversing)
+                m = onto[dst.key][reversing] * h1
                 cls = classify(m)
-                want = GLIDE if reversing else HYPERBOLIC
-                if cls.tag != want:
-                    continue
-                out.append(SidePairing(m, src, dst, reversing, cls))
+                if cls.tag == (GLIDE if reversing else HYPERBOLIC):
+                    out.append(SidePairing(m, src, dst, reversing, cls))
     out.sort(key=SidePairing.sort_key)
     return out
+
+
+class BoundarySlots:
+    """Vertex classes and the corner slots used for vertex-cycle tracing.
+
+    A slot is a pair (boundary vertex, incident boundary edge); every
+    boundary vertex carries exactly two.  Choosing a pairing g for edge e
+    sends each endpoint v of e to an endpoint v' of the target edge, and the
+    cycle continues across the corner of F at v' along its other boundary
+    edge.  This walk is a permutation of the slots; each vertex cycle of the
+    quotient appears as a mirror pair of slot cycles, and the wedge angle at
+    v is consumed once per slot step, so a valid cycle closes at total 2 pi.
+    """
+
+    def __init__(self, F: FundamentalDomain):
+        self.points: list[complex] = []
+        self.angles: list[float] = []
+        self.interior = F.interior_vertices
+        index_of: dict[tuple[int, int], int] = {}
+        for point, members in F.vertex_classes():
+            idx = len(self.points)
+            self.points.append(point)
+            self.angles.append(WEDGE * len(members))
+            for key in members:
+                index_of[key] = idx
+
+        self.incident: dict[int, list[tuple[int, int]]] = {}
+        for e in F.boundary:
+            for corner in (e.edge - 1, e.edge):
+                v = index_of[(e.poly, corner % F.n)]
+                self.incident.setdefault(v, []).append(e.key)
+        for v, keys in self.incident.items():
+            if len(keys) != 2:
+                raise InvalidCellStructure(
+                    f"boundary vertex {v} has {len(keys)} incident boundary edges"
+                )
+            if v in self.interior:
+                raise InvalidCellStructure("interior vertex lies on the boundary")
+
+        self.slots = [(key, v) for v in sorted(self.incident) for key in self.incident[v]]
+        self.slot_of = {slot: s for s, slot in enumerate(self.slots)}
+        self.slot_vertex = [v for _, v in self.slots]
+        self.slot_angle = [self.angles[v] for v in self.slot_vertex]
+        self.edge_index = {key: i for i, key in enumerate(sorted(e.key for e in F.boundary))}
+        self._links: dict[tuple, tuple[tuple[int, int], ...]] = {}
+
+    def vertex_at(self, z: complex) -> int:
+        for idx, p in enumerate(self.points):
+            if abs(z - p) < 1e-6:
+                return idx
+        raise InvalidCellStructure(f"pairing image {z} is not a vertex of the domain")
+
+    def _links_one_direction(self, src_key, dst_key, mp: Isometry):
+        out = []
+        for v in (v for (key, v) in self.slots if key == src_key):
+            w = self.vertex_at(mp(self.points[v]))
+            if dst_key not in self.incident.get(w, ()):
+                raise InvalidCellStructure(
+                    f"pairing sends vertex {v} off the endpoints of {dst_key}"
+                )
+            other = next(k for k in self.incident[w] if k != dst_key)
+            out.append((self.slot_of[(src_key, v)], self.slot_of[(other, w)]))
+        return out
+
+    def links_for(self, p: SidePairing) -> tuple[tuple[int, int], ...]:
+        """The four slot links induced by choosing identification p, src's
+        endpoints first; computed once per record."""
+        links = self._links.get(p.record)
+        if links is None:
+            links = self._links[p.record] = tuple(
+                self._links_one_direction(p.src.key, p.dst.key, p.map)
+                + self._links_one_direction(p.dst.key, p.src.key, p.inverse_map)
+            )
+        return links
 
 
 def find_pairing(

@@ -214,6 +214,7 @@ def filter_candidates(
 ) -> list[dict]:
     """Per-candidate compatible pairings and edge coverage, in candidate order.
 
+    ``Lc`` is L_c as indices into L (a compatibility-matrix row's nonzeros).
     A candidate covers a boundary edge when one of its compatible pairings
     glues it, so coverage for every candidate is the boolean product of the
     compatibility matrix with the pairing x boundary-edge incidence matrix:
@@ -237,7 +238,7 @@ def filter_candidates(
         items.append(
             {
                 "candidate": c,
-                "Lc": [L[j] for j in np.flatnonzero(row)],
+                "Lc": np.flatnonzero(row),
                 "covered": not uncovered,
                 "uncovered": uncovered,
                 "is_center": any(abs(c.point - z) < 1e-6 for z in centers),
@@ -417,7 +418,7 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
     vertex_index = {point: i for i, point in enumerate(vertices)}
     survivors = [it for it in items if it["covered"] and not it["is_center"]]
     completed, searches = complete_survivors(
-        [it["Lc"] for it in survivors], F, limit=cfg.limit, angle_tol=cfg.angle_tol
+        [[L[j] for j in it["Lc"]] for it in survivors], F, limit=cfg.limit, angle_tol=cfg.angle_tol
     )
     carried = len(survivors) - searches
     log(

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .domain import FundamentalDomain, SidePairing
+from .domain import BoundarySlots, FundamentalDomain, InvalidCellStructure, SidePairing
 from .geom import (
     CoincidentCurves,
     GeneralizedCircle,
-    Isometry,
     axis,
     displacement_offset,
     dist_to_geodesic,
@@ -32,11 +32,6 @@ from .tess import AdmissibilityTable, DistanceSet
 
 CANDIDATE_DEDUP = 1e-6
 ANGLE_TOL = 1e-6
-WEDGE = 2.0 * math.pi / 3.0
-
-
-class InvalidCellStructure(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -357,116 +352,37 @@ class PairingSolution:
     vertex_cycles: tuple[tuple[tuple[complex, ...], float], ...]
     reversing_count: int
 
-    @property
+    @cached_property
     def identifications(self) -> frozenset:
         return frozenset(p.identification for p in self.pairings)
 
 
-class _BoundaryStructure:
-    """Vertex classes and the corner slots used for vertex-cycle tracing.
+def _vertex_cycles(slots: BoundarySlots, succ: list[int], angle_tol: float):
+    """Vertex cycles of a full slot permutation as (vertex points, angle sum).
 
-    A slot is a pair (boundary vertex, incident boundary edge); every
-    boundary vertex carries exactly two.  Choosing a pairing g for edge e
-    sends each endpoint v of e to an endpoint v' of the target edge, and the
-    cycle continues across the corner of F at v' along its other boundary
-    edge.  This walk is a permutation of the slots; each vertex cycle of the
-    quotient appears as a mirror pair of slot cycles, and the wedge angle at
-    v is consumed once per slot step, so a valid cycle closes at total 2 pi.
+    Each slot cycle is walked once from its smallest slot, summing its slot
+    angles in cycle order.  Each quotient vertex on the boundary shows up as
+    a mirror pair of slot cycles over the same vertices; the smaller vertex
+    sequence represents it.
     """
-
-    def __init__(self, F: FundamentalDomain):
-        self.F = F
-        classes = F.vertex_classes()
-        self.points: list[complex] = []
-        self.angles: list[float] = []
-        self.interior = F.interior_vertices
-        index_of: dict[tuple[int, int], int] = {}
-        for point, members in classes:
-            idx = len(self.points)
-            self.points.append(point)
-            self.angles.append(WEDGE * len(members))
-            for key in members:
-                index_of[key] = idx
-        self.corner_class = index_of
-
-        self.incident: dict[int, list[tuple[int, int]]] = {}
-        for e in F.boundary:
-            for corner in (e.edge - 1, e.edge):
-                v = index_of[(e.poly, corner % F.n)]
-                self.incident.setdefault(v, []).append(e.key)
-        for v, keys in self.incident.items():
-            if len(keys) != 2:
-                raise InvalidCellStructure(
-                    f"boundary vertex {v} has {len(keys)} incident boundary edges"
-                )
-            if v in self.interior:
-                raise InvalidCellStructure("interior vertex lies on the boundary")
-
-        self.slot_of: dict[tuple[tuple[int, int], int], int] = {}
-        self.slots: list[tuple[tuple[int, int], int]] = []
-        for v in sorted(self.incident):
-            for key in self.incident[v]:
-                self.slot_of[(key, v)] = len(self.slots)
-                self.slots.append((key, v))
-        self.slot_angle = [self.angles[v] for _, v in self.slots]
-
-    def vertex_at(self, z: complex) -> int:
-        for idx, p in enumerate(self.points):
-            if abs(z - p) < 1e-6:
-                return idx
-        raise InvalidCellStructure(f"pairing image {z} is not a vertex of the domain")
-
-    def _links_one_direction(self, src_key, dst_key, mp: Isometry):
-        out = []
-        for v in (v for (key, v) in self.slots if key == src_key):
-            w = self.vertex_at(mp(self.points[v]))
-            if dst_key not in self.incident.get(w, ()):
-                raise InvalidCellStructure(
-                    f"pairing sends vertex {v} off the endpoints of {dst_key}"
-                )
-            other = next(k for k in self.incident[w] if k != dst_key)
-            out.append((self.slot_of[(src_key, v)], self.slot_of[(other, w)]))
-        return out
-
-    def links_for(self, p: SidePairing) -> list[tuple[int, int]]:
-        """The four slot links induced by choosing identification p."""
-        return self._links_one_direction(
-            p.src.key, p.dst.key, p.map
-        ) + self._links_one_direction(p.dst.key, p.src.key, p.inverse_map)
-
-
-def trace_cycles(succ: list[int], angles: list[float]):
-    """Cycles of the slot permutation ``succ`` (slot s is followed by
-    succ[s], -1 for none), each listed from its smallest slot, with their
-    angle sums."""
+    vertex, angle = slots.slot_vertex, slots.slot_angle
     seen = [False] * len(succ)
-    cycles = []
+    by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], float]]] = {}
     for start in range(len(succ)):
         if seen[start]:
             continue
-        cyc = [start]
         seen[start] = True
+        verts = [vertex[start]]
+        total = angle[start]
         cur = succ[start]
         while cur != start:
             if cur < 0 or seen[cur]:
                 raise InvalidCellStructure("vertex links do not form a permutation")
-            cyc.append(cur)
             seen[cur] = True
+            verts.append(vertex[cur])
+            total += angle[cur]
             cur = succ[cur]
-        cycles.append((tuple(cyc), sum(angles[v] for v in cyc)))
-    return cycles
-
-
-def _vertex_cycles(struct: _BoundaryStructure, succ: list[int], angle_tol: float):
-    """Vertex cycles of a full slot permutation as (vertex points, angle sum).
-
-    Each quotient vertex on the boundary shows up as a mirror pair of slot
-    cycles over the same vertices; the smaller vertex sequence represents it.
-    """
-    by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], float]]] = {}
-    for cyc, total in trace_cycles(succ, struct.slot_angle):
-        verts = tuple(struct.slots[s][1] for s in cyc)
-        by_vertex_set.setdefault(frozenset(verts), []).append((verts, total))
+        by_vertex_set.setdefault(frozenset(verts), []).append((tuple(verts), total))
     cycles = []
     for group in by_vertex_set.values():
         if len(group) != 2:
@@ -479,7 +395,7 @@ def _vertex_cycles(struct: _BoundaryStructure, succ: list[int], angle_tol: float
         if abs(total - 2.0 * math.pi) > angle_tol:
             raise InvalidCellStructure(f"vertex cycle closes at {total}")
     return tuple(
-        (tuple(struct.points[v] for v in verts), total) for verts, total in cycles
+        (tuple(slots.points[v] for v in verts), total) for verts, total in cycles
     )
 
 
@@ -512,36 +428,35 @@ def complete_pairing(
     State is kept in flat integer arrays (after Knuth's "Dancing Links"):
     per-edge live option counts, and the slot permutation built so far as
     ``succ``/``pred`` with chain endpoints and consumed angles, undone from a
-    log on backtrack.  A solution's vertex cycles are read off ``succ``.
+    log on backtrack.  A solution's vertex cycles are read off ``succ``.  The
+    slot table and each option's slot links are F.slots', built once per domain.
     """
-    struct = _BoundaryStructure(F)
-    edge_keys = sorted(e.key for e in F.boundary)
-    edge_of = {key: i for i, key in enumerate(edge_keys)}
+    slots = F.slots
+    edge_of = slots.edge_index
     unique: dict[tuple, SidePairing] = {}
     for p in Lc:
         if p.src.key in edge_of and p.dst.key in edge_of and p.src.key != p.dst.key:
             unique.setdefault(p.identification, p)
     options = sorted(unique.values(), key=SidePairing.sort_key)
-    opt_links = [tuple(struct.links_for(p)) for p in options]
+    opt_links = [slots.links_for(p) for p in options]
     # by_edge[e]: (option, other edge) for the options touching edge e
-    ranked: list[list[tuple[bool, int, int]]] = [[] for _ in edge_keys]
+    ranked: list[list[tuple[bool, int, int]]] = [[] for _ in edge_of]
     for o, p in enumerate(options):
         a, b = edge_of[p.src.key], edge_of[p.dst.key]
         ranked[a].append((p.reversing, b, o))
         ranked[b].append((p.reversing, a, o))
     by_edge = [[(o, d) for _, d, o in sorted(opts)] for opts in ranked]
+    # touched[o]: the far edge of every option at o's two edges; choosing o lowers its live
+    touched = [
+        [d for key in (p.src.key, p.dst.key) for _, d in by_edge[edge_of[key]]] for p in options
+    ]
     # live[e]: options of e whose other edge is unmatched; a matched edge
     # carries an extra ``done``, so min(live) > n_opts once all are matched
     n_opts = len(options)
     done = n_opts + 1
     live = [len(opts) for opts in by_edge]
 
-    def cover(e: int, delta: int) -> None:
-        live[e] += delta * done
-        for _, d in by_edge[e]:
-            live[d] -= delta
-
-    angle = struct.slot_angle
+    angle = slots.slot_angle
     n_slots = len(angle)
     succ = [-1] * n_slots
     pred = [-1] * n_slots
@@ -554,49 +469,13 @@ def complete_pairing(
     chosen: list[int] = []
     solutions: list[PairingSolution] = []
 
-    def link(o: int) -> bool:
-        """Add option o's slot links; False (links added so far stay logged)
-        when a slot is taken or the angle condition fails."""
-        for u, w in opt_links[o]:
-            if succ[u] >= 0 or pred[w] >= 0:
-                return False
-            hu = head_of[u]
-            if w == hu:
-                if abs(consumed[hu] + angle[u] - two_pi) > angle_tol:
-                    return False
-                succ[u] = w
-                pred[w] = u
-                undo.append((u, w, -1, -1, 0.0))
-                continue
-            tw = tail_of[w]
-            merged = consumed[hu] + angle[u] + consumed[w]
-            if merged + angle[tw] > ceiling:
-                return False
-            succ[u] = w
-            pred[w] = u
-            undo.append((u, w, hu, tw, consumed[hu]))
-            tail_of[hu] = tw
-            head_of[tw] = hu
-            consumed[hu] = merged
-        return True
-
-    def unlink(mark: int) -> None:
-        while len(undo) > mark:
-            u, w, hu, tw, old = undo.pop()
-            succ[u] = -1
-            pred[w] = -1
-            if hu >= 0:
-                tail_of[hu] = u
-                head_of[tw] = w
-                consumed[hu] = old
-
     def emit() -> None:
         picked = sorted(chosen)
         pairings = tuple(options[o] for o in picked)
         reversing_count = sum(1 for p in pairings if p.reversing)
         if require_reversing and reversing_count == 0:
             return
-        cycles = _vertex_cycles(struct, succ, angle_tol)
+        cycles = _vertex_cycles(slots, succ, angle_tol)
         solutions.append(PairingSolution(pairings, cycles, reversing_count))
 
     def descend(targets: list[frozenset] | None) -> None:
@@ -618,15 +497,49 @@ def complete_pairing(
                 if not kept:
                     continue
             mark = len(undo)
-            if link(o):
-                cover(e, 1)
-                cover(d, 1)
+            # link o's slots, stopping at a taken slot or a failed angle check
+            for u, w in opt_links[o]:
+                if succ[u] >= 0 or pred[w] >= 0:
+                    break
+                hu = head_of[u]
+                if w == hu:
+                    if abs(consumed[hu] + angle[u] - two_pi) > angle_tol:
+                        break
+                    succ[u] = w
+                    pred[w] = u
+                    undo.append((u, w, -1, -1, 0.0))
+                    continue
+                tw = tail_of[w]
+                merged = consumed[hu] + angle[u] + consumed[w]
+                if merged + angle[tw] > ceiling:
+                    break
+                succ[u] = w
+                pred[w] = u
+                undo.append((u, w, hu, tw, consumed[hu]))
+                tail_of[hu] = tw
+                head_of[tw] = hu
+                consumed[hu] = merged
+            else:
+                # cover e and d, then uncover them
+                live[e] += done
+                live[d] += done
+                for x in touched[o]:
+                    live[x] -= 1
                 chosen.append(o)
                 descend(kept)
                 chosen.pop()
-                cover(d, -1)
-                cover(e, -1)
-            unlink(mark)
+                for x in touched[o]:
+                    live[x] += 1
+                live[d] -= done
+                live[e] -= done
+            while len(undo) > mark:
+                u, w, hu, tw, old = undo.pop()
+                succ[u] = -1
+                pred[w] = -1
+                if hu >= 0:
+                    tail_of[hu] = u
+                    head_of[tw] = w
+                    consumed[hu] = old
             if len(solutions) >= limit:
                 return
 

@@ -1,10 +1,13 @@
 """Published reference data for the N=14 worked example (1-based polygons),
-and the oracles the fast paths are checked against: the enumeration that
-lists every identification in both directions, for the one-entry-per-
-identification list L; the scalar compatibility filter and the per-pairing
+and the oracles the fast paths are checked against: the per-matching
+pairing_between and the enumeration that lists every identification in both
+directions with it, for the one-entry-per-identification list L built from
+per-edge factors; the scalar compatibility filter and the per-pairing
 compatibility loop for the blocked compatibility kernel; the backtracker
 whose state is copied at every node (with its cycle re-trace), fed both
 directions of each identification, for the exact-cover completion engine;
+the slot-permutation walker trace_cycles that the engine's single-pass
+vertex-cycle walk replaced;
 and the membership reduction that scans every generator at each greedy step
 and composes every child's isometry at the push, for the screened
 reduction."""
@@ -14,8 +17,14 @@ import math
 
 import numpy as np
 
-from diskpack.domain import FundamentalDomain, SidePairing, pairing_between
-from diskpack.geom import GLIDE, HYPERBOLIC, Isometry, classify, dist
+from diskpack.domain import (
+    BoundarySlots,
+    EdgeRef,
+    FundamentalDomain,
+    InvalidCellStructure,
+    SidePairing,
+)
+from diskpack.geom import GLIDE, HYPERBOLIC, Isometry, classify, dist, segment_aligner
 from diskpack.group import (
     BFS_DEPTH,
     BFS_NODE_LIMIT,
@@ -26,12 +35,7 @@ from diskpack.group import (
     ReductionStalled,
     _inverse_index,
 )
-from diskpack.search import (
-    ANGLE_TOL,
-    InvalidCellStructure,
-    PairingSolution,
-    _BoundaryStructure,
-)
+from diskpack.search import ANGLE_TOL, PairingSolution
 
 GOOD_CANDIDATE = 0.516 - 0.248j
 REJECTED_CANDIDATE = 0.324 - 0.478j
@@ -82,6 +86,18 @@ LC_REJECTED_IDENTS = frozenset(ident(r) for r in LC_REJECTED)
 SOLUTION_18_IDENTS = frozenset(ident(r) for r in SOLUTION_18)
 
 
+def pairing_between(F: FundamentalDomain, src: EdgeRef, dst: EdgeRef, reversing: bool) -> Isometry:
+    """The matching of src onto dst carrying the inward side of src outward."""
+    u1, u2 = src.endpoints
+    v1, v2 = dst.endpoints
+    h1 = segment_aligner(u1, u2)
+    if reversing:
+        # endpoints kept parallel; the orientation flip crosses the sides
+        return segment_aligner(v1, v2).inverse() * Isometry(1.0, 0.0, True) * h1
+    # endpoints crossed; conformality crosses the sides
+    return segment_aligner(v2, v1).inverse() * h1
+
+
 def reference_enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
     """All axial side pairings between ordered pairs of distinct boundary edges.
 
@@ -123,6 +139,28 @@ def compatible_pairings(c, L, dset):
     distance, one pairing at a time; compatibility_matrix must agree."""
     z = getattr(c, "point", c)
     return [p for p in L if dset.is_admissible(dist(z, p.map(z)))]
+
+
+def trace_cycles(succ: list[int], angles: list[float]):
+    """Cycles of the slot permutation ``succ`` (slot s is followed by
+    succ[s], -1 for none), each listed from its smallest slot, with their
+    angle sums."""
+    seen = [False] * len(succ)
+    cycles = []
+    for start in range(len(succ)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        cur = succ[start]
+        while cur != start:
+            if cur < 0 or seen[cur]:
+                raise InvalidCellStructure("vertex links do not form a permutation")
+            cyc.append(cur)
+            seen[cur] = True
+            cur = succ[cur]
+        cycles.append((tuple(cyc), sum(angles[v] for v in cyc)))
+    return cycles
 
 
 def reference_trace_cycles(links: dict[int, int], angles: dict[int, float]):
@@ -220,7 +258,7 @@ def reference_complete_pairing(
     in deterministic order; an empty list means the search space is exhausted
     with no solution.
     """
-    struct = _BoundaryStructure(F)
+    struct = BoundarySlots(F)  # its own link memo, not the engine's F.slots
     by_src: dict[tuple[int, int], list[SidePairing]] = {e.key: [] for e in F.boundary}
     for p in sorted(set(Lc), key=SidePairing.sort_key):
         if p.src.key in by_src and p.dst.key in by_src and p.src.key != p.dst.key:
@@ -270,7 +308,7 @@ def reference_complete_pairing(
 
 
 def solution_cycles(
-    pairings, struct: _BoundaryStructure
+    pairings, struct: BoundarySlots
 ) -> list[tuple[tuple[int, ...], float]]:
     """Vertex cycles of a full identification set, one per mirror pair.
 

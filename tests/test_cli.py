@@ -35,6 +35,11 @@ def completed_run(depth5_run):
     return depth5_run[0]
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_run_writes_all_artifacts(completed_run):
     names = {
         "distances.json", "domain.json", "pairings.json", "candidates.json",
@@ -47,7 +52,7 @@ def test_run_writes_all_artifacts(completed_run):
 
 def test_artifacts_embed_provenance(completed_run):
     for name in ("distances", "candidates", "certificate"):
-        doc = json.load(open(os.path.join(completed_run, f"{name}.json")))
+        doc = _read_json(os.path.join(completed_run, f"{name}.json"))
         assert doc["stage"] == name
         assert len(doc["config_hash"]) == 16
         assert doc["tolerances"]["match_tol"] == 1e-4
@@ -55,7 +60,7 @@ def test_artifacts_embed_provenance(completed_run):
 
 
 def test_certificate_artifact_passes(completed_run):
-    cert = json.load(open(os.path.join(completed_run, "certificate.json")))
+    cert = _read_json(os.path.join(completed_run, "certificate.json"))
     assert cert["passed"] and cert["normalizes"]
     assert cert["swap_residual"] <= cert["swap_tol"]
     assert len(cert["memberships"]) == 36
@@ -68,7 +73,7 @@ def test_verify_subcommand(n14_cfg_path, completed_run, capsys):
 
 
 def test_verify_detects_tampering(completed_run, tmp_path):
-    cert = json.load(open(os.path.join(completed_run, "certificate.json")))
+    cert = _read_json(os.path.join(completed_run, "certificate.json"))
     cert["memberships"][3]["word"] = cert["memberships"][3]["word"][:-1]
     bad = tmp_path / "certificate.json"
     bad.write_text(json.dumps(cert))
@@ -77,7 +82,7 @@ def test_verify_detects_tampering(completed_run, tmp_path):
 
 
 def _forged(completed_run, tmp_path, forge):
-    cert = json.load(open(os.path.join(completed_run, "certificate.json")))
+    cert = _read_json(os.path.join(completed_run, "certificate.json"))
     forge(cert)
     out = tmp_path / "forged"
     out.mkdir()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point
-from reference_data import SEED_P1, flipped, ident
+from reference_data import SEED_P1, flipped, ident, reference_enumerate_pairings
 from diskpack.domain import (
     INSIDE_TOL,
     Attachment,
@@ -16,7 +16,6 @@ from diskpack.domain import (
     pairing_json,
 )
 from diskpack.geom import Isometry, dist
-from diskpack.search import _BoundaryStructure
 
 
 class TestBuildDomain:
@@ -244,6 +243,17 @@ class TestEnumeratePairings:
         # no identification of the oracle is lost
         assert {p.identification for p in n14.L} == {p.identification for p in n14.L2}
 
+    @pytest.mark.parametrize("n", [12, 18, 24, 30])
+    def test_one_tile_domains_equal_the_oracle(self, n):
+        # the per-edge factors give every map pairing_between gives, bit for bit
+        F = build_domain(n, [])
+        L = enumerate_pairings(F)
+        forward = [p for p in reference_enumerate_pairings(F) if p.src.key < p.dst.key]
+        assert L and [p.record for p in L] == [p.record for p in forward]
+        for p, q in zip(L, forward):
+            assert (p.map.a, p.map.b, p.map.reversing) == (q.map.a, q.map.b, q.map.reversing)
+            assert p.cls == q.cls
+
     def test_no_entry_is_listed_in_both_directions(self, n14):
         records = {p.record for p in n14.L}
         assert not any(flipped(r) in records for r in records)
@@ -344,7 +354,7 @@ class TestSymmetries:
                 assert (g * p.map * g_inv).matrix_dist(want) < 1e-9
 
     def test_permutes_the_slots_keeping_their_angles(self, n14):
-        struct = _BoundaryStructure(n14.F)
+        struct = n14.F.slots
         for s in n14.F.symmetries:
             images = []
             for key, v in struct.slots:

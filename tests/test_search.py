@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from reference_data import (
     reference_compatibility_matrix,
     reference_complete_pairing,
     solution_cycles,
+    trace_cycles,
 )
 from diskpack import search
-from diskpack.domain import build_domain, find_pairing
+from diskpack.domain import BoundarySlots, build_domain, find_pairing
 from diskpack.geom import axis, dist
 from diskpack.pipeline import filter_candidates
 from diskpack.tess import admissible_distances
@@ -25,7 +27,6 @@ from diskpack.search import (
     BLOCK_CELLS,
     InvalidCellStructure,
     PairingSolution,
-    _BoundaryStructure,
     _vertex_cycles,
     bananas,
     candidates,
@@ -33,7 +34,6 @@ from diskpack.search import (
     complete_pairing,
     complete_survivors,
     edge_coverage,
-    trace_cycles,
     verify_topology,
 )
 
@@ -220,8 +220,13 @@ class TestEdgeCoverage:
     def test_filtering_coverage_matches_edge_coverage(self, n14, n14_filtered, depth):
         items = n14_filtered[depth]
         assert len(items) == {3: 379, 5: 816}[depth]
-        for it in items:
-            cov = edge_coverage(it["Lc"], n14.F)
+        dset = n14.dset if depth == 5 else admissible_distances(14, 3)
+        points = [it["candidate"].point for it in items]
+        # every candidate's L_c, built here from its compatibility-matrix row
+        for it, row in zip(items, compatibility_matrix(points, n14.L, dset)):
+            cols = np.flatnonzero(row)
+            assert it["Lc"].tolist() == cols.tolist()
+            cov = edge_coverage([n14.L[j] for j in cols], n14.F)
             uncovered = sorted(key for key, touching in cov.items() if not touching)
             assert it["uncovered"] == uncovered
             assert it["covered"] is (not uncovered)
@@ -301,14 +306,24 @@ class TestCycleMachinery:
         vertices, edges, faces = 1, 2, 1
         assert vertices - edges + faces == 0
 
-    def test_non_permutation_detected(self):
+    def test_non_permutation_detected(self, n14, n14_solution):
         with pytest.raises(InvalidCellStructure):
             trace_cycles([1, 0, 1], [1.0, 1.0, 1.0])
         with pytest.raises(InvalidCellStructure):
             trace_cycles([1, -1], [1.0, 1.0])  # slot 1 has no successor
+        slots = n14.F.slots
+        succ = self._reference_succ(slots, n14_solution.reference.pairings)
+        # two slots followed by the same one, and a slot with no successor
+        merged = list(succ)
+        merged[0] = succ[1]
+        open_end = list(succ)
+        open_end[5] = -1
+        for bad in (merged, open_end):
+            with pytest.raises(InvalidCellStructure, match="permutation"):
+                _vertex_cycles(slots, bad, 10.0)
 
     def test_solution_cycles_pair_up(self, n14, n14_solution):
-        struct = _BoundaryStructure(n14.F)
+        struct = n14.F.slots
         cycles = solution_cycles(n14_solution.reference.pairings, struct)
         assert len(cycles) == 13  # quotient boundary vertices
         for verts, total in cycles:
@@ -317,7 +332,7 @@ class TestCycleMachinery:
     def test_global_angle_bookkeeping(self, n14, n14_solution):
         # the cycle angle sums together account for every boundary vertex's
         # interior angle exactly once
-        struct = _BoundaryStructure(n14.F)
+        struct = n14.F.slots
         cycles = solution_cycles(n14_solution.reference.pairings, struct)
         total = sum(t for _, t in cycles)
         boundary_angle = sum(
@@ -337,7 +352,7 @@ class TestCycleMachinery:
         return succ
 
     def test_vertex_cycles_match_reference(self, n14, n14_solution):
-        struct = _BoundaryStructure(n14.F)
+        struct = n14.F.slots
         succ = self._reference_succ(struct, n14_solution.reference.pairings)
         cycles = _vertex_cycles(struct, succ, 1e-6)
         expected = solution_cycles(n14_solution.reference.pairings, struct)
@@ -346,8 +361,52 @@ class TestCycleMachinery:
         )
         assert cycles == n14_solution.reference.vertex_cycles
 
+    def test_vertex_cycles_match_oracle_on_every_depth5_solution(self, n14, n14_survivors):
+        # the oracle re-traces each solution's links with its own slot table;
+        # every angle sum must have the same bits
+        slots, fresh = n14.F.slots, BoundarySlots(n14.F)
+        completed, _ = complete_survivors(n14_survivors, n14.F, limit=256)
+        sols = [sol for sols in completed for sol in sols]
+        assert len(sols) == 495
+        for sol in sols:
+            cycles = _vertex_cycles(slots, self._reference_succ(fresh, sol.pairings), 1e-6)
+            expected = solution_cycles(sol.pairings, fresh)
+            assert [verts for verts, _ in cycles] == [
+                tuple(fresh.points[v] for v in verts) for verts, _ in expected
+            ]
+            bits = [total.hex() for _, total in cycles]
+            assert bits == [total.hex() for _, total in expected]
+            assert bits == [total.hex() for _, total in sol.vertex_cycles]
+
+    def test_vertex_cycle_sums_keep_the_cycle_order(self):
+        # angles of mixed magnitudes, whose sums round differently in another
+        # order: three vertex cycles of three vertices each, slot 2 v walking
+        # forward and slot 2 v + 1 back; every total equals the oracle's sum
+        # over its slot cycle from the smallest slot, bit for bit
+        rng = random.Random(3)
+        angles = [rng.uniform(0.1, 1.0) * 10.0 ** rng.randint(-9, 0) for _ in range(9)]
+        order = rng.sample(range(9), 9)
+        succ = [-1] * 18
+        for c in (0, 3, 6):
+            vs = order[c : c + 3]
+            for i, v in enumerate(vs):
+                succ[2 * v] = 2 * vs[(i + 1) % 3]
+                succ[2 * v + 1] = 2 * vs[i - 1] + 1
+        slots = SimpleNamespace(
+            slot_vertex=[s // 2 for s in range(18)],
+            slot_angle=[angles[s // 2] for s in range(18)],
+            points=[complex(v) for v in range(9)],
+        )
+        cycles = _vertex_cycles(slots, succ, 10.0)
+        sums = {
+            tuple(s // 2 for s in cyc): total for cyc, total in trace_cycles(succ, slots.slot_angle)
+        }
+        assert len(cycles) == 3
+        for points, total in cycles:
+            assert total.hex() == sums[tuple(int(z.real) for z in points)].hex()
+
     def test_unclosed_cycle_rejected(self, n14, n14_solution):
-        struct = _BoundaryStructure(n14.F)
+        struct = n14.F.slots
         succ = self._reference_succ(struct, n14_solution.reference.pairings)
         with pytest.raises(InvalidCellStructure):
             _vertex_cycles(struct, succ, -1.0)
@@ -355,7 +414,7 @@ class TestCycleMachinery:
     def test_unpaired_slot_cycles_rejected(self, n14):
         # both slots of one vertex in a single cycle, every other slot fixed:
         # that vertex's slot cycle has no mirror partner
-        struct = _BoundaryStructure(n14.F)
+        struct = n14.F.slots
         succ = list(range(len(struct.slots)))
         v = struct.slots[0][1]
         a, b = (s for s, (_, w) in enumerate(struct.slots) if w == v)
@@ -368,7 +427,12 @@ class TestCycleMachinery:
 def n14_survivors(n14):
     """L_c of every covered, non-center N = 14 candidate (depth 5)."""
     items = filter_candidates(None, n14.F, n14.L, n14.dset, n14.C)
-    return [it["Lc"] for it in items if it["covered"] and not it["is_center"]]
+    return [_pairings(n14, it) for it in items if it["covered"] and not it["is_center"]]
+
+
+def _pairings(n14, item):
+    """A filtering item's L_c as pairings of L."""
+    return [n14.L[j] for j in item["Lc"]]
 
 
 def _summary(sols):
@@ -456,7 +520,11 @@ class TestOrbitCarry:
 
     @pytest.mark.parametrize("depth", [3, 5])
     def test_carried_solutions_equal_the_engine(self, n14, n14_filtered, depth):
-        Lcs = [it["Lc"] for it in n14_filtered[depth] if it["covered"] and not it["is_center"]]
+        Lcs = [
+            _pairings(n14, it)
+            for it in n14_filtered[depth]
+            if it["covered"] and not it["is_center"]
+        ]
         assert len(Lcs) == 3
         engine = [complete_pairing(Lc, n14.F, limit=256) for Lc in Lcs]
         assert [len(sols) for sols in engine] == [{3: 30, 5: 165}[depth]] * 3
@@ -473,13 +541,15 @@ class TestOrbitCarry:
                 assert _summary(got) == _summary(want)
 
     @staticmethod
-    def _survivor3(n14_filtered):
+    def _survivor3(n14, n14_filtered):
         return next(
-            it["Lc"] for it in n14_filtered[3] if it["covered"] and not it["is_center"]
+            _pairings(n14, it)
+            for it in n14_filtered[3]
+            if it["covered"] and not it["is_center"]
         )
 
     def test_a_target_that_is_no_solution_is_not_emitted(self, n14, n14_filtered):
-        Lc = self._survivor3(n14_filtered)
+        Lc = self._survivor3(n14, n14_filtered)
         want = complete_pairing(Lc, n14.F, limit=256)
         first = want[0].identifications
         dropped = first - {min(first)}
@@ -502,7 +572,7 @@ class TestOrbitCarry:
         assert complete_pairing(Lc, n14.F, limit=256, within=[]) == []
 
     def test_a_shuffled_within_comes_back_in_engine_order(self, n14, n14_filtered):
-        Lc = self._survivor3(n14_filtered)
+        Lc = self._survivor3(n14, n14_filtered)
         want = complete_pairing(Lc, n14.F, limit=256)
         targets = [s.identifications for s in want]
         random.Random(5).shuffle(targets)
@@ -515,7 +585,7 @@ class TestOrbitCarry:
         assert _summary(got) == _summary([s for s in want if s.identifications in part])
 
     def test_limit_and_require_reversing_apply_under_within(self, n14, n14_filtered):
-        Lc = self._survivor3(n14_filtered)
+        Lc = self._survivor3(n14, n14_filtered)
         every = complete_pairing(Lc, n14.F, limit=256, require_reversing=False)
         targets = [s.identifications for s in every]
         # 40 solutions, 10 of them without a reversing pairing
@@ -567,6 +637,23 @@ class TestOrbitCarry:
 
     def test_limit_above_the_count_carries(self, n14, n14_survivors, monkeypatch):
         self._check(n14, n14_survivors, 166, 1, monkeypatch)
+
+    def test_slot_table_built_once(self, n14, n14_survivors, monkeypatch):
+        # one search and two replays share F's slot table and its links
+        builds = []
+        init = BoundarySlots.__init__
+
+        def counting(self, F):
+            builds.append(F)
+            init(self, F)
+
+        monkeypatch.delitem(vars(n14.F), "slots", raising=False)
+        monkeypatch.setattr(BoundarySlots, "__init__", counting)
+        got, searches = complete_survivors(n14_survivors, n14.F, limit=256)
+        assert searches == 1 and [len(s) for s in got] == [165, 165, 165]
+        assert builds == [n14.F]
+        complete_survivors(n14_survivors, n14.F, limit=256)
+        assert builds == [n14.F]
 
     def test_a_mate_that_lost_an_identification_is_searched(
         self, n14, n14_survivors, monkeypatch
