@@ -268,7 +268,7 @@ class FundamentalDomain:
         return tuple(out)
 
     @cached_property
-    def slots(self) -> "BoundarySlots":
+    def slot_table(self) -> "BoundarySlots":
         """The boundary's corner slots, built on first use and shared by every completion."""
         return BoundarySlots(self)
 
@@ -432,9 +432,8 @@ def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
     completion choice, so it is not listed.
 
     A matching is dst's factor times src's aligner h1 = aligner(u1, u2):
-    aligner(v2, v1)^-1 when conformal (endpoints crossed), aligner(v1, v2)^-1 R
-    when reversing (R the reflection in the real axis).  Each edge's aligner
-    and both factors are built once.
+    aligner(v2, v1)^-1 if conformal (endpoints crossed), aligner(v1, v2)^-1 R if
+    reversing (R the reflection in the real axis); both are built once per edge.
     """
     aligner = {e.key: segment_aligner(*e.endpoints) for e in F.boundary}
     onto = {  # edge key -> (conformal factor, reversing factor)
@@ -522,15 +521,14 @@ class BoundarySlots:
         return out
 
     def links_for(self, p: SidePairing) -> tuple[tuple[int, int], ...]:
-        """The four slot links induced by choosing identification p, src's
-        endpoints first; computed once per record."""
-        links = self._links.get(p.record)
-        if links is None:
-            links = self._links[p.record] = tuple(
+        """The four slot links of identification p, src's endpoints first;
+        kept per record, as orbit mates' L_c share most of their records."""
+        if p.record not in self._links:
+            self._links[p.record] = tuple(
                 self._links_one_direction(p.src.key, p.dst.key, p.map)
                 + self._links_one_direction(p.dst.key, p.src.key, p.inverse_map)
             )
-        return links
+        return self._links[p.record]
 
 
 def find_pairing(

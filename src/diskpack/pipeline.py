@@ -247,6 +247,11 @@ def filter_candidates(
     return items
 
 
+def lc_pairings(item: dict, L: list[SidePairing]) -> list[SidePairing]:
+    """A filtering item's L_c as pairings of L, in L's order."""
+    return [L[j] for j in item["Lc"]]
+
+
 def _filtering_json(items: list[dict]) -> list[dict]:
     out = []
     for it in items:
@@ -418,7 +423,7 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
     vertex_index = {point: i for i, point in enumerate(vertices)}
     survivors = [it for it in items if it["covered"] and not it["is_center"]]
     completed, searches = complete_survivors(
-        [[L[j] for j in it["Lc"]] for it in survivors], F, limit=cfg.limit, angle_tol=cfg.angle_tol
+        [lc_pairings(it, L) for it in survivors], F, limit=cfg.limit, angle_tol=cfg.angle_tol
     )
     carried = len(survivors) - searches
     log(

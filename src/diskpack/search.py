@@ -394,9 +394,7 @@ def _vertex_cycles(slots: BoundarySlots, succ: list[int], angle_tol: float):
     for _, total in cycles:
         if abs(total - 2.0 * math.pi) > angle_tol:
             raise InvalidCellStructure(f"vertex cycle closes at {total}")
-    return tuple(
-        (tuple(slots.points[v] for v in verts), total) for verts, total in cycles
-    )
+    return tuple((tuple(slots.points[v] for v in verts), total) for verts, total in cycles)
 
 
 def complete_pairing(
@@ -429,9 +427,9 @@ def complete_pairing(
     per-edge live option counts, and the slot permutation built so far as
     ``succ``/``pred`` with chain endpoints and consumed angles, undone from a
     log on backtrack.  A solution's vertex cycles are read off ``succ``.  The
-    slot table and each option's slot links are F.slots', built once per domain.
+    slot table and each option's slot links are F.slot_table's, built once per domain.
     """
-    slots = F.slots
+    slots = F.slot_table
     edge_of = slots.edge_index
     unique: dict[tuple, SidePairing] = {}
     for p in Lc:

@@ -258,7 +258,7 @@ def reference_complete_pairing(
     in deterministic order; an empty list means the search space is exhausted
     with no solution.
     """
-    struct = BoundarySlots(F)  # its own link memo, not the engine's F.slots
+    struct = BoundarySlots(F)  # its own link memo, not the engine's F.slot_table
     by_src: dict[tuple[int, int], list[SidePairing]] = {e.key: [] for e in F.boundary}
     for p in sorted(set(Lc), key=SidePairing.sort_key):
         if p.src.key in by_src and p.dst.key in by_src and p.src.key != p.dst.key:

@@ -354,7 +354,7 @@ class TestSymmetries:
                 assert (g * p.map * g_inv).matrix_dist(want) < 1e-9
 
     def test_permutes_the_slots_keeping_their_angles(self, n14):
-        struct = n14.F.slots
+        struct = n14.F.slot_table
         for s in n14.F.symmetries:
             images = []
             for key, v in struct.slots:

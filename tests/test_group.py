@@ -213,7 +213,7 @@ def depth3_attempts():
     for it in pipeline.filter_candidates(cfg, F, L, dset, C):
         if not it["covered"] or it["is_center"]:
             continue
-        Lc = [L[j] for j in it["Lc"]]
+        Lc = pipeline.lc_pairings(it, L)
         for sol in complete_pairing(Lc, F, limit=cfg.limit, angle_tol=cfg.angle_tol):
             out.append((it["candidate"].point, group_from_solution(sol, F)))
             cert = second_packing_certificate(out[-1][0], out[-1][1], F.gens)

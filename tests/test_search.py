@@ -21,7 +21,7 @@ from reference_data import (
 from diskpack import search
 from diskpack.domain import BoundarySlots, build_domain, find_pairing
 from diskpack.geom import axis, dist
-from diskpack.pipeline import filter_candidates
+from diskpack.pipeline import filter_candidates, lc_pairings
 from diskpack.tess import admissible_distances
 from diskpack.search import (
     BLOCK_CELLS,
@@ -296,13 +296,20 @@ class TestCompletePairing:
 
 class TestCycleMachinery:
     def test_torus_mock(self):
-        # square with opposite sides glued: slots 0..3 in one cycle of
-        # quarter-turn wedges; V - E + F = 1 - 2 + 1 = 0
-        succ = [1, 2, 3, 0]
-        angles = [math.pi / 2] * 4
-        cycles = trace_cycles(succ, angles)
-        assert len(cycles) == 1
-        assert cycles[0][1] == pytest.approx(2 * math.pi)
+        # square with opposite sides glued: its four quarter-turn corners are
+        # one vertex, a mirror pair of slot cycles (slot 2 v walks forward,
+        # 2 v + 1 back); V - E + F = 1 - 2 + 1 = 0
+        succ = [-1] * 8
+        for v in range(4):
+            succ[2 * v] = 2 * ((v + 1) % 4)
+            succ[2 * v + 1] = 2 * ((v - 1) % 4) + 1
+        slots = SimpleNamespace(
+            slot_vertex=[s // 2 for s in range(8)],
+            slot_angle=[math.pi / 2] * 8,
+            points=[complex(v) for v in range(4)],
+        )
+        cycles = _vertex_cycles(slots, succ, 1e-9)
+        assert cycles == ((tuple(complex(v) for v in range(4)), 2 * math.pi),)
         vertices, edges, faces = 1, 2, 1
         assert vertices - edges + faces == 0
 
@@ -311,7 +318,7 @@ class TestCycleMachinery:
             trace_cycles([1, 0, 1], [1.0, 1.0, 1.0])
         with pytest.raises(InvalidCellStructure):
             trace_cycles([1, -1], [1.0, 1.0])  # slot 1 has no successor
-        slots = n14.F.slots
+        slots = n14.F.slot_table
         succ = self._reference_succ(slots, n14_solution.reference.pairings)
         # two slots followed by the same one, and a slot with no successor
         merged = list(succ)
@@ -323,7 +330,7 @@ class TestCycleMachinery:
                 _vertex_cycles(slots, bad, 10.0)
 
     def test_solution_cycles_pair_up(self, n14, n14_solution):
-        struct = n14.F.slots
+        struct = n14.F.slot_table
         cycles = solution_cycles(n14_solution.reference.pairings, struct)
         assert len(cycles) == 13  # quotient boundary vertices
         for verts, total in cycles:
@@ -332,7 +339,7 @@ class TestCycleMachinery:
     def test_global_angle_bookkeeping(self, n14, n14_solution):
         # the cycle angle sums together account for every boundary vertex's
         # interior angle exactly once
-        struct = n14.F.slots
+        struct = n14.F.slot_table
         cycles = solution_cycles(n14_solution.reference.pairings, struct)
         total = sum(t for _, t in cycles)
         boundary_angle = sum(
@@ -352,7 +359,7 @@ class TestCycleMachinery:
         return succ
 
     def test_vertex_cycles_match_reference(self, n14, n14_solution):
-        struct = n14.F.slots
+        struct = n14.F.slot_table
         succ = self._reference_succ(struct, n14_solution.reference.pairings)
         cycles = _vertex_cycles(struct, succ, 1e-6)
         expected = solution_cycles(n14_solution.reference.pairings, struct)
@@ -364,7 +371,7 @@ class TestCycleMachinery:
     def test_vertex_cycles_match_oracle_on_every_depth5_solution(self, n14, n14_survivors):
         # the oracle re-traces each solution's links with its own slot table;
         # every angle sum must have the same bits
-        slots, fresh = n14.F.slots, BoundarySlots(n14.F)
+        slots, fresh = n14.F.slot_table, BoundarySlots(n14.F)
         completed, _ = complete_survivors(n14_survivors, n14.F, limit=256)
         sols = [sol for sols in completed for sol in sols]
         assert len(sols) == 495
@@ -406,7 +413,7 @@ class TestCycleMachinery:
             assert total.hex() == sums[tuple(int(z.real) for z in points)].hex()
 
     def test_unclosed_cycle_rejected(self, n14, n14_solution):
-        struct = n14.F.slots
+        struct = n14.F.slot_table
         succ = self._reference_succ(struct, n14_solution.reference.pairings)
         with pytest.raises(InvalidCellStructure):
             _vertex_cycles(struct, succ, -1.0)
@@ -414,7 +421,7 @@ class TestCycleMachinery:
     def test_unpaired_slot_cycles_rejected(self, n14):
         # both slots of one vertex in a single cycle, every other slot fixed:
         # that vertex's slot cycle has no mirror partner
-        struct = n14.F.slots
+        struct = n14.F.slot_table
         succ = list(range(len(struct.slots)))
         v = struct.slots[0][1]
         a, b = (s for s, (_, w) in enumerate(struct.slots) if w == v)
@@ -427,12 +434,7 @@ class TestCycleMachinery:
 def n14_survivors(n14):
     """L_c of every covered, non-center N = 14 candidate (depth 5)."""
     items = filter_candidates(None, n14.F, n14.L, n14.dset, n14.C)
-    return [_pairings(n14, it) for it in items if it["covered"] and not it["is_center"]]
-
-
-def _pairings(n14, item):
-    """A filtering item's L_c as pairings of L."""
-    return [n14.L[j] for j in item["Lc"]]
+    return [lc_pairings(it, n14.L) for it in items if it["covered"] and not it["is_center"]]
 
 
 def _summary(sols):
@@ -521,7 +523,7 @@ class TestOrbitCarry:
     @pytest.mark.parametrize("depth", [3, 5])
     def test_carried_solutions_equal_the_engine(self, n14, n14_filtered, depth):
         Lcs = [
-            _pairings(n14, it)
+            lc_pairings(it, n14.L)
             for it in n14_filtered[depth]
             if it["covered"] and not it["is_center"]
         ]
@@ -543,7 +545,7 @@ class TestOrbitCarry:
     @staticmethod
     def _survivor3(n14, n14_filtered):
         return next(
-            _pairings(n14, it)
+            lc_pairings(it, n14.L)
             for it in n14_filtered[3]
             if it["covered"] and not it["is_center"]
         )
@@ -647,7 +649,7 @@ class TestOrbitCarry:
             builds.append(F)
             init(self, F)
 
-        monkeypatch.delitem(vars(n14.F), "slots", raising=False)
+        monkeypatch.delitem(vars(n14.F), "slot_table", raising=False)
         monkeypatch.setattr(BoundarySlots, "__init__", counting)
         got, searches = complete_survivors(n14_survivors, n14.F, limit=256)
         assert searches == 1 and [len(s) for s in got] == [165, 165, 165]
