@@ -203,22 +203,13 @@ class FundamentalDomain:
         """Interior point of tile 0 with clearance from every edge carrier:
         the first of nudge, 2 nudge, 4 nudge, 8 nudge whose image under tile
         0's placement has tile-0 margin and distance to every carrier above
-        1e-6 (in sinh-distance).  Computed once per nudge."""
-        memo = self._clear_points
-        if nudge not in memo:
-            for scale in (1.0, 2.0, 4.0, 8.0):
-                z = self.placements[0](scale * nudge)
-                m = self._carriers.margins(z)
-                if m[0].min() > 1e-6 and np.abs(m).min() > 1e-6:
-                    memo[nudge] = z
-                    break
-            else:
-                raise ValueError("could not place a basepoint clear of all edge carriers")
-        return memo[nudge]
-
-    @cached_property
-    def _clear_points(self) -> dict[complex, complex]:
-        return {}
+        1e-6 (in sinh-distance)."""
+        for scale in (1.0, 2.0, 4.0, 8.0):
+            z = self.placements[0](scale * nudge)
+            m = self._carriers.margins(z)
+            if m[0].min() > 1e-6 and np.abs(m).min() > 1e-6:
+                return z
+        raise ValueError("could not place a basepoint clear of all edge carriers")
 
     @cached_property
     def symmetries(self) -> tuple[DomainSymmetry, ...]:
@@ -405,10 +396,6 @@ class SidePairing:
         ends = sorted([self.src.key, self.dst.key])
         return (self.reversing, ends[0], ends[1])
 
-    @cached_property
-    def inverse_map(self) -> Isometry:
-        return self.map.inverse()
-
     @property
     def type_tag(self) -> str:
         return "or-hyperbolic" if self.reversing else "hyperbolic"
@@ -483,9 +470,12 @@ class BoundarySlots:
                 index_of[key] = idx
 
         self.incident: dict[int, list[tuple[int, int]]] = {}
+        # each edge's endpoint vertices, in EdgeRef.endpoints' order
+        self.ends: dict[tuple[int, int], tuple[int, int]] = {}
         for e in F.boundary:
-            for corner in (e.edge - 1, e.edge):
-                v = index_of[(e.poly, corner % F.n)]
+            ends = tuple(index_of[(e.poly, c % F.n)] for c in (e.edge - 1, e.edge))
+            self.ends[e.key] = ends
+            for v in ends:
                 self.incident.setdefault(v, []).append(e.key)
         for v, keys in self.incident.items():
             if len(keys) != 2:
@@ -500,35 +490,22 @@ class BoundarySlots:
         self.slot_vertex = [v for _, v in self.slots]
         self.slot_angle = [self.angles[v] for v in self.slot_vertex]
         self.edge_index = {key: i for i, key in enumerate(sorted(e.key for e in F.boundary))}
-        self._links: dict[tuple, tuple[tuple[int, int], ...]] = {}
-
-    def vertex_at(self, z: complex) -> int:
-        for idx, p in enumerate(self.points):
-            if abs(z - p) < 1e-6:
-                return idx
-        raise InvalidCellStructure(f"pairing image {z} is not a vertex of the domain")
-
-    def _links_one_direction(self, src_key, dst_key, mp: Isometry):
-        out = []
-        for v in (v for (key, v) in self.slots if key == src_key):
-            w = self.vertex_at(mp(self.points[v]))
-            if dst_key not in self.incident.get(w, ()):
-                raise InvalidCellStructure(
-                    f"pairing sends vertex {v} off the endpoints of {dst_key}"
-                )
-            other = next(k for k in self.incident[w] if k != dst_key)
-            out.append((self.slot_of[(src_key, v)], self.slot_of[(other, w)]))
-        return out
 
     def links_for(self, p: SidePairing) -> tuple[tuple[int, int], ...]:
-        """The four slot links of identification p, src's endpoints first;
-        kept per record, as orbit mates' L_c share most of their records."""
-        if p.record not in self._links:
-            self._links[p.record] = tuple(
-                self._links_one_direction(p.src.key, p.dst.key, p.map)
-                + self._links_one_direction(p.dst.key, p.src.key, p.inverse_map)
-            )
-        return self._links[p.record]
+        """The four slot links of identification p, src's endpoints first,
+        each edge's in increasing vertex order: the slot of an endpoint v
+        on its edge, to the slot of the other boundary edge at v's image.
+        The images follow enumerate_pairings' rule: a conformal pairing
+        crosses the endpoints, a reversing one keeps their order."""
+        u, w = self.ends[p.src.key], self.ends[p.dst.key]
+        if not p.reversing:
+            w = w[::-1]
+        out = []
+        for a, b, a_ends, b_ends in ((p.src.key, p.dst.key, u, w), (p.dst.key, p.src.key, w, u)):
+            for v, x in sorted(zip(a_ends, b_ends)):
+                other = next(k for k in self.incident[x] if k != b)
+                out.append((self.slot_of[(a, v)], self.slot_of[(other, x)]))
+        return tuple(out)
 
 
 def find_pairing(

@@ -14,9 +14,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from .domain import FundamentalDomain
 from .geom import Isometry, dist, elliptic_about, midpoint
@@ -29,9 +26,6 @@ BASEPOINT_NUDGE = 0.001 + 0.0013j
 GREEDY_STEP_LIMIT = 4096
 BFS_DEPTH = 12
 BFS_NODE_LIMIT = 200_000
-# allowance of the greedy pre-screen: its numpy distance d may differ from
-# the scalar one by rounding, by far less than SCREEN_TOL cosh(cur) cosh(d)
-SCREEN_TOL = 1e-11
 
 
 class ReductionStalled(Exception):
@@ -49,14 +43,6 @@ class GroupPresentation:
     domain: FundamentalDomain
     basepoint: complex
 
-    @cached_property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        """The generators' a, conj(a), b, conj(b) and reversing flags as arrays."""
-        a = np.array([g.a for g in self.generators], dtype=complex)
-        b = np.array([g.b for g in self.generators], dtype=complex)
-        reversing = np.array([g.reversing for g in self.generators], dtype=bool)
-        return a, a.conj(), b, b.conj(), reversing
-
 
 @dataclass(frozen=True)
 class MembershipResult:
@@ -70,50 +56,19 @@ def group_from_solution(
     sol: PairingSolution, F: FundamentalDomain, nudge: complex = BASEPOINT_NUDGE
 ) -> GroupPresentation:
     """Each side pairing of the solution and its inverse, in that order, with
-    their labels; the inverse is cached on the pairing, which every solution
-    drawn from the same L_c shares."""
+    their labels."""
     gens: list[Isometry] = []
     labels: list[str] = []
     for p in sol.pairings:
         rev, (sp, se), (dp, de) = p.identification
         tag = f"{'r' if rev else 'h'}:{sp}.{se}-{dp}.{de}"
-        gens += (p.map, p.inverse_map)
+        gens += (p.map, p.map.inverse())
         labels += (tag, tag + "'")
     return GroupPresentation(tuple(gens), tuple(labels), F, F.clear_point(nudge))
 
 
 def _inverse_index(i: int) -> int:
     return i ^ 1
-
-
-def _greedy_contenders(G: GroupPresentation, w: complex, cur: float) -> list[int]:
-    """The generator indices, in increasing order, that the greedy rule could
-    accept at w; every other index is ruled out.
-
-    The rule walks the indices in order and accepts g when dist(bp, g w) is
-    below the best distance so far minus 1e-12, the best starting at cur.
-    An accepted index therefore has a distance below cur - 1e-12 and below
-    the distance of every earlier index.  All distances are computed at
-    once in numpy, whose rounding may differ from the scalar path's; each
-    gets the allowance SCREEN_TOL cosh(cur) cosh(d), and an index is ruled
-    out only when its distance minus its allowance fails one of those two
-    bounds, the earlier indices' distances plus their allowances standing
-    in for theirs.  A NaN distance rules nothing out.
-    """
-    a, a_conj, b, b_conj, reversing = G.matrices
-    v = np.where(reversing, w.conjugate(), w)
-    gw = (a * v + b) / (b_conj * v + a_conj)
-    bp = G.basepoint
-    d = 2.0 * np.arctanh(np.abs(bp - gw) / np.abs(1.0 - gw.conj() * bp))
-    err = SCREEN_TOL * math.cosh(cur) * np.cosh(d)
-    bound = cur - 1e-12  # and below every earlier distance plus allowance
-    out = []
-    for i, (x, e) in enumerate(zip(d.tolist(), err.tolist())):
-        if not x - e >= bound:
-            out.append(i)
-        if x + e < bound:
-            bound = x + e
-    return out
 
 
 def reduce_to_domain(
@@ -127,13 +82,9 @@ def reduce_to_domain(
     Greedy phase: while the tracked point is outside the domain, apply the
     generator whose image is strictly nearest the basepoint: walking the
     generators in index order, take one whose distance is below the best
-    so far minus 1e-12.  A numpy pre-screen (``_greedy_contenders``) rules
-    out the indices that rule cannot take, with an allowance for its own
-    rounding; the rest are re-decided by the rule itself on scalar images,
-    in index order, so the chosen generator, its image and its distance
-    are exactly those of the rule over all generators.  If greedy stalls,
-    fall back to best-first search over generator words up to
-    ``bfs_depth``.  The result's word composes to h when membership holds.
+    so far minus 1e-12.  If greedy stalls, fall back to best-first search
+    over generator words up to ``bfs_depth``.  The result's word composes
+    to h when membership holds.
     """
     F, bp = G.domain, G.basepoint
     w = h(bp)
@@ -146,8 +97,8 @@ def reduce_to_domain(
     while not F.contains(w):
         strategy = "greedy"
         best_i, best_d, best_w = -1, cur, w
-        for i in _greedy_contenders(G, w, cur):
-            gw = G.generators[i](w)
+        for i, g in enumerate(G.generators):
+            gw = g(w)
             d = dist(bp, gw)
             if d < best_d - 1e-12:
                 best_i, best_d, best_w = i, d, gw
@@ -240,6 +191,13 @@ def second_neighbor_center(F: FundamentalDomain, gens: TriangleGenerators) -> co
     return F.placements[0]((rot * rot * gens.b)(0j))
 
 
+def swapping_half_turn(P: complex, o_prime: complex) -> Isometry:
+    """The half-turn about the midpoint of P and O', which swaps them."""
+    if abs(P - o_prime) < 1e-9:
+        raise ValueError("candidate coincides with O'; midpoint undefined")
+    return elliptic_about(midpoint(P, o_prime), math.pi)
+
+
 def second_packing_certificate(
     P: complex,
     G: GroupPresentation,
@@ -249,16 +207,13 @@ def second_packing_certificate(
 ) -> dict:
     """Certificate that a half-turn swaps the obvious center with P.
 
-    O' is second_neighbor_center(G.domain, gens); tau is the order-two
-    rotation about the midpoint of P and O'.  The certificate passes when
+    O' is second_neighbor_center(G.domain, gens); tau is
+    swapping_half_turn(P, O').  The certificate passes when
     tau conjugates every generator into the group and swaps P with O'.  The
     returned record carries the tolerances it was decided with.
     """
     o_prime = second_neighbor_center(G.domain, gens)
-    if abs(P - o_prime) < 1e-9:
-        raise ValueError("candidate coincides with O'; midpoint undefined")
-    m = midpoint(P, o_prime)
-    tau = elliptic_about(m, math.pi)
+    tau = swapping_half_turn(P, o_prime)
     swap_residual = dist(tau(P), o_prime)
     try:
         ok, results = normalizes(tau, G, residual_tol=residual_tol)
@@ -268,7 +223,7 @@ def second_packing_certificate(
     return {
         "candidate": P,
         "o_prime": o_prime,
-        "midpoint": m,
+        "midpoint": midpoint(P, o_prime),
         "tau": tau,
         "swap_residual": swap_residual,
         "residual_tol": residual_tol,

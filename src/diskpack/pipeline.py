@@ -24,11 +24,13 @@ from .domain import (
 )
 from .geom import CoincidentCurves, GeometryError, Isometry, dist
 from .group import (
+    SWAP_TOL,
     GroupPresentation,
     ReductionStalled,
     group_from_solution,
     second_neighbor_center,
     second_packing_certificate,
+    swapping_half_turn,
 )
 from .search import (
     Candidate,
@@ -520,7 +522,7 @@ def _render_final(out, F, C, it, sol, cert):
 # the top-level keys verify_certificate_file reads
 _CERTIFICATE_KEYS = (
     "generators", "memberships", "tau", "candidate", "o_prime",
-    "swap_residual", "swap_tol", "passed", "solution",
+    "swap_residual", "passed", "solution",
 )
 
 
@@ -530,13 +532,14 @@ def verify_certificate_file(
     """Re-check a certificate artifact without re-running the search.
 
     Verifies that the generators are the embedded solution's side pairings
-    and their inverses, with no boundary edge paired twice; word soundness
-    (each membership word composes to the conjugated generator); the stored
-    swap residual and the swap of the candidate with O'; the passed flag;
-    and, when ``config_hash`` is given, that the artifact was made by that
-    config.  Malformed input (a missing key, a matrix or point that does
-    not decode, a generator or word index out of range) is reported as a
-    problem, not raised.
+    and their inverses, with no boundary edge paired twice; that the stored
+    tau is swapping_half_turn(candidate, O'), and against that tau, rebuilt,
+    the stored swap residual, the swap within SWAP_TOL and word soundness
+    (each membership word composes to the conjugated generator); the passed
+    flag; and, when ``config_hash`` is given, that the artifact was made by
+    that config.  A candidate equal to O' and malformed input (a missing
+    key, a matrix or point that does not decode, a generator or word index
+    out of range) are reported as problems, not raised.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
@@ -552,11 +555,10 @@ def verify_certificate_file(
         edges = [
             (pj[end]["poly"], pj[end]["edge"]) for pj in pairings for end in ("src", "dst")
         ]
-        tau = Isometry.from_json(cert["tau"])
+        stored_tau = Isometry.from_json(cert["tau"])
         P = complex(*cert["candidate"])
         o_prime = complex(*cert["o_prime"])
         swap_residual = float(cert["swap_residual"])
-        swap_tol = float(cert["swap_tol"])
         memberships = [dict(m) for m in cert["memberships"]]
     except (KeyError, IndexError, TypeError, ValueError, GeometryError) as exc:
         return False, [f"certificate does not decode: {type(exc).__name__}: {exc}"]
@@ -582,9 +584,16 @@ def verify_certificate_file(
     twice = sorted({e for e in edges if edges.count(e) > 1})
     if twice:
         problems.append(f"boundary edges paired twice: {twice}")
-    if abs(dist(tau(P), o_prime) - swap_residual) > 1e-9:
+    try:
+        tau = swapping_half_turn(P, o_prime)
+    except ValueError as exc:
+        return False, problems + [str(exc)]
+    if stored_tau.matrix_dist(tau) > word_tol:
+        problems.append("tau is not the half-turn about the midpoint of the candidate and O'")
+    swap = dist(tau(P), o_prime)
+    if abs(swap - swap_residual) > 1e-9:
         problems.append("stored swap residual does not match recomputation")
-    if swap_residual > swap_tol:
+    if swap > SWAP_TOL:
         problems.append("tau does not swap the candidate with O'")
 
     def generator_index(i) -> bool:

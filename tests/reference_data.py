@@ -7,10 +7,11 @@ compatibility loop for the blocked compatibility kernel; the backtracker
 whose state is copied at every node (with its cycle re-trace), fed both
 directions of each identification, for the exact-cover completion engine;
 the slot-permutation walker trace_cycles that the engine's single-pass
-vertex-cycle walk replaced;
-and the membership reduction that scans every generator at each greedy step
-and composes every child's isometry at the push, for the screened
-reduction."""
+vertex-cycle walk replaced; the geometric slot links (each endpoint's
+image under the pairing, looked up among the vertices) for the links
+BoundarySlots takes by the endpoint rule; and the membership reduction
+whose best-first search composes every child's isometry at the push, for
+the one that composes it at the pop."""
 
 import heapq
 import math
@@ -141,6 +142,35 @@ def compatible_pairings(c, L, dset):
     return [p for p in L if dset.is_admissible(dist(z, p.map(z)))]
 
 
+def vertex_at(struct: BoundarySlots, z: complex) -> int:
+    for idx, p in enumerate(struct.points):
+        if abs(z - p) < 1e-6:
+            return idx
+    raise InvalidCellStructure(f"pairing image {z} is not a vertex of the domain")
+
+
+def _links_one_direction(struct: BoundarySlots, src_key, dst_key, mp: Isometry):
+    out = []
+    for v in (v for (key, v) in struct.slots if key == src_key):
+        w = vertex_at(struct, mp(struct.points[v]))
+        if dst_key not in struct.incident.get(w, ()):
+            raise InvalidCellStructure(
+                f"pairing sends vertex {v} off the endpoints of {dst_key}"
+            )
+        other = next(k for k in struct.incident[w] if k != dst_key)
+        out.append((struct.slot_of[(src_key, v)], struct.slot_of[(other, w)]))
+    return out
+
+
+def reference_links(struct: BoundarySlots, p: SidePairing) -> tuple[tuple[int, int], ...]:
+    """The four slot links of p from the images of its endpoints under p
+    and p^-1, src's endpoints first."""
+    return tuple(
+        _links_one_direction(struct, p.src.key, p.dst.key, p.map)
+        + _links_one_direction(struct, p.dst.key, p.src.key, p.map.inverse())
+    )
+
+
 def trace_cycles(succ: list[int], angles: list[float]):
     """Cycles of the slot permutation ``succ`` (slot s is followed by
     succ[s], -1 for none), each listed from its smallest slot, with their
@@ -258,7 +288,7 @@ def reference_complete_pairing(
     in deterministic order; an empty list means the search space is exhausted
     with no solution.
     """
-    struct = BoundarySlots(F)  # its own link memo, not the engine's F.slot_table
+    struct = BoundarySlots(F)
     by_src: dict[tuple[int, int], list[SidePairing]] = {e.key: [] for e in F.boundary}
     for p in sorted(set(Lc), key=SidePairing.sort_key):
         if p.src.key in by_src and p.dst.key in by_src and p.src.key != p.dst.key:
@@ -267,7 +297,7 @@ def reference_complete_pairing(
     for plist in by_src.values():
         for p in plist:
             if p.record not in link_cache:
-                link_cache[p.record] = struct.links_for(p)
+                link_cache[p.record] = reference_links(struct, p)
 
     edge_keys = sorted(by_src)
     solutions: list[PairingSolution] = []
@@ -317,7 +347,7 @@ def solution_cycles(
     """
     links: dict[int, int] = {}
     for p in pairings:
-        for u, w in struct.links_for(p):
+        for u, w in reference_links(struct, p):
             if u in links:
                 raise InvalidCellStructure("boundary edge identified twice")
             links[u] = w

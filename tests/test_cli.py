@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 
 import pytest
 
 from diskpack.cli import main
 from diskpack.config import load_config
-from diskpack.geom import Isometry
+from diskpack.geom import Isometry, dist, elliptic_about
 from diskpack.pipeline import run_pipeline, verify_certificate_file
 
 
@@ -118,6 +119,70 @@ def test_verify_rejects_an_edge_paired_twice(completed_run, tmp_path):
     ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
     assert not ok
     assert any("paired twice" in p for p in problems)
+
+
+def test_verify_rejects_an_identity_tau_with_o_prime_at_the_candidate(completed_run, tmp_path):
+    # the identity swaps the candidate with itself and conjugates every
+    # generator to itself, so one-letter words fit the stored tau exactly
+    def forge(cert):
+        cert["tau"] = Isometry.identity().to_json()
+        cert["o_prime"] = cert["candidate"]
+        cert["swap_residual"] = 0.0
+        for m in cert["memberships"]:
+            m["word"] = [m["generator"]]
+
+    out = _forged(completed_run, tmp_path, forge)
+    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
+    assert not ok
+    assert any("coincides with O'" in p for p in problems)
+
+
+def test_verify_checks_the_words_against_the_rebuilt_tau(completed_run, tmp_path):
+    # the same forgery with O' left alone: the words fit the stored identity
+    # but not the half-turn about the midpoint of the candidate and O'
+    def forge(cert):
+        cert["tau"] = Isometry.identity().to_json()
+        for m in cert["memberships"]:
+            m["word"] = [m["generator"]]
+
+    out = _forged(completed_run, tmp_path, forge)
+    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
+    assert not ok
+    assert any("tau is not the half-turn" in p for p in problems)
+    misses = [p for p in problems if p.startswith("word for generator")]
+    assert len(misses) == 36
+
+
+def _non_swapping_tau(cert):
+    """A half-turn about the candidate itself, which fixes it."""
+    return elliptic_about(complex(*cert["candidate"]), math.pi)
+
+
+def _generator_0(cert):
+    """The first generator: it normalizes the group, with the words [0, g, 1]."""
+    return Isometry.from_json(cert["generators"][0])
+
+
+@pytest.mark.parametrize("make_tau", [_non_swapping_tau, _generator_0])
+def test_verify_ignores_the_artifacts_swap_tol(completed_run, tmp_path, make_tau):
+    # tau does not take the candidate to O'; the stored residual says so,
+    # and a huge stored swap_tol lets it pass
+    def forge(cert):
+        tau = make_tau(cert)
+        cert["tau"] = tau.to_json()
+        cert["swap_residual"] = dist(tau(complex(*cert["candidate"])), complex(*cert["o_prime"]))
+        cert["swap_tol"] = 1e9
+        if make_tau is _generator_0:
+            for m in cert["memberships"]:
+                m["word"] = [0, m["generator"], 1]
+
+    out = _forged(completed_run, tmp_path, forge)
+    with open(os.path.join(out, "certificate.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["swap_residual"] > 1.0
+    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
+    assert not ok
+    assert any("tau is not the half-turn" in p for p in problems)
+    assert "stored swap residual does not match recomputation" in problems
 
 
 def test_verify_checks_the_config_hash(n14_cfg_path, completed_run, tmp_path, capsys):
@@ -378,3 +443,33 @@ def test_run_reports_completion(depth5_run):
         with open(os.path.join(out, name), "rb") as fh:
             text = fh.read()
         assert b"carried" not in text and b"symmetry" not in text
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        12,
+        18,
+        24,
+        pytest.param(
+            30,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="run passes the certificate, verify rejects it: "
+                "word for generator 22 misses by 1.56e-07 against word_tol 1e-7",
+            ),
+        ),
+    ],
+)
+def test_one_tile_auto_mode_runs_and_verifies(n, tmp_path, capsys):
+    # one tile and no seed pairs: the k = 1 primitive pair, off N = 14
+    path = tmp_path / f"one{n}.json"
+    path.write_text(json.dumps({"n": n, "attachments": [], "depth": 3, "limit": 16}))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(path), "--out", out]) == 0
+    assert _read_json(os.path.join(out, "certificate.json"))["passed"]
+    capsys.readouterr()
+    code = main(["verify", "--config", str(path), "--out", out])
+    report = json.loads(capsys.readouterr().out)
+    assert report["problems"] == [] and report["ok"] is True and code == 0

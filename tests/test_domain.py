@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import random_point
-from reference_data import SEED_P1, flipped, ident, reference_enumerate_pairings
+from reference_data import (
+    SEED_P1,
+    flipped,
+    ident,
+    reference_enumerate_pairings,
+    reference_links,
+    vertex_at,
+)
 from diskpack.domain import (
     INSIDE_TOL,
     Attachment,
+    BoundarySlots,
     DisconnectedAssembly,
     OverlappingPolygons,
     build_domain,
@@ -313,13 +321,6 @@ class TestEnumeratePairings:
         with pytest.raises(KeyError):
             find_pairing(n14.L, True, 0, 3, 0, 3)  # an edge onto itself
 
-    def test_cached_inverse(self, n14):
-        p = n14.p1
-        assert p.inverse_map is p.inverse_map
-        inv = p.map.inverse()
-        assert (p.inverse_map.a, p.inverse_map.b) == (inv.a, inv.b)
-        assert p.inverse_map.reversing == inv.reversing
-
     def test_json_record_shape(self, n14):
         rec = pairing_json(n14.p1)
         assert rec["type"] == "or-hyperbolic"
@@ -331,6 +332,28 @@ class TestEnumeratePairings:
 
     def test_identification_is_direction_free(self, n14):
         assert n14.p1.identification == ident(SEED_P1)
+
+
+class TestSlotLinks:
+    # the endpoint rule against each endpoint's image under the pairing,
+    # looked up among the vertices: the same links, tuple for tuple
+    @staticmethod
+    def _check(F, pairings):
+        struct = BoundarySlots(F)
+        for p in pairings:
+            assert struct.links_for(p) == reference_links(struct, p), p.record
+
+    def test_rule_equals_the_geometric_links_at_n14(self, n14):
+        # L, and the oracle's list with every identification both ways
+        self._check(n14.F, n14.L)
+        self._check(n14.F, n14.L2)
+
+    @pytest.mark.parametrize("n", [12, 18, 24, 30])
+    def test_rule_equals_the_geometric_links_on_one_tile(self, n):
+        F = build_domain(n, [])
+        L = enumerate_pairings(F)
+        assert L
+        self._check(F, L)
 
 
 class TestSymmetries:
@@ -350,7 +373,7 @@ class TestSymmetries:
             for p in n14.L:
                 q = by_ident[s.identification(p.identification)]
                 # g p g^-1 glues g(src) onto g(dst); q may run the other way
-                want = q.map if q.src.key == s.edges[p.src.key] else q.inverse_map
+                want = q.map if q.src.key == s.edges[p.src.key] else q.map.inverse()
                 assert (g * p.map * g_inv).matrix_dist(want) < 1e-9
 
     def test_permutes_the_slots_keeping_their_angles(self, n14):
@@ -358,7 +381,7 @@ class TestSymmetries:
         for s in n14.F.symmetries:
             images = []
             for key, v in struct.slots:
-                w = struct.vertex_at(s.map(struct.points[v]))
+                w = vertex_at(struct, s.map(struct.points[v]))
                 images.append(struct.slot_of[(s.edges[key], w)])
             assert sorted(images) == list(range(len(struct.slots)))
             assert [struct.slot_angle[t] for t in images] == struct.slot_angle

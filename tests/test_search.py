@@ -15,6 +15,7 @@ from reference_data import (
     flipped,
     reference_compatibility_matrix,
     reference_complete_pairing,
+    reference_links,
     solution_cycles,
     trace_cycles,
 )
@@ -354,7 +355,7 @@ class TestCycleMachinery:
     def _reference_succ(struct, pairings):
         succ = [-1] * len(struct.slots)
         for p in pairings:
-            for u, w in struct.links_for(p):
+            for u, w in reference_links(struct, p):
                 succ[u] = w
         return succ
 
