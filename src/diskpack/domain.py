@@ -68,7 +68,7 @@ class EdgeRef:
     carrier: GeneralizedCircle
     inward: int  # sign of carrier.side() on the polygon-center side
 
-    @property
+    @cached_property
     def key(self) -> tuple[int, int]:
         return (self.poly, self.edge)
 
@@ -386,11 +386,11 @@ class SidePairing:
     reversing: bool
     cls: IsometryClass
 
-    @property
+    @cached_property
     def record(self) -> tuple[bool, int, int, int, int]:
         return (self.reversing, self.src.poly, self.src.edge, self.dst.poly, self.dst.edge)
 
-    @property
+    @cached_property
     def identification(self) -> tuple[bool, tuple[int, int], tuple[int, int]]:
         """Direction-free form: (reversing, smaller edge key, larger edge key)."""
         ends = sorted([self.src.key, self.dst.key])

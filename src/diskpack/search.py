@@ -255,11 +255,7 @@ def candidates(
 
     zs = _newton_polish(A1, rec1[:, 1], A2, rec2[:, 1], zs)
     keep = (np.abs(zs) < 1.0) & F.contains(zs)
-    raw = [
-        (z, d_a, d_b)
-        for z, d_a, d_b, ok in zip(zs, rec1[:, 0], rec2[:, 0], keep)
-        if ok
-    ]
+    raw = list(zip(zs[keep].tolist(), rec1[keep, 0].tolist(), rec2[keep, 0].tolist()))
     raw.sort(key=lambda rec: (rec[0].real, rec[0].imag))
 
     out: list[Candidate] = []
@@ -272,14 +268,68 @@ def candidates(
                 dup = True
                 break
         if not dup:
-            out.append(Candidate(complex(z), (p1, p2), (float(d_a), float(d_b))))
-    out.sort(key=lambda c: (c.point.real, c.point.imag))
-    return out
+            out.append(Candidate(z, (p1, p2), (d_a, d_b)))
+    return out  # raw's order, which deduplication keeps
 
 
-# cells (pairings x points) per block of compatibility_matrix: its complex
-# temporaries stay at 256 KB each however many points come in
+# cells (pairings x points) per block of compatibility_matrix: its float
+# temporaries stay at 256 KB however many points come in
 BLOCK_CELLS = 1 << 14
+# points this close to the unit circle skip the screen: rounding in both
+# displacement formulas grows like 1 / (1 - r^2)^2 there (over L at N = 14
+# the screen's l and the exact d's l part by up to 1.6e-7 at 1 - r^2 = 1e-2,
+# 1.7e-5 at 1e-3 and 0.11 at 1e-5, against a bin width of at least 1e-4)
+SCREEN_MIN_GAP = 1e-2
+
+
+def _numerator_coefficients(a: np.ndarray, b: np.ndarray, reversing: np.ndarray) -> np.ndarray:
+    """Re N and Im N of the maps [[a, b], [conj b, conj a]] (reversing or
+    not) over the monomials 1, x, y, x^2 - y^2, 2xy, r^2 of z = x + iy:
+    rows 0 .. len(a) - 1 for Re N, the next len(a) rows for Im N.
+
+    For such a map g, sinh(d(z, gz) / 2) = |N| / (1 - r^2) with
+    N = b + (a - conj a) z - conj(b) z^2 if g is conformal and
+    N = b + a conj(z) - conj(a) z - conj(b) r^2 if it is reversing
+    (Beardon, The Geometry of Discrete Groups, 7.2).
+    """
+    a1, a2, b1, b2 = a.real, a.imag, b.real, b.imag
+    rev = reversing.astype(bool)
+    o = np.zeros(len(a))
+    re = np.where(rev, [b1, o, o, o, o, -b1], [b1, o, -2.0 * a2, -b1, -b2, o])
+    im = np.where(rev, [b2, 2.0 * a2, -2.0 * a1, o, o, b2], [b2, 2.0 * a2, o, b2, -b1, o])
+    return np.concatenate([re.T, im.T])
+
+
+def _screen_monomials(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The monomials 1, x, y, x^2 - y^2, 2xy, r^2 of each point divided by
+    1 - r^2 (6 x points), and which points lie within SCREEN_MIN_GAP of the
+    unit circle."""
+    x, y = zs.real, zs.imag
+    r2 = x * x + y * y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mono = np.stack([np.ones_like(x), x, y, x * x - y * y, 2.0 * x * y, r2]) / (1.0 - r2)
+    return mono, np.abs(1.0 - r2) < SCREEN_MIN_GAP
+
+
+def _admissible_cells(z, w, ga, gb, table: AdmissibilityTable) -> np.ndarray:
+    """The exact decision for gathered cells, one point z (w = z or conj z)
+    and one pairing (ga, gb) each: d = 2 artanh(|gz - z| / |1 - conj(gz) z|)
+    with the per-pairing formula's operations in its order, then the exact
+    rule."""
+    img = ga * w
+    img += gb
+    den = np.conj(gb) * w
+    den += np.conj(ga)
+    img /= den
+    np.conj(img, out=den)
+    den *= z
+    np.subtract(1.0, den, out=den)
+    img -= z
+    d = np.abs(img)
+    d /= np.abs(den)
+    np.arctanh(d, out=d)
+    d *= 2.0
+    return table(d)
 
 
 def compatibility_matrix(
@@ -287,49 +337,74 @@ def compatibility_matrix(
 ) -> np.ndarray:
     """Boolean matrix admissible[i, j]: pairing L[j] displaces points[i] admissibly.
 
-    The displacement of z by g is d = 2 artanh(|gz - z| / |1 - conj(gz) z|),
-    computed for every cell with the formula's operations in the
-    one-pairing-at-a-time order, so each cell is that pairing's own value.
-    The work runs in blocks of at most BLOCK_CELLS pairings x points,
-    conformal and reversing pairings apart (w = z or conj z); each block's
-    admissible cells are set straight in the result.  Admissibility is
-    decided by tess.AdmissibilityTable, a binned table built once per call.
+    Two phases, in blocks of at most BLOCK_CELLS pairings x points:
+
+    1. The screen.  Re N and Im N of sinh(d/2) = |N| / (1 - r^2)
+       (_numerator_coefficients) come from two small matrix products,
+       coefficients (pairings x 6) times monomials already divided by
+       1 - r^2 (6 x points).  Their squares sum to u^2 = sinh^2(d/2), and
+       tess.AdmissibilityTable.screen looks l = log u^2 up in its bins: no
+       complex division, artanh or abs per cell.  It is sound while l stays
+       within a bin width w >= 1e-4 of the exact d's l (the table's
+       docstring has the argument); over every cell of the N = 14 depth-5
+       matrix the two part by at most 2.9e-11.  At N = 14 it keeps about
+       1 % of the cells at depth 3 and 3 % at depth 5.  Points within
+       SCREEN_MIN_GAP of the unit circle skip it.
+    2. The exact decision.  The kept cells are gathered and decided as the
+       per-pairing loop decides them: the same displacement formula,
+       operation for operation, then the exact rule.  Kept cells wait until
+       at least BLOCK_CELLS // 4 of them have gathered, so at most about
+       BLOCK_CELLS cells wait at a time.
+
+    So every cell is that pairing's own value under the exact rule.
     """
     zs = np.asarray(points, dtype=complex)
     out = np.zeros((len(zs), len(L)), dtype=bool)
     if out.size == 0:
         return out
-    admissible = AdmissibilityTable(dset)
+    table = AdmissibilityTable(dset)
+    n = len(L)
+    a = np.array([p.map.a for p in L], dtype=complex)
+    b = np.array([p.map.b for p in L], dtype=complex)
+    reversing = np.array([p.reversing for p in L], dtype=np.intp)
+    ws = np.stack([zs, np.conj(zs)])  # w of a cell is ws[reversing, point]
+    coef = _numerator_coefficients(a, b, reversing)
+    mono, near_circle = _screen_monomials(zs)
     rows = min(len(zs), BLOCK_CELLS)
     per_block = max(1, BLOCK_CELLS // rows)
-    for reversing in (False, True):
-        ws = np.conj(zs) if reversing else zs
-        cols = np.flatnonzero([p.reversing == reversing for p in L])
-        a = np.array([L[j].map.a for j in cols])
-        b = np.array([L[j].map.b for j in cols])
-        for g0 in range(0, len(cols), per_block):
-            blk = slice(g0, g0 + per_block)
-            ga, gb = a[blk, None], b[blk, None]
-            gac, gbc = np.conj(ga), np.conj(gb)
+    u = np.empty((2, per_block, rows))
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    waiting = 0
+
+    def decide():
+        row = np.concatenate([r for r, _ in kept])
+        col = np.concatenate([c for _, c in kept])
+        kept.clear()
+        ok = _admissible_cells(zs[row], ws[reversing[col], row], a[col], b[col], table)
+        out[row[ok], col[ok]] = True
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c0 in range(0, n, per_block):
+            c1 = min(c0 + per_block, n)
             for r0 in range(0, len(zs), rows):
-                z = zs[None, r0 : r0 + rows]
-                w = ws[None, r0 : r0 + rows]
-                img = ga * w
-                img += gb
-                den = gbc * w
-                den += gac
-                img /= den
-                np.conj(img, out=den)
-                den *= z
-                np.subtract(1.0, den, out=den)
-                img -= z
-                d = np.abs(img)
-                d /= np.abs(den)
-                np.arctanh(d, out=d)
-                d *= 2.0
-                # out is all False so far: set the admissible cells alone
-                col, row = np.nonzero(admissible(d))
-                out[r0 + row, cols[blk][col]] = True
+                r1 = min(r0 + rows, len(zs))
+                re, im = u[0, : c1 - c0, : r1 - r0], u[1, : c1 - c0, : r1 - r0]
+                np.matmul(coef[c0:c1], mono[:, r0:r1], out=re)
+                np.matmul(coef[n + c0 : n + c1], mono[:, r0:r1], out=im)
+                np.square(re, out=re)
+                np.square(im, out=im)
+                re += im
+                np.log(re, out=re)
+                check = table.screen(re)
+                check[:, near_circle[r0:r1]] = True
+                col, row = np.divmod(np.flatnonzero(check), r1 - r0)
+                kept.append((row + r0, col + c0))
+                waiting += row.size
+                if waiting >= BLOCK_CELLS // 4:
+                    decide()
+                    waiting = 0
+        if kept:
+            decide()
     return out
 
 

@@ -2,8 +2,10 @@
 and the oracles the fast paths are checked against: the per-matching
 pairing_between and the enumeration that lists every identification in both
 directions with it, for the one-entry-per-identification list L built from
-per-edge factors; the scalar compatibility filter and the per-pairing
-compatibility loop for the blocked compatibility kernel; the backtracker
+per-edge factors; the candidate generator that builds a Python tuple per
+raw intersection and sorts its output again, for the one that masks in
+numpy first; the scalar compatibility filter and the per-pairing
+compatibility loop for the screened compatibility kernel; the backtracker
 whose state is copied at every node (with its cycle re-trace), fed both
 directions of each identification, for the exact-cover completion engine;
 the slot-permutation walker trace_cycles that the engine's single-pass
@@ -25,7 +27,16 @@ from diskpack.domain import (
     InvalidCellStructure,
     SidePairing,
 )
-from diskpack.geom import GLIDE, HYPERBOLIC, Isometry, classify, dist, segment_aligner
+from diskpack.geom import (
+    GLIDE,
+    HYPERBOLIC,
+    Isometry,
+    axis,
+    classify,
+    dist,
+    intersect,
+    segment_aligner,
+)
 from diskpack.group import (
     BFS_DEPTH,
     BFS_NODE_LIMIT,
@@ -36,7 +47,17 @@ from diskpack.group import (
     ReductionStalled,
     _inverse_index,
 )
-from diskpack.search import ANGLE_TOL, PairingSolution
+from diskpack.search import (
+    ANGLE_TOL,
+    CANDIDATE_DEDUP,
+    Candidate,
+    PairingSolution,
+    _banana_records,
+    _circle_pair_intersections,
+    _domain_offset_bound,
+    _newton_polish,
+    _split_curves,
+)
 
 GOOD_CANDIDATE = 0.516 - 0.248j
 REJECTED_CANDIDATE = 0.324 - 0.478j
@@ -389,6 +410,13 @@ def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
     solutions.append(PairingSolution(pairings, vertex_cycles, reversing_count))
 
 
+def reference_displacement(zs, p):
+    """d(z, p(z)) for an array of points, by the per-pairing loop's formula."""
+    w = np.conj(zs) if p.reversing else zs
+    img = (p.map.a * w + p.map.b) / (np.conj(p.map.b) * w + np.conj(p.map.a))
+    return 2.0 * np.arctanh(np.abs(img - zs) / np.abs(1.0 - np.conj(img) * zs))
+
+
 def reference_compatibility_matrix(points, L, dset):
     """The per-pairing compatibility loop: one pass over the points per entry
     of L, nearest admissible distance by searchsorted."""
@@ -396,14 +424,74 @@ def reference_compatibility_matrix(points, L, dset):
     vals = np.array(dset.values)
     out = np.zeros((len(points), len(L)), dtype=bool)
     for j, p in enumerate(L):
-        w = np.conj(zs) if p.reversing else zs
-        img = (p.map.a * w + p.map.b) / (np.conj(p.map.b) * w + np.conj(p.map.a))
-        d = 2.0 * np.arctanh(np.abs(img - zs) / np.abs(1.0 - np.conj(img) * zs))
+        d = reference_displacement(zs, p)
         idx = np.searchsorted(vals, d)
         lo = np.clip(idx - 1, 0, len(vals) - 1)
         hi = np.clip(idx, 0, len(vals) - 1)
         near = np.minimum(np.abs(vals[lo] - d), np.abs(vals[hi] - d))
         out[:, j] = near <= dset.match_tol
+    return out
+
+
+def reference_candidates(p1, p2, dset, F, dedup=CANDIDATE_DEDUP):
+    """search.candidates with a Python tuple built per raw intersection
+    before the inside test, and its output sorted once more at the end."""
+    if p1.record == p2.record:
+        raise ValueError("seed pairings must be distinct")
+    A1, recs1 = _banana_records(p1, dset, _domain_offset_bound(F, axis(p1.map)))
+    A2, recs2 = _banana_records(p2, dset, _domain_offset_bound(F, axis(p2.map)))
+    circ1, lines1 = _split_curves(recs1, A1)
+    circ2, lines2 = _split_curves(recs2, A2)
+
+    pieces = []
+    hit = _circle_pair_intersections(circ1, circ2)
+    if hit is not None:
+        pieces.append(hit)
+    # lines are rare (hypercycles through antipodal ideal points); scalar path
+    scalar: list[tuple[complex, float, float, float, float]] = []
+    for d_a, t_a, la in lines1:
+        for d_b, t_b, cb in circ2 + lines2:
+            for z in intersect(la, cb):
+                scalar.append((z, d_a, t_a, d_b, t_b))
+    for d_a, t_a, ca in circ1:
+        for d_b, t_b, lb in lines2:
+            for z in intersect(ca, lb):
+                scalar.append((z, d_a, t_a, d_b, t_b))
+    if scalar:
+        pieces.append(
+            (
+                np.array([rec[0] for rec in scalar]),
+                np.array([[rec[1], rec[2]] for rec in scalar]),
+                np.array([[rec[3], rec[4]] for rec in scalar]),
+            )
+        )
+    if not pieces:
+        return []
+    zs = np.concatenate([p[0] for p in pieces])
+    rec1 = np.concatenate([p[1] for p in pieces])
+    rec2 = np.concatenate([p[2] for p in pieces])
+
+    zs = _newton_polish(A1, rec1[:, 1], A2, rec2[:, 1], zs)
+    keep = (np.abs(zs) < 1.0) & F.contains(zs)
+    raw = [
+        (z, d_a, d_b)
+        for z, d_a, d_b, ok in zip(zs, rec1[:, 0], rec2[:, 0], keep)
+        if ok
+    ]
+    raw.sort(key=lambda rec: (rec[0].real, rec[0].imag))
+
+    out: list[Candidate] = []
+    for z, d_a, d_b in raw:
+        dup = False
+        for c in reversed(out):
+            if z.real - c.point.real > dedup:
+                break
+            if abs(z - c.point) <= dedup:
+                dup = True
+                break
+        if not dup:
+            out.append(Candidate(complex(z), (p1, p2), (float(d_a), float(d_b))))
+    out.sort(key=lambda c: (c.point.real, c.point.imag))
     return out
 
 

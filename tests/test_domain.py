@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -238,6 +239,19 @@ class TestEnumeratePairings:
         for p in L:
             assert p.cls.tag == ("glide" if p.reversing else "hyperbolic")
             assert p.src.key < p.dst.key
+
+    def test_keys_and_records_are_built_once(self, n14):
+        # stored on first use, outside the fields: equality and hashing
+        # still compare the fields alone
+        e, p = n14.F.boundary[5], n14.L[17]
+        assert e.key is e.key and e.key == (e.poly, e.edge)
+        assert p.record is p.record and p.identification is p.identification
+        assert p.record == (p.reversing, p.src.poly, p.src.edge, p.dst.poly, p.dst.edge)
+        assert [f.name for f in dataclasses.fields(e)] == ["poly", "edge", "endpoints", "carrier", "inward"]
+        assert [f.name for f in dataclasses.fields(p)] == ["map", "src", "dst", "reversing", "cls"]
+        for old in (e, p):
+            new = dataclasses.replace(old)
+            assert new == old and hash(new) == hash(old) and "key" not in vars(new)
 
     def test_equals_the_oracles_forward_entries(self, n14):
         # the entries from the smaller edge key to the larger, bit for bit

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -5,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import random_point
 from reference_data import (
     GOOD_CANDIDATE,
     LC_REJECTED_IDENTS,
@@ -13,21 +15,26 @@ from reference_data import (
     both_directions,
     compatible_pairings,
     flipped,
+    reference_candidates,
     reference_compatibility_matrix,
     reference_complete_pairing,
+    reference_displacement,
     reference_links,
     solution_cycles,
     trace_cycles,
 )
 from diskpack import search
 from diskpack.domain import BoundarySlots, build_domain, find_pairing
-from diskpack.geom import axis, dist
+from diskpack.geom import Isometry, axis, dist
 from diskpack.pipeline import filter_candidates, lc_pairings
-from diskpack.tess import admissible_distances
+from diskpack.tess import DistanceSet, admissible_distances, log_sinh2
 from diskpack.search import (
     BLOCK_CELLS,
     InvalidCellStructure,
     PairingSolution,
+    SCREEN_MIN_GAP,
+    _numerator_coefficients,
+    _screen_monomials,
     _vertex_cycles,
     bananas,
     candidates,
@@ -111,6 +118,23 @@ class TestCandidates:
     def test_same_seed_rejected(self, n14):
         with pytest.raises(ValueError):
             candidates(n14.p1, n14.p1, n14.dset, n14.F)
+
+    @pytest.mark.parametrize("pair", range(4))
+    def test_equal_to_the_reference_generator(self, n14, pair):
+        # the same points, seed distances, order and Python types as the
+        # generator that built a tuple per raw intersection and sorted twice
+        if pair == 3:
+            p1, p2, dset = n14.p1, n14.p2, n14.dset
+        else:
+            dset = admissible_distances(14, 3)
+            recs = TestCompatibilityKernel.DEPTH3_SEED_PAIRS[pair]
+            p1, p2 = (find_pairing(n14.L, *rec) for rec in recs)
+        got = candidates(p1, p2, dset, n14.F)
+        assert got == reference_candidates(p1, p2, dset, n14.F)
+        assert len(got) == (26, 688, 1378, 816)[pair]
+        for c in got:
+            assert type(c.point) is complex
+            assert [type(d) for d in c.seed_distances] == [float, float]
 
 
 class TestCompatiblePairings:
@@ -203,6 +227,115 @@ class TestCompatibilityKernel:
         pts = [c.point for c in n14.C]
         m = compatibility_matrix(pts, n14.L, n14.dset)
         assert np.array_equal(m, compatibility_matrix(pts, inverses, n14.dset))
+
+
+class TestCompatibilityScreen:
+    """The screened kernel against the per-pairing loop where the screen
+    could go wrong: at the interval ends, at other bin widths, near and
+    beyond the unit circle, and below the first bin."""
+
+    @staticmethod
+    def _straddling_cells(L, dset, rng, pairings=40):
+        """Cells (point, index into L) in pairs, one on either side of an
+        interval end v -+ tol, by the per-pairing formula's displacement."""
+        cells = []
+        vals = np.array(dset.values)
+        ends = np.concatenate([vals - dset.match_tol, vals + dset.match_tol])
+        for j in rng.sample(range(len(L)), pairings):
+            za, zb = random_point(rng, 0.95), random_point(rng, 0.95)
+            da, db = reference_displacement(np.array([za, zb]), L[j])
+            inside = ends[(ends > min(da, db)) & (ends < max(da, db))]
+            for e in rng.sample(sorted(inside), min(2, len(inside))):
+                lo, hi = 0.0, 1.0
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    z = za + mid * (zb - za)
+                    if (reference_displacement(np.array([z]), L[j])[0] <= e) == (da <= e):
+                        lo = mid
+                    else:
+                        hi = mid
+                cells += [(za + lo * (zb - za), j), (za + hi * (zb - za), j)]
+        return cells
+
+    @pytest.mark.parametrize("depth", [3, 5])
+    @pytest.mark.parametrize("tol", [1e-4, 0.3, 1e-9])
+    def test_random_and_straddling_points(self, n14, rng, depth, tol):
+        # 0.3 merges neighbouring intervals; 1e-9 widens the bins
+        dset = n14.dset if depth == 5 else admissible_distances(14, 3)
+        dset = dataclasses.replace(dset, match_tol=tol)
+        cells = self._straddling_cells(n14.L, dset, rng)
+        pts = [random_point(rng, 0.95) for _ in range(200)] + [z for z, _ in cells]
+        m = compatibility_matrix(pts, n14.L, dset)
+        want = reference_compatibility_matrix(pts, n14.L, dset)
+        assert np.array_equal(m, want)
+        # the straddling cells lie at the interval ends, on both sides of the rule
+        vals = np.array(dset.values)
+        ends = np.concatenate([vals - tol, vals + tol])
+        for z, j in cells:
+            d = reference_displacement(np.array([z]), n14.L[j])[0]
+            assert np.abs(ends - d).min() < 1e-9
+        hits = [want[200 + i, j] for i, (_, j) in enumerate(cells)]
+        assert len(cells) > 40 and any(hits) and not all(hits)
+
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_points_on_and_beyond_the_circle(self, n14, depth):
+        dset = n14.dset if depth == 5 else admissible_distances(14, 3)
+        on = [1.0, 1j, -1.0, 0.6 + 0.8j, -0.28 - 0.96j, complex(math.cos(2.0), math.sin(2.0))]
+        bad = [complex(math.nan, 0.0), complex(0.3, math.nan), complex(math.inf, 0.0)]
+        beyond = [1.5, -2.0 + 0.5j, 3e5j, 1.0 / (0.516 + 0.248j)]
+        pts = on + bad + beyond + [0.516 - 0.248j]
+        m = compatibility_matrix(pts, n14.L, dset)
+        with np.errstate(all="ignore"):
+            want = reference_compatibility_matrix(pts, n14.L, dset)
+        assert np.array_equal(m, want)
+        assert not m[: len(on) + len(bad)].any()
+        assert m[len(on) + len(bad) :].any(axis=1).all()
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-7])
+    def test_points_near_the_circle_skip_the_screen(self, n14, gap):
+        # every finite displacement of the first point is an admissible
+        # value; there the screen's l misses the exact d's l by far more
+        # than a bin width, so these rows must go to the exact rule
+        assert gap < SCREEN_MIN_GAP
+        pts = np.sqrt(1.0 - gap) * np.exp(1j * np.array([0.3, 1.1, 2.5]))
+        with np.errstate(all="ignore"):
+            d = np.stack([reference_displacement(pts, p) for p in n14.L], axis=1)
+        first = d[0][np.isfinite(d[0])]
+        dset = DistanceSet(tuple(sorted({0.0, *first.tolist()})), 3, match_tol=1e-12)
+        m = compatibility_matrix(list(pts), n14.L, dset)
+        with np.errstate(all="ignore"):
+            want = reference_compatibility_matrix(pts, n14.L, dset)
+        assert np.array_equal(m, want)
+        assert want[0].sum() == len(first) > 100
+
+    def test_displacements_below_the_first_bin(self, n14):
+        # the identity fixes every point (u = 0, l = -inf) and a short
+        # translation moves the origin by 1e-7: both are admissible by
+        # v = 0, and their l lies below every interval end but v = 0's
+        near = [
+            dataclasses.replace(n14.L[0], map=Isometry.identity()),
+            dataclasses.replace(n14.L[1], map=Isometry.axis_translation(1e-7)),
+            dataclasses.replace(n14.L[2], map=Isometry(1.0, 0.0, True)),
+        ]
+        pts = [0j, 0.5, -0.25, 0.3 + 0.1j]
+        m = compatibility_matrix(pts, near + n14.L[:20], n14.dset)
+        assert np.array_equal(m, reference_compatibility_matrix(pts, near + n14.L[:20], n14.dset))
+        assert m[:, 0].all() and m[0, 1] and m[:3, 2].all()
+
+    def test_screen_error_over_every_depth5_cell(self, n14):
+        # the screen's l and d against the exact formula's: they part by
+        # 2.9e-11 here, against a bin width of at least 1e-4
+        zs = np.array([c.point for c in n14.C])
+        n = len(n14.L)
+        a = np.array([p.map.a for p in n14.L])
+        b = np.array([p.map.b for p in n14.L])
+        coef = _numerator_coefficients(a, b, np.array([p.reversing for p in n14.L]))
+        mono, near_circle = _screen_monomials(zs)
+        assert not near_circle.any()
+        l_screen = np.log((coef[:n] @ mono) ** 2 + (coef[n:] @ mono) ** 2)
+        d = np.stack([reference_displacement(zs, p) for p in n14.L])
+        assert np.abs(l_screen - log_sinh2(d)).max() < 1e-9
+        assert np.abs(2.0 * np.arcsinh(np.exp(0.5 * l_screen)) - d).max() < 1e-9
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from diskpack.tess import (
     AdmissibilityTable,
     NotHyperbolic,
     admissible_distances,
+    log_sinh2,
     polygon_metrics,
     triangle_generators,
 )
@@ -290,3 +291,35 @@ class TestAdmissibleMask:
         assert admissible(d).shape == (2, 3)
         assert admissible(d).all()
         assert admissible(np.empty(0)).shape == (0,)
+
+
+class TestAdmissibilityScreen:
+    @pytest.mark.parametrize("depth", [3, 5])
+    @pytest.mark.parametrize("tol", [1e-4, 0.3, 1e-9])
+    def test_checks_every_l_within_a_bin_of_an_admissible_d(self, depth, tol):
+        # the soundness margin: an l that misses an admissible d's l by less
+        # than a bin width still reaches the exact rule; d = 0 and the ends
+        # below it give l = -inf, which goes to bin 0
+        dset = dataclasses.replace(admissible_distances(14, depth), match_tol=tol)
+        table = AdmissibilityTable(dset)
+        d = _edge_distances(dset)
+        d = d[table(d)]
+        assert np.isneginf(log_sinh2(d)).any() and len(d) > 4 * len(dset.values)
+        for off in (-0.999, -0.5, 0.0, 0.5, 0.999):
+            assert table.screen(log_sinh2(d) + off * table.width).all()
+
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_rules_most_of_the_axis_out(self, depth):
+        dset = admissible_distances(14, depth)
+        table = AdmissibilityTable(dset)
+        assert table.width >= dset.match_tol
+        assert table.check[0] and not table.check[-1]
+        assert table.check.mean() < 0.05
+        far = log_sinh2(np.array(dset.values[1:-1]) + 0.5 * np.diff(dset.values)[1:])
+        gaps = np.diff(dset.values)[1:] > 10 * table.width
+        assert gaps.sum() > 10 and not table.screen(far[gaps]).any()
+
+    def test_screen_sends_nan_and_infinities_to_the_end_bins(self):
+        table = AdmissibilityTable(admissible_distances(14, 3))
+        got = table.screen(np.array([np.nan, -np.inf, np.inf, -1e300, 1e300]))
+        assert got.tolist() == [True, True, False, True, False]
