@@ -215,18 +215,23 @@ def admissible_distances(
     match_tol: float = MATCH_TOL,
     dedup_tol: float = DEDUP_TOL,
 ) -> DistanceSet:
-    """Distances d(0, R(0)) over all n^depth products of depth neighbor maps.
+    """Distances d(0, R(0)) over all products R of depth neighbor maps.
 
-    Cost grows as depth * n^depth; depth 5 at n = 14 is about half a million
-    products.  The enumeration streams level by level as arrays of matrix
-    entries, so memory stays at one level's worth of products.
+    One word per rotation orbit is enough.  R_m = (ca)^m R_0 with ca the
+    rotation by 2pi/n about 0, so a word R_m h equals (ca)^m R_0 h, and as
+    (ca)^m is an isometry fixing 0, d(0, R_m h(0)) = d(0, R_0 h(0)).  Only
+    the n^(depth-1) words whose first letter is R_0 are enumerated, so the
+    cost grows as depth * n^(depth-1): at n = 14, depth 5 the last level
+    holds 38 416 words, against 537 824 for every word.  The enumeration
+    streams level by level as arrays of matrix entries, so memory stays at
+    one level's worth of products.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     gens = triangle_generators(n)
     ga = np.array([g.a for g in gens.rm], dtype=complex)
     gb = np.array([g.b for g in gens.rm], dtype=complex)
-    pa, pb = ga.copy(), gb.copy()
+    pa, pb = ga[:1], gb[:1]
     for _ in range(depth - 1):
         na, nb = _compose_arrays(pa[:, None], pb[:, None], ga[None, :], gb[None, :])
         pa, pb = na.ravel(), nb.ravel()

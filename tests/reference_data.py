@@ -11,9 +11,11 @@ directions of each identification, for the exact-cover completion engine;
 the slot-permutation walker trace_cycles that the engine's single-pass
 vertex-cycle walk replaced; the geometric slot links (each endpoint's
 image under the pairing, looked up among the vertices) for the links
-BoundarySlots takes by the endpoint rule; and the membership reduction
+BoundarySlots takes by the endpoint rule; the membership reduction
 whose best-first search composes every child's isometry at the push, for
-the one that composes it at the pop."""
+the one that composes it at the pop; and the enumeration of the admissible
+distances over every product of neighbor maps, for the one that takes one
+word per rotation orbit."""
 
 import heapq
 import math
@@ -57,6 +59,13 @@ from diskpack.search import (
     _domain_offset_bound,
     _newton_polish,
     _split_curves,
+)
+from diskpack.tess import (
+    DEDUP_TOL,
+    MATCH_TOL,
+    DistanceSet,
+    _compose_arrays,
+    triangle_generators,
 )
 
 GOOD_CANDIDATE = 0.516 - 0.248j
@@ -408,6 +417,39 @@ def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
         (tuple(struct.points[v] for v in cyc), total) for cyc, total in cycles
     )
     solutions.append(PairingSolution(pairings, vertex_cycles, reversing_count))
+
+
+def reference_admissible_distances(
+    n: int,
+    depth: int,
+    match_tol: float = MATCH_TOL,
+    dedup_tol: float = DEDUP_TOL,
+) -> DistanceSet:
+    """Distances d(0, R(0)) over all n^depth products of depth neighbor maps.
+
+    Cost grows as depth * n^depth; depth 5 at n = 14 is about half a million
+    products.  The enumeration streams level by level as arrays of matrix
+    entries, so memory stays at one level's worth of products.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    gens = triangle_generators(n)
+    ga = np.array([g.a for g in gens.rm], dtype=complex)
+    gb = np.array([g.b for g in gens.rm], dtype=complex)
+    pa, pb = ga.copy(), gb.copy()
+    for _ in range(depth - 1):
+        na, nb = _compose_arrays(pa[:, None], pb[:, None], ga[None, :], gb[None, :])
+        pa, pb = na.ravel(), nb.ravel()
+        scale = np.sqrt(np.abs(pa) ** 2 - np.abs(pb) ** 2)
+        pa /= scale
+        pb /= scale
+    w = np.abs(pb / np.conj(pa))
+    d = 2.0 * np.arctanh(w)
+    d = np.sort(d)
+    keep = np.concatenate(([True], np.diff(d) > dedup_tol))
+    d = d[keep]
+    values = (0.0,) + tuple(float(v) for v in d[d > dedup_tol])
+    return DistanceSet(values, depth, match_tol, dedup_tol)
 
 
 def reference_displacement(zs, p):

@@ -445,23 +445,7 @@ def test_run_reports_completion(depth5_run):
         assert b"carried" not in text and b"symmetry" not in text
 
 
-@pytest.mark.parametrize(
-    "n",
-    [
-        12,
-        18,
-        24,
-        pytest.param(
-            30,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="run passes the certificate, verify rejects it: "
-                "word for generator 22 misses by 1.56e-07 against word_tol 1e-7",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("n", [12, 18, 24, 30])
 def test_one_tile_auto_mode_runs_and_verifies(n, tmp_path, capsys):
     # one tile and no seed pairs: the k = 1 primitive pair, off N = 14
     path = tmp_path / f"one{n}.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_data import reference_admissible_distances
 from diskpack.geom import Isometry, classify, dist
 from diskpack.tess import (
     TABLE_MAX_BINS,
@@ -242,6 +243,34 @@ class TestAdmissibleDistances:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             admissible_distances(7, 0)
+
+    @pytest.mark.parametrize(
+        "n, depth",
+        [(14, depth) for depth in range(1, 6)]
+        + [(7, 5)]
+        + [(n, 3) for n in (12, 18, 24, 30)],
+    )
+    def test_equals_the_enumeration_of_every_word(self, n, depth):
+        dset = admissible_distances(n, depth)
+        ref = reference_admissible_distances(n, depth)
+        assert len(dset.values) == len(ref.values)
+        diff = np.abs(np.array(dset.values) - np.array(ref.values))
+        assert diff.max() <= dset.dedup_tol
+
+    @pytest.mark.parametrize("n, letters", [(7, 3), (14, 1)])
+    def test_first_letter_moves_no_distance(self, n, letters, rng):
+        # R_m = (ca)^m R_0 and (ca)^m fixes 0, so the first letter of a word
+        # never changes its displacement of 0; the float R_m differ from
+        # (ca)^m R_0 by rounding, which a point at distance d magnifies by
+        # about e^d, so h stays short enough for 1e-12
+        gens = triangle_generators(n)
+        for _ in range(10):
+            h = Isometry.identity()
+            for _ in range(rng.randrange(letters + 1)):
+                h = h * gens.rm[rng.randrange(n)]
+            d0 = dist(0j, (gens.rm[0] * h)(0j))
+            for m in range(1, n):
+                assert dist(0j, (gens.rm[m] * h)(0j)) == pytest.approx(d0, abs=1e-12)
 
 
 def _edge_distances(dset):
