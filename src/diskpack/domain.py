@@ -39,6 +39,12 @@ from .tess import TriangleGenerators, triangle_generators
 
 EDGE_MATCH_TOL = 1e-9
 INSIDE_TOL = 1e-9
+# hyperbolic distance by which contains' discs exceed the bound on the
+# points it can accept (see FundamentalDomain.tile_discs)
+DISC_SLACK = 1e-7
+# margins (edges x points) per block of contains' array path: its float
+# temporaries stay at 128 KB however many points come in
+CONTAINS_CELLS = 1 << 14
 WEDGE = 2.0 * math.pi / 3.0  # a tile's corner angle: three tiles meet at a vertex
 
 
@@ -122,16 +128,25 @@ class _CarrierTable:
             line_twice_inward=np.array([2.0 * e.inward for e in lines]),
         )
 
-    def margins(self, z: complex) -> np.ndarray:
+    def margins(self, z) -> np.ndarray:
+        """The margin of z at every edge: shape (k, n) for a point, (k, n, m)
+        for a 1-D array of m points."""
         # signed_offset's operations in its order, on float64 like the
         # scalar path, so every entry equals EdgeRef.margin bit for bit
         x, y = z.real, z.imag
+        cx, cy, r2, signed_r = self.cx, self.cy, self.r2, self.signed_r
+        nx, ny, offset, twice = (
+            self.line_nx, self.line_ny, self.line_offset, self.line_twice_inward
+        )
+        if isinstance(z, np.ndarray):
+            # the points along the last, contiguous axis
+            cx, cy, r2, signed_r = cx[..., None], cy[..., None], r2[..., None], signed_r[..., None]
+            nx, ny, offset, twice = nx[:, None], ny[:, None], offset[:, None], twice[:, None]
         D = 1.0 - (x * x + y * y)
-        dx, dy = x - self.cx, y - self.cy
-        m = (dx * dx + dy * dy - self.r2) / (self.signed_r * D)
+        dx, dy = x - cx, y - cy
+        m = (dx * dx + dy * dy - r2) / (signed_r * D)
         if self.line_at is not None:
-            offsets = self.line_nx * x + self.line_ny * y - self.line_offset
-            m[self.line_at] = self.line_twice_inward * offsets / D
+            m[self.line_at] = twice * (nx * x + ny * y - offset) / D
         return m
 
 
@@ -176,24 +191,64 @@ class FundamentalDomain:
     def is_internal(self, poly: int, edge: int) -> bool:
         return any((poly, edge) in pair for pair in self.internal_edges)
 
-    def polygon_margin(self, z, poly: int):
-        return np.minimum.reduce([e.margin(z) for e in self.edges[poly]])
-
     def contains(self, z, tol: float = INSIDE_TOL):
         """Whether z is strictly inside some tile or within tol of two tiles
         (on an internal edge).  z is a point, for which the answer is a
-        bool, or an array of points, for which it is a boolean array; both
-        take the margins by signed_offset's arithmetic, so they agree."""
+        bool, or an array of points, for which it is a boolean array of its
+        shape; both take the margins by signed_offset's arithmetic, so they
+        agree.  The array path decides only the points that lie in one of
+        tile_discs(tol), or not in the open unit disk, taking their margins
+        at every edge in one broadcast per block of points."""
         if not isinstance(z, np.ndarray):
             tiles = np.minimum.reduce(self._carriers.margins(z), axis=1).tolist()
             return any(m > tol for m in tiles) or sum(m >= -tol for m in tiles) >= 2
-        strict = False
-        near = 0
-        for poly in range(self.k):
-            m = self.polygon_margin(z, poly)
-            strict = strict | (m > tol)
-            near = near + (m >= -tol)
-        return strict | (near >= 2)
+        flat = z.ravel()
+        out = np.zeros(flat.shape, dtype=bool)
+        x, y = flat.real, flat.imag
+        center, radius = self.tile_discs(tol)
+        dx, dy = x - center.real[:, None], y - center.imag[:, None]
+        near = (dx * dx + dy * dy <= (radius * radius)[:, None]).any(axis=0)
+        todo = np.flatnonzero(near | ~(x * x + y * y < 1.0))
+        per_block = max(1, CONTAINS_CELLS // (self.k * self.n))
+        for start in range(0, len(todo), per_block):
+            at = todo[start : start + per_block]
+            tiles = self._carriers.margins(flat[at]).min(axis=1)
+            out[at] = (tiles > tol).any(axis=0) | ((tiles >= -tol).sum(axis=0) >= 2)
+        return out.reshape(z.shape)
+
+    def tile_discs(self, tol: float = INSIDE_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """Euclidean centers and radii of discs, one per tile, that hold
+        every point of the open unit disk that contains(., tol) accepts.
+
+        Either rule of contains needs a tile at whose every edge the margin
+        is at least -|tol|.  Put the tile's center at the origin of the
+        hyperboloid model, with inradius r, circumradius R and edge normals
+        2 pi / n apart.  A point at distance rho from the center, in a
+        direction at angle phi from an edge's normal, has sinh-distance
+        sinh(rho) cos(phi) cosh(r) - cosh(rho) sinh(r) beyond that edge,
+        which is its margin negated.  Some normal lies within pi / n of the
+        point's direction, so the point lies at least
+        f(rho) = sinh(rho) cos(pi / n) cosh(r) - cosh(rho) sinh(r) beyond
+        some edge.  f vanishes at the corner (rho = R), and beyond it
+        f'' = f >= 0 with f'(R) = cos(pi / n) cosh(r) / cosh(R), so
+        f(R + e) >= e f'(R).  A margin of at least -|tol| at every edge
+        therefore bounds rho by R + |tol| cosh(R) / (cos(pi / n) cosh(r)).
+        Each disc has that hyperbolic radius plus DISC_SLACK, which covers
+        the rounding of the margins and of the discs (below 1e-12 near F,
+        where the carriers are built and the margins taken; a point far
+        from every tile has some margin far below -|tol|).
+        """
+        m = self.metrics
+        R, r = m.circumradius, m.inradius
+        rho = R + abs(tol) * math.cosh(R) / (math.cos(math.pi / self.n) * math.cosh(r))
+        rho += DISC_SLACK
+        # the hyperbolic disc of radius rho about c is the image of |w| <= t
+        # under w -> (w + c) / (1 + conj(c) w)
+        t = math.tanh(0.5 * rho)
+        c = np.array([self.center(i) for i in range(self.k)])
+        c2 = np.abs(c) ** 2
+        den = 1.0 - c2 * (t * t)
+        return c * ((1.0 - t * t) / den), t * (1.0 - c2) / den
 
     @cached_property
     def _carriers(self) -> _CarrierTable:

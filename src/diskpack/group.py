@@ -202,21 +202,20 @@ def second_packing_certificate(
     P: complex,
     G: GroupPresentation,
     gens: TriangleGenerators,
-    residual_tol: float = RESIDUAL_TOL,
-    swap_tol: float = SWAP_TOL,
 ) -> dict:
     """Certificate that a half-turn swaps the obvious center with P.
 
     O' is second_neighbor_center(G.domain, gens); tau is
     swapping_half_turn(P, O').  The certificate passes when
-    tau conjugates every generator into the group and swaps P with O'.  The
-    returned record carries the tolerances it was decided with.
+    tau conjugates every generator into the group (membership residuals
+    below RESIDUAL_TOL) and swaps P with O' (within SWAP_TOL).  The returned
+    record carries both tolerances.
     """
     o_prime = second_neighbor_center(G.domain, gens)
     tau = swapping_half_turn(P, o_prime)
     swap_residual = dist(tau(P), o_prime)
     try:
-        ok, results = normalizes(tau, G, residual_tol=residual_tol)
+        ok, results = normalizes(tau, G)
         stalled = False
     except ReductionStalled:
         ok, results, stalled = False, [], True
@@ -226,10 +225,10 @@ def second_packing_certificate(
         "midpoint": midpoint(P, o_prime),
         "tau": tau,
         "swap_residual": swap_residual,
-        "residual_tol": residual_tol,
-        "swap_tol": swap_tol,
+        "residual_tol": RESIDUAL_TOL,
+        "swap_tol": SWAP_TOL,
         "normalizes": ok,
         "memberships": results,
         "stalled": stalled,
-        "passed": ok and swap_residual <= swap_tol,
+        "passed": ok and swap_residual <= SWAP_TOL,
     }

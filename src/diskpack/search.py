@@ -19,11 +19,11 @@ import numpy as np
 
 from .domain import BoundarySlots, FundamentalDomain, InvalidCellStructure, SidePairing
 from .geom import (
+    TANGENT_TOL,
     CoincidentCurves,
     GeneralizedCircle,
     axis,
     displacement_offset,
-    dist_to_geodesic,
     hypercycle,
     intersect,
     signed_offset,
@@ -34,40 +34,30 @@ CANDIDATE_DEDUP = 1e-6
 ANGLE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     point: complex
     seed_pair: tuple[SidePairing, SidePairing]
     seed_distances: tuple[float, float]
 
 
-def _banana_records(
+def _families(
     p: SidePairing,
     dset: DistanceSet,
     max_offset: float | None = None,
     max_families: int | None = None,
-) -> tuple[GeneralizedCircle, list[tuple[float, float, GeneralizedCircle]]]:
-    """Axis and (distance, signed sinh offset, curve) records of p's bananas,
-    at the first ``max_families`` distances that have one (all by default)."""
-    A = axis(p.map)
-    recs = []
-    families = 0
+) -> list[tuple[float, float]]:
+    """(distance, offset from the axis) of p's bananas, at the first
+    ``max_families`` distances that have one (all by default)."""
+    out = []
     for d in dset.values:
-        if families == max_families:
+        if len(out) == max_families:
             break
         delta = displacement_offset(p.cls, d)
-        if delta is None:
+        if delta is None or (max_offset is not None and delta > max_offset):
             continue
-        if max_offset is not None and delta > max_offset:
-            continue
-        families += 1
-        if delta == 0.0:
-            recs.append((d, 0.0, A))
-        else:
-            tau = math.sinh(delta)
-            recs.append((d, tau, hypercycle(A, delta, 1)))
-            recs.append((d, -tau, hypercycle(A, delta, -1)))
-    return A, recs
+        out.append((d, delta))
+    return out
 
 
 def bananas(
@@ -85,46 +75,104 @@ def bananas(
     ``max_families`` stops after that many distances (a figure draws only
     the first few).
     """
-    _, recs = _banana_records(p, dset, max_offset, max_families)
-    grouped: dict[float, list[GeneralizedCircle]] = {}
-    order: list[float] = []
-    for d, _, curve in recs:
-        if d not in grouped:
-            grouped[d] = []
-            order.append(d)
-        grouped[d].append(curve)
-    return [(d, grouped[d]) for d in order]
+    A = axis(p.map)
+    return [
+        (d, [A] if delta == 0.0 else [hypercycle(A, delta, 1), hypercycle(A, delta, -1)])
+        for d, delta in _families(p, dset, max_offset, max_families)
+    ]
 
 
 def _domain_offset_bound(F: FundamentalDomain, A: GeneralizedCircle) -> float:
     # distance to a geodesic is convex, so the max over each convex tile is
-    # attained at a corner
-    return max(
-        dist_to_geodesic(v, A) for poly in F.corners for v in poly
-    ) + 1e-6
+    # attained at a corner; dist_to_geodesic's arithmetic, signed_offset's
+    # array path agreeing with its scalar one
+    offsets = np.abs(signed_offset(np.array(F.corners).ravel(), A))
+    return max(map(math.asinh, offsets.tolist())) + 1e-6
 
 
 INTERSECT_RADIUS_CUT = 1e5
 
 
-def _chordify(curve: GeneralizedCircle, A: GeneralizedCircle) -> GeneralizedCircle:
-    """Replace an extreme-radius hypercycle circle by the chord of the axis's
-    ideal points for intersection purposes (the Newton polish afterwards
-    removes the sub-1e-5 approximation error)."""
-    if curve.kind == "circle" and curve.radius > INTERSECT_RADIUS_CUT:
-        u, v = A.ideal_points()
-        sep = abs(v - u)
-        normal = 1j * (v - u) / sep
-        return GeneralizedCircle.line(normal, (normal.conjugate() * u).real)
-    return curve
+def _chord(A: GeneralizedCircle) -> GeneralizedCircle:
+    """The chord of the axis's ideal points, which stands in for a
+    hypercycle circle of radius above INTERSECT_RADIUS_CUT when
+    intersecting (the Newton polish afterwards removes the sub-1e-5
+    approximation error)."""
+    u, v = A.ideal_points()
+    sep = abs(v - u)
+    normal = 1j * (v - u) / sep
+    return GeneralizedCircle.line(normal, (normal.conjugate() * u).real)
 
 
-def _split_curves(records, A):
-    circles, lines = [], []
-    for d, tau, c in records:
-        c = _chordify(c, A)
-        (circles if c.kind == "circle" else lines).append((d, tau, c))
-    return circles, lines
+def _quotient(c: complex, t: np.ndarray) -> np.ndarray:
+    """c / t for each real t by Python's complex division, which divides by
+    complex(t, 0) (numpy's multiplies by a reciprocal instead)."""
+    ratio = 0.0 / t
+    out = np.empty(t.shape, dtype=complex)
+    out.real = (c.real + c.imag * ratio) / t
+    out.imag = (c.imag - c.real * ratio) / t
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Curves:
+    """A seed pairing's bananas that can meet F, as arrays with one entry
+    per curve in family order, the + side before the - side: distance d and
+    signed sinh offset tau; circles and lines index the curves of each kind,
+    with center and radius, or the line itself, aligned to them."""
+
+    axis: GeneralizedCircle
+    d: np.ndarray
+    tau: np.ndarray
+    circles: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+    lines: np.ndarray
+    line_curves: tuple[GeneralizedCircle, ...]
+
+
+def _banana_curves(p: SidePairing, dset: DistanceSet, F: FundamentalDomain) -> _Curves:
+    """p's bananas within _domain_offset_bound of its axis, by hypercycle's
+    arithmetic and operation order on arrays, with no object per curve.  A
+    circle of radius above INTERSECT_RADIUS_CUT becomes the axis's chord.
+    Every line is one of the axis's own, each built once: that chord,
+    hypercycle's chord for a curve too flat for a circle, or a diameter
+    axis itself."""
+    A = axis(p.map)
+    d, tau = [], []
+    for dist_, delta in _families(p, dset, _domain_offset_bound(F, A)):
+        if delta == 0.0:
+            d.append(dist_)
+            tau.append(0.0)
+        else:
+            t = math.sinh(delta)
+            d += [dist_, dist_]
+            tau += [t, -t]
+    d, tau = np.array(d), np.array(tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if A.kind == "circle":
+            k = tau * A.radius
+            one = 1.0 + k
+            span = np.sqrt(A.radius**2 + k * k)
+            center = _quotient(A.center, one)
+            radius = span / np.abs(one)
+            on_axis = tau == 0.0
+            center[on_axis] = A.center
+            radius[on_axis] = A.radius
+            flat = ~on_axis & (np.abs(one) <= 1e-9 * span)
+            ac = abs(A.center)
+            flat_line = GeneralizedCircle.line(A.center / ac, 1.0 / ac)
+        else:
+            span = np.sqrt(1.0 + tau * tau)
+            center = _quotient(-A.normal, tau)
+            radius = span / np.abs(tau)
+            flat = np.abs(tau) <= 1e-9 * span
+            flat_line = A
+    far = ~flat & (radius > INTERSECT_RADIUS_CUT)
+    circles, lines = np.flatnonzero(~(flat | far)), np.flatnonzero(flat | far)
+    chord = _chord(A)
+    line_curves = tuple(flat_line if flat[i] else chord for i in lines.tolist())
+    return _Curves(A, d, tau, circles, center[circles], radius[circles], lines, line_curves)
 
 
 def _sigma_and_grad(A: GeneralizedCircle, x, y):
@@ -167,20 +215,13 @@ def _newton_polish(A1, tau1, A2, tau2, zs, iterations: int = 3):
     return x + 1j * y
 
 
-def _circle_pair_intersections(circ1, circ2, block=256):
-    """Raw intersection points of two circle families with parent records."""
-    if not circ1 or not circ2:
+def _circle_pair_intersections(c1, r1, c2, r2, block=256):
+    """Raw intersection points of two circle families (centers c, radii r),
+    with the index of each point's circle in either family."""
+    if not len(c1) or not len(c2):
         return None
-    c1 = np.array([c.center for _, _, c in circ1])
-    r1 = np.array([c.radius for _, _, c in circ1])
-    c2 = np.array([c.center for _, _, c in circ2])
-    r2 = np.array([c.radius for _, _, c in circ2])
-    d1 = np.array([d for d, _, _ in circ1])
-    t1 = np.array([t for _, t, _ in circ1])
-    d2 = np.array([d for d, _, _ in circ2])
-    t2 = np.array([t for _, t, _ in circ2])
     pts, out1, out2 = [], [], []
-    for start in range(0, len(circ1), block):
+    for start in range(0, len(c1), block):
         sl = slice(start, start + block)
         dc = c2[None, :] - c1[sl, None]
         dd = np.abs(dc)
@@ -200,11 +241,68 @@ def _circle_pair_intersections(circ1, circ2, block=256):
             if m.any():
                 ii, jj = np.nonzero(m)
                 pts.append(cand[m])
-                out1.append(np.stack([d1[sl][ii], t1[sl][ii]], axis=1))
-                out2.append(np.stack([d2[jj], t2[jj]], axis=1))
+                out1.append(ii + start)
+                out2.append(jj)
     if not pts:
         return None
     return np.concatenate(pts), np.concatenate(out1), np.concatenate(out2)
+
+
+def _line_circle_points(line: GeneralizedCircle, center, radius):
+    """geom.intersect(line, circle) for every circle (center, radius), with
+    its arithmetic and its order: points and a mask of those it returns,
+    both of shape (circles, 2)."""
+    n = line.normal
+    # Re(conj(n) c) as Python forms it: numpy's product of two complex
+    # arrays may fuse its multiply-adds (a product by a real or by 1j has
+    # nothing to fuse), and its abs is not libm's hypot, as Python's is
+    s = n.real * center.real + n.imag * center.imag - line.offset
+    foot = center - s * n
+    # float ** 2 takes libm pow, as intersect does, not numpy's square
+    h2 = np.array([r**2 for r in radius.tolist()]) - s * s
+    tangent = h2 <= TANGENT_TOL
+    hu = np.sqrt(np.where(tangent, 0.0, h2)) * (1j * n)
+    pts = np.stack([np.where(tangent, foot, foot + hu), foot - hu], axis=-1)
+    ok = (np.hypot(pts.real, pts.imag) < 1.0) & (h2 >= -TANGENT_TOL)[:, None]
+    ok[:, 1] &= ~tangent
+    # intersect sorts each pair by (re, im)
+    first, second = pts[:, 0], pts[:, 1]
+    swap = ok.all(axis=1) & (
+        (second.real < first.real) | ((second.real == first.real) & (second.imag < first.imag))
+    )
+    pts[swap] = pts[swap, ::-1]
+    return pts, ok
+
+
+def _line_intersections(b1: _Curves, b2: _Curves):
+    """Raw intersection points that involve a line, with the index of each
+    point's curve in either seed's curves, in the order of a loop of
+    intersect over each line of b1 against b2's circles and then its lines,
+    and then over each circle of b1 against b2's lines.  Line pairs, one or
+    two per seed pair, go through intersect itself."""
+    pts, i1, i2 = [], [], []
+    for a, la in zip(b1.lines.tolist(), b1.line_curves):
+        z, ok = _line_circle_points(la, b2.center, b2.radius)
+        at, side = np.nonzero(ok)
+        pts.append(z[at, side])
+        i1.append(np.full(len(at), a))
+        i2.append(b2.circles[at])
+        for b, lb in zip(b2.lines.tolist(), b2.line_curves):
+            w = intersect(la, lb)
+            pts.append(np.array(w, dtype=complex))
+            i1.append(np.full(len(w), a))
+            i2.append(np.full(len(w), b))
+    if len(b2.lines):
+        # circle by circle of b1, each against every line of b2
+        each = [_line_circle_points(lb, b1.center, b1.radius) for lb in b2.line_curves]
+        z, ok = (np.stack(parts, axis=1) for parts in zip(*each))
+        at = np.nonzero(ok)
+        pts.append(z[at])
+        i1.append(b1.circles[at[0]])
+        i2.append(b2.lines[at[1]])
+    if not pts:
+        return None
+    return np.concatenate(pts), np.concatenate(i1), np.concatenate(i2)
 
 
 def candidates(
@@ -216,60 +314,50 @@ def candidates(
 ) -> list[Candidate]:
     """Intersections of p1's bananas with p2's bananas that lie in F.
 
-    Deduplicated at ``dedup`` point distance and sorted by (re, im).
+    Deduplicated at ``dedup`` point distance and sorted by (re, im).  The
+    points come from whole arrays of curves (_banana_curves), circles
+    against circles first, then every pair involving a line; they are
+    Newton-polished, F.contains keeps those inside (it decides only the
+    points near some tile), and a stable sort by (re, im) orders them.  Of
+    points within ``dedup`` of an earlier kept one only the first is kept;
+    only runs of sorted points whose real parts lie within ``dedup`` of the
+    previous one need that check.
     """
     if p1.record == p2.record:
         raise ValueError("seed pairings must be distinct")
-    A1, recs1 = _banana_records(p1, dset, _domain_offset_bound(F, axis(p1.map)))
-    A2, recs2 = _banana_records(p2, dset, _domain_offset_bound(F, axis(p2.map)))
-    circ1, lines1 = _split_curves(recs1, A1)
-    circ2, lines2 = _split_curves(recs2, A2)
-
+    b1 = _banana_curves(p1, dset, F)
+    b2 = _banana_curves(p2, dset, F)
     pieces = []
-    hit = _circle_pair_intersections(circ1, circ2)
+    hit = _circle_pair_intersections(b1.center, b1.radius, b2.center, b2.radius)
+    if hit is not None:
+        pieces.append((hit[0], b1.circles[hit[1]], b2.circles[hit[2]]))
+    hit = _line_intersections(b1, b2)
     if hit is not None:
         pieces.append(hit)
-    # lines are rare (hypercycles through antipodal ideal points); scalar path
-    scalar: list[tuple[complex, float, float, float, float]] = []
-    for d_a, t_a, la in lines1:
-        for d_b, t_b, cb in circ2 + lines2:
-            for z in intersect(la, cb):
-                scalar.append((z, d_a, t_a, d_b, t_b))
-    for d_a, t_a, ca in circ1:
-        for d_b, t_b, lb in lines2:
-            for z in intersect(ca, lb):
-                scalar.append((z, d_a, t_a, d_b, t_b))
-    if scalar:
-        pieces.append(
-            (
-                np.array([rec[0] for rec in scalar]),
-                np.array([[rec[1], rec[2]] for rec in scalar]),
-                np.array([[rec[3], rec[4]] for rec in scalar]),
-            )
-        )
     if not pieces:
         return []
-    zs = np.concatenate([p[0] for p in pieces])
-    rec1 = np.concatenate([p[1] for p in pieces])
-    rec2 = np.concatenate([p[2] for p in pieces])
+    zs, i1, i2 = (np.concatenate(parts) for parts in zip(*pieces))
 
-    zs = _newton_polish(A1, rec1[:, 1], A2, rec2[:, 1], zs)
-    keep = (np.abs(zs) < 1.0) & F.contains(zs)
-    raw = list(zip(zs[keep].tolist(), rec1[keep, 0].tolist(), rec2[keep, 0].tolist()))
-    raw.sort(key=lambda rec: (rec[0].real, rec[0].imag))
-
-    out: list[Candidate] = []
-    for z, d_a, d_b in raw:
-        dup = False
-        for c in reversed(out):
-            if z.real - c.point.real > dedup:
+    zs = _newton_polish(b1.axis, b1.tau[i1], b2.axis, b2.tau[i2], zs)
+    kept = np.flatnonzero((np.abs(zs) < 1.0) & F.contains(zs))
+    kept = kept[np.lexsort((zs.imag[kept], zs.real[kept]))]
+    points = zs[kept].tolist()
+    close = np.flatnonzero(np.diff(zs.real[kept]) <= dedup) + 1
+    keep = [True] * len(points)
+    for j in close.tolist():
+        z = points[j]
+        i = j - 1
+        while i >= 0 and z.real - points[i].real <= dedup:
+            if keep[i] and abs(z - points[i]) <= dedup:
+                keep[j] = False
                 break
-            if abs(z - c.point) <= dedup:
-                dup = True
-                break
-        if not dup:
-            out.append(Candidate(z, (p1, p2), (d_a, d_b)))
-    return out  # raw's order, which deduplication keeps
+            i -= 1
+    pair = (p1, p2)
+    return [
+        Candidate(z, pair, seeds)
+        for z, seeds, k in zip(points, zip(b1.d[i1[kept]].tolist(), b2.d[i2[kept]].tolist()), keep)
+        if k
+    ]
 
 
 # cells (pairings x points) per block of compatibility_matrix: its float
@@ -362,7 +450,7 @@ def compatibility_matrix(
     out = np.zeros((len(zs), len(L)), dtype=bool)
     if out.size == 0:
         return out
-    table = AdmissibilityTable(dset)
+    table = dset.table
     n = len(L)
     a = np.array([p.map.a for p in L], dtype=complex)
     b = np.array([p.map.b for p in L], dtype=complex)

@@ -17,6 +17,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,12 @@ class DistanceSet:
             if 0 <= j < len(self.values) and abs(self.values[j] - d) <= self.match_tol:
                 return True
         return False
+
+    @cached_property
+    def table(self) -> "AdmissibilityTable":
+        """The admissibility rule and screen over these values, built on
+        first use and shared by every compatibility_matrix call."""
+        return AdmissibilityTable(self)
 
     def nearest(self, d: float) -> float:
         i = bisect.bisect_left(self.values, d)

@@ -2,10 +2,11 @@
 and the oracles the fast paths are checked against: the per-matching
 pairing_between and the enumeration that lists every identification in both
 directions with it, for the one-entry-per-identification list L built from
-per-edge factors; the candidate generator that builds a Python tuple per
-raw intersection and sorts its output again, for the one that masks in
-numpy first; the scalar compatibility filter and the per-pairing
-compatibility loop for the screened compatibility kernel; the backtracker
+per-edge factors; the candidate generator with an object per banana
+curve, scalar line intersections, the edge-by-edge inside test on every
+point (reference_contains), a Python tuple per raw intersection and its
+output sorted again, for the one that works in array passes; the scalar
+compatibility filter and the per-pairing compatibility loop for the screened compatibility kernel; the backtracker
 whose state is copied at every node (with its cycle re-trace), fed both
 directions of each identification, for the exact-cover completion engine;
 the slot-permutation walker trace_cycles that the engine's single-pass
@@ -23,6 +24,7 @@ import math
 import numpy as np
 
 from diskpack.domain import (
+    INSIDE_TOL,
     BoundarySlots,
     EdgeRef,
     FundamentalDomain,
@@ -32,12 +34,18 @@ from diskpack.domain import (
 from diskpack.geom import (
     GLIDE,
     HYPERBOLIC,
+    CoincidentCurves,
+    GeneralizedCircle,
     Isometry,
     axis,
     classify,
+    displacement_offset,
     dist,
+    dist_to_geodesic,
+    hypercycle,
     intersect,
     segment_aligner,
+    signed_offset,
 )
 from diskpack.group import (
     BFS_DEPTH,
@@ -49,17 +57,7 @@ from diskpack.group import (
     ReductionStalled,
     _inverse_index,
 )
-from diskpack.search import (
-    ANGLE_TOL,
-    CANDIDATE_DEDUP,
-    Candidate,
-    PairingSolution,
-    _banana_records,
-    _circle_pair_intersections,
-    _domain_offset_bound,
-    _newton_polish,
-    _split_curves,
-)
+from diskpack.search import ANGLE_TOL, CANDIDATE_DEDUP, Candidate, PairingSolution
 from diskpack.tess import (
     DEDUP_TOL,
     MATCH_TOL,
@@ -475,9 +473,167 @@ def reference_compatibility_matrix(points, L, dset):
     return out
 
 
+def _banana_records(
+    p: SidePairing,
+    dset: DistanceSet,
+    max_offset: float | None = None,
+    max_families: int | None = None,
+) -> tuple[GeneralizedCircle, list[tuple[float, float, GeneralizedCircle]]]:
+    """Axis and (distance, signed sinh offset, curve) records of p's bananas,
+    at the first ``max_families`` distances that have one (all by default)."""
+    A = axis(p.map)
+    recs = []
+    families = 0
+    for d in dset.values:
+        if families == max_families:
+            break
+        delta = displacement_offset(p.cls, d)
+        if delta is None:
+            continue
+        if max_offset is not None and delta > max_offset:
+            continue
+        families += 1
+        if delta == 0.0:
+            recs.append((d, 0.0, A))
+        else:
+            tau = math.sinh(delta)
+            recs.append((d, tau, hypercycle(A, delta, 1)))
+            recs.append((d, -tau, hypercycle(A, delta, -1)))
+    return A, recs
+
+
+def _domain_offset_bound(F: FundamentalDomain, A: GeneralizedCircle) -> float:
+    # distance to a geodesic is convex, so the max over each convex tile is
+    # attained at a corner
+    return max(
+        dist_to_geodesic(v, A) for poly in F.corners for v in poly
+    ) + 1e-6
+
+
+INTERSECT_RADIUS_CUT = 1e5
+
+
+def _chordify(curve: GeneralizedCircle, A: GeneralizedCircle) -> GeneralizedCircle:
+    """Replace an extreme-radius hypercycle circle by the chord of the axis's
+    ideal points for intersection purposes (the Newton polish afterwards
+    removes the sub-1e-5 approximation error)."""
+    if curve.kind == "circle" and curve.radius > INTERSECT_RADIUS_CUT:
+        u, v = A.ideal_points()
+        sep = abs(v - u)
+        normal = 1j * (v - u) / sep
+        return GeneralizedCircle.line(normal, (normal.conjugate() * u).real)
+    return curve
+
+
+def _split_curves(records, A):
+    circles, lines = [], []
+    for d, tau, c in records:
+        c = _chordify(c, A)
+        (circles if c.kind == "circle" else lines).append((d, tau, c))
+    return circles, lines
+
+
+def _sigma_and_grad(A: GeneralizedCircle, x, y):
+    """Signed sinh-distance to the geodesic A and its gradient, vectorized."""
+    s = signed_offset(x + 1j * y, A)
+    D = 1.0 - (x * x + y * y)
+    if A.kind == "circle":
+        cx, cy, r = A.center.real, A.center.imag, A.radius
+        num = s * (r * D)
+        sx = (2.0 * (x - cx) * D + 2.0 * x * num) / (r * D * D)
+        sy = (2.0 * (y - cy) * D + 2.0 * y * num) / (r * D * D)
+    else:
+        nx, ny = A.normal.real, A.normal.imag
+        p = 0.5 * s * D
+        sx = (2.0 * nx * D + 4.0 * x * p) / (D * D)
+        sy = (2.0 * ny * D + 4.0 * y * p) / (D * D)
+    return s, sx, sy
+
+
+def _newton_polish(A1, tau1, A2, tau2, zs, iterations: int = 3):
+    """Move raw intersection points onto the exact displacement loci.
+
+    Solves signed_offset(z, A1) = tau1, signed_offset(z, A2) = tau2 by Newton
+    iteration; points with a singular Jacobian or a wild step keep their raw
+    position (near-tangent intersections, harmless after deduplication).
+    """
+    x, y = zs.real.copy(), zs.imag.copy()
+    for _ in range(iterations):
+        s1, s1x, s1y = _sigma_and_grad(A1, x, y)
+        s2, s2x, s2y = _sigma_and_grad(A2, x, y)
+        r1, r2 = s1 - tau1, s2 - tau2
+        det = s1x * s2y - s1y * s2x
+        ok = np.abs(det) > 1e-12
+        safe_det = np.where(ok, det, 1.0)
+        dx = (-r1 * s2y + r2 * s1y) / safe_det
+        dy = (-r2 * s1x + r1 * s2x) / safe_det
+        step_ok = ok & (dx * dx + dy * dy < 2.5e-3)
+        x = np.where(step_ok, x + dx, x)
+        y = np.where(step_ok, y + dy, y)
+    return x + 1j * y
+
+
+def _circle_pair_intersections(circ1, circ2, block=256):
+    """Raw intersection points of two circle families with parent records."""
+    if not circ1 or not circ2:
+        return None
+    c1 = np.array([c.center for _, _, c in circ1])
+    r1 = np.array([c.radius for _, _, c in circ1])
+    c2 = np.array([c.center for _, _, c in circ2])
+    r2 = np.array([c.radius for _, _, c in circ2])
+    d1 = np.array([d for d, _, _ in circ1])
+    t1 = np.array([t for _, t, _ in circ1])
+    d2 = np.array([d for d, _, _ in circ2])
+    t2 = np.array([t for _, t, _ in circ2])
+    pts, out1, out2 = [], [], []
+    for start in range(0, len(circ1), block):
+        sl = slice(start, start + block)
+        dc = c2[None, :] - c1[sl, None]
+        dd = np.abs(dc)
+        coincident = (dd <= 1e-9) & (np.abs(r2[None, :] - r1[sl, None]) <= 1e-9)
+        if coincident.any():
+            raise CoincidentCurves("seed pairings share a displacement curve")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (dd * dd + r1[sl, None] ** 2 - r2[None, :] ** 2) / (2.0 * dd)
+            h2 = r1[sl, None] ** 2 - a * a
+            ok = (dd > 1e-9) & (h2 >= -1e-12)
+            h = np.sqrt(np.where(h2 > 0.0, h2, 0.0))
+            u = dc / np.where(dd > 0.0, dd, 1.0)
+            base = c1[sl, None] + a * u
+            side = h * (1j * u)
+        for cand in (base + side, base - side):
+            m = ok & (np.abs(cand) < 1.0)
+            if m.any():
+                ii, jj = np.nonzero(m)
+                pts.append(cand[m])
+                out1.append(np.stack([d1[sl][ii], t1[sl][ii]], axis=1))
+                out2.append(np.stack([d2[jj], t2[jj]], axis=1))
+    if not pts:
+        return None
+    return np.concatenate(pts), np.concatenate(out1), np.concatenate(out2)
+
+
+def polygon_margin(F: FundamentalDomain, z, poly: int):
+    return np.minimum.reduce([e.margin(z) for e in F.edges[poly]])
+
+
+def reference_contains(F: FundamentalDomain, z, tol: float = INSIDE_TOL):
+    """FundamentalDomain.contains' array path before its disc prefilter and
+    carrier-table broadcast: every point, tile by tile, edge by edge."""
+    strict = False
+    near = 0
+    for poly in range(F.k):
+        m = polygon_margin(F, z, poly)
+        strict = strict | (m > tol)
+        near = near + (m >= -tol)
+    return strict | (near >= 2)
+
+
 def reference_candidates(p1, p2, dset, F, dedup=CANDIDATE_DEDUP):
-    """search.candidates with a Python tuple built per raw intersection
-    before the inside test, and its output sorted once more at the end."""
+    """search.candidates with a GeneralizedCircle per banana curve, a scalar
+    intersect loop for the lines, the inside test on every polished point,
+    edge by edge, a Python tuple per raw intersection before that test, and
+    its output sorted once more at the end."""
     if p1.record == p2.record:
         raise ValueError("seed pairings must be distinct")
     A1, recs1 = _banana_records(p1, dset, _domain_offset_bound(F, axis(p1.map)))
@@ -514,7 +670,7 @@ def reference_candidates(p1, p2, dset, F, dedup=CANDIDATE_DEDUP):
     rec2 = np.concatenate([p[2] for p in pieces])
 
     zs = _newton_polish(A1, rec1[:, 1], A2, rec2[:, 1], zs)
-    keep = (np.abs(zs) < 1.0) & F.contains(zs)
+    keep = (np.abs(zs) < 1.0) & reference_contains(F, zs)
     raw = [
         (z, d_a, d_b)
         for z, d_a, d_b, ok in zip(zs, rec1[:, 0], rec2[:, 0], keep)

@@ -1,8 +1,12 @@
+import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_point
 from reference_data import (
@@ -24,7 +28,7 @@ from diskpack.domain import (
     find_pairing,
     pairing_json,
 )
-from diskpack.geom import Isometry, dist
+from diskpack.geom import Isometry, dist, midpoint
 
 
 class TestBuildDomain:
@@ -228,6 +232,88 @@ class TestContains:
                     assert type(got) is bool
                     assert got == F.contains(np.array([z]), tol)[0]
                     assert got == _per_tile_rule(F, z, tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_tile(n: int):
+    return build_domain(n, [])
+
+
+def _domain(n14, name: str):
+    return n14.F if name == "n14" else _one_tile(int(name[1:]))
+
+
+DOMAINS = ["n14", "n12", "n18", "n24", "n30"]
+
+
+def _probes(F, tol: float) -> list[complex]:
+    """Every corner and edge midpoint of every tile, and the points 0.5, 1
+    and 2 tol from each (in sinh-distance) in 24 directions."""
+    base = [v for poly in F.corners for v in poly]
+    base += [midpoint(*e.endpoints) for row in F.edges for e in row]
+    steps = [
+        math.tanh(0.5 * math.asinh(f * tol)) * cmath.exp(2j * math.pi * k / 24)
+        for f in (0.5, 1.0, 2.0)
+        for k in range(24)
+    ]
+    pts = []
+    for v in base:
+        t = Isometry.translation_to(v)
+        pts += [v] + [t(w) for w in steps]
+    return pts
+
+
+def _in_discs(F, zs: np.ndarray, tol: float) -> np.ndarray:
+    center, radius = F.tile_discs(tol)
+    return (np.abs(zs[:, None] - center) <= radius).any(axis=1)
+
+
+def _accepted_in_discs(F, pts, tol: float) -> np.ndarray:
+    """contains over pts, array path against scalar path; every accepted
+    point must lie in one of the tile discs."""
+    zs = np.array(pts)
+    got = F.contains(zs, tol)
+    assert got.tolist() == [F.contains(z, tol) for z in pts]
+    assert _in_discs(F, zs, tol)[got].all()
+    return got
+
+
+class TestTileDiscs:
+    """contains' array path decides only the points in tile_discs: every
+    point that contains accepts must lie in one."""
+
+    @pytest.mark.parametrize("name", DOMAINS)
+    @pytest.mark.parametrize("tol", [INSIDE_TOL, 1e-4])
+    def test_corners_and_midpoints(self, n14, name, tol):
+        F = _domain(n14, name)
+        pts = _probes(F, tol)
+        got = _accepted_in_discs(F, pts, tol)
+        assert got.any() and not got.all()
+        if name == "n14":
+            # beside a boundary vertex of two tiles, points within tol of
+            # both lie beyond the circumradius of either: the discs need
+            # the room they add
+            zs = np.array(pts)[got]
+            rho = np.array([[dist(z, F.center(i)) for i in range(F.k)] for z in zs])
+            assert (rho.min(axis=1) > F.metrics.circumradius).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(DOMAINS),
+        radii=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=40),
+        turns=st.lists(st.floats(0.0, 1.0), min_size=40, max_size=40),
+        near=st.lists(st.floats(-3e-9, 3e-9), min_size=80, max_size=80),
+    )
+    def test_random_points(self, n14, name, radii, turns, near):
+        # points anywhere in the disk, and the same number just off corners
+        F = _domain(n14, name)
+        pts = [r * cmath.exp(2j * math.pi * t) for r, t in zip(radii, turns)]
+        corners = [v for poly in F.corners for v in poly]
+        pts += [
+            corners[int(t * len(corners)) % len(corners)] + complex(dx, dy)
+            for t, dx, dy in zip(turns, near[::2], near[1::2])
+        ]
+        _accepted_in_discs(F, pts, INSIDE_TOL)
 
 
 class TestEnumeratePairings:

@@ -7,6 +7,8 @@ from diskpack import pipeline
 from diskpack.config import load_config
 from diskpack.geom import Isometry, classify, dist, elliptic_about, midpoint
 from diskpack.group import (
+    RESIDUAL_TOL,
+    SWAP_TOL,
     ReductionStalled,
     group_from_solution,
     normalizes,
@@ -127,13 +129,9 @@ class TestCertificate:
 
     def test_records_the_tolerances_applied(self, n14, n14_solution):
         cert = second_packing_certificate(
-            n14_solution.candidate.point,
-            n14_solution.group,
-            n14.gens,
-            residual_tol=2e-6,
-            swap_tol=3e-8,
+            n14_solution.candidate.point, n14_solution.group, n14.gens
         )
-        assert (cert["residual_tol"], cert["swap_tol"]) == (2e-6, 3e-8)
+        assert (cert["residual_tol"], cert["swap_tol"]) == (RESIDUAL_TOL, SWAP_TOL)
 
     def test_o_prime_is_translated_second_neighbor(self, n14, n14_solution):
         cert = second_packing_certificate(

@@ -24,8 +24,8 @@ from reference_data import (
     trace_cycles,
 )
 from diskpack import search
-from diskpack.domain import BoundarySlots, build_domain, find_pairing
-from diskpack.geom import Isometry, axis, dist
+from diskpack.domain import BoundarySlots, build_domain, enumerate_pairings, find_pairing
+from diskpack.geom import CoincidentCurves, Isometry, axis, dist
 from diskpack.pipeline import filter_candidates, lc_pairings
 from diskpack.tess import DistanceSet, admissible_distances, log_sinh2
 from diskpack.search import (
@@ -119,22 +119,60 @@ class TestCandidates:
         with pytest.raises(ValueError):
             candidates(n14.p1, n14.p1, n14.dset, n14.F)
 
-    @pytest.mark.parametrize("pair", range(4))
+    # two pairings whose axes coincide: every banana of one is a banana of
+    # the other
+    SHARED_AXIS = ((False, 0, 2, 0, 6), (False, 0, 7, 2, 13))
+
+    @pytest.mark.parametrize("pair", [0, 1, 2, 3, "sample", "n12", "n30"])
     def test_equal_to_the_reference_generator(self, n14, pair):
         # the same points, seed distances, order and Python types as the
-        # generator that built a tuple per raw intersection and sorted twice
-        if pair == 3:
-            p1, p2, dset = n14.p1, n14.p2, n14.dset
+        # generator with an object per curve, scalar line intersections and
+        # the edge-by-edge inside test on every point, or the same exception
+        F = n14.F
+        if pair == "sample":
+            dset = admissible_distances(14, 3)
+            rng = random.Random(13)
+            pairs = [tuple(rng.sample(n14.L, 2)) for _ in range(40)]
+            pairs += [(n14.L[0], n14.L[0])]
+            pairs += [tuple(find_pairing(n14.L, *rec) for rec in self.SHARED_AXIS)]
+        elif pair in ("n12", "n30"):
+            n = int(pair[1:])
+            F = build_domain(n, [])
+            L = enumerate_pairings(F)
+            dset = admissible_distances(n, 3)
+            pairs = [tuple(random.Random(n).sample(L, 2))]
+        elif pair == 3:
+            dset = n14.dset
+            pairs = [(n14.p1, n14.p2)]
         else:
             dset = admissible_distances(14, 3)
             recs = TestCompatibilityKernel.DEPTH3_SEED_PAIRS[pair]
-            p1, p2 = (find_pairing(n14.L, *rec) for rec in recs)
-        got = candidates(p1, p2, dset, n14.F)
-        assert got == reference_candidates(p1, p2, dset, n14.F)
-        assert len(got) == (26, 688, 1378, 816)[pair]
-        for c in got:
-            assert type(c.point) is complex
-            assert [type(d) for d in c.seed_distances] == [float, float]
+            pairs = [tuple(find_pairing(n14.L, *rec) for rec in recs)]
+        outcomes = []
+        for p1, p2 in pairs:
+            got, want = (_outcome(f, p1, p2, dset, F) for f in (candidates, reference_candidates))
+            assert got == want
+            outcomes.append(got)
+            if isinstance(got, list):
+                for c in got:
+                    assert type(c.point) is complex
+                    assert [type(d) for d in c.seed_distances] == [float, float]
+        sizes = [len(o) if isinstance(o, list) else o for o in outcomes]
+        if pair == "sample":
+            assert sizes[-2:] == [ValueError, CoincidentCurves]
+            assert min(sizes[:-2]) > 200
+        elif pair in ("n12", "n30"):
+            assert sizes[0] > 0
+        else:
+            assert sizes == [(26, 688, 1378, 816)[pair]]
+
+
+def _outcome(generator, p1, p2, dset, F):
+    """The generator's candidates, or the type of the exception it raises."""
+    try:
+        return generator(p1, p2, dset, F)
+    except (CoincidentCurves, ValueError) as exc:
+        return type(exc)
 
 
 class TestCompatiblePairings:
@@ -197,6 +235,23 @@ class TestCompatibilityKernel:
         assert np.array_equal(m, reference_compatibility_matrix(pts, n14.L, dset))
         if pair < 2:
             assert m.all(axis=1).any()
+
+    def test_table_built_once_per_distance_set(self, n14, monkeypatch):
+        dset = admissible_distances(14, 3)
+        built = []
+        init = search.AdmissibilityTable.__init__
+
+        def counting(table, d):
+            built.append(d)
+            init(table, d)
+
+        monkeypatch.setattr(search.AdmissibilityTable, "__init__", counting)
+        pts = [c.point for c in n14.C[:60]]
+        first = compatibility_matrix(pts, n14.L, dset)
+        second = compatibility_matrix(pts, n14.L, dset)
+        assert built == [dset]
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, reference_compatibility_matrix(pts, n14.L, dset))
 
     def test_no_points(self, n14):
         m = compatibility_matrix([], n14.L, n14.dset)
