@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
-    except (ConfigError, NotRelevantN, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, NotRelevantN, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"stage": "config", "error": str(exc)}), file=sys.stderr)
         return pipeline.EXIT_ERROR
 

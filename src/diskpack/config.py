@@ -49,6 +49,14 @@ def genus_for(n: int, k: int, orientable: bool = False) -> int:
     return num // denom
 
 
+# the scalar config keys and their JSON kinds (attachments and seed_pairs are structured)
+_SCALARS = {
+    "n": int, "depth": int, "match_tol": float, "dedup_tol": float, "candidate_dedup": float,
+    "limit": int, "frame_rotation_deg": float, "out_dir": str,
+}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
 @dataclass
 class PipelineConfig:
     n: int
@@ -57,11 +65,9 @@ class PipelineConfig:
     match_tol: float = 1e-4
     dedup_tol: float = 1e-9
     candidate_dedup: float = 1e-6
-    angle_tol: float = 1e-6
     seed_pairs: list[tuple] | None = None  # two records (reversing, sp, se, dp, de), 0-based
     limit: int = 32
     frame_rotation_deg: float = 0.0
-    orientable: bool = False
     out_dir: str = "out"
 
     @property
@@ -70,15 +76,13 @@ class PipelineConfig:
 
     @property
     def genus(self) -> int:
-        return genus_for(self.n, self.k, self.orientable)
+        return genus_for(self.n, self.k)
 
     def validate(self) -> None:
         if self.n not in RELEVANT_N:
             raise NotRelevantN(
                 f"N={self.n} is not in the arithmetic list {RELEVANT_N}"
             )
-        if self.orientable:  # completion requires a reversing pairing
-            raise ConfigError("orientable: the search builds non-orientable surfaces only")
         chi = 2 - self.genus  # raises ConfigError when the divisibility fails
         if self.n * self.k != 6 * (self.k - chi):
             raise ConfigError("internal consistency N k = 6(k - chi) failed")
@@ -86,7 +90,7 @@ class PipelineConfig:
             raise ConfigError("depth must be at least 1")
         if self.limit < 1:
             raise ConfigError("limit must be at least 1")
-        for name in ("match_tol", "dedup_tol", "candidate_dedup", "angle_tol"):
+        for name in ("match_tol", "dedup_tol", "candidate_dedup"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and positive, not {value}")
@@ -100,41 +104,34 @@ class PipelineConfig:
         return Isometry.rotation(math.radians(self.frame_rotation_deg))
 
     def to_json_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "attachments": [[a.parent, a.parent_edge] for a in self.attachments],
-            "depth": self.depth,
-            "match_tol": self.match_tol,
-            "dedup_tol": self.dedup_tol,
-            "candidate_dedup": self.candidate_dedup,
-            "angle_tol": self.angle_tol,
-            "limit": self.limit,
-            "frame_rotation_deg": self.frame_rotation_deg,
-            "orientable": self.orientable,
-            "out_dir": self.out_dir,
-        }
+        d = {key: getattr(self, key) for key in _SCALARS}
+        d["attachments"] = [[a.parent, a.parent_edge] for a in self.attachments]
         if self.seed_pairs is not None:
             d["seed_pairs"] = [_record_to_json(r) for r in self.seed_pairs]
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PipelineConfig":
-        known = {
-            "n", "attachments", "depth", "match_tol", "dedup_tol",
-            "candidate_dedup", "angle_tol", "seed_pairs", "limit",
-            "frame_rotation_deg", "orientable", "out_dir",
-        }
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(d).__name__}")
+        unknown = set(d) - set(_SCALARS) - {"attachments", "seed_pairs"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "n" not in d:
             raise ConfigError("config requires n")
+        for key, kind in _SCALARS.items():
+            if key in d and not _is(d[key], kind):
+                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, not {d[key]!r}")
         kwargs = dict(d)
-        kwargs["attachments"] = [
-            Attachment(int(p), int(e)) for p, e in d.get("attachments", [])
-        ]
-        if d.get("seed_pairs") is not None:
-            kwargs["seed_pairs"] = [_record_from_json(r) for r in d["seed_pairs"]]
+        pairs = d.get("attachments", [])
+        if not (isinstance(pairs, list) and all(_is_int_list(a, 2) for a in pairs)):
+            raise ConfigError(f"attachments must be [parent, edge] integer pairs, not {pairs!r}")
+        kwargs["attachments"] = [Attachment(p, e) for p, e in pairs]
+        seeds = d.get("seed_pairs")
+        if seeds is not None:
+            if not isinstance(seeds, list):
+                raise ConfigError(f"seed_pairs must be a list of records, not {seeds!r}")
+            kwargs["seed_pairs"] = [_record_from_json(r) for r in seeds]
         return cls(**kwargs)
 
     def config_hash(self) -> str:
@@ -155,18 +152,31 @@ def _record_to_json(rec: tuple) -> dict:
     }
 
 
+_SEED_TYPES = {"hyperbolic": False, "or-hyperbolic": True}
+
+
 def _record_from_json(r: dict) -> tuple:
-    if "type" in r:
-        reversing = r["type"] == "or-hyperbolic"
-    else:
-        reversing = bool(r["reversing"])
-    return (
-        reversing,
-        int(r["src"]["poly"]) - 1,
-        int(r["src"]["edge"]),
-        int(r["dst"]["poly"]) - 1,
-        int(r["dst"]["edge"]),
-    )
+    """(reversing, sp, se, dp, de) of a well-formed seed record; polygons are 1-based."""
+    try:
+        reversing = _SEED_TYPES[r["type"]] if "type" in r else r["reversing"]
+        ends = [r[end][key] for end in ("src", "dst") for key in ("poly", "edge")]
+    except (KeyError, TypeError):
+        ends = None
+    if not (_is_int_list(ends, 4) and _is(reversing, bool)):
+        raise ConfigError(f"malformed seed record {r!r}")
+    sp, se, dp, de = ends
+    return (reversing, sp - 1, se, dp - 1, de)
+
+
+def _is(value, kind: type) -> bool:
+    """Whether a JSON value is of a kind: a bool is no int, a float is finite."""
+    if kind is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is kind
+
+
+def _is_int_list(value, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length and all(_is(v, int) for v in value)
 
 
 def load_config(path: str) -> PipelineConfig:

@@ -45,7 +45,6 @@ DISC_SLACK = 1e-7
 # margins (edges x points) per block of contains' array path: its float
 # temporaries stay at 128 KB however many points come in
 CONTAINS_CELLS = 1 << 14
-WEDGE = 2.0 * math.pi / 3.0  # a tile's corner angle: three tiles meet at a vertex
 
 
 class OverlappingPolygons(ValueError):
@@ -508,19 +507,18 @@ class BoundarySlots:
     sends each endpoint v of e to an endpoint v' of the target edge, and the
     cycle continues across the corner of F at v' along its other boundary
     edge.  This walk is a permutation of the slots; each vertex cycle of the
-    quotient appears as a mirror pair of slot cycles, and the wedge angle at
-    v is consumed once per slot step, so a valid cycle closes at total 2 pi.
+    quotient appears as a mirror pair of slot cycles; each slot step consumes
+    v's 1 or 2 tile corners (wedges of 2 pi / 3), so a valid cycle closes at 3.
     """
 
     def __init__(self, F: FundamentalDomain):
         self.points: list[complex] = []
-        self.angles: list[float] = []
-        self.interior = F.interior_vertices
+        self.wedges: list[int] = []  # tile corners of F at each vertex
         index_of: dict[tuple[int, int], int] = {}
         for point, members in F.vertex_classes():
             idx = len(self.points)
             self.points.append(point)
-            self.angles.append(WEDGE * len(members))
+            self.wedges.append(len(members))
             for key in members:
                 index_of[key] = idx
 
@@ -533,17 +531,16 @@ class BoundarySlots:
             for v in ends:
                 self.incident.setdefault(v, []).append(e.key)
         for v, keys in self.incident.items():
-            if len(keys) != 2:
+            if len(keys) != 2 or self.wedges[v] not in (1, 2):
                 raise InvalidCellStructure(
-                    f"boundary vertex {v} has {len(keys)} incident boundary edges"
+                    f"boundary vertex {v} has {len(keys)} incident boundary edges (2 "
+                    f"expected) and {self.wedges[v]} tile corners (1 or 2 expected)"
                 )
-            if v in self.interior:
-                raise InvalidCellStructure("interior vertex lies on the boundary")
 
         self.slots = [(key, v) for v in sorted(self.incident) for key in self.incident[v]]
         self.slot_of = {slot: s for s, slot in enumerate(self.slots)}
         self.slot_vertex = [v for _, v in self.slots]
-        self.slot_angle = [self.angles[v] for v in self.slot_vertex]
+        self.slot_wedges = [self.wedges[v] for v in self.slot_vertex]
         self.edge_index = {key: i for i, key in enumerate(sorted(e.key for e in F.boundary))}
 
     def links_for(self, p: SidePairing) -> tuple[tuple[int, int], ...]:

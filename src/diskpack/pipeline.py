@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -49,6 +50,8 @@ EXIT_EXHAUSTED = 2
 # solutions.json layout; version 2 gives pairings as indices into
 # pairings.json and vertex cycles as ids into its own vertices table
 SOLUTIONS_SCHEMA_VERSION = 2
+# every vertex cycle of a solution closes at 3 wedges of 2 pi / 3
+CYCLE_ANGLE = 2.0 * math.pi
 
 
 class StageError(RuntimeError):
@@ -102,7 +105,6 @@ def _artifact(cfg: PipelineConfig, stage: str, data: dict) -> dict:
             "match_tol": cfg.match_tol,
             "dedup_tol": cfg.dedup_tol,
             "candidate_dedup": cfg.candidate_dedup,
-            "angle_tol": cfg.angle_tol,
         },
         "depth": cfg.depth,
         **data,
@@ -276,8 +278,8 @@ def _solution_json(sol, topo) -> dict:
         "pairings": [pairing_json(p) for p in sol.pairings],
         "reversing_count": sol.reversing_count,
         "vertex_cycles": [
-            {"vertices": [_cpx(v) for v in verts], "angle_sum": total}
-            for verts, total in sol.vertex_cycles
+            {"vertices": [_cpx(v) for v in verts], "angle_sum": CYCLE_ANGLE}
+            for verts in sol.vertex_cycles
         ],
         "topology": topo,
     }
@@ -290,8 +292,8 @@ def _solution_record(sol, topo, pairing_index: dict, vertex_index: dict) -> dict
         "pairings": [pairing_index[p.record] for p in sol.pairings],
         "reversing_count": sol.reversing_count,
         "vertex_cycles": [
-            {"vertices": [vertex_index[v] for v in verts], "angle_sum": total}
-            for verts, total in sol.vertex_cycles
+            {"vertices": [vertex_index[v] for v in verts], "angle_sum": CYCLE_ANGLE}
+            for verts in sol.vertex_cycles
         ],
         "topology": topo,
     }
@@ -425,7 +427,7 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
     vertex_index = {point: i for i, point in enumerate(vertices)}
     survivors = [it for it in items if it["covered"] and not it["is_center"]]
     completed, searches = complete_survivors(
-        [lc_pairings(it, L) for it in survivors], F, limit=cfg.limit, angle_tol=cfg.angle_tol
+        [lc_pairings(it, L) for it in survivors], F, limit=cfg.limit
     )
     carried = len(survivors) - searches
     log(
@@ -436,7 +438,7 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
     solutions_log: list[dict] = []
     solved = []  # (item, solutions, topologies) in candidate order
     for it, sols in zip(survivors, completed):
-        topos = [verify_topology(sol, F, angle_tol=cfg.angle_tol) for sol in sols]
+        topos = [verify_topology(sol, F) for sol in sols]
         solutions_log.append(
             {
                 "point": _cpx(it["candidate"].point),

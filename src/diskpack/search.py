@@ -6,7 +6,8 @@ the minimal displacement of a hyperbolic map).  Candidate centers of hidden
 packings are intersections of bananas of two seed pairings that land inside
 the fundamental domain.  The completion step is a backtracking search for a
 perfect matching of the boundary edges by compatible pairings under the
-Poincare condition that every vertex cycle closes with total angle 2 pi.
+Poincare condition that every vertex cycle closes at 2 pi: 3 tile corners,
+or wedges, of 2 pi / 3.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .geom import (
 from .tess import AdmissibilityTable, DistanceSet
 
 CANDIDATE_DEDUP = 1e-6
-ANGLE_TOL = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -512,7 +512,7 @@ def edge_coverage(
 @dataclass(frozen=True)
 class PairingSolution:
     pairings: tuple[SidePairing, ...]  # from L_c, one per identification, by sort_key
-    vertex_cycles: tuple[tuple[tuple[complex, ...], float], ...]
+    vertex_cycles: tuple[tuple[complex, ...], ...]  # each cycle's vertex points
     reversing_count: int
 
     @cached_property
@@ -520,30 +520,30 @@ class PairingSolution:
         return frozenset(p.identification for p in self.pairings)
 
 
-def _vertex_cycles(slots: BoundarySlots, succ: list[int], angle_tol: float):
-    """Vertex cycles of a full slot permutation as (vertex points, angle sum).
+def _vertex_cycles(slots: BoundarySlots, succ: list[int]):
+    """Vertex cycles of a full slot permutation, as tuples of vertex points.
 
-    Each slot cycle is walked once from its smallest slot, summing its slot
-    angles in cycle order.  Each quotient vertex on the boundary shows up as
-    a mirror pair of slot cycles over the same vertices; the smaller vertex
-    sequence represents it.
+    Each slot cycle is walked once from its smallest slot, counting its
+    wedges.  Each quotient vertex on the boundary shows up as a mirror pair
+    of slot cycles over the same vertices; the smaller vertex sequence
+    represents it.  A cycle of other than 3 wedges is an error.
     """
-    vertex, angle = slots.slot_vertex, slots.slot_angle
+    vertex, wedges = slots.slot_vertex, slots.slot_wedges
     seen = [False] * len(succ)
-    by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], float]]] = {}
+    by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], int]]] = {}
     for start in range(len(succ)):
         if seen[start]:
             continue
         seen[start] = True
         verts = [vertex[start]]
-        total = angle[start]
+        total = wedges[start]
         cur = succ[start]
         while cur != start:
             if cur < 0 or seen[cur]:
                 raise InvalidCellStructure("vertex links do not form a permutation")
             seen[cur] = True
             verts.append(vertex[cur])
-            total += angle[cur]
+            total += wedges[cur]
             cur = succ[cur]
         by_vertex_set.setdefault(frozenset(verts), []).append((tuple(verts), total))
     cycles = []
@@ -555,40 +555,39 @@ def _vertex_cycles(slots: BoundarySlots, succ: list[int], angle_tol: float):
         cycles.append(min(group))
     cycles.sort()
     for _, total in cycles:
-        if abs(total - 2.0 * math.pi) > angle_tol:
-            raise InvalidCellStructure(f"vertex cycle closes at {total}")
-    return tuple((tuple(slots.points[v] for v in verts), total) for verts, total in cycles)
+        if total != 3:
+            raise InvalidCellStructure(f"vertex cycle closes at {total} wedges, not 3")
+    return tuple(tuple(slots.points[v] for v in verts) for verts, _ in cycles)
 
 
 def complete_pairing(
     Lc: list[SidePairing],
     F: FundamentalDomain,
     limit: int = 32,
-    require_reversing: bool = True,
-    angle_tol: float = ANGLE_TOL,
     within: list[frozenset] | None = None,
 ) -> list[PairingSolution]:
-    """Exact-cover completion of Lc into full side-pairing sets.
+    """Exact-cover completion of Lc into full side-pairing sets with at
+    least one reversing pairing each.
 
     Each identification of Lc is one option (the first entry of Lc naming
     it), numbered in SidePairing.sort_key order and listed under both of its
     edges by (reversing, other edge's key).  Every boundary edge must be
     matched exactly once.  The search branches on the first unmatched edge,
     in key order, with the fewest live options, tries them in listed order,
-    and prunes on the Poincare vertex condition: a closing cycle must total
-    2 pi and a partial chain may never exceed it, both within ``angle_tol``.
+    and prunes on the Poincare vertex condition in wedges of 2 pi / 3: a
+    closing cycle must collect exactly 3 and a partial chain never more.
     Returns up to ``limit`` solutions in deterministic order; an empty list
     means the search space is exhausted with no solution.
 
     ``within`` (identification sets) keeps only the branches that still
     lead to one of them: an option that no target left contains is skipped.
     Branching and option order stay those of the full Lc, so the targets
-    that pass the same link, angle and cover checks come back in the full
+    that pass the same link, wedge and cover checks come back in the full
     search's order.
 
     State is kept in flat integer arrays (after Knuth's "Dancing Links"):
     per-edge live option counts, and the slot permutation built so far as
-    ``succ``/``pred`` with chain endpoints and consumed angles, undone from a
+    ``succ``/``pred`` with chain endpoints and consumed wedges, undone from a
     log on backtrack.  A solution's vertex cycles are read off ``succ``.  The
     slot table and each option's slot links are F.slot_table's, built once per domain.
     """
@@ -617,27 +616,23 @@ def complete_pairing(
     done = n_opts + 1
     live = [len(opts) for opts in by_edge]
 
-    angle = slots.slot_angle
-    n_slots = len(angle)
+    wedges = slots.slot_wedges
+    n_slots = len(wedges)
     succ = [-1] * n_slots
     pred = [-1] * n_slots
     head_of = list(range(n_slots))  # valid at chain tails
     tail_of = list(range(n_slots))  # valid at chain heads
-    consumed = [0.0] * n_slots  # valid at chain heads: angles of linked slots
-    two_pi = 2.0 * math.pi
-    ceiling = two_pi + angle_tol
-    undo: list[tuple[int, int, int, int, float]] = []
+    consumed = [0] * n_slots  # valid at chain heads: wedges of linked slots
+    undo: list[tuple[int, int, int, int, int]] = []
     chosen: list[int] = []
     solutions: list[PairingSolution] = []
 
     def emit() -> None:
-        picked = sorted(chosen)
-        pairings = tuple(options[o] for o in picked)
-        reversing_count = sum(1 for p in pairings if p.reversing)
-        if require_reversing and reversing_count == 0:
-            return
-        cycles = _vertex_cycles(slots, succ, angle_tol)
-        solutions.append(PairingSolution(pairings, cycles, reversing_count))
+        pairings = tuple(options[o] for o in sorted(chosen))
+        reversing_count = sum(p.reversing for p in pairings)
+        if reversing_count:
+            cycles = _vertex_cycles(slots, succ)
+            solutions.append(PairingSolution(pairings, cycles, reversing_count))
 
     def descend(targets: list[frozenset] | None) -> None:
         fewest = min(live, default=done)
@@ -658,21 +653,21 @@ def complete_pairing(
                 if not kept:
                     continue
             mark = len(undo)
-            # link o's slots, stopping at a taken slot or a failed angle check
+            # link o's slots, stopping at a taken slot or a failed wedge count
             for u, w in opt_links[o]:
                 if succ[u] >= 0 or pred[w] >= 0:
                     break
                 hu = head_of[u]
                 if w == hu:
-                    if abs(consumed[hu] + angle[u] - two_pi) > angle_tol:
+                    if consumed[hu] + wedges[u] != 3:
                         break
                     succ[u] = w
                     pred[w] = u
-                    undo.append((u, w, -1, -1, 0.0))
+                    undo.append((u, w, -1, -1, 0))
                     continue
                 tw = tail_of[w]
-                merged = consumed[hu] + angle[u] + consumed[w]
-                if merged + angle[tw] > ceiling:
+                merged = consumed[hu] + wedges[u] + consumed[w]
+                if merged + wedges[tw] > 3:
                     break
                 succ[u] = w
                 pred[w] = u
@@ -720,7 +715,6 @@ def complete_survivors(
     Lcs: list[list[SidePairing]],
     F: FundamentalDomain,
     limit: int = 32,
-    angle_tol: float = ANGLE_TOL,
 ) -> tuple[list[list[PairingSolution]], int]:
     """complete_pairing for every L_c in order, one full search per orbit.
 
@@ -749,7 +743,7 @@ def complete_survivors(
                     frozenset(map(sym.identification, s.identifications)) for s in source_sols
                 ]
                 break
-        sols = complete_pairing(Lc, F, limit=limit, angle_tol=angle_tol, within=within)
+        sols = complete_pairing(Lc, F, limit=limit, within=within)
         if within is None:
             searches += 1
             if len(sols) < limit:
@@ -758,29 +752,24 @@ def complete_survivors(
     return out, searches
 
 
-def verify_topology(
-    sol: PairingSolution, F: FundamentalDomain, angle_tol: float = ANGLE_TOL
-) -> dict:
-    """Cell counts and genus of the quotient surface."""
-    for _, total in sol.vertex_cycles:
-        if abs(total - 2.0 * math.pi) > angle_tol:
-            raise InvalidCellStructure(f"vertex cycle angle sum {total} != 2 pi")
+def verify_topology(sol: PairingSolution, F: FundamentalDomain) -> dict:
+    """Cell counts and genus of the quotient surface, one-sided by its
+    reversing pairings: a solution with none, or with a vertex cycle of
+    other than 3 wedges, is an error."""
+    if sol.reversing_count == 0:
+        raise InvalidCellStructure("solution has no reversing pairing")
+    wedges = dict(zip(F.slot_table.points, F.slot_table.wedges))
+    if any(sum(wedges[v] for v in verts) != 3 for verts in sol.vertex_cycles):
+        raise InvalidCellStructure("a vertex cycle does not close at 3 wedges")
     faces = F.k
     edges = len(F.internal_edges) + len(sol.pairings)
     vertices = len(sol.vertex_cycles) + len(F.interior_vertices)
     chi = vertices - edges + faces
-    orientable = sol.reversing_count == 0
-    if orientable:
-        if (2 - chi) % 2 != 0:
-            raise InvalidCellStructure(f"orientable surface with odd 2 - chi = {2 - chi}")
-        genus = (2 - chi) // 2
-    else:
-        genus = 2 - chi
     return {
         "faces": faces,
         "edges": edges,
         "vertices": vertices,
         "euler_characteristic": chi,
-        "orientable": orientable,
-        "genus": genus,
+        "orientable": False,
+        "genus": 2 - chi,
     }

@@ -8,7 +8,9 @@ point (reference_contains), a Python tuple per raw intersection and its
 output sorted again, for the one that works in array passes; the scalar
 compatibility filter and the per-pairing compatibility loop for the screened compatibility kernel; the backtracker
 whose state is copied at every node (with its cycle re-trace), fed both
-directions of each identification, for the exact-cover completion engine;
+directions of each identification and closing cycles by float angle sums
+within a tolerance, for the exact-cover completion engine that counts
+wedges;
 the slot-permutation walker trace_cycles that the engine's single-pass
 vertex-cycle walk replaced; the geometric slot links (each endpoint's
 image under the pairing, looked up among the vertices) for the links
@@ -57,7 +59,7 @@ from diskpack.group import (
     ReductionStalled,
     _inverse_index,
 )
-from diskpack.search import ANGLE_TOL, CANDIDATE_DEDUP, Candidate, PairingSolution
+from diskpack.search import CANDIDATE_DEDUP, Candidate, PairingSolution
 from diskpack.tess import (
     DEDUP_TOL,
     MATCH_TOL,
@@ -65,6 +67,11 @@ from diskpack.tess import (
     _compose_arrays,
     triangle_generators,
 )
+
+# the float closure rule the completion oracle keeps: a tile corner's angle,
+# and the tolerance on a cycle's angle sum
+WEDGE = 2.0 * math.pi / 3.0
+ANGLE_TOL = 1e-6
 
 GOOD_CANDIDATE = 0.516 - 0.248j
 REJECTED_CANDIDATE = 0.324 - 0.478j
@@ -201,8 +208,8 @@ def reference_links(struct: BoundarySlots, p: SidePairing) -> tuple[tuple[int, i
 
 def trace_cycles(succ: list[int], angles: list[float]):
     """Cycles of the slot permutation ``succ`` (slot s is followed by
-    succ[s], -1 for none), each listed from its smallest slot, with their
-    angle sums."""
+    succ[s], -1 for none), each listed from its smallest slot, with the sum
+    of its slots' ``angles`` (per-slot angles or wedge counts)."""
     seen = [False] * len(succ)
     cycles = []
     for start in range(len(succ)):
@@ -312,11 +319,13 @@ def reference_complete_pairing(
     Picks the unmatched boundary edge with the fewest live options, tries its
     compatible pairings in canonical order, and prunes on the Poincare vertex
     condition: a closing cycle must total 2 pi and a partial chain may never
-    exceed it, both within ``angle_tol``.  Returns up to ``limit`` solutions
+    exceed it, both within ``angle_tol``; a slot's angle is WEDGE times its
+    vertex's wedge count.  Returns up to ``limit`` solutions
     in deterministic order; an empty list means the search space is exhausted
     with no solution.
     """
     struct = BoundarySlots(F)
+    angles = slot_angles(struct)
     by_src: dict[tuple[int, int], list[SidePairing]] = {e.key: [] for e in F.boundary}
     for p in sorted(set(Lc), key=SidePairing.sort_key):
         if p.src.key in by_src and p.dst.key in by_src and p.src.key != p.dst.key:
@@ -348,7 +357,7 @@ def reference_complete_pairing(
             st = state.copy()
             ok = True
             for u, w in link_cache[p.record]:
-                if not st.add_link(u, w, struct.slot_angle, angle_tol):
+                if not st.add_link(u, w, angles, angle_tol):
                     ok = False
                     break
             if not ok:
@@ -363,6 +372,11 @@ def reference_complete_pairing(
 
     descend({}, _ChainState())
     return solutions
+
+
+def slot_angles(struct: BoundarySlots) -> list[float]:
+    """Each slot's corner angle: its vertex's wedges of 2 pi / 3."""
+    return [WEDGE * w for w in struct.slot_wedges]
 
 
 def solution_cycles(
@@ -381,7 +395,7 @@ def solution_cycles(
             links[u] = w
     if len(links) != len(struct.slots):
         raise InvalidCellStructure("identifications do not cover the boundary")
-    slot_cycles = reference_trace_cycles(links, dict(enumerate(struct.slot_angle)))
+    slot_cycles = reference_trace_cycles(links, dict(enumerate(slot_angles(struct))))
     by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], float]]] = {}
     for cyc, total in slot_cycles:
         verts = tuple(struct.slots[s][1] for s in cyc)
@@ -411,9 +425,7 @@ def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
     for _, total in cycles:
         if abs(total - 2.0 * math.pi) > angle_tol:
             raise InvalidCellStructure(f"vertex cycle closes at {total}")
-    vertex_cycles = tuple(
-        (tuple(struct.points[v] for v in cyc), total) for cyc, total in cycles
-    )
+    vertex_cycles = tuple(tuple(struct.points[v] for v in cyc) for cyc, _ in cycles)
     solutions.append(PairingSolution(pairings, vertex_cycles, reversing_count))
 
 

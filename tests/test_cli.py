@@ -338,8 +338,51 @@ def test_orientable_config_exits_1(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["run", "--config", str(path), "--out", out]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["stage"] == "config" and "non-orientable" in err["error"]
+    assert err == {"stage": "config", "error": "unknown config keys: ['orientable']"}
     assert not os.path.exists(out)
+
+
+_SEED = {"type": "hyperbolic", "src": {"poly": 1, "edge": 2}, "dst": {"poly": 2, "edge": 7}}
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"n": "14"}, "n must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"depth": "5"}, "depth must be an integer"),
+        ({"depth": 2.5}, "depth must be an integer"),
+        ({"limit": None}, "limit must be an integer"),
+        ({"match_tol": "1e-4"}, "match_tol must be a finite number"),
+        ({"frame_rotation_deg": "x"}, "frame_rotation_deg must be a finite number"),
+        ({"out_dir": 5}, "out_dir must be a string"),
+        ({"attachments": [[0]]}, "attachments must be [parent, edge] integer pairs"),
+        ({"attachments": [[0, "1"]]}, "attachments must be"),
+        ({"attachments": None}, "attachments must be"),
+        ({"seed_pairs": {"p1": 1}}, "seed_pairs must be a list"),
+        ({"seed_pairs": [_SEED, {k: v for k, v in _SEED.items() if k != "dst"}]}, "seed record"),
+        ({"seed_pairs": [_SEED, {**_SEED, "type": "elliptic"}]}, "seed record"),
+        ({"seed_pairs": [_SEED, {**_SEED, "src": {"poly": 1.0, "edge": 2}}]}, "seed record"),
+        ({"seed_pairs": [_SEED, 3]}, "seed record"),
+        ([1, 2], "config must be a JSON object, not list"),
+        (b"\xff\xfe{", "can't decode byte 0xff"),
+    ],
+)
+def test_ill_typed_config_exits_1(tmp_path, change, named, capsys):
+    # each value fails at the config stage, as one JSON line, whatever its type
+    path = tmp_path / "typed.json"
+    if isinstance(change, bytes):
+        path.write_bytes(change)  # a file that is not UTF-8
+    else:
+        if isinstance(change, dict):
+            shipped = load_config("configs/n14.json").to_json_dict()
+            change = {**shipped, "out_dir": str(tmp_path / "out"), **change}
+        path.write_text(json.dumps(change))
+    assert main(["run", "--config", str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["stage"] == "config" and named in err["error"]
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-4", "nan", "inf"])

@@ -103,24 +103,19 @@ class TestPipelineConfig:
             cfg.validate()
 
     def test_orientable_rejected(self, tmp_path):
-        # completion requires a reversing pairing in every solution, so no
-        # run could build the orientable genus-2 surface this config names
+        # completion builds only surfaces with a reversing pairing, so the
+        # config has no orientability switch: the key is unknown
         d = {"n": 12, "attachments": [[0, 0]], "orientable": True}
-        cfg = PipelineConfig.from_json_dict(d)
-        assert cfg.genus == 2
-        with pytest.raises(ConfigError, match="non-orientable"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="unknown config keys: \\['orientable'\\]"):
+            PipelineConfig.from_json_dict(d)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d))
-        with pytest.raises(ConfigError, match="non-orientable"):
+        with pytest.raises(ConfigError, match="unknown config keys"):
             load_config(str(path))
-        cfg.orientable = False
-        cfg.validate()
-        assert cfg.genus == 4
+        del d["orientable"]
+        assert PipelineConfig.from_json_dict(d).genus == 4
 
-    @pytest.mark.parametrize(
-        "name", ["match_tol", "dedup_tol", "candidate_dedup", "angle_tol"]
-    )
+    @pytest.mark.parametrize("name", ["match_tol", "dedup_tol", "candidate_dedup"])
     @pytest.mark.parametrize("value", [0.0, -1e-4, float("nan"), float("inf")])
     def test_tolerances_must_be_finite_and_positive(self, tmp_path, name, value):
         cfg = self._n14()
@@ -142,6 +137,10 @@ class TestPipelineConfig:
             PipelineConfig.from_json_dict({"n": 14, "shape": "banana"})
         with pytest.raises(ConfigError):
             PipelineConfig.from_json_dict({"n": 14, "workers": 2})
+        # completion counts wedges, and builds one-sided surfaces only
+        for key, value in (("angle_tol", 1e-6), ("orientable", False)):
+            with pytest.raises(ConfigError, match=key):
+                PipelineConfig.from_json_dict({"n": 14, key: value})
 
     def test_hash_ignores_output_location(self):
         a, b = self._n14(), self._n14()
@@ -162,4 +161,4 @@ class TestPipelineConfig:
         assert cfg.n == 14 and cfg.k == 3 and cfg.depth == 5
         assert cfg.match_tol == 1e-4
         assert cfg.seed_pairs == [(True, 0, 13, 0, 10), (False, 0, 2, 1, 7)]
-        assert cfg.config_hash() == "4c1190ac8f442be4"
+        assert cfg.config_hash() == "b611b28705684c74"

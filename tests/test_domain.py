@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from diskpack.domain import (
     Attachment,
     BoundarySlots,
     DisconnectedAssembly,
+    InvalidCellStructure,
     OverlappingPolygons,
     build_domain,
     enumerate_pairings,
@@ -455,6 +457,18 @@ class TestSlotLinks:
         assert L
         self._check(F, L)
 
+    def test_wedge_counts(self, n14):
+        # a boundary vertex carries 1 or 2 tile corners; a third one at a
+        # 2-corner vertex (every 2-corner vertex lies on the boundary) is
+        # no cell structure
+        struct = n14.F.slot_table
+        assert sorted(struct.wedges[v] for v in struct.incident) == [1] * 33 + [2] * 3
+        classes = n14.F.vertex_classes()
+        next(members for _, members in classes if len(members) == 2).append((n14.F.k, 0))
+        fake = SimpleNamespace(n=n14.F.n, boundary=n14.F.boundary, vertex_classes=lambda: classes)
+        with pytest.raises(InvalidCellStructure, match="3 tile corners"):
+            BoundarySlots(fake)
+
 
 class TestSymmetries:
     def test_n14_group_has_order_six(self, n14):
@@ -484,7 +498,7 @@ class TestSymmetries:
                 w = vertex_at(struct, s.map(struct.points[v]))
                 images.append(struct.slot_of[(s.edges[key], w)])
             assert sorted(images) == list(range(len(struct.slots)))
-            assert [struct.slot_angle[t] for t in images] == struct.slot_angle
+            assert [struct.slot_wedges[t] for t in images] == struct.slot_wedges
 
     def test_built_on_first_use_only(self):
         F = build_domain(14, [Attachment(0, 0), Attachment(0, 1)])

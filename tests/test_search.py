@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from reference_data import (
     reference_compatibility_matrix,
     reference_complete_pairing,
     reference_displacement,
+    reference_enumerate_pairings,
     reference_links,
     solution_cycles,
     trace_cycles,
@@ -468,38 +470,44 @@ class TestCompletePairing:
         }
         assert len(sols_a) == len(sols_b) == 165
 
-    def test_angle_tol_is_applied(self, n14, n14_solution):
-        # the N = 14 cycles close at exactly 2 pi in floating point, so only a
-        # negative tolerance shows that the argument reaches the closure test
-        assert complete_pairing(n14_solution.Lc, n14.F, angle_tol=-1.0) == []
+    def test_wedge_counts_are_applied(self, n14, n14_solution, monkeypatch):
+        # the closure test reads the slot table's wedge counts: with two
+        # wedges at every slot no cycle collects exactly 3
+        slots = n14.F.slot_table
+        monkeypatch.setattr(slots, "slot_wedges", [2] * len(slots.slots))
+        assert complete_pairing(n14_solution.Lc, n14.F) == []
 
     def test_limit_caps_output(self, n14, n14_solution):
         sols = complete_pairing(n14_solution.Lc, n14.F, limit=5)
         assert len(sols) == 5
 
-    def test_vertex_cycles_close_at_two_pi(self, n14_solution):
+    def test_vertex_cycles_close_at_two_pi(self, n14, n14_solution):
+        # 3 wedges of 2 pi / 3
+        slots = n14.F.slot_table
+        wedges = dict(zip(slots.points, slots.wedges))
         for sol in n14_solution.solutions[:10]:
-            for _, total in sol.vertex_cycles:
-                assert total == pytest.approx(2 * math.pi, abs=1e-6)
+            for verts in sol.vertex_cycles:
+                assert sum(wedges[v] for v in verts) == 3
 
 
 class TestCycleMachinery:
     def test_torus_mock(self):
-        # square with opposite sides glued: its four quarter-turn corners are
-        # one vertex, a mirror pair of slot cycles (slot 2 v walks forward,
-        # 2 v + 1 back); V - E + F = 1 - 2 + 1 = 0
-        succ = [-1] * 8
-        for v in range(4):
-            succ[2 * v] = 2 * ((v + 1) % 4)
-            succ[2 * v + 1] = 2 * ((v - 1) % 4) + 1
+        # hexagon of 2 pi / 3 corners with opposite sides glued: its corners
+        # are two vertices of three wedges each, each a mirror pair of slot
+        # cycles (slot 2 v walks forward, 2 v + 1 back); V - E + F =
+        # 2 - 3 + 1 = 0
+        succ = [-1] * 12
+        for v in range(6):
+            succ[2 * v] = 2 * ((v + 2) % 6)
+            succ[2 * v + 1] = 2 * ((v - 2) % 6) + 1
         slots = SimpleNamespace(
-            slot_vertex=[s // 2 for s in range(8)],
-            slot_angle=[math.pi / 2] * 8,
-            points=[complex(v) for v in range(4)],
+            slot_vertex=[s // 2 for s in range(12)],
+            slot_wedges=[1] * 12,
+            points=[complex(v) for v in range(6)],
         )
-        cycles = _vertex_cycles(slots, succ, 1e-9)
-        assert cycles == ((tuple(complex(v) for v in range(4)), 2 * math.pi),)
-        vertices, edges, faces = 1, 2, 1
+        cycles = _vertex_cycles(slots, succ)
+        assert cycles == ((0j, 2 + 0j, 4 + 0j), (1 + 0j, 3 + 0j, 5 + 0j))
+        vertices, edges, faces = len(cycles), 3, 1
         assert vertices - edges + faces == 0
 
     def test_non_permutation_detected(self, n14, n14_solution):
@@ -516,7 +524,7 @@ class TestCycleMachinery:
         open_end[5] = -1
         for bad in (merged, open_end):
             with pytest.raises(InvalidCellStructure, match="permutation"):
-                _vertex_cycles(slots, bad, 10.0)
+                _vertex_cycles(slots, bad)
 
     def test_solution_cycles_pair_up(self, n14, n14_solution):
         struct = n14.F.slot_table
@@ -526,17 +534,13 @@ class TestCycleMachinery:
             assert total == pytest.approx(2 * math.pi, abs=1e-9)
 
     def test_global_angle_bookkeeping(self, n14, n14_solution):
-        # the cycle angle sums together account for every boundary vertex's
-        # interior angle exactly once
+        # the cycles visit every boundary vertex exactly once, so their 3
+        # wedges each account for every boundary corner of F
         struct = n14.F.slot_table
-        cycles = solution_cycles(n14_solution.reference.pairings, struct)
-        total = sum(t for _, t in cycles)
-        boundary_angle = sum(
-            struct.angles[v]
-            for v in range(len(struct.points))
-            if v not in struct.interior
-        )
-        assert total == pytest.approx(boundary_angle, abs=1e-5)
+        cycles = n14_solution.reference.vertex_cycles
+        boundary = [struct.points[v] for v in struct.incident]
+        assert Counter(v for verts in cycles for v in verts) == Counter(boundary)
+        assert 3 * len(cycles) == sum(struct.wedges[v] for v in struct.incident) == 39
 
 
     @staticmethod
@@ -550,62 +554,75 @@ class TestCycleMachinery:
     def test_vertex_cycles_match_reference(self, n14, n14_solution):
         struct = n14.F.slot_table
         succ = self._reference_succ(struct, n14_solution.reference.pairings)
-        cycles = _vertex_cycles(struct, succ, 1e-6)
+        cycles = _vertex_cycles(struct, succ)
         expected = solution_cycles(n14_solution.reference.pairings, struct)
-        assert cycles == tuple(
-            (tuple(struct.points[v] for v in verts), total) for verts, total in expected
-        )
+        assert cycles == tuple(tuple(struct.points[v] for v in verts) for verts, _ in expected)
         assert cycles == n14_solution.reference.vertex_cycles
 
     def test_vertex_cycles_match_oracle_on_every_depth5_solution(self, n14, n14_survivors):
-        # the oracle re-traces each solution's links with its own slot table;
-        # every angle sum must have the same bits
+        # the oracle re-traces each solution's links with its own slot table
+        # and sums float angles; each of its sums is 2 pi to the bit, the
+        # constant solutions.json writes as every cycle's angle_sum
         slots, fresh = n14.F.slot_table, BoundarySlots(n14.F)
         completed, _ = complete_survivors(n14_survivors, n14.F, limit=256)
         sols = [sol for sols in completed for sol in sols]
         assert len(sols) == 495
         for sol in sols:
-            cycles = _vertex_cycles(slots, self._reference_succ(fresh, sol.pairings), 1e-6)
+            cycles = _vertex_cycles(slots, self._reference_succ(fresh, sol.pairings))
             expected = solution_cycles(sol.pairings, fresh)
-            assert [verts for verts, _ in cycles] == [
-                tuple(fresh.points[v] for v in verts) for verts, _ in expected
-            ]
-            bits = [total.hex() for _, total in cycles]
-            assert bits == [total.hex() for _, total in expected]
-            assert bits == [total.hex() for _, total in sol.vertex_cycles]
+            assert list(cycles) == [tuple(fresh.points[v] for v in verts) for verts, _ in expected]
+            assert sol.vertex_cycles == cycles
+            assert all(total == 2.0 * math.pi for _, total in expected)
 
     def test_vertex_cycle_sums_keep_the_cycle_order(self):
-        # angles of mixed magnitudes, whose sums round differently in another
-        # order: three vertex cycles of three vertices each, slot 2 v walking
-        # forward and slot 2 v + 1 back; every total equals the oracle's sum
-        # over its slot cycle from the smallest slot, bit for bit
+        # a cycle of three 1-wedge vertices and two of a 1- and a 2-wedge
+        # vertex, over shuffled vertex ids, slot 2 v walking forward and slot
+        # 2 v + 1 back: every cycle sums to 3 wedges, and lists its points in
+        # the order of its smaller slot cycle from its smallest slot, as the
+        # oracle walks it
         rng = random.Random(3)
-        angles = [rng.uniform(0.1, 1.0) * 10.0 ** rng.randint(-9, 0) for _ in range(9)]
-        order = rng.sample(range(9), 9)
-        succ = [-1] * 18
-        for c in (0, 3, 6):
-            vs = order[c : c + 3]
+        order = rng.sample(range(7), 7)
+        cycles_of = [order[0:3], order[3:5], order[5:7]]
+        wedges = [1] * 7
+        wedges[order[3]] = wedges[order[6]] = 2
+        succ = [-1] * 14
+        for vs in cycles_of:
             for i, v in enumerate(vs):
-                succ[2 * v] = 2 * vs[(i + 1) % 3]
+                succ[2 * v] = 2 * vs[(i + 1) % len(vs)]
                 succ[2 * v + 1] = 2 * vs[i - 1] + 1
         slots = SimpleNamespace(
-            slot_vertex=[s // 2 for s in range(18)],
-            slot_angle=[angles[s // 2] for s in range(18)],
-            points=[complex(v) for v in range(9)],
+            slot_vertex=[s // 2 for s in range(14)],
+            slot_wedges=[wedges[s // 2] for s in range(14)],
+            points=[complex(v) for v in range(7)],
         )
-        cycles = _vertex_cycles(slots, succ, 10.0)
-        sums = {
-            tuple(s // 2 for s in cyc): total for cyc, total in trace_cycles(succ, slots.slot_angle)
-        }
-        assert len(cycles) == 3
-        for points, total in cycles:
-            assert total.hex() == sums[tuple(int(z.real) for z in points)].hex()
+        walked = trace_cycles(succ, slots.slot_wedges)
+        assert sorted(total for _, total in walked) == [3] * 6
+        by_set: dict[frozenset, list] = {}
+        for cyc, _ in walked:
+            verts = tuple(s // 2 for s in cyc)
+            by_set.setdefault(frozenset(verts), []).append(verts)
+        want = sorted(min(pair) for pair in by_set.values())
+        cycles = _vertex_cycles(slots, succ)
+        assert cycles == tuple(tuple(complex(v) for v in verts) for verts in want)
+        # one wedge more at a 1-wedge vertex leaves its cycle open
+        slots.slot_wedges[2 * order[0]] = slots.slot_wedges[2 * order[0] + 1] = 2
+        with pytest.raises(InvalidCellStructure, match="4 wedges"):
+            _vertex_cycles(slots, succ)
 
     def test_unclosed_cycle_rejected(self, n14, n14_solution):
+        # the published solution's links over a slot table with one wedge
+        # more at one vertex: that vertex's cycle collects 4
         struct = n14.F.slot_table
         succ = self._reference_succ(struct, n14_solution.reference.pairings)
-        with pytest.raises(InvalidCellStructure):
-            _vertex_cycles(struct, succ, -1.0)
+        v = struct.slot_vertex[0]
+        slots = SimpleNamespace(
+            slot_vertex=struct.slot_vertex,
+            slot_wedges=[w + (u == v) for u, w in zip(struct.slot_vertex, struct.slot_wedges)],
+            points=struct.points,
+        )
+        _vertex_cycles(struct, succ)
+        with pytest.raises(InvalidCellStructure, match="4 wedges, not 3"):
+            _vertex_cycles(slots, succ)
 
     def test_unpaired_slot_cycles_rejected(self, n14):
         # both slots of one vertex in a single cycle, every other slot fixed:
@@ -616,7 +633,7 @@ class TestCycleMachinery:
         a, b = (s for s, (_, w) in enumerate(struct.slots) if w == v)
         succ[a], succ[b] = b, a
         with pytest.raises(InvalidCellStructure, match="pair up"):
-            _vertex_cycles(struct, succ, 10.0)
+            _vertex_cycles(struct, succ)
 
 
 @pytest.fixture(scope="module")
@@ -624,6 +641,21 @@ def n14_survivors(n14):
     """L_c of every covered, non-center N = 14 candidate (depth 5)."""
     items = filter_candidates(None, n14.F, n14.L, n14.dset, n14.C)
     return [lc_pairings(it, n14.L) for it in items if it["covered"] and not it["is_center"]]
+
+
+@pytest.fixture(scope="module")
+def n30_survivor():
+    """The one-tile N = 30 domain, whose boundary vertices carry one wedge
+    each, and the L_c of its run's one survivor (depth 3, seeds (False, 0,
+    0, 0, 3) and (True, 0, 0, 0, 7)), with the oracle's two-direction L."""
+    F = build_domain(30, [])
+    L = enumerate_pairings(F)
+    dset = admissible_distances(30, 3)
+    p1 = find_pairing(L, False, 0, 0, 0, 3)
+    p2 = find_pairing(L, True, 0, 0, 0, 7)
+    items = filter_candidates(None, F, L, dset, candidates(p1, p2, dset, F))
+    (Lc,) = [lc_pairings(it, L) for it in items if it["covered"] and not it["is_center"]]
+    return SimpleNamespace(F=F, L2=reference_enumerate_pairings(F), Lc=Lc)
 
 
 def _summary(sols):
@@ -641,14 +673,18 @@ class TestCompletionOracle:
         assert len(n14_survivors) == 3
 
     @pytest.mark.parametrize("limit", [1, 5, 256])
-    def test_survivors_match_reference(self, n14, n14_survivors, limit):
-        for Lc in n14_survivors:
-            got = complete_pairing(Lc, n14.F, limit=limit)
-            ref = reference_complete_pairing(
-                both_directions(Lc, n14.L2), n14.F, limit=limit
-            )
+    def test_survivors_match_reference(self, n14, n14_survivors, n30_survivor, limit):
+        # the N = 14 survivors, whose boundary vertices carry 1 or 2 wedges,
+        # and the one-tile N = 30 survivor, whose all carry one
+        assert set(n14.F.slot_table.slot_wedges) == {1, 2}
+        assert set(n30_survivor.F.slot_table.slot_wedges) == {1}
+        cases = [(n14.F, n14.L2, Lc, 165) for Lc in n14_survivors]
+        cases.append((n30_survivor.F, n30_survivor.L2, n30_survivor.Lc, 7))
+        for F, L2, Lc, count in cases:
+            got = complete_pairing(Lc, F, limit=limit)
+            ref = reference_complete_pairing(both_directions(Lc, L2), F, limit=limit)
             assert _summary(got) == _summary(ref)
-            assert len(got) == min(limit, 165)
+            assert len(got) == min(limit, count)
             assert all(p in Lc for s in got for p in s.pairings)
 
     def test_both_directions_give_each_solution_once(self, n14, n14_survivors):
@@ -680,9 +716,9 @@ class TestCompletionOracle:
             ]
         else:
             Lc = [p for p in Lc if p.identification in kept or rng.random() < 0.99]
-        kwargs = {"limit": rng.choice([3, 40]), "require_reversing": seed % 3 != 0}
-        got = complete_pairing(Lc, n14.F, **kwargs)
-        ref = reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, **kwargs)
+        limit = rng.choice([3, 40])
+        got = complete_pairing(Lc, n14.F, limit=limit)
+        ref = reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=limit)
         assert got
         assert _summary(got) == _summary(ref)
 
@@ -776,18 +812,19 @@ class TestOrbitCarry:
         assert _summary(got) == _summary([s for s in want if s.identifications in part])
 
     def test_limit_and_require_reversing_apply_under_within(self, n14, n14_filtered):
+        # the oracle, told not to require a reversing pairing, also finds the
+        # covers the engine never emits; as targets they are skipped
         Lc = self._survivor3(n14, n14_filtered)
-        every = complete_pairing(Lc, n14.F, limit=256, require_reversing=False)
+        every = reference_complete_pairing(
+            both_directions(Lc, n14.L2), n14.F, limit=256, require_reversing=False
+        )
         targets = [s.identifications for s in every]
         # 40 solutions, 10 of them without a reversing pairing
         assert len(every) == 40 and sum(s.reversing_count == 0 for s in every) == 10
         got = complete_pairing(Lc, n14.F, limit=256, within=targets)
         assert _summary(got) == _summary(complete_pairing(Lc, n14.F, limit=256))
+        assert _summary(got) == _summary([s for s in every if s.reversing_count])
         assert len(got) == 30
-        loose = complete_pairing(
-            Lc, n14.F, limit=256, require_reversing=False, within=targets
-        )
-        assert _summary(loose) == _summary(every)
         for limit in (0, 1, 7):
             cut = complete_pairing(Lc, n14.F, limit=limit, within=targets)
             assert _summary(cut) == _summary(complete_pairing(Lc, n14.F, limit=limit))
@@ -877,18 +914,19 @@ class TestVerifyTopology:
         assert n14.F.n * n14.F.k == 6 * (n14.F.k - chi)
 
     def test_orientable_branch(self, n14, n14_solution):
+        # completion emits only solutions with a reversing pairing; one
+        # without is no surface the pipeline builds
         mock = PairingSolution(
             n14_solution.reference.pairings, n14_solution.reference.vertex_cycles, 0
         )
-        topo = verify_topology(mock, n14.F)
-        assert topo["orientable"] is True
-        assert topo["genus"] == 3  # chi = -4 = 2 - 2g
+        with pytest.raises(InvalidCellStructure, match="no reversing pairing"):
+            verify_topology(mock, n14.F)
 
     def test_bad_angle_rejected(self, n14, n14_solution):
-        verts, _ = n14_solution.reference.vertex_cycles[0]
-        broken = ((verts, 2 * math.pi + 1e-3),) + n14_solution.reference.vertex_cycles[1:]
-        mock = PairingSolution(n14_solution.reference.pairings, broken, 4)
-        with pytest.raises(InvalidCellStructure):
-            verify_topology(mock, n14.F)
-        with pytest.raises(InvalidCellStructure):
-            verify_topology(n14_solution.reference, n14.F, angle_tol=-1.0)
+        # a cycle short of one vertex collects fewer than 3 wedges, and two
+        # cycles run together more than 3
+        first, second, *rest = n14_solution.reference.vertex_cycles
+        for broken in ([first[:-1], second, *rest], [first + second, *rest]):
+            mock = PairingSolution(n14_solution.reference.pairings, tuple(broken), 4)
+            with pytest.raises(InvalidCellStructure, match="3 wedges"):
+                verify_topology(mock, n14.F)
