@@ -450,14 +450,6 @@ class SidePairing:
         ends = sorted([self.src.key, self.dst.key])
         return (self.reversing, ends[0], ends[1])
 
-    @property
-    def type_tag(self) -> str:
-        return "or-hyperbolic" if self.reversing else "hyperbolic"
-
-    @property
-    def label(self) -> str:
-        return f"de pol{self.src.poly + 1} a pol{self.dst.poly + 1}"
-
     def sort_key(self):
         return (self.src.poly, self.src.edge, self.reversing, self.dst.poly, self.dst.edge)
 
@@ -581,10 +573,9 @@ def find_pairing(
 
 
 def pairing_json(p: SidePairing) -> dict:
-    """JSON record; polygon indices are 1-based to match the printed labels."""
+    """JSON record: the map and the two edges it glues, polygon indices
+    1-based as in a config's seed record, which the record also reads as."""
     return {
-        "type": p.type_tag,
-        "label": p.label,
         "src": {"poly": p.src.poly + 1, "edge": p.src.edge},
         "dst": {"poly": p.dst.poly + 1, "edge": p.dst.edge},
         **p.map.to_json(),

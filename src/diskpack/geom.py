@@ -133,9 +133,12 @@ class Isometry:
         return not self.reversing and self.matrix_dist(Isometry.identity()) <= tol
 
     def to_json(self) -> dict:
-        """Artifact form: the matrix [a, b, conj(b), conj(a)] as [re, im] pairs."""
-        mat = [self.a, self.b, self.b.conjugate(), self.a.conjugate()]
-        return {"matrix": [[v.real, v.imag] for v in mat], "reversing": self.reversing}
+        """Artifact form: the matrix's first row [a, b] as [re, im] pairs; the
+        second row [conj(b), conj(a)] follows from it."""
+        return {
+            "matrix": [[self.a.real, self.a.imag], [self.b.real, self.b.imag]],
+            "reversing": self.reversing,
+        }
 
     @classmethod
     def from_json(cls, d: dict) -> "Isometry":

@@ -208,8 +208,7 @@ def second_packing_certificate(
     O' is second_neighbor_center(G.domain, gens); tau is
     swapping_half_turn(P, O').  The certificate passes when
     tau conjugates every generator into the group (membership residuals
-    below RESIDUAL_TOL) and swaps P with O' (within SWAP_TOL).  The returned
-    record carries both tolerances.
+    below RESIDUAL_TOL) and swaps P with O' (within SWAP_TOL).
     """
     o_prime = second_neighbor_center(G.domain, gens)
     tau = swapping_half_turn(P, o_prime)
@@ -225,8 +224,6 @@ def second_packing_certificate(
         "midpoint": midpoint(P, o_prime),
         "tau": tau,
         "swap_residual": swap_residual,
-        "residual_tol": RESIDUAL_TOL,
-        "swap_tol": SWAP_TOL,
         "normalizes": ok,
         "memberships": results,
         "stalled": stalled,

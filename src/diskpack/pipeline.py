@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 
 import numpy as np
@@ -41,17 +40,16 @@ from .search import (
     complete_survivors,
     verify_topology,
 )
-from .tess import DistanceSet, admissible_distances, triangle_generators
+from .tess import DistanceSet, admissible_distances
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EXHAUSTED = 2
 
-# solutions.json layout; version 2 gives pairings as indices into
-# pairings.json and vertex cycles as ids into its own vertices table
-SOLUTIONS_SCHEMA_VERSION = 2
-# every vertex cycle of a solution closes at 3 wedges of 2 pi / 3
-CYCLE_ANGLE = 2.0 * math.pi
+# solutions.json layout; version 3 gives pairings as indices into
+# pairings.json and each vertex cycle as a list of ids into its own
+# vertices table (every cycle closes at 3 wedges, so no angle is stored)
+SOLUTIONS_SCHEMA_VERSION = 3
 
 
 class StageError(RuntimeError):
@@ -103,7 +101,6 @@ def _artifact(cfg: PipelineConfig, stage: str, data: dict) -> dict:
         "config_hash": cfg.config_hash(),
         "tolerances": {
             "match_tol": cfg.match_tol,
-            "dedup_tol": cfg.dedup_tol,
             "candidate_dedup": cfg.candidate_dedup,
         },
         "depth": cfg.depth,
@@ -112,7 +109,7 @@ def _artifact(cfg: PipelineConfig, stage: str, data: dict) -> dict:
 
 
 def stage_distances(cfg: PipelineConfig, out: str | None = None) -> DistanceSet:
-    dset = admissible_distances(cfg.n, cfg.depth, cfg.match_tol, cfg.dedup_tol)
+    dset = admissible_distances(cfg.n, cfg.depth, cfg.match_tol)
     if out:
         write_json(
             os.path.join(out, "distances.json"),
@@ -168,11 +165,9 @@ def stage_pairings(
 
 
 def _candidate_json(c: Candidate) -> dict:
-    p1, p2 = c.seed_pair
     return {
         "point": _cpx(c.point),
         "seed_distances": [c.seed_distances[0], c.seed_distances[1]],
-        "seeds": [list(p1.record), list(p2.record)],
     }
 
 
@@ -263,7 +258,6 @@ def _filtering_json(items: list[dict]) -> list[dict]:
             {
                 "point": _cpx(it["candidate"].point),
                 "compatible_count": len(it["Lc"]),
-                "covered": it["covered"],
                 "uncovered": [[p + 1, e] for p, e in it["uncovered"]],
                 "is_center": it["is_center"],
             }
@@ -272,29 +266,24 @@ def _filtering_json(items: list[dict]) -> list[dict]:
 
 
 def _solution_json(sol, topo) -> dict:
-    """A solution with its pairings and vertex cycles written out in full
-    (the certificate's self-contained form)."""
+    """A solution with its pairings and vertex cycles (lists of points)
+    written out in full: the certificate's self-contained form."""
     return {
         "pairings": [pairing_json(p) for p in sol.pairings],
         "reversing_count": sol.reversing_count,
-        "vertex_cycles": [
-            {"vertices": [_cpx(v) for v in verts], "angle_sum": CYCLE_ANGLE}
-            for verts in sol.vertex_cycles
-        ],
+        "vertex_cycles": [[_cpx(v) for v in verts] for verts in sol.vertex_cycles],
         "topology": topo,
     }
 
 
 def _solution_record(sol, topo, pairing_index: dict, vertex_index: dict) -> dict:
     """A solution as solutions.json stores it: pairings as indices into
-    pairings.json's list, vertex cycles as ids into the vertices table."""
+    pairings.json's list, vertex cycles as lists of ids into the vertices
+    table."""
     return {
         "pairings": [pairing_index[p.record] for p in sol.pairings],
         "reversing_count": sol.reversing_count,
-        "vertex_cycles": [
-            {"vertices": [vertex_index[v] for v in verts], "angle_sum": CYCLE_ANGLE}
-            for verts in sol.vertex_cycles
-        ],
+        "vertex_cycles": [[vertex_index[v] for v in verts] for verts in sol.vertex_cycles],
         "topology": topo,
     }
 
@@ -322,13 +311,7 @@ def certificate_json(
             "midpoint": _cpx(cert["midpoint"]),
             "tau": cert["tau"].to_json(),
             "swap_residual": cert["swap_residual"],
-            "residual_tol": cert["residual_tol"],
-            "swap_tol": cert["swap_tol"],
             "basepoint": _cpx(G.basepoint),
-            "generators": [
-                {"label": lbl, **g.to_json()}
-                for lbl, g in zip(G.labels, G.generators)
-            ],
             "memberships": [
                 _membership_json(i, G.labels[i], r)
                 for i, r in enumerate(cert["memberships"])
@@ -381,8 +364,6 @@ def run_pipeline(cfg: PipelineConfig, progress=None, certify: bool = True) -> in
     log(f"domain: {F.k} tiles, {len(F.boundary)} boundary edges")
     L = _staged("pairings", stage_pairings, cfg, F, out)
     log(f"pairings: {len(L)} axial entries")
-    gens = triangle_generators(cfg.n)
-
     if cfg.seed_pairs is not None:
         seed_iter = [_staged("candidates", resolve_seeds, cfg, L)]
     else:
@@ -398,14 +379,14 @@ def run_pipeline(cfg: PipelineConfig, progress=None, certify: bool = True) -> in
         code = _staged(
             "search",
             _process_seed_pair,
-            cfg, F, L, dset, gens, p1, p2, C, out, log, certify,
+            cfg, F, L, dset, p1, p2, C, out, log, certify,
         )
         if code is not None:
             return code
     return EXIT_EXHAUSTED
 
 
-def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
+def _process_seed_pair(cfg, F, L, dset, p1, p2, C, out, log, certify):
     """Filter, complete and certify the candidates of one seed pair.
 
     Returns an exit code when the run can stop, None to try the next pair.
@@ -423,7 +404,7 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
         ),
     )
     pairing_index = {p.record: i for i, p in enumerate(L)}
-    vertices = [point for point, _ in F.vertex_classes()]
+    vertices = F.slot_table.points
     vertex_index = {point: i for i, point in enumerate(vertices)}
     survivors = [it for it in items if it["covered"] and not it["is_center"]]
     completed, searches = complete_survivors(
@@ -473,14 +454,14 @@ def _process_seed_pair(cfg, F, L, dset, gens, p1, p2, C, out, log, certify):
         return EXIT_OK
     # survivors nearest O' first (a stable sort: ties in candidate order),
     # each solution in turn, until one passes
-    o_prime = second_neighbor_center(F, gens)
+    o_prime = second_neighbor_center(F, F.gens)
     attempts = 0
     for it, sols, topos in sorted(solved, key=lambda s: dist(s[0]["candidate"].point, o_prime)):
         for sol, topo in zip(sols, topos):
             G = group_from_solution(sol, F)
             attempts += 1
             try:
-                cert = second_packing_certificate(it["candidate"].point, G, gens)
+                cert = second_packing_certificate(it["candidate"].point, G, F.gens)
             except (ReductionStalled, ValueError):
                 continue
             if cert["passed"]:
@@ -523,9 +504,10 @@ def _render_final(out, F, C, it, sol, cert):
 
 # the top-level keys verify_certificate_file reads
 _CERTIFICATE_KEYS = (
-    "generators", "memberships", "tau", "candidate", "o_prime",
-    "swap_residual", "passed", "solution",
+    "memberships", "tau", "candidate", "o_prime", "swap_residual", "passed", "solution",
 )
+# the embedded solution's cell counts, in the order the verifier reads them
+_TOPOLOGY_COUNTS = ("vertices", "edges", "faces", "euler_characteristic", "genus")
 
 
 def verify_certificate_file(
@@ -533,15 +515,18 @@ def verify_certificate_file(
 ) -> tuple[bool, list[str]]:
     """Re-check a certificate artifact without re-running the search.
 
-    Verifies that the generators are the embedded solution's side pairings
-    and their inverses, with no boundary edge paired twice; that the stored
-    tau is swapping_half_turn(candidate, O'), and against that tau, rebuilt,
-    the stored swap residual, the swap within SWAP_TOL and word soundness
-    (each membership word composes to the conjugated generator); the passed
-    flag; and, when ``config_hash`` is given, that the artifact was made by
-    that config.  A candidate equal to O' and malformed input (a missing
-    key, a matrix or point that does not decode, a generator or word index
-    out of range) are reported as problems, not raised.
+    The generators are the embedded solution's side pairings, each followed
+    by its inverse, as group_from_solution builds them.  Verifies that no
+    boundary edge is paired twice; that the solution's reversing count is
+    its number of reversing pairings, at least 1, and its topology that of
+    a one-sided surface with chi = V - E + F and genus 2 - chi; that the
+    stored tau is swapping_half_turn(candidate, O'), and against that tau,
+    rebuilt, the stored swap residual, the swap within SWAP_TOL and word
+    soundness (each membership word composes to the conjugated generator);
+    the passed flag; and, when ``config_hash`` is given, that the artifact
+    was made by that config.  A candidate equal to O' and malformed input (a
+    missing key, a matrix or point that does not decode, a generator or word
+    index out of range) are reported as problems, not raised.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
@@ -551,12 +536,16 @@ def verify_certificate_file(
     if missing:
         return False, [f"certificate lacks {', '.join(missing)}"]
     try:
-        gens = [Isometry.from_json(g) for g in cert["generators"]]
-        pairings = cert["solution"]["pairings"]
+        solution = cert["solution"]
+        pairings = solution["pairings"]
         sides = [Isometry.from_json(pj) for pj in pairings]
         edges = [
             (pj[end]["poly"], pj[end]["edge"]) for pj in pairings for end in ("src", "dst")
         ]
+        reversing_count = solution["reversing_count"]
+        topology = solution["topology"]
+        counts = [topology[key] for key in _TOPOLOGY_COUNTS]
+        orientable = topology["orientable"]
         stored_tau = Isometry.from_json(cert["tau"])
         P = complex(*cert["candidate"])
         o_prime = complex(*cert["o_prime"])
@@ -569,23 +558,29 @@ def verify_certificate_file(
         problems.append(
             f"config hash {cert.get('config_hash')} is not the configuration's {config_hash}"
         )
-    if len(gens) != 2 * len(sides):
-        problems.append(
-            f"{len(gens)} generators for {len(sides)} side pairings and their inverses"
-        )
-    else:
-        for i, p in enumerate(sides):
-            if (
-                gens[2 * i].matrix_dist(p) > word_tol
-                or gens[2 * i + 1].matrix_dist(p.inverse()) > word_tol
-            ):
-                problems.append(
-                    f"generators {2 * i}, {2 * i + 1} are not side pairing {i} "
-                    "and its inverse"
-                )
+    gens = [g for p in sides for g in (p, p.inverse())]
     twice = sorted({e for e in edges if edges.count(e) > 1})
     if twice:
         problems.append(f"boundary edges paired twice: {twice}")
+    reversing = sum(p.reversing for p in sides)
+    if reversing_count != reversing:
+        problems.append(
+            f"reversing count {reversing_count!r} is not the {reversing} reversing pairings"
+        )
+    if reversing == 0:
+        problems.append("solution has no reversing pairing")
+    if orientable is not False:
+        problems.append(f"topology says orientable {orientable!r} for a one-sided surface")
+    if not all(type(c) is int for c in counts):
+        problems.append(f"topology counts {counts} are not all integers")
+    else:
+        vertices, edge_count, faces, chi, genus = counts
+        if chi != vertices - edge_count + faces:
+            problems.append(
+                f"euler characteristic {chi} is not V - E + F = {vertices - edge_count + faces}"
+            )
+        if genus != 2 - chi:
+            problems.append(f"genus {genus} is not 2 - chi = {2 - chi}")
     try:
         tau = swapping_half_turn(P, o_prime)
     except ValueError as exc:

@@ -37,7 +37,6 @@ CANDIDATE_DEDUP = 1e-6
 @dataclass(frozen=True, slots=True)
 class Candidate:
     point: complex
-    seed_pair: tuple[SidePairing, SidePairing]
     seed_distances: tuple[float, float]
 
 
@@ -352,9 +351,8 @@ def candidates(
                 keep[j] = False
                 break
             i -= 1
-    pair = (p1, p2)
     return [
-        Candidate(z, pair, seeds)
+        Candidate(z, seeds)
         for z, seeds, k in zip(points, zip(b1.d[i1[kept]].tolist(), b2.d[i2[kept]].tolist()), keep)
         if k
     ]

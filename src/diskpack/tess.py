@@ -106,7 +106,6 @@ class DistanceSet:
     values: tuple[float, ...]
     depth: int
     match_tol: float = MATCH_TOL
-    dedup_tol: float = DEDUP_TOL
 
     def is_admissible(self, d: float) -> bool:
         i = bisect.bisect_left(self.values, d)
@@ -220,7 +219,6 @@ def admissible_distances(
     n: int,
     depth: int,
     match_tol: float = MATCH_TOL,
-    dedup_tol: float = DEDUP_TOL,
 ) -> DistanceSet:
     """Distances d(0, R(0)) over all products R of depth neighbor maps.
 
@@ -248,7 +246,7 @@ def admissible_distances(
     w = np.abs(pb / np.conj(pa))
     d = 2.0 * np.arctanh(w)
     d = np.sort(d)
-    keep = np.concatenate(([True], np.diff(d) > dedup_tol))
+    keep = np.concatenate(([True], np.diff(d) > DEDUP_TOL))
     d = d[keep]
-    values = (0.0,) + tuple(float(v) for v in d[d > dedup_tol])
-    return DistanceSet(values, depth, match_tol, dedup_tol)
+    values = (0.0,) + tuple(float(v) for v in d[d > DEDUP_TOL])
+    return DistanceSet(values, depth, match_tol)

@@ -459,7 +459,7 @@ def reference_admissible_distances(
     keep = np.concatenate(([True], np.diff(d) > dedup_tol))
     d = d[keep]
     values = (0.0,) + tuple(float(v) for v in d[d > dedup_tol])
-    return DistanceSet(values, depth, match_tol, dedup_tol)
+    return DistanceSet(values, depth, match_tol)
 
 
 def reference_displacement(zs, p):
@@ -700,7 +700,7 @@ def reference_candidates(p1, p2, dset, F, dedup=CANDIDATE_DEDUP):
                 dup = True
                 break
         if not dup:
-            out.append(Candidate(complex(z), (p1, p2), (float(d_a), float(d_b))))
+            out.append(Candidate(complex(z), (float(d_a), float(d_b))))
     out.sort(key=lambda c: (c.point.real, c.point.imag))
     return out
 

@@ -7,9 +7,16 @@ import os
 import pytest
 
 from diskpack.cli import main
-from diskpack.config import load_config
+from diskpack.config import PipelineConfig, load_config
+from diskpack.domain import find_pairing
 from diskpack.geom import Isometry, dist, elliptic_about
-from diskpack.pipeline import run_pipeline, verify_certificate_file
+from diskpack.group import SWAP_TOL
+from diskpack.pipeline import (
+    run_pipeline,
+    stage_domain,
+    stage_pairings,
+    verify_certificate_file,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +70,7 @@ def test_artifacts_embed_provenance(completed_run):
 def test_certificate_artifact_passes(completed_run):
     cert = _read_json(os.path.join(completed_run, "certificate.json"))
     assert cert["passed"] and cert["normalizes"]
-    assert cert["swap_residual"] <= cert["swap_tol"]
+    assert cert["swap_residual"] <= SWAP_TOL
     assert len(cert["memberships"]) == 36
 
 
@@ -91,25 +98,6 @@ def _forged(completed_run, tmp_path, forge):
     return str(out)
 
 
-def test_verify_rejects_generators_that_are_not_the_pairings(completed_run, tmp_path):
-    # tau and its inverse normalize the group they generate, with one-letter
-    # words; only the link to the embedded solution exposes the forgery
-    def forge(cert):
-        tau = Isometry.from_json(cert["tau"])
-        cert["generators"] = [
-            {"label": "t", **tau.to_json()},
-            {"label": "t'", **tau.inverse().to_json()},
-        ]
-        cert["memberships"] = [
-            {**cert["memberships"][i], "generator": i, "word": [i]} for i in (0, 1)
-        ]
-
-    out = _forged(completed_run, tmp_path, forge)
-    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
-    assert not ok
-    assert any("side pairings" in p for p in problems)
-
-
 def test_verify_rejects_an_edge_paired_twice(completed_run, tmp_path):
     def forge(cert):
         pairings = cert["solution"]["pairings"]
@@ -119,6 +107,39 @@ def test_verify_rejects_an_edge_paired_twice(completed_run, tmp_path):
     ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
     assert not ok
     assert any("paired twice" in p for p in problems)
+
+
+def _no_reversing_pairing(solution):
+    for p in solution["pairings"]:
+        p["reversing"] = False
+    solution["reversing_count"] = 0
+
+
+@pytest.mark.parametrize(
+    "forge, messages",
+    [
+        # 3 of the cycles kept, genus 99, chi 7 and no reversing pairing
+        # counted: a forgery that verified while the topology went unread
+        (
+            lambda s: (
+                s.update(vertex_cycles=s["vertex_cycles"][:3], reversing_count=0),
+                s["topology"].update(genus=99, euler_characteristic=7),
+            ),
+            ["reversing count 0", "euler characteristic 7", "genus 99"],
+        ),
+        (_no_reversing_pairing, ["no reversing pairing"]),
+        (lambda s: s["topology"].update(genus=7), ["genus 7 is not 2 - chi = 6"]),
+        (lambda s: s["topology"].update(orientable=True), ["orientable True"]),
+        (lambda s: s["topology"].update(faces="3"), ["not all integers"]),
+    ],
+    ids=["cut-cycles-and-counts", "no-reversing-pairing", "genus", "orientable", "faces-not-int"],
+)
+def test_verify_checks_the_embedded_topology(completed_run, tmp_path, forge, messages):
+    out = _forged(completed_run, tmp_path, lambda cert: forge(cert["solution"]))
+    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
+    assert not ok
+    for message in messages:
+        assert any(message in p for p in problems), (message, problems)
 
 
 def test_verify_rejects_an_identity_tau_with_o_prime_at_the_candidate(completed_run, tmp_path):
@@ -159,8 +180,9 @@ def _non_swapping_tau(cert):
 
 
 def _generator_0(cert):
-    """The first generator: it normalizes the group, with the words [0, g, 1]."""
-    return Isometry.from_json(cert["generators"][0])
+    """The first generator, the solution's first side pairing: it normalizes
+    the group, with the words [0, g, 1]."""
+    return Isometry.from_json(cert["solution"]["pairings"][0])
 
 
 @pytest.mark.parametrize("make_tau", [_non_swapping_tau, _generator_0])
@@ -210,14 +232,14 @@ def test_verify_checks_the_config_hash(n14_cfg_path, completed_run, tmp_path, ca
         (lambda c: c.pop("solution"), "lacks solution"),
         (lambda c: c.pop("tau"), "lacks tau"),
         (lambda c: c["solution"].pop("pairings"), "KeyError: 'pairings'"),
-        (lambda c: c["generators"][3].pop("matrix"), "KeyError: 'matrix'"),
+        (lambda c: c["solution"]["pairings"][3].pop("matrix"), "KeyError: 'matrix'"),
         (lambda c: c["tau"].update(matrix=[[1, 0], [1, 0], [1, 0], [1, 0]]), "GeometryError"),
         (lambda c: c.update(memberships=5), "TypeError"),
         (lambda c: c["memberships"].__setitem__(1, c["memberships"][0]), "every generator"),
     ],
     ids=[
         "generator-99", "word-index-99", "word-index-negative", "word-not-a-list",
-        "no-solution", "no-tau", "no-solution-pairings", "no-generator-matrix",
+        "no-solution", "no-tau", "no-solution-pairings", "no-pairing-matrix",
         "singular-tau", "memberships-not-a-list", "generator-listed-twice",
     ],
 )
@@ -233,13 +255,14 @@ def test_verify_reports_malformed_certificates(
 
 
 def test_solutions_json_decodes_to_the_certified_solution(completed_run):
-    # schema 2: pairings index pairings.json, vertex cycles index "vertices"
+    # schema 3: pairings index pairings.json, each vertex cycle is a list
+    # of ids into "vertices"
     def load(name):
         with open(os.path.join(completed_run, name), encoding="utf-8") as fh:
             return json.load(fh)
 
     sols, L, cert = load("solutions.json"), load("pairings.json"), load("certificate.json")
-    assert sols["schema_version"] == 2
+    assert sols["schema_version"] == 3
     assert os.path.getsize(os.path.join(completed_run, "solutions.json")) < 2_000_000
     vertices = sols["vertices"]
 
@@ -247,13 +270,7 @@ def test_solutions_json_decodes_to_the_certified_solution(completed_run):
         return {
             "pairings": [L["pairings"][i] for i in s["pairings"]],
             "reversing_count": s["reversing_count"],
-            "vertex_cycles": [
-                {
-                    "vertices": [vertices[v] for v in c["vertices"]],
-                    "angle_sum": c["angle_sum"],
-                }
-                for c in s["vertex_cycles"]
-            ],
+            "vertex_cycles": [[vertices[v] for v in c] for c in s["vertex_cycles"]],
             "topology": s["topology"],
         }
 
@@ -266,6 +283,58 @@ def test_solutions_json_decodes_to_the_certified_solution(completed_run):
     ]
     assert len(hits) == 1
     assert hits[0] == embedded
+
+
+# fields no artifact writes: each copied another field or a constant
+_DROPPED = {
+    "type", "angle_sum", "seeds", "covered", "residual_tol", "swap_tol", "generators",
+    "dedup_tol",
+}
+
+
+def _walk(value):
+    """Every (key, value) of every object inside a decoded JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key, item
+            yield from _walk(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _walk(item)
+
+
+def test_artifacts_write_each_fact_once(n14_cfg_path, completed_run):
+    names = ("distances", "domain", "pairings", "candidates", "filtering", "solutions")
+    docs = {name: _read_json(os.path.join(completed_run, f"{name}.json")) for name in names}
+    cert = docs["certificate"] = _read_json(os.path.join(completed_run, "certificate.json"))
+    for name, doc in docs.items():
+        fields = list(_walk(doc))
+        assert not _DROPPED & {key for key, _ in fields}, name
+        # an isometry's matrix is its first row; conj b, conj a follow
+        assert all(len(v) == 2 for key, v in fields if key == "matrix"), name
+    records = docs["pairings"]["pairings"]
+    for rec in records + cert["solution"]["pairings"]:
+        assert sorted(rec) == ["dst", "matrix", "reversing", "src"]
+    assert all(isinstance(c, list) for c in cert["solution"]["vertex_cycles"])
+
+    # pasted into a config's seed_pairs, every record names an entry of L;
+    # it stores that entry's matrix row to the bit, and decodes as the
+    # Isometry constructor rebuilds the entry from that row
+    cfg = load_config(n14_cfg_path)
+    L = stage_pairings(cfg, stage_domain(cfg))
+    shipped = cfg.to_json_dict()
+
+    def entry(rec):
+        seeded = PipelineConfig.from_json_dict({**shipped, "seed_pairs": [rec, rec]})
+        p = find_pairing(L, *seeded.seed_pairs[0])
+        a, b = p.map.a, p.map.b
+        assert rec["matrix"] == [[a.real, a.imag], [b.real, b.imag]]
+        assert Isometry.from_json(rec) == Isometry(a, b, p.reversing)
+        return p
+
+    assert [entry(rec) for rec in records] == L
+    for rec in cert["solution"]["pairings"]:
+        entry(rec)
 
 
 def test_distances_subcommand(n14_cfg_path, capsys):

@@ -115,7 +115,7 @@ class TestPipelineConfig:
         del d["orientable"]
         assert PipelineConfig.from_json_dict(d).genus == 4
 
-    @pytest.mark.parametrize("name", ["match_tol", "dedup_tol", "candidate_dedup"])
+    @pytest.mark.parametrize("name", ["match_tol", "candidate_dedup"])
     @pytest.mark.parametrize("value", [0.0, -1e-4, float("nan"), float("inf")])
     def test_tolerances_must_be_finite_and_positive(self, tmp_path, name, value):
         cfg = self._n14()
@@ -137,8 +137,9 @@ class TestPipelineConfig:
             PipelineConfig.from_json_dict({"n": 14, "shape": "banana"})
         with pytest.raises(ConfigError):
             PipelineConfig.from_json_dict({"n": 14, "workers": 2})
-        # completion counts wedges, and builds one-sided surfaces only
-        for key, value in (("angle_tol", 1e-6), ("orientable", False)):
+        # completion counts wedges, and builds one-sided surfaces only;
+        # distances closer than tess.DEDUP_TOL are always one value
+        for key, value in (("angle_tol", 1e-6), ("orientable", False), ("dedup_tol", 1e-9)):
             with pytest.raises(ConfigError, match=key):
                 PipelineConfig.from_json_dict({"n": 14, key: value})
 
@@ -161,4 +162,4 @@ class TestPipelineConfig:
         assert cfg.n == 14 and cfg.k == 3 and cfg.depth == 5
         assert cfg.match_tol == 1e-4
         assert cfg.seed_pairs == [(True, 0, 13, 0, 10), (False, 0, 2, 1, 7)]
-        assert cfg.config_hash() == "b611b28705684c74"
+        assert cfg.config_hash() == "1f6aad06fb3e7291"

@@ -561,8 +561,8 @@ class TestCycleMachinery:
 
     def test_vertex_cycles_match_oracle_on_every_depth5_solution(self, n14, n14_survivors):
         # the oracle re-traces each solution's links with its own slot table
-        # and sums float angles; each of its sums is 2 pi to the bit, the
-        # constant solutions.json writes as every cycle's angle_sum
+        # and sums float angles; each of its sums is 2 pi to the bit, which
+        # is why no artifact stores a cycle's angle
         slots, fresh = n14.F.slot_table, BoundarySlots(n14.F)
         completed, _ = complete_survivors(n14_survivors, n14.F, limit=256)
         sols = [sol for sols in completed for sol in sols]

@@ -8,6 +8,7 @@ import pytest
 from reference_data import reference_admissible_distances
 from diskpack.geom import Isometry, classify, dist
 from diskpack.tess import (
+    DEDUP_TOL,
     TABLE_MAX_BINS,
     AdmissibilityTable,
     NotHyperbolic,
@@ -205,7 +206,7 @@ class TestAdmissibleDistances:
     def test_sorted_strictly_increasing(self):
         dset = admissible_distances(7, 3)
         vals = dset.values
-        assert all(vals[i + 1] - vals[i] > dset.dedup_tol for i in range(len(vals) - 1))
+        assert all(vals[i + 1] - vals[i] > DEDUP_TOL for i in range(len(vals) - 1))
         assert vals[0] == 0.0
         assert vals[1] == pytest.approx(2 * INRADIUS_7, abs=1e-9)
 
@@ -255,7 +256,7 @@ class TestAdmissibleDistances:
         ref = reference_admissible_distances(n, depth)
         assert len(dset.values) == len(ref.values)
         diff = np.abs(np.array(dset.values) - np.array(ref.values))
-        assert diff.max() <= dset.dedup_tol
+        assert diff.max() <= DEDUP_TOL
 
     @pytest.mark.parametrize("n, letters", [(7, 3), (14, 1)])
     def test_first_letter_moves_no_distance(self, n, letters, rng):
