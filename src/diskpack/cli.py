@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import pipeline
+from . import pipeline, search
 from .config import ConfigError, NotRelevantN, PipelineConfig, load_config, primitive_pair
 
 
@@ -101,9 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("pairings", "enumerate the side-pairing list L", False),
         ("candidates", "intersect seed bananas into candidate points", True),
         ("search", "run the pipeline through side-pairing completion", True),
-        ("certify", "run the pipeline through the automorphism certificate", True),
-        ("run", "full pipeline (alias of certify)", True),
-        ("render", "re-render the figures for the configured stages", True),
+        ("run", "full pipeline through the automorphism certificate", True),
         ("verify", "re-check an existing certificate.json without searching", False),
     ):
         sp = sub.add_parser(name, help=help_text)
@@ -112,13 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("n", type=int)
     pp.add_argument("--orientable", action="store_true")
     return ap
-
-
-def _stage_objects(cfg: PipelineConfig, out, need):
-    dset = pipeline.stage_distances(cfg, out if "distances" in need else None)
-    F = pipeline.stage_domain(cfg, out if "domain" in need else None)
-    L = pipeline.stage_pairings(cfg, F, out if "pairings" in need else None)
-    return dset, F, L
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,26 +148,25 @@ def main(argv: list[str] | None = None) -> int:
             )
             return pipeline.EXIT_OK
         if args.command == "pairings":
-            _, F, L = _stage_objects(cfg, out, {"domain", "pairings"})
+            F = pipeline.stage_domain(cfg, out)
+            L = pipeline.stage_pairings(cfg, F, out)
             print(f"{len(L)} side pairings -> {out}/pairings.json")
             return pipeline.EXIT_OK
         if args.command == "candidates":
-            dset, F, L = _stage_objects(cfg, out, {"distances", "domain", "pairings"})
+            dset = pipeline.stage_distances(cfg, out)
+            F = pipeline.stage_domain(cfg, out)
+            L = pipeline.stage_pairings(cfg, F, out)
             p1, p2 = pipeline.resolve_seeds(cfg, L)
-            C = pipeline.stage_candidates(cfg, F, dset, p1, p2, out)
+            C = search.candidates(p1, p2, dset, F, dedup=cfg.candidate_dedup)
+            pipeline._write_seed_pair(
+                cfg, F, L, dset, pipeline.SeedPairResult(p1, p2, C), out
+            )
             print(f"{len(C)} candidates -> {out}/candidates.json")
             return pipeline.EXIT_OK
         if args.command == "search":
             return pipeline.run_pipeline(cfg, progress=log, certify=False)
-        if args.command in ("certify", "run"):
+        if args.command == "run":
             return pipeline.run_pipeline(cfg, progress=log)
-        if args.command == "render":
-            dset, F, L = _stage_objects(cfg, out, {"domain"})
-            if cfg.seed_pairs is not None:
-                p1, p2 = pipeline.resolve_seeds(cfg, L)
-                pipeline.stage_candidates(cfg, F, dset, p1, p2, out)
-            print(f"figures -> {out}/*.svg")
-            return pipeline.EXIT_OK
         if args.command == "verify":
             ok, problems = pipeline.verify_certificate_file(
                 os.path.join(out, "certificate.json"), config_hash=cfg.config_hash()

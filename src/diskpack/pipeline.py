@@ -1,7 +1,8 @@
 """End-to-end pipeline: distances, domain, pairings, candidates, filtering,
 completion, certificate; each stage writes a JSON artifact and the run ends
-with rendered figures.  Exit codes: 0 certificate found, 2 search space
-exhausted without one, 1 error.
+with rendered figures.  The seed-pair stages compute first, and the run's
+last seed pair is written once, by _write_seed_pair.  Exit codes: 0
+certificate found, 2 search space exhausted without one, 1 error.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,8 +97,14 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("}\n")
 
 
-def _artifact(cfg: PipelineConfig, stage: str, data: dict) -> dict:
-    return {
+def _write_svg(out: str, name: str, scene: render.Scene) -> None:
+    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+        fh.write(render.render_svg(scene))
+
+
+def _write_artifact(cfg: PipelineConfig, out: str, stage: str, data: dict) -> None:
+    """``data`` as ``{stage}.json``, headed by the run's provenance."""
+    header = {
         "stage": stage,
         "config_hash": cfg.config_hash(),
         "tolerances": {
@@ -104,17 +112,14 @@ def _artifact(cfg: PipelineConfig, stage: str, data: dict) -> dict:
             "candidate_dedup": cfg.candidate_dedup,
         },
         "depth": cfg.depth,
-        **data,
     }
+    write_json(os.path.join(out, f"{stage}.json"), {**header, **data})
 
 
 def stage_distances(cfg: PipelineConfig, out: str | None = None) -> DistanceSet:
     dset = admissible_distances(cfg.n, cfg.depth, cfg.match_tol)
     if out:
-        write_json(
-            os.path.join(out, "distances.json"),
-            _artifact(cfg, "distances", {"values": list(dset.values)}),
-        )
+        _write_artifact(cfg, out, "distances", {"values": list(dset.values)})
     return dset
 
 
@@ -138,9 +143,8 @@ def stage_domain(cfg: PipelineConfig, out: str | None = None) -> FundamentalDoma
                 for e in F.boundary
             ],
         }
-        write_json(os.path.join(out, "domain.json"), _artifact(cfg, "domain", data))
-        with open(os.path.join(out, "domain.svg"), "w", encoding="utf-8") as fh:
-            fh.write(render.render_svg(render.scene_base(F)))
+        _write_artifact(cfg, out, "domain", data)
+        _write_svg(out, "domain.svg", render.scene_base(F))
     return F
 
 
@@ -149,59 +153,13 @@ def stage_pairings(
 ) -> list[SidePairing]:
     L = enumerate_pairings(F)
     if out:
-        write_json(
-            os.path.join(out, "pairings.json"),
-            _artifact(
-                cfg,
-                "pairings",
-                {
-                    "count": len(L),
-                    "boundary_edges": len(F.boundary),
-                    "pairings": [pairing_json(p) for p in L],
-                },
-            ),
+        _write_artifact(
+            cfg,
+            out,
+            "pairings",
+            {"boundary_edges": len(F.boundary), "pairings": [pairing_json(p) for p in L]},
         )
     return L
-
-
-def _candidate_json(c: Candidate) -> dict:
-    return {
-        "point": _cpx(c.point),
-        "seed_distances": [c.seed_distances[0], c.seed_distances[1]],
-    }
-
-
-def stage_candidates(
-    cfg: PipelineConfig,
-    F: FundamentalDomain,
-    dset: DistanceSet,
-    p1: SidePairing,
-    p2: SidePairing,
-    out: str | None = None,
-) -> list[Candidate]:
-    C = candidates(p1, p2, dset, F, dedup=cfg.candidate_dedup)
-    if out:
-        write_json(
-            os.path.join(out, "candidates.json"),
-            _artifact(
-                cfg,
-                "candidates",
-                {
-                    "seed_pair": [list(p1.record), list(p2.record)],
-                    "count": len(C),
-                    "candidates": [_candidate_json(c) for c in C],
-                },
-            ),
-        )
-        fam1 = bananas(p1, dset, max_families=render.BANANA_FAMILIES)
-        fam2 = bananas(p2, dset, max_families=render.BANANA_FAMILIES)
-        with open(os.path.join(out, "bananas.svg"), "w", encoding="utf-8") as fh:
-            fh.write(render.render_svg(render.scene_bananas(F, p1, p2, fam1, fam2)))
-        with open(os.path.join(out, "candidates.svg"), "w", encoding="utf-8") as fh:
-            fh.write(
-                render.render_svg(render.scene_candidates(F, [c.point for c in C]))
-            )
-    return C
 
 
 def filter_candidates(
@@ -251,20 +209,6 @@ def lc_pairings(item: dict, L: list[SidePairing]) -> list[SidePairing]:
     return [L[j] for j in item["Lc"]]
 
 
-def _filtering_json(items: list[dict]) -> list[dict]:
-    out = []
-    for it in items:
-        out.append(
-            {
-                "point": _cpx(it["candidate"].point),
-                "compatible_count": len(it["Lc"]),
-                "uncovered": [[p + 1, e] for p, e in it["uncovered"]],
-                "is_center": it["is_center"],
-            }
-        )
-    return out
-
-
 def _solution_json(sol, topo) -> dict:
     """A solution with its pairings and vertex cycles (lists of points)
     written out in full: the certificate's self-contained form."""
@@ -299,29 +243,21 @@ def _membership_json(idx: int, label: str, res) -> dict:
     }
 
 
-def certificate_json(
-    cfg: PipelineConfig, G: GroupPresentation, cert: dict, sol, topo
-) -> dict:
-    return _artifact(
-        cfg,
-        "certificate",
-        {
-            "candidate": _cpx(cert["candidate"]),
-            "o_prime": _cpx(cert["o_prime"]),
-            "midpoint": _cpx(cert["midpoint"]),
-            "tau": cert["tau"].to_json(),
-            "swap_residual": cert["swap_residual"],
-            "basepoint": _cpx(G.basepoint),
-            "memberships": [
-                _membership_json(i, G.labels[i], r)
-                for i, r in enumerate(cert["memberships"])
-            ],
-            "normalizes": cert["normalizes"],
-            "stalled": cert["stalled"],
-            "passed": cert["passed"],
-            "solution": _solution_json(sol, topo),
-        },
-    )
+def _certificate_data(G: GroupPresentation, cert: dict, sol, topo) -> dict:
+    return {
+        "candidate": _cpx(cert["candidate"]),
+        "o_prime": _cpx(cert["o_prime"]),
+        "tau": cert["tau"].to_json(),
+        "swap_residual": cert["swap_residual"],
+        "basepoint": _cpx(G.basepoint),
+        "memberships": [
+            _membership_json(i, G.labels[i], r) for i, r in enumerate(cert["memberships"])
+        ],
+        "normalizes": cert["normalizes"],
+        "stalled": cert["stalled"],
+        "passed": cert["passed"],
+        "solution": _solution_json(sol, topo),
+    }
 
 
 def resolve_seeds(cfg: PipelineConfig, L: list[SidePairing]):
@@ -351,7 +287,9 @@ def run_pipeline(cfg: PipelineConfig, progress=None, certify: bool = True) -> in
     """Execute the full search; returns the process exit code.
 
     With ``certify=False`` the run stops after side-pairing completion and
-    succeeds as soon as some candidate admits a full solution.
+    succeeds as soon as some candidate admits a full solution.  The seed-pair
+    artifacts are those of the last pair that got past its candidates,
+    written once when the run ends with 0 or 2.
     """
     cfg.validate()
     out = cfg.out_dir
@@ -368,44 +306,52 @@ def run_pipeline(cfg: PipelineConfig, progress=None, certify: bool = True) -> in
         seed_iter = [_staged("candidates", resolve_seeds, cfg, L)]
     else:
         seed_iter = _seed_pair_iter(L)
+    last = None
     for p1, p2 in seed_iter:
         try:
-            C = stage_candidates(cfg, F, dset, p1, p2, out)
+            C = candidates(p1, p2, dset, F, dedup=cfg.candidate_dedup)
         except (CoincidentCurves, ValueError) as exc:
             if cfg.seed_pairs is not None:
                 raise StageError("candidates", f"{type(exc).__name__}: {exc}") from exc
             continue  # degenerate auto-mode seed pair, move on
         log(f"seed {p1.record} x {p2.record}: {len(C)} candidates")
-        code = _staged(
-            "search",
-            _process_seed_pair,
-            cfg, F, L, dset, p1, p2, C, out, log, certify,
+        last = _staged(
+            "search", _process_seed_pair, cfg, F, L, dset, p1, p2, C, log, certify
         )
-        if code is not None:
-            return code
-    return EXIT_EXHAUSTED
+        if last.solved is not None:
+            break
+    if last is None:
+        return EXIT_EXHAUSTED
+    _write_seed_pair(cfg, F, L, dset, last, out)
+    return EXIT_EXHAUSTED if last.solved is None else EXIT_OK
 
 
-def _process_seed_pair(cfg, F, L, dset, p1, p2, C, out, log, certify):
+@dataclass
+class SeedPairResult:
+    """What one seed pair produced, for _write_seed_pair.
+
+    ``items`` (the filtering items) and ``completed`` ((item, solutions,
+    topologies) per survivor, in candidate order) are None for a pair that
+    stopped at its candidates.  ``solved`` is the (item, solution) that ended
+    the run and ``certificate`` its (group, certificate, topology) when the
+    run certified it.
+    """
+
+    p1: SidePairing
+    p2: SidePairing
+    C: list[Candidate]
+    items: list[dict] | None = None
+    completed: list[tuple] | None = None
+    solved: tuple | None = None
+    certificate: tuple | None = None
+
+
+def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResult:
     """Filter, complete and certify the candidates of one seed pair.
 
-    Returns an exit code when the run can stop, None to try the next pair.
+    Writes nothing; the result's ``solved`` is set when the run can stop.
     """
     items = filter_candidates(cfg, F, L, dset, C)
-    write_json(
-        os.path.join(out, "filtering.json"),
-        _artifact(
-            cfg,
-            "filtering",
-            {
-                "seed_pair": [list(p1.record), list(p2.record)],
-                "candidates": _filtering_json(items),
-            },
-        ),
-    )
-    pairing_index = {p.record: i for i, p in enumerate(L)}
-    vertices = F.slot_table.points
-    vertex_index = {point: i for i, point in enumerate(vertices)}
     survivors = [it for it in items if it["covered"] and not it["is_center"]]
     completed, searches = complete_survivors(
         [lc_pairings(it, L) for it in survivors], F, limit=cfg.limit
@@ -416,42 +362,18 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, out, log, certify):
         f"{searches} search{'es' * (searches != 1)}, {carried} carried by symmetry "
         f"(group of order {len(F.symmetries)})"
     )
-    solutions_log: list[dict] = []
-    solved = []  # (item, solutions, topologies) in candidate order
-    for it, sols in zip(survivors, completed):
-        topos = [verify_topology(sol, F) for sol in sols]
-        solutions_log.append(
-            {
-                "point": _cpx(it["candidate"].point),
-                "solutions": [
-                    _solution_record(s, t, pairing_index, vertex_index)
-                    for s, t in zip(sols, topos)
-                ],
-            }
-        )
-        if sols:
-            solved.append((it, sols, topos))
-    write_json(
-        os.path.join(out, "solutions.json"),
-        _artifact(
-            cfg,
-            "solutions",
-            {
-                "schema_version": SOLUTIONS_SCHEMA_VERSION,
-                "seed_pair": [list(p1.record), list(p2.record)],
-                "limit": cfg.limit,
-                "vertices": [_cpx(z) for z in vertices],
-                "candidates": solutions_log,
-            },
-        ),
-    )
+    res = SeedPairResult(p1, p2, C, items)
+    res.completed = [
+        (it, sols, [verify_topology(sol, F) for sol in sols])
+        for it, sols in zip(survivors, completed)
+    ]
+    solved = [entry for entry in res.completed if entry[1]]
     if not certify:
-        if not solved:
-            return None
-        it, sols, _ = solved[0]
-        log(f"solutions found at {it['candidate'].point:.6f}")
-        _render_final(out, F, C, it, sols[0], None)
-        return EXIT_OK
+        if solved:
+            it, sols, _ = solved[0]
+            log(f"solutions found at {it['candidate'].point:.6f}")
+            res.solved = (it, sols[0])
+        return res
     # survivors nearest O' first (a stable sort: ties in candidate order),
     # each solution in turn, until one passes
     o_prime = second_neighbor_center(F, F.gens)
@@ -465,41 +387,76 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, out, log, certify):
             except (ReductionStalled, ValueError):
                 continue
             if cert["passed"]:
-                write_json(
-                    os.path.join(out, "certificate.json"),
-                    certificate_json(cfg, G, cert, sol, topo),
-                )
                 log(
                     f"certificate passed at {it['candidate'].point:.6f} "
                     f"(genus {topo['genus']}, chi {topo['euler_characteristic']}) "
                     f"after {attempts} attempts"
                 )
-                _render_final(out, F, C, it, sol, cert)
-                return EXIT_OK
+                res.solved = (it, sol)
+                res.certificate = (G, cert, topo)
+                return res
     log(f"no certificate for this seed pair after {attempts} attempts")
-    return None
+    return res
 
 
-def _render_final(out, F, C, it, sol, cert):
-    star = it["candidate"].point
-    with open(os.path.join(out, "candidates.svg"), "w", encoding="utf-8") as fh:
-        fh.write(
-            render.render_svg(
-                render.scene_candidates(F, [c.point for c in C], star=star)
-            )
-        )
-    with open(os.path.join(out, "solution.svg"), "w", encoding="utf-8") as fh:
-        fh.write(render.render_svg(render.scene_solution(F, list(sol.pairings))))
-    if cert is None:
+def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
+    """Write a seed pair's artifacts, each once: candidates.json with the
+    bananas and candidates figures (the latter starring the candidate that
+    ended the run), then as far as the pair got of filtering.json,
+    solutions.json, solution.svg, certificate.json and certificate.svg."""
+    seed_pair = [list(res.p1.record), list(res.p2.record)]
+    records = [
+        {"point": _cpx(c.point), "seed_distances": list(c.seed_distances)} for c in res.C
+    ]
+    _write_artifact(cfg, out, "candidates", {"seed_pair": seed_pair, "candidates": records})
+    fam1 = bananas(res.p1, dset, max_families=render.BANANA_FAMILIES)
+    fam2 = bananas(res.p2, dset, max_families=render.BANANA_FAMILIES)
+    _write_svg(out, "bananas.svg", render.scene_bananas(F, res.p1, res.p2, fam1, fam2))
+    star = None if res.solved is None else res.solved[0]["candidate"].point
+    points = [c.point for c in res.C]
+    _write_svg(out, "candidates.svg", render.scene_candidates(F, points, star=star))
+    if res.items is None:
         return
-    with open(os.path.join(out, "certificate.svg"), "w", encoding="utf-8") as fh:
-        fh.write(
-            render.render_svg(
-                render.scene_certificate(
-                    F, cert["candidate"], cert["o_prime"], cert["midpoint"]
-                )
-            )
-        )
+    records = [
+        {
+            "point": _cpx(it["candidate"].point),
+            "compatible_count": len(it["Lc"]),
+            "uncovered": [[p + 1, e] for p, e in it["uncovered"]],
+            "is_center": it["is_center"],
+        }
+        for it in res.items
+    ]
+    _write_artifact(cfg, out, "filtering", {"seed_pair": seed_pair, "candidates": records})
+    pairing_index = {p.record: i for i, p in enumerate(L)}
+    vertices = F.slot_table.points
+    vertex_index = {point: i for i, point in enumerate(vertices)}
+    records = [
+        {
+            "point": _cpx(it["candidate"].point),
+            "solutions": [
+                _solution_record(s, t, pairing_index, vertex_index) for s, t in zip(sols, topos)
+            ],
+        }
+        for it, sols, topos in res.completed
+    ]
+    data = {
+        "schema_version": SOLUTIONS_SCHEMA_VERSION,
+        "seed_pair": seed_pair,
+        "limit": cfg.limit,
+        "vertices": [_cpx(z) for z in vertices],
+        "candidates": records,
+    }
+    _write_artifact(cfg, out, "solutions", data)
+    if res.solved is None:
+        return
+    sol = res.solved[1]
+    _write_svg(out, "solution.svg", render.scene_solution(F, list(sol.pairings)))
+    if res.certificate is None:
+        return
+    G, cert, topo = res.certificate
+    _write_artifact(cfg, out, "certificate", _certificate_data(G, cert, sol, topo))
+    scene = render.scene_certificate(F, cert["candidate"], cert["o_prime"], cert["midpoint"])
+    _write_svg(out, "certificate.svg", scene)
 
 
 # the top-level keys verify_certificate_file reads

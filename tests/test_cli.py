@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from diskpack import pipeline, render
 from diskpack.cli import main
 from diskpack.config import PipelineConfig, load_config
 from diskpack.domain import find_pairing
@@ -288,7 +289,7 @@ def test_solutions_json_decodes_to_the_certified_solution(completed_run):
 # fields no artifact writes: each copied another field or a constant
 _DROPPED = {
     "type", "angle_sum", "seeds", "covered", "residual_tol", "swap_tol", "generators",
-    "dedup_tol",
+    "dedup_tol", "midpoint", "count",
 }
 
 
@@ -372,18 +373,13 @@ def test_search_subcommand_stops_before_the_certificate(n14_cfg_path, tmp_path, 
     assert line in capsys.readouterr().err.splitlines()
 
 
-def test_render_subcommand_writes_the_figures(n14_cfg_path, tmp_path, capsys):
+def test_candidates_subcommand_with_seed_flags(n14_cfg_path, tmp_path, capsys):
     out = str(tmp_path / "out")
-    assert main(["render", "--config", n14_cfg_path, "--depth", "3", "--out", out]) == 0
-    assert {"domain.svg", "bananas.svg", "candidates.svg"} <= set(os.listdir(out))
-    assert "figures" in capsys.readouterr().out
-
-
-def test_candidates_subcommand_with_seed_flags(n14_cfg_path, capsys):
     code = main(
         [
             "candidates",
             "--config", n14_cfg_path,
+            "--out", out,
             "--seed-src", "1.13,1.2",
             "--seed-dst", "1.10,2.7",
             "--seed-reversing", "1,0",
@@ -391,6 +387,11 @@ def test_candidates_subcommand_with_seed_flags(n14_cfg_path, capsys):
     )
     assert code == 0
     assert "candidates" in capsys.readouterr().out
+    # the stages up to the seed pair's candidates, with their figures
+    assert sorted(os.listdir(out)) == [
+        "bananas.svg", "candidates.json", "candidates.svg", "distances.json",
+        "domain.json", "domain.svg", "pairings.json",
+    ]
 
 
 def test_bad_config_exits_1(tmp_path, capsys):
@@ -557,15 +558,66 @@ def test_run_reports_completion(depth5_run):
         assert b"carried" not in text and b"symmetry" not in text
 
 
-@pytest.mark.parametrize("n", [12, 18, 24, 30])
-def test_one_tile_auto_mode_runs_and_verifies(n, tmp_path, capsys):
-    # one tile and no seed pairs: the k = 1 primitive pair, off N = 14
-    path = tmp_path / f"one{n}.json"
-    path.write_text(json.dumps({"n": n, "attachments": [], "depth": 3, "limit": 16}))
+_K3 = [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "n, attachments, last",
+    [
+        pytest.param(12, [], None, id="12"),
+        pytest.param(18, [], None, id="18"),
+        pytest.param(24, [], None, id="24"),
+        pytest.param(30, [], None, id="30"),
+        pytest.param(9, [[0, 0]], None, id="9-k2"),
+        pytest.param(10, _K3, None, id="10-k3"),
+        pytest.param(
+            14,
+            _K3,
+            "certificate passed at 0.527656+0.350069j (genus 6, chi -4) after 9 attempts",
+            id="14-k3",
+        ),
+    ],
+)
+def test_one_tile_auto_mode_runs_and_verifies(n, attachments, last, tmp_path, capsys):
+    # no seed pairs: one tile gives the k = 1 primitive pair, off N = 14,
+    # and two or three tiles the k = 2 and k = 3 ones
+    path = tmp_path / f"auto{n}.json"
+    config = {"n": n, "attachments": attachments, "depth": 3, "limit": 16}
+    path.write_text(json.dumps(config))
     out = str(tmp_path / "out")
     assert main(["run", "--config", str(path), "--out", out]) == 0
     assert _read_json(os.path.join(out, "certificate.json"))["passed"]
-    capsys.readouterr()
+    log = capsys.readouterr().err.splitlines()
+    if last is not None:
+        assert log[-1] == last
     code = main(["verify", "--config", str(path), "--out", out])
     report = json.loads(capsys.readouterr().out)
     assert report["problems"] == [] and report["ok"] is True and code == 0
+
+
+def test_auto_mode_writes_each_artifact_once(tmp_path, monkeypatch, capsys):
+    # the N = 10 three-tile run certifies at its 23rd seed pair; the pairs
+    # before it leave no output, and the last one's is written once
+    written, rendered = [], []
+    write_json, render_svg = pipeline.write_json, render.render_svg
+
+    def recording_json(path, payload):
+        written.append(path)
+        write_json(path, payload)
+
+    def recording_svg(scene):
+        rendered.append(scene)
+        return render_svg(scene)
+
+    monkeypatch.setattr(pipeline, "write_json", recording_json)
+    monkeypatch.setattr(render, "render_svg", recording_svg)
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps({"n": 10, "attachments": _K3, "depth": 3, "limit": 16}))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(path), "--out", out]) == 0
+    log = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith("seed ") for line in log) == 23
+    stages = ("distances", "domain", "pairings", "candidates", "filtering", "solutions",
+              "certificate")
+    assert sorted(written) == sorted(os.path.join(out, f"{s}.json") for s in stages)
+    assert len(rendered) == 5
