@@ -5,7 +5,7 @@ from .domain import Attachment, FundamentalDomain, SidePairing, build_domain, en
 from .geom import GeneralizedCircle, Isometry, IsometryClass, classify, dist
 from .group import GroupPresentation, group_from_solution, second_packing_certificate
 from .pipeline import run_pipeline
-from .search import Candidate, PairingSolution, candidates, complete_pairing, verify_topology
+from .search import Candidate, PairingSolution, candidates, complete_pairing
 from .tess import DistanceSet, admissible_distances, polygon_metrics, triangle_generators
 
 __version__ = "0.1.0"
@@ -36,5 +36,4 @@ __all__ = [
     "run_pipeline",
     "second_packing_certificate",
     "triangle_generators",
-    "verify_topology",
 ]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .domain import FundamentalDomain
 from .geom import Isometry, dist, elliptic_about, midpoint
 from .search import PairingSolution
-from .tess import TriangleGenerators
 
 RESIDUAL_TOL = 1e-6
 SWAP_TOL = 1e-8
@@ -52,11 +51,9 @@ class MembershipResult:
     strategy: str
 
 
-def group_from_solution(
-    sol: PairingSolution, F: FundamentalDomain, nudge: complex = BASEPOINT_NUDGE
-) -> GroupPresentation:
+def group_from_solution(sol: PairingSolution, F: FundamentalDomain) -> GroupPresentation:
     """Each side pairing of the solution and its inverse, in that order, with
-    their labels."""
+    their labels; the basepoint is F.clear_point(BASEPOINT_NUDGE)."""
     gens: list[Isometry] = []
     labels: list[str] = []
     for p in sol.pairings:
@@ -64,27 +61,22 @@ def group_from_solution(
         tag = f"{'r' if rev else 'h'}:{sp}.{se}-{dp}.{de}"
         gens += (p.map, p.map.inverse())
         labels += (tag, tag + "'")
-    return GroupPresentation(tuple(gens), tuple(labels), F, F.clear_point(nudge))
+    return GroupPresentation(tuple(gens), tuple(labels), F, F.clear_point(BASEPOINT_NUDGE))
 
 
 def _inverse_index(i: int) -> int:
     return i ^ 1
 
 
-def reduce_to_domain(
-    h: Isometry,
-    G: GroupPresentation,
-    bfs_depth: int = BFS_DEPTH,
-    residual_tol: float = RESIDUAL_TOL,
-) -> MembershipResult:
+def reduce_to_domain(h: Isometry, G: GroupPresentation) -> MembershipResult:
     """Decide membership of h in the group by fundamental-domain reduction.
 
     Greedy phase: while the tracked point is outside the domain, apply the
     generator whose image is strictly nearest the basepoint: walking the
     generators in index order, take one whose distance is below the best
     so far minus 1e-12.  If greedy stalls, fall back to best-first search
-    over generator words up to ``bfs_depth``.  The result's word composes
-    to h when membership holds.
+    over generator words up to BFS_DEPTH.  h is a member when the residual
+    is below RESIDUAL_TOL; the result's word then composes to h.
     """
     F, bp = G.domain, G.basepoint
     w = h(bp)
@@ -111,16 +103,17 @@ def reduce_to_domain(
         steps += 1
     if stalled:
         strategy = "bfs"
-        acc, applied = _best_first(h, G, bfs_depth)
+        acc, applied = _best_first(h, G)
     residual_iso = acc * h
     residual = residual_iso.matrix_dist(Isometry.identity())
-    member = residual < residual_tol
+    member = residual < RESIDUAL_TOL
     word = tuple(_inverse_index(i) for i in applied) if member else ()
     return MembershipResult(member, word, residual, strategy)
 
 
-def _best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
-    """Best-first search (by distance of the tracked point to the basepoint).
+def _best_first(h: Isometry, G: GroupPresentation):
+    """Best-first search (by distance of the tracked point to the basepoint)
+    over words of at most BFS_DEPTH generators.
 
     A node carries its parent's accumulated isometry and its own generator
     index; the product is formed when the node is popped, from the same
@@ -147,7 +140,7 @@ def _best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
         res = (acc * h).matrix_dist(Isometry.identity())
         if res < best_res:
             best_res = res
-        if len(applied) >= depth_cap:
+        if len(applied) >= BFS_DEPTH:
             continue
         w_conj = w.conjugate()
         for i, a, b, b_conj, a_conj, reversing in letters:
@@ -166,9 +159,7 @@ def _best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
     )
 
 
-def normalizes(
-    t: Isometry, G: GroupPresentation, residual_tol: float = RESIDUAL_TOL
-) -> tuple[bool, list[MembershipResult]]:
+def normalizes(t: Isometry, G: GroupPresentation) -> tuple[bool, list[MembershipResult]]:
     """Whether t g t^-1 lies in the group for every listed generator g.
 
     The check stops at the first non-member, so a failing result list ends
@@ -177,18 +168,18 @@ def normalizes(
     t_inv = t.inverse()
     results = []
     for g in G.generators:
-        res = reduce_to_domain(t * g * t_inv, G, residual_tol=residual_tol)
+        res = reduce_to_domain(t * g * t_inv, G)
         results.append(res)
         if not res.member:
             return False, results
     return True, results
 
 
-def second_neighbor_center(F: FundamentalDomain, gens: TriangleGenerators) -> complex:
+def second_neighbor_center(F: FundamentalDomain) -> complex:
     """O', the second-neighbor tile center (ca)^2 b (0) under the domain's
     frame: the obvious center a half-turn must swap with the hidden one."""
-    rot = gens.rotation
-    return F.placements[0]((rot * rot * gens.b)(0j))
+    rot = F.gens.rotation
+    return F.placements[0]((rot * rot * F.gens.b)(0j))
 
 
 def swapping_half_turn(P: complex, o_prime: complex) -> Isometry:
@@ -198,19 +189,15 @@ def swapping_half_turn(P: complex, o_prime: complex) -> Isometry:
     return elliptic_about(midpoint(P, o_prime), math.pi)
 
 
-def second_packing_certificate(
-    P: complex,
-    G: GroupPresentation,
-    gens: TriangleGenerators,
-) -> dict:
+def second_packing_certificate(P: complex, G: GroupPresentation) -> dict:
     """Certificate that a half-turn swaps the obvious center with P.
 
-    O' is second_neighbor_center(G.domain, gens); tau is
-    swapping_half_turn(P, O').  The certificate passes when
-    tau conjugates every generator into the group (membership residuals
-    below RESIDUAL_TOL) and swaps P with O' (within SWAP_TOL).
+    O' is second_neighbor_center(G.domain); tau is swapping_half_turn(P, O').
+    The certificate passes when tau conjugates every generator into the
+    group (membership residuals below RESIDUAL_TOL) and swaps P with O'
+    (within SWAP_TOL).
     """
-    o_prime = second_neighbor_center(G.domain, gens)
+    o_prime = second_neighbor_center(G.domain)
     tau = swapping_half_turn(P, o_prime)
     swap_residual = dist(tau(P), o_prime)
     try:

@@ -36,11 +36,11 @@ from .group import (
 )
 from .search import (
     Candidate,
+    PairingSolution,
     bananas,
     candidates,
     compatibility_matrix,
     complete_survivors,
-    verify_topology,
 )
 from .tess import DistanceSet, admissible_distances
 
@@ -209,26 +209,47 @@ def lc_pairings(item: dict, L: list[SidePairing]) -> list[SidePairing]:
     return [L[j] for j in item["Lc"]]
 
 
-def _solution_json(sol, topo) -> dict:
-    """A solution with its pairings and vertex cycles (lists of points)
-    written out in full: the certificate's self-contained form."""
+def surface_topology(sol: PairingSolution, F: FundamentalDomain) -> dict:
+    """Cell counts, Euler characteristic and genus of the quotient surface,
+    one-sided as completion only emits solutions with a reversing pairing:
+    F's tiles are its faces, its internal edges and the solution's pairings
+    its edges, and the vertex cycles and F's interior vertices its
+    vertices."""
+    faces = F.k
+    edges = len(F.internal_edges) + len(sol.pairings)
+    vertices = len(sol.vertex_cycles) + len(F.interior_vertices)
+    chi = vertices - edges + faces
     return {
-        "pairings": [pairing_json(p) for p in sol.pairings],
-        "reversing_count": sol.reversing_count,
-        "vertex_cycles": [[_cpx(v) for v in verts] for verts in sol.vertex_cycles],
-        "topology": topo,
+        "faces": faces,
+        "edges": edges,
+        "vertices": vertices,
+        "euler_characteristic": chi,
+        "orientable": False,
+        "genus": 2 - chi,
     }
 
 
-def _solution_record(sol, topo, pairing_index: dict, vertex_index: dict) -> dict:
+def _solution_json(sol: PairingSolution, F: FundamentalDomain) -> dict:
+    """A solution with its pairings and vertex cycles (lists of points)
+    written out in full: the certificate's self-contained form."""
+    points = F.slot_table.points
+    return {
+        "pairings": [pairing_json(p) for p in sol.pairings],
+        "reversing_count": sol.reversing_count,
+        "vertex_cycles": [[_cpx(points[v]) for v in verts] for verts in sol.vertex_cycles],
+        "topology": surface_topology(sol, F),
+    }
+
+
+def _solution_record(sol: PairingSolution, F: FundamentalDomain, pairing_index: dict) -> dict:
     """A solution as solutions.json stores it: pairings as indices into
     pairings.json's list, vertex cycles as lists of ids into the vertices
     table."""
     return {
         "pairings": [pairing_index[p.record] for p in sol.pairings],
         "reversing_count": sol.reversing_count,
-        "vertex_cycles": [[vertex_index[v] for v in verts] for verts in sol.vertex_cycles],
-        "topology": topo,
+        "vertex_cycles": [list(verts) for verts in sol.vertex_cycles],
+        "topology": surface_topology(sol, F),
     }
 
 
@@ -243,7 +264,7 @@ def _membership_json(idx: int, label: str, res) -> dict:
     }
 
 
-def _certificate_data(G: GroupPresentation, cert: dict, sol, topo) -> dict:
+def _certificate_data(G: GroupPresentation, cert: dict, sol: PairingSolution) -> dict:
     return {
         "candidate": _cpx(cert["candidate"]),
         "o_prime": _cpx(cert["o_prime"]),
@@ -256,7 +277,7 @@ def _certificate_data(G: GroupPresentation, cert: dict, sol, topo) -> dict:
         "normalizes": cert["normalizes"],
         "stalled": cert["stalled"],
         "passed": cert["passed"],
-        "solution": _solution_json(sol, topo),
+        "solution": _solution_json(sol, G.domain),
     }
 
 
@@ -330,11 +351,10 @@ def run_pipeline(cfg: PipelineConfig, progress=None, certify: bool = True) -> in
 class SeedPairResult:
     """What one seed pair produced, for _write_seed_pair.
 
-    ``items`` (the filtering items) and ``completed`` ((item, solutions,
-    topologies) per survivor, in candidate order) are None for a pair that
-    stopped at its candidates.  ``solved`` is the (item, solution) that ended
-    the run and ``certificate`` its (group, certificate, topology) when the
-    run certified it.
+    ``items`` (the filtering items) and ``completed`` ((item, solutions) per
+    survivor, in candidate order) are None for a pair that stopped at its
+    candidates.  ``solved`` is the (item, solution) that ended the run and
+    ``certificate`` its (group, certificate) when the run certified it.
     """
 
     p1: SidePairing
@@ -362,38 +382,35 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResu
         f"{searches} search{'es' * (searches != 1)}, {carried} carried by symmetry "
         f"(group of order {len(F.symmetries)})"
     )
-    res = SeedPairResult(p1, p2, C, items)
-    res.completed = [
-        (it, sols, [verify_topology(sol, F) for sol in sols])
-        for it, sols in zip(survivors, completed)
-    ]
+    res = SeedPairResult(p1, p2, C, items, list(zip(survivors, completed)))
     solved = [entry for entry in res.completed if entry[1]]
     if not certify:
         if solved:
-            it, sols, _ = solved[0]
+            it, sols = solved[0]
             log(f"solutions found at {it['candidate'].point:.6f}")
             res.solved = (it, sols[0])
         return res
     # survivors nearest O' first (a stable sort: ties in candidate order),
     # each solution in turn, until one passes
-    o_prime = second_neighbor_center(F, F.gens)
+    o_prime = second_neighbor_center(F)
     attempts = 0
-    for it, sols, topos in sorted(solved, key=lambda s: dist(s[0]["candidate"].point, o_prime)):
-        for sol, topo in zip(sols, topos):
+    for it, sols in sorted(solved, key=lambda s: dist(s[0]["candidate"].point, o_prime)):
+        for sol in sols:
             G = group_from_solution(sol, F)
             attempts += 1
             try:
-                cert = second_packing_certificate(it["candidate"].point, G, F.gens)
+                cert = second_packing_certificate(it["candidate"].point, G)
             except (ReductionStalled, ValueError):
                 continue
             if cert["passed"]:
+                topo = surface_topology(sol, F)
                 log(
                     f"certificate passed at {it['candidate'].point:.6f} "
                     f"(genus {topo['genus']}, chi {topo['euler_characteristic']}) "
                     f"after {attempts} attempts"
                 )
                 res.solved = (it, sol)
-                res.certificate = (G, cert, topo)
+                res.certificate = (G, cert)
                 return res
     log(f"no certificate for this seed pair after {attempts} attempts")
     return res
@@ -428,22 +445,18 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     ]
     _write_artifact(cfg, out, "filtering", {"seed_pair": seed_pair, "candidates": records})
     pairing_index = {p.record: i for i, p in enumerate(L)}
-    vertices = F.slot_table.points
-    vertex_index = {point: i for i, point in enumerate(vertices)}
     records = [
         {
             "point": _cpx(it["candidate"].point),
-            "solutions": [
-                _solution_record(s, t, pairing_index, vertex_index) for s, t in zip(sols, topos)
-            ],
+            "solutions": [_solution_record(s, F, pairing_index) for s in sols],
         }
-        for it, sols, topos in res.completed
+        for it, sols in res.completed
     ]
     data = {
         "schema_version": SOLUTIONS_SCHEMA_VERSION,
         "seed_pair": seed_pair,
         "limit": cfg.limit,
-        "vertices": [_cpx(z) for z in vertices],
+        "vertices": [_cpx(z) for z in F.slot_table.points],
         "candidates": records,
     }
     _write_artifact(cfg, out, "solutions", data)
@@ -453,8 +466,8 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     _write_svg(out, "solution.svg", render.scene_solution(F, list(sol.pairings)))
     if res.certificate is None:
         return
-    G, cert, topo = res.certificate
-    _write_artifact(cfg, out, "certificate", _certificate_data(G, cert, sol, topo))
+    G, cert = res.certificate
+    _write_artifact(cfg, out, "certificate", _certificate_data(G, cert, sol))
     scene = render.scene_certificate(F, cert["candidate"], cert["o_prime"], cert["midpoint"])
     _write_svg(out, "certificate.svg", scene)
 
@@ -465,11 +478,12 @@ _CERTIFICATE_KEYS = (
 )
 # the embedded solution's cell counts, in the order the verifier reads them
 _TOPOLOGY_COUNTS = ("vertices", "edges", "faces", "euler_characteristic", "genus")
+# how far, as matrix distance, the stored tau may lie from the rebuilt one
+# and a membership word from the conjugated generator it claims to compose to
+WORD_TOL = 1e-7
 
 
-def verify_certificate_file(
-    path: str, word_tol: float = 1e-7, config_hash: str | None = None
-) -> tuple[bool, list[str]]:
+def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[bool, list[str]]:
     """Re-check a certificate artifact without re-running the search.
 
     The generators are the embedded solution's side pairings, each followed
@@ -477,13 +491,15 @@ def verify_certificate_file(
     boundary edge is paired twice; that the solution's reversing count is
     its number of reversing pairings, at least 1, and its topology that of
     a one-sided surface with chi = V - E + F and genus 2 - chi; that the
-    stored tau is swapping_half_turn(candidate, O'), and against that tau,
-    rebuilt, the stored swap residual, the swap within SWAP_TOL and word
-    soundness (each membership word composes to the conjugated generator);
-    the passed flag; and, when ``config_hash`` is given, that the artifact
-    was made by that config.  A candidate equal to O' and malformed input (a
-    missing key, a matrix or point that does not decode, a generator or word
-    index out of range) are reported as problems, not raised.
+    stored tau is swapping_half_turn(candidate, O') within WORD_TOL, and
+    against that tau, rebuilt, the stored swap residual, the swap within
+    SWAP_TOL and word soundness (each membership word composes to the
+    conjugated generator within WORD_TOL); that the passed flag and every
+    membership's member flag are JSON true; and, when ``config_hash`` is
+    given, that the artifact was made by that config.  A candidate equal to
+    O' and malformed input (a missing key, a matrix or point that does not
+    decode, a generator or word index out of range) are reported as
+    problems, not raised.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
@@ -542,7 +558,7 @@ def verify_certificate_file(
         tau = swapping_half_turn(P, o_prime)
     except ValueError as exc:
         return False, problems + [str(exc)]
-    if stored_tau.matrix_dist(tau) > word_tol:
+    if stored_tau.matrix_dist(tau) > WORD_TOL:
         problems.append("tau is not the half-turn about the midpoint of the candidate and O'")
     swap = dist(tau(P), o_prime)
     if abs(swap - swap_residual) > 1e-9:
@@ -562,7 +578,7 @@ def verify_certificate_file(
         if not generator_index(gi):
             problems.append(f"membership names generator {gi!r}, not one of {len(gens)}")
             continue
-        if not m.get("member"):
+        if m.get("member") is not True:
             problems.append(f"membership failed for generator {gi}")
             continue
         letters = m.get("word")
@@ -573,8 +589,8 @@ def verify_certificate_file(
         for idx in letters:
             word = word * gens[idx]
         res = word.matrix_dist(tau * gens[gi] * tau_inv)
-        if res > word_tol:
+        if res > WORD_TOL:
             problems.append(f"word for generator {gi} misses by {res:.2e}")
-    if not cert["passed"]:
+    if cert["passed"] is not True:
         problems.append("certificate is marked failed")
     return (not problems), problems

@@ -176,9 +176,7 @@ def scene_base(F: FundamentalDomain | None = None) -> Scene:
     return scene
 
 
-def scene_bananas(
-    F, p1: SidePairing, p2: SidePairing, fam1, fam2, max_families: int = BANANA_FAMILIES
-) -> Scene:
+def scene_bananas(F, p1: SidePairing, p2: SidePairing, fam1, fam2) -> Scene:
     scene = scene_base(F)
     for name, p, fam, color in (
         ("bananas-p1", p1, fam1, "#3060c0"),
@@ -188,7 +186,7 @@ def scene_bananas(
         layer.append(
             dict(type="curve", curve=axis(p.map), dashed=True, style=f"stroke:{color};stroke-width:1.4")
         )
-        for _, curves in fam[:max_families]:
+        for _, curves in fam:
             for c in curves:
                 layer.append(
                     dict(type="curve", curve=c, style=f"stroke:{color};stroke-width:0.6")

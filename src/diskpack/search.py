@@ -510,7 +510,7 @@ def edge_coverage(
 @dataclass(frozen=True)
 class PairingSolution:
     pairings: tuple[SidePairing, ...]  # from L_c, one per identification, by sort_key
-    vertex_cycles: tuple[tuple[complex, ...], ...]  # each cycle's vertex points
+    vertex_cycles: tuple[tuple[int, ...], ...]  # each cycle's ids into F.slot_table.points
     reversing_count: int
 
     @cached_property
@@ -519,7 +519,8 @@ class PairingSolution:
 
 
 def _vertex_cycles(slots: BoundarySlots, succ: list[int]):
-    """Vertex cycles of a full slot permutation, as tuples of vertex points.
+    """Vertex cycles of a full slot permutation, as tuples of vertex ids
+    (indices into slots.points).
 
     Each slot cycle is walked once from its smallest slot, counting its
     wedges.  Each quotient vertex on the boundary shows up as a mirror pair
@@ -555,7 +556,7 @@ def _vertex_cycles(slots: BoundarySlots, succ: list[int]):
     for _, total in cycles:
         if total != 3:
             raise InvalidCellStructure(f"vertex cycle closes at {total} wedges, not 3")
-    return tuple(tuple(slots.points[v] for v in verts) for verts, _ in cycles)
+    return tuple(verts for verts, _ in cycles)
 
 
 def complete_pairing(
@@ -748,26 +749,3 @@ def complete_survivors(
                 exhaustive.append((idents, sols))
         out.append(sols)
     return out, searches
-
-
-def verify_topology(sol: PairingSolution, F: FundamentalDomain) -> dict:
-    """Cell counts and genus of the quotient surface, one-sided by its
-    reversing pairings: a solution with none, or with a vertex cycle of
-    other than 3 wedges, is an error."""
-    if sol.reversing_count == 0:
-        raise InvalidCellStructure("solution has no reversing pairing")
-    wedges = dict(zip(F.slot_table.points, F.slot_table.wedges))
-    if any(sum(wedges[v] for v in verts) != 3 for verts in sol.vertex_cycles):
-        raise InvalidCellStructure("a vertex cycle does not close at 3 wedges")
-    faces = F.k
-    edges = len(F.internal_edges) + len(sol.pairings)
-    vertices = len(sol.vertex_cycles) + len(F.interior_vertices)
-    chi = vertices - edges + faces
-    return {
-        "faces": faces,
-        "edges": edges,
-        "vertices": vertices,
-        "euler_characteristic": chi,
-        "orientable": False,
-        "genus": 2 - chi,
-    }

@@ -33,7 +33,8 @@ from diskpack.geom import (
     signed_offset,
 )
 from diskpack.group import second_packing_certificate
-from diskpack.search import edge_coverage, verify_topology
+from diskpack.pipeline import surface_topology
+from diskpack.search import edge_coverage
 from diskpack.tess import admissible_distances, polygon_metrics, triangle_generators
 
 
@@ -73,13 +74,13 @@ class TestCriterion3Completion:
         assert SOLUTION_18_IDENTS in [
             s.identifications for s in n14_solution.solutions
         ]
-        topo = verify_topology(n14_solution.reference, n14.F)
+        topo = surface_topology(n14_solution.reference, n14.F)
         assert topo["euler_characteristic"] == -4
         assert topo["orientable"] is False
         assert topo["genus"] == 6
-        wedges = dict(zip(n14.F.slot_table.points, n14.F.slot_table.wedges))
+        slots = n14.F.slot_table
         for verts in n14_solution.reference.vertex_cycles:
-            assert sum(wedges[v] for v in verts) == 3
+            assert sum(slots.wedges[v] for v in verts) == 3
         print(
             "\nACCEPTANCE 3: PASS - completion recovers the reference 18-entry "
             "set; chi=-4, non-orientable, genus 6, cycles at 2pi"
@@ -88,9 +89,7 @@ class TestCriterion3Completion:
 
 class TestCriterion4Certificate:
     def test_certificate_for_published_group(self, n14, n14_solution):
-        cert = second_packing_certificate(
-            n14_solution.candidate.point, n14_solution.group, n14.gens
-        )
+        cert = second_packing_certificate(n14_solution.candidate.point, n14_solution.group)
         assert cert["passed"] and cert["normalizes"]
         assert len(cert["memberships"]) == 36
         assert all(m.member for m in cert["memberships"])

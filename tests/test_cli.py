@@ -110,6 +110,25 @@ def test_verify_rejects_an_edge_paired_twice(completed_run, tmp_path):
     assert any("paired twice" in p for p in problems)
 
 
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda cert: cert.update(passed="false"), "certificate is marked failed"),
+        (
+            lambda cert: cert["memberships"][0].update(member="no"),
+            "membership failed for generator 0",
+        ),
+    ],
+    ids=["passed", "member"],
+)
+def test_verify_requires_json_true_flags(completed_run, tmp_path, forge, message):
+    # "false" and "no" are truthy strings: only JSON true passes either flag
+    out = _forged(completed_run, tmp_path, forge)
+    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
+    assert not ok
+    assert any(message in p for p in problems)
+
+
 def _no_reversing_pairing(solution):
     for p in solution["pairings"]:
         p["reversing"] = False

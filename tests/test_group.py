@@ -3,10 +3,11 @@ import math
 import pytest
 
 from reference_data import reference_reduce_to_domain
-from diskpack import pipeline
+from diskpack import group, pipeline
 from diskpack.config import load_config
 from diskpack.geom import Isometry, classify, dist, elliptic_about, midpoint
 from diskpack.group import (
+    BASEPOINT_NUDGE,
     RESIDUAL_TOL,
     SWAP_TOL,
     ReductionStalled,
@@ -118,9 +119,7 @@ class TestNormalizes:
 
 class TestCertificate:
     def test_reference_certificate_passes(self, n14, n14_solution):
-        cert = second_packing_certificate(
-            n14_solution.candidate.point, n14_solution.group, n14.gens
-        )
+        cert = second_packing_certificate(n14_solution.candidate.point, n14_solution.group)
         assert cert["passed"]
         assert cert["normalizes"]
         assert cert["swap_residual"] < 1e-8
@@ -130,21 +129,17 @@ class TestCertificate:
     def test_records_the_tolerances_applied(self, n14, n14_solution):
         # the tolerances are module constants: the record carries the
         # verdicts taken against them, not the tolerances themselves
-        cert = second_packing_certificate(
-            n14_solution.candidate.point, n14_solution.group, n14.gens
-        )
+        cert = second_packing_certificate(n14_solution.candidate.point, n14_solution.group)
         assert "residual_tol" not in cert and "swap_tol" not in cert
         assert all(m.member is (m.residual < RESIDUAL_TOL) for m in cert["memberships"])
         assert cert["passed"] is (cert["normalizes"] and cert["swap_residual"] <= SWAP_TOL)
 
     def test_o_prime_is_translated_second_neighbor(self, n14, n14_solution):
-        cert = second_packing_certificate(
-            n14_solution.candidate.point, n14_solution.group, n14.gens
-        )
+        cert = second_packing_certificate(n14_solution.candidate.point, n14_solution.group)
         rot = n14.gens.rotation
         expected = n14.F.placements[0]((rot * rot * n14.gens.b)(0j))
         assert abs(cert["o_prime"] - expected) < 1e-12
-        assert cert["o_prime"] == second_neighbor_center(n14.F, n14.gens)
+        assert cert["o_prime"] == second_neighbor_center(n14.F)
         # the half-turn exchanges P and O'
         tau = cert["tau"]
         assert dist(tau(cert["o_prime"]), cert["candidate"]) < 1e-9
@@ -153,18 +148,17 @@ class TestCertificate:
         rot = n14.gens.rotation
         o_prime = n14.F.placements[0]((rot * rot * n14.gens.b)(0j))
         with pytest.raises(ValueError):
-            second_packing_certificate(o_prime, n14_solution.group, n14.gens)
+            second_packing_certificate(o_prime, n14_solution.group)
 
     def test_perturbed_candidate_fails(self, n14, n14_solution):
-        true_cert = second_packing_certificate(
-            n14_solution.candidate.point, n14_solution.group, n14.gens
-        )
+        P = n14_solution.candidate.point
+        true_cert = second_packing_certificate(P, n14_solution.group)
         # the true half-turn does not swap a perturbed candidate with O'
-        perturbed = n14_solution.candidate.point + 0.01
+        perturbed = P + 0.01
         assert dist(true_cert["tau"](perturbed), true_cert["o_prime"]) > 1e-3
         # and a certificate rebuilt around the perturbed point fails to
         # normalize the group (its own swap is exact by construction)
-        cert = second_packing_certificate(perturbed, n14_solution.group, n14.gens)
+        cert = second_packing_certificate(perturbed, n14_solution.group)
         assert not cert["normalizes"]
         assert not cert["passed"]
 
@@ -214,7 +208,7 @@ def depth3_attempts():
         Lc = pipeline.lc_pairings(it, L)
         for sol in complete_pairing(Lc, F, limit=cfg.limit):
             out.append((it["candidate"].point, group_from_solution(sol, F)))
-            cert = second_packing_certificate(out[-1][0], out[-1][1], F.gens)
+            cert = second_packing_certificate(out[-1][0], out[-1][1])
             if cert["passed"]:
                 return out
     raise AssertionError("the depth-3 run has no passing attempt")
@@ -238,10 +232,12 @@ class TestReductionOracle:
                 break
         assert passed[-1] and len(passed) > 1
 
-    def test_stall_reports_the_same_best_residual(self, n14_solution):
+    def test_stall_reports_the_same_best_residual(self, n14_solution, monkeypatch):
+        # reduce_to_domain reads the depth cap at call time
+        monkeypatch.setattr(group, "BFS_DEPTH", 1)
         G = n14_solution.group
         h = elliptic_about(0.9 + 0j, math.pi)
-        got = _outcome(reduce_to_domain, h, G, bfs_depth=1)
+        got = _outcome(reduce_to_domain, h, G)
         assert got[0] == "stalled"
         assert got == _outcome(reference_reduce_to_domain, h, G, bfs_depth=1)
 
@@ -249,5 +245,6 @@ class TestReductionOracle:
         sol = n14_solution.reference
         G1, G2 = group_from_solution(sol, n14.F), group_from_solution(sol, n14.F)
         assert G1.basepoint == G2.basepoint == n14_solution.group.basepoint
-        other = group_from_solution(sol, n14.F, nudge=0.002 - 0.001j)
-        assert other.basepoint != G1.basepoint and n14.F.contains(other.basepoint)
+        assert G1.basepoint == n14.F.clear_point(BASEPOINT_NUDGE)
+        other = n14.F.clear_point(0.002 - 0.001j)
+        assert other != G1.basepoint and n14.F.contains(other)

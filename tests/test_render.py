@@ -1,3 +1,5 @@
+from diskpack import pipeline
+from diskpack.config import load_config
 from diskpack.geom import GeneralizedCircle, geodesic_through
 from diskpack.render import (
     BANANA_FAMILIES,
@@ -84,10 +86,14 @@ def test_all_path_anchor_points_inside_viewport(n14):
             assert -1.0 <= v <= 801.0
 
 
-def test_bananas_figure_needs_only_the_families_it_draws(n14):
+def test_bananas_figure_needs_only_the_families_it_draws(n14, tmp_path):
+    # the pipeline caps each seed's families at BANANA_FAMILIES when it
+    # builds them, and the figure draws every family it is given
     fams = [bananas(p, n14.dset) for p in (n14.p1, n14.p2)]
-    drawn = [bananas(p, n14.dset, max_families=BANANA_FAMILIES) for p in (n14.p1, n14.p2)]
     assert all(len(f) > BANANA_FAMILIES for f in fams)
-    assert render_svg(scene_bananas(n14.F, n14.p1, n14.p2, *drawn)) == render_svg(
-        scene_bananas(n14.F, n14.p1, n14.p2, *fams)
-    )
+    cfg = load_config("configs/n14.json")
+    res = pipeline.SeedPairResult(n14.p1, n14.p2, n14.C)
+    pipeline._write_seed_pair(cfg, n14.F, n14.L, n14.dset, res, str(tmp_path))
+    first = [f[:BANANA_FAMILIES] for f in fams]
+    written = (tmp_path / "bananas.svg").read_text(encoding="utf-8")
+    assert written == render_svg(scene_bananas(n14.F, n14.p1, n14.p2, *first))

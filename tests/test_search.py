@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import random
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,12 +27,11 @@ from reference_data import (
 from diskpack import search
 from diskpack.domain import BoundarySlots, build_domain, enumerate_pairings, find_pairing
 from diskpack.geom import CoincidentCurves, Isometry, axis, dist
-from diskpack.pipeline import filter_candidates, lc_pairings
+from diskpack.pipeline import filter_candidates, lc_pairings, surface_topology
 from diskpack.tess import DistanceSet, admissible_distances, log_sinh2
 from diskpack.search import (
     BLOCK_CELLS,
     InvalidCellStructure,
-    PairingSolution,
     SCREEN_MIN_GAP,
     _numerator_coefficients,
     _screen_monomials,
@@ -44,7 +42,6 @@ from diskpack.search import (
     complete_pairing,
     complete_survivors,
     edge_coverage,
-    verify_topology,
 )
 
 
@@ -484,10 +481,9 @@ class TestCompletePairing:
     def test_vertex_cycles_close_at_two_pi(self, n14, n14_solution):
         # 3 wedges of 2 pi / 3
         slots = n14.F.slot_table
-        wedges = dict(zip(slots.points, slots.wedges))
         for sol in n14_solution.solutions[:10]:
             for verts in sol.vertex_cycles:
-                assert sum(wedges[v] for v in verts) == 3
+                assert sum(slots.wedges[v] for v in verts) == 3
 
 
 class TestCycleMachinery:
@@ -500,13 +496,9 @@ class TestCycleMachinery:
         for v in range(6):
             succ[2 * v] = 2 * ((v + 2) % 6)
             succ[2 * v + 1] = 2 * ((v - 2) % 6) + 1
-        slots = SimpleNamespace(
-            slot_vertex=[s // 2 for s in range(12)],
-            slot_wedges=[1] * 12,
-            points=[complex(v) for v in range(6)],
-        )
+        slots = SimpleNamespace(slot_vertex=[s // 2 for s in range(12)], slot_wedges=[1] * 12)
         cycles = _vertex_cycles(slots, succ)
-        assert cycles == ((0j, 2 + 0j, 4 + 0j), (1 + 0j, 3 + 0j, 5 + 0j))
+        assert cycles == ((0, 2, 4), (1, 3, 5))
         vertices, edges, faces = len(cycles), 3, 1
         assert vertices - edges + faces == 0
 
@@ -538,8 +530,7 @@ class TestCycleMachinery:
         # wedges each account for every boundary corner of F
         struct = n14.F.slot_table
         cycles = n14_solution.reference.vertex_cycles
-        boundary = [struct.points[v] for v in struct.incident]
-        assert Counter(v for verts in cycles for v in verts) == Counter(boundary)
+        assert sorted(v for verts in cycles for v in verts) == sorted(struct.incident)
         assert 3 * len(cycles) == sum(struct.wedges[v] for v in struct.incident) == 39
 
 
@@ -556,7 +547,7 @@ class TestCycleMachinery:
         succ = self._reference_succ(struct, n14_solution.reference.pairings)
         cycles = _vertex_cycles(struct, succ)
         expected = solution_cycles(n14_solution.reference.pairings, struct)
-        assert cycles == tuple(tuple(struct.points[v] for v in verts) for verts, _ in expected)
+        assert cycles == tuple(verts for verts, _ in expected)
         assert cycles == n14_solution.reference.vertex_cycles
 
     def test_vertex_cycles_match_oracle_on_every_depth5_solution(self, n14, n14_survivors):
@@ -570,7 +561,7 @@ class TestCycleMachinery:
         for sol in sols:
             cycles = _vertex_cycles(slots, self._reference_succ(fresh, sol.pairings))
             expected = solution_cycles(sol.pairings, fresh)
-            assert list(cycles) == [tuple(fresh.points[v] for v in verts) for verts, _ in expected]
+            assert list(cycles) == [verts for verts, _ in expected]
             assert sol.vertex_cycles == cycles
             assert all(total == 2.0 * math.pi for _, total in expected)
 
@@ -593,7 +584,6 @@ class TestCycleMachinery:
         slots = SimpleNamespace(
             slot_vertex=[s // 2 for s in range(14)],
             slot_wedges=[wedges[s // 2] for s in range(14)],
-            points=[complex(v) for v in range(7)],
         )
         walked = trace_cycles(succ, slots.slot_wedges)
         assert sorted(total for _, total in walked) == [3] * 6
@@ -603,7 +593,7 @@ class TestCycleMachinery:
             by_set.setdefault(frozenset(verts), []).append(verts)
         want = sorted(min(pair) for pair in by_set.values())
         cycles = _vertex_cycles(slots, succ)
-        assert cycles == tuple(tuple(complex(v) for v in verts) for verts in want)
+        assert cycles == tuple(want)
         # one wedge more at a 1-wedge vertex leaves its cycle open
         slots.slot_wedges[2 * order[0]] = slots.slot_wedges[2 * order[0] + 1] = 2
         with pytest.raises(InvalidCellStructure, match="4 wedges"):
@@ -618,7 +608,6 @@ class TestCycleMachinery:
         slots = SimpleNamespace(
             slot_vertex=struct.slot_vertex,
             slot_wedges=[w + (u == v) for u, w in zip(struct.slot_vertex, struct.slot_wedges)],
-            points=struct.points,
         )
         _vertex_cycles(struct, succ)
         with pytest.raises(InvalidCellStructure, match="4 wedges, not 3"):
@@ -658,10 +647,17 @@ def n30_survivor():
     return SimpleNamespace(F=F, L2=reference_enumerate_pairings(F), Lc=Lc)
 
 
-def _summary(sols):
+def _summary(sols, F=None):
     """Per solution, in order: identification set, vertex cycles (compared
-    bit for bit) and reversing count."""
-    return [(s.identifications, s.vertex_cycles, s.reversing_count) for s in sols]
+    bit for bit) and reversing count.  Given F, the engine's cycles of slot
+    ids become F.slot_table's points, the form the oracle's solutions hold."""
+
+    def cycles(s):
+        if F is None:
+            return s.vertex_cycles
+        return tuple(tuple(F.slot_table.points[v] for v in verts) for verts in s.vertex_cycles)
+
+    return [(s.identifications, cycles(s), s.reversing_count) for s in sols]
 
 
 class TestCompletionOracle:
@@ -683,7 +679,7 @@ class TestCompletionOracle:
         for F, L2, Lc, count in cases:
             got = complete_pairing(Lc, F, limit=limit)
             ref = reference_complete_pairing(both_directions(Lc, L2), F, limit=limit)
-            assert _summary(got) == _summary(ref)
+            assert _summary(got, F) == _summary(ref)
             assert len(got) == min(limit, count)
             assert all(p in Lc for s in got for p in s.pairings)
 
@@ -720,7 +716,22 @@ class TestCompletionOracle:
         got = complete_pairing(Lc, n14.F, limit=limit)
         ref = reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=limit)
         assert got
-        assert _summary(got) == _summary(ref)
+        assert _summary(got, n14.F) == _summary(ref)
+
+    def test_an_lc_with_no_reversing_pairing_emits_nothing(self, n14, n14_filtered):
+        # the first depth-3 survivor's conformal pairings alone still cover
+        # the boundary with closed cycles, as the oracle finds when told not
+        # to require a reversing pairing; none of those covers is a solution
+        Lc = next(
+            [p for p in lc_pairings(it, n14.L) if not p.reversing]
+            for it in n14_filtered[3]
+            if it["covered"] and not it["is_center"]
+        )
+        covers = reference_complete_pairing(
+            both_directions(Lc, n14.L2), n14.F, limit=256, require_reversing=False
+        )
+        assert len(covers) == 10 and not any(s.reversing_count for s in covers)
+        assert complete_pairing(Lc, n14.F, limit=256) == []
 
     def test_pruned_edge_matches_reference(self, n14, n14_survivors):
         Lc = [p for p in n14_survivors[0] if (0, 3) not in (p.src.key, p.dst.key)]
@@ -823,7 +834,7 @@ class TestOrbitCarry:
         assert len(every) == 40 and sum(s.reversing_count == 0 for s in every) == 10
         got = complete_pairing(Lc, n14.F, limit=256, within=targets)
         assert _summary(got) == _summary(complete_pairing(Lc, n14.F, limit=256))
-        assert _summary(got) == _summary([s for s in every if s.reversing_count])
+        assert _summary(got, n14.F) == _summary([s for s in every if s.reversing_count])
         assert len(got) == 30
         for limit in (0, 1, 7):
             cut = complete_pairing(Lc, n14.F, limit=limit, within=targets)
@@ -896,8 +907,11 @@ class TestOrbitCarry:
 
 
 class TestVerifyTopology:
+    """The topology written with each solution: a pure count, which checks
+    nothing (completion's emit and closure test already did)."""
+
     def test_reference_solution_counts(self, n14, n14_solution):
-        topo = verify_topology(n14_solution.reference, n14.F)
+        topo = surface_topology(n14_solution.reference, n14.F)
         assert topo == {
             "faces": 3,
             "edges": 21,
@@ -907,26 +921,14 @@ class TestVerifyTopology:
             "genus": 6,
         }
 
-    def test_euler_relation_nk(self, n14, n14_solution):
-        # N k = 6 (k - chi) holds exactly for accepted solutions
-        topo = verify_topology(n14_solution.reference, n14.F)
-        chi = topo["euler_characteristic"]
-        assert n14.F.n * n14.F.k == 6 * (n14.F.k - chi)
-
-    def test_orientable_branch(self, n14, n14_solution):
-        # completion emits only solutions with a reversing pairing; one
-        # without is no surface the pipeline builds
-        mock = PairingSolution(
-            n14_solution.reference.pairings, n14_solution.reference.vertex_cycles, 0
-        )
-        with pytest.raises(InvalidCellStructure, match="no reversing pairing"):
-            verify_topology(mock, n14.F)
-
-    def test_bad_angle_rejected(self, n14, n14_solution):
-        # a cycle short of one vertex collects fewer than 3 wedges, and two
-        # cycles run together more than 3
-        first, second, *rest = n14_solution.reference.vertex_cycles
-        for broken in ([first[:-1], second, *rest], [first + second, *rest]):
-            mock = PairingSolution(n14_solution.reference.pairings, tuple(broken), 4)
-            with pytest.raises(InvalidCellStructure, match="3 wedges"):
-                verify_topology(mock, n14.F)
+    def test_euler_relation_nk(self, n14, n14_survivors):
+        # N k = 6 (k - chi) holds exactly for every emitted solution
+        completed, _ = complete_survivors(n14_survivors, n14.F, limit=256)
+        sols = [sol for sols in completed for sol in sols]
+        assert len(sols) == 495
+        F = n14.F
+        for sol in sols:
+            topo = surface_topology(sol, F)
+            chi = topo["euler_characteristic"]
+            assert F.n * F.k == 6 * (F.k - chi)
+            assert topo["genus"] == 2 - chi == 6
