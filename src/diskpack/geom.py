@@ -66,7 +66,7 @@ class Isometry:
     def __post_init__(self):
         a, b = complex(self.a), complex(self.b)
         det = abs(a) ** 2 - abs(b) ** 2
-        if det <= 0.0:
+        if not 0.0 < det < math.inf:  # NaN fails both comparisons
             raise GeometryError(f"matrix does not preserve the disk (det={det})")
         if abs(det - 1.0) > 1e-15:
             s = math.sqrt(det)
@@ -143,7 +143,10 @@ class Isometry:
     @classmethod
     def from_json(cls, d: dict) -> "Isometry":
         (ar, ai), (br, bi) = d["matrix"][0], d["matrix"][1]
-        return cls(complex(ar, ai), complex(br, bi), bool(d["reversing"]))
+        reversing = d["reversing"]
+        if type(reversing) is not bool:
+            raise GeometryError(f"reversing must be a JSON boolean, got {reversing!r}")
+        return cls(complex(ar, ai), complex(br, bi), reversing)
 
 
 @dataclass(frozen=True)

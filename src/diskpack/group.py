@@ -38,7 +38,6 @@ class ReductionStalled(Exception):
 @dataclass(frozen=True)
 class GroupPresentation:
     generators: tuple[Isometry, ...]  # closed under inverses: 2i+1 inverts 2i
-    labels: tuple[str, ...]
     domain: FundamentalDomain
     basepoint: complex
 
@@ -52,16 +51,10 @@ class MembershipResult:
 
 
 def group_from_solution(sol: PairingSolution, F: FundamentalDomain) -> GroupPresentation:
-    """Each side pairing of the solution and its inverse, in that order, with
-    their labels; the basepoint is F.clear_point(BASEPOINT_NUDGE)."""
-    gens: list[Isometry] = []
-    labels: list[str] = []
-    for p in sol.pairings:
-        rev, (sp, se), (dp, de) = p.identification
-        tag = f"{'r' if rev else 'h'}:{sp}.{se}-{dp}.{de}"
-        gens += (p.map, p.map.inverse())
-        labels += (tag, tag + "'")
-    return GroupPresentation(tuple(gens), tuple(labels), F, F.clear_point(BASEPOINT_NUDGE))
+    """Each side pairing of the solution and its inverse, in that order; the
+    basepoint is F.clear_point(BASEPOINT_NUDGE)."""
+    gens = tuple(g for p in sol.pairings for g in (p.map, p.map.inverse()))
+    return GroupPresentation(gens, F, F.clear_point(BASEPOINT_NUDGE))
 
 
 def _inverse_index(i: int) -> int:
@@ -195,24 +188,21 @@ def second_packing_certificate(P: complex, G: GroupPresentation) -> dict:
     O' is second_neighbor_center(G.domain); tau is swapping_half_turn(P, O').
     The certificate passes when tau conjugates every generator into the
     group (membership residuals below RESIDUAL_TOL) and swaps P with O'
-    (within SWAP_TOL).
+    (within SWAP_TOL); a non-member or a stalled reduction fails it.  A
+    passing certificate's memberships are in generator order.
     """
     o_prime = second_neighbor_center(G.domain)
     tau = swapping_half_turn(P, o_prime)
     swap_residual = dist(tau(P), o_prime)
     try:
         ok, results = normalizes(tau, G)
-        stalled = False
     except ReductionStalled:
-        ok, results, stalled = False, [], True
+        ok, results = False, []
     return {
         "candidate": P,
         "o_prime": o_prime,
-        "midpoint": midpoint(P, o_prime),
         "tau": tau,
         "swap_residual": swap_residual,
-        "normalizes": ok,
         "memberships": results,
-        "stalled": stalled,
         "passed": ok and swap_residual <= SWAP_TOL,
     }

@@ -27,8 +27,6 @@ from .domain import (
 from .geom import CoincidentCurves, GeometryError, Isometry, dist
 from .group import (
     SWAP_TOL,
-    GroupPresentation,
-    ReductionStalled,
     group_from_solution,
     second_neighbor_center,
     second_packing_certificate,
@@ -253,31 +251,20 @@ def _solution_record(sol: PairingSolution, F: FundamentalDomain, pairing_index: 
     }
 
 
-def _membership_json(idx: int, label: str, res) -> dict:
-    return {
-        "generator": idx,
-        "label": label,
-        "member": res.member,
-        "word": list(res.word),
-        "residual": res.residual,
-        "strategy": res.strategy,
-    }
-
-
-def _certificate_data(G: GroupPresentation, cert: dict, sol: PairingSolution) -> dict:
+def _certificate_data(cert: dict, sol: PairingSolution, F: FundamentalDomain) -> dict:
+    """A passing certificate: one membership per generator, in generator
+    order.  A membership's ``residual`` and ``strategy`` record how the
+    reduction found its word; verify_certificate_file re-checks the word
+    and reads neither."""
     return {
         "candidate": _cpx(cert["candidate"]),
         "o_prime": _cpx(cert["o_prime"]),
-        "tau": cert["tau"].to_json(),
-        "swap_residual": cert["swap_residual"],
-        "basepoint": _cpx(G.basepoint),
         "memberships": [
-            _membership_json(i, G.labels[i], r) for i, r in enumerate(cert["memberships"])
+            {"word": list(m.word), "residual": m.residual, "strategy": m.strategy}
+            for m in cert["memberships"]
         ],
-        "normalizes": cert["normalizes"],
-        "stalled": cert["stalled"],
         "passed": cert["passed"],
-        "solution": _solution_json(sol, G.domain),
+        "solution": _solution_json(sol, F),
     }
 
 
@@ -354,7 +341,7 @@ class SeedPairResult:
     ``items`` (the filtering items) and ``completed`` ((item, solutions) per
     survivor, in candidate order) are None for a pair that stopped at its
     candidates.  ``solved`` is the (item, solution) that ended the run and
-    ``certificate`` its (group, certificate) when the run certified it.
+    ``certificate`` its certificate when the run certified it.
     """
 
     p1: SidePairing
@@ -363,7 +350,7 @@ class SeedPairResult:
     items: list[dict] | None = None
     completed: list[tuple] | None = None
     solved: tuple | None = None
-    certificate: tuple | None = None
+    certificate: dict | None = None
 
 
 def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResult:
@@ -400,7 +387,7 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResu
             attempts += 1
             try:
                 cert = second_packing_certificate(it["candidate"].point, G)
-            except (ReductionStalled, ValueError):
+            except ValueError:
                 continue
             if cert["passed"]:
                 topo = surface_topology(sol, F)
@@ -410,7 +397,7 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResu
                     f"after {attempts} attempts"
                 )
                 res.solved = (it, sol)
-                res.certificate = (G, cert)
+                res.certificate = cert
                 return res
     log(f"no certificate for this seed pair after {attempts} attempts")
     return res
@@ -466,21 +453,28 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     _write_svg(out, "solution.svg", render.scene_solution(F, list(sol.pairings)))
     if res.certificate is None:
         return
-    G, cert = res.certificate
-    _write_artifact(cfg, out, "certificate", _certificate_data(G, cert, sol))
-    scene = render.scene_certificate(F, cert["candidate"], cert["o_prime"], cert["midpoint"])
+    cert = res.certificate
+    _write_artifact(cfg, out, "certificate", _certificate_data(cert, sol, F))
+    scene = render.scene_certificate(F, cert["candidate"], cert["o_prime"])
     _write_svg(out, "certificate.svg", scene)
 
 
 # the top-level keys verify_certificate_file reads
-_CERTIFICATE_KEYS = (
-    "memberships", "tau", "candidate", "o_prime", "swap_residual", "passed", "solution",
-)
+_CERTIFICATE_KEYS = ("memberships", "candidate", "o_prime", "passed", "solution")
 # the embedded solution's cell counts, in the order the verifier reads them
 _TOPOLOGY_COUNTS = ("vertices", "edges", "faces", "euler_characteristic", "genus")
-# how far, as matrix distance, the stored tau may lie from the rebuilt one
-# and a membership word from the conjugated generator it claims to compose to
+# how far, as matrix distance, a membership word may lie from the conjugated
+# generator it claims to compose to
 WORD_TOL = 1e-7
+
+
+def _disk_point(xy) -> complex:
+    """A stored [re, im] point, which must lie strictly inside the unit disk
+    (NaN and infinite coordinates do not)."""
+    z = complex(*xy)
+    if not abs(z) < 1.0:
+        raise ValueError(f"point {xy} is not inside the unit disk")
+    return z
 
 
 def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[bool, list[str]]:
@@ -490,25 +484,26 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
     by its inverse, as group_from_solution builds them.  Verifies that no
     boundary edge is paired twice; that the solution's reversing count is
     its number of reversing pairings, at least 1, and its topology that of
-    a one-sided surface with chi = V - E + F and genus 2 - chi; that the
-    stored tau is swapping_half_turn(candidate, O') within WORD_TOL, and
-    against that tau, rebuilt, the stored swap residual, the swap within
-    SWAP_TOL and word soundness (each membership word composes to the
-    conjugated generator within WORD_TOL); that the passed flag and every
-    membership's member flag are JSON true; and, when ``config_hash`` is
-    given, that the artifact was made by that config.  A candidate equal to
-    O' and malformed input (a missing key, a matrix or point that does not
-    decode, a generator or word index out of range) are reported as
+    a one-sided surface with chi = V - E + F and genus 2 - chi; that tau,
+    rebuilt as swapping_half_turn(candidate, O'), swaps them within
+    SWAP_TOL; that there is one membership per generator, the i-th for
+    generator i, whose word composes to tau g_i tau^-1 within WORD_TOL;
+    that the passed flag is JSON true; and, when ``config_hash`` is given,
+    that the artifact was made by that config.  A membership's ``residual``
+    and ``strategy`` are the producer's record of its reduction and are not
+    read.  A candidate equal to O' and malformed input (a file that is not
+    JSON, a missing key, a matrix that does not decode, a point not strictly
+    inside the unit disk, a word index out of range) are reported as
     problems, not raised.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        cert = json.load(fh)
-    if not isinstance(cert, dict):
-        return False, ["certificate is not a JSON object"]
-    missing = [key for key in _CERTIFICATE_KEYS if key not in cert]
-    if missing:
-        return False, [f"certificate lacks {', '.join(missing)}"]
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cert = json.load(fh)  # a JSONDecodeError is a ValueError
+        if not isinstance(cert, dict):
+            return False, ["certificate is not a JSON object"]
+        missing = [key for key in _CERTIFICATE_KEYS if key not in cert]
+        if missing:
+            return False, [f"certificate lacks {', '.join(missing)}"]
         solution = cert["solution"]
         pairings = solution["pairings"]
         sides = [Isometry.from_json(pj) for pj in pairings]
@@ -519,12 +514,10 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
         topology = solution["topology"]
         counts = [topology[key] for key in _TOPOLOGY_COUNTS]
         orientable = topology["orientable"]
-        stored_tau = Isometry.from_json(cert["tau"])
-        P = complex(*cert["candidate"])
-        o_prime = complex(*cert["o_prime"])
-        swap_residual = float(cert["swap_residual"])
+        P = _disk_point(cert["candidate"])
+        o_prime = _disk_point(cert["o_prime"])
         memberships = [dict(m) for m in cert["memberships"]]
-    except (KeyError, IndexError, TypeError, ValueError, GeometryError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, GeometryError) as exc:
         return False, [f"certificate does not decode: {type(exc).__name__}: {exc}"]
     problems: list[str] = []
     if config_hash is not None and cert.get("config_hash") != config_hash:
@@ -558,38 +551,24 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
         tau = swapping_half_turn(P, o_prime)
     except ValueError as exc:
         return False, problems + [str(exc)]
-    if stored_tau.matrix_dist(tau) > WORD_TOL:
-        problems.append("tau is not the half-turn about the midpoint of the candidate and O'")
-    swap = dist(tau(P), o_prime)
-    if abs(swap - swap_residual) > 1e-9:
-        problems.append("stored swap residual does not match recomputation")
-    if swap > SWAP_TOL:
+    if not dist(tau(P), o_prime) <= SWAP_TOL:
         problems.append("tau does not swap the candidate with O'")
-
-    def generator_index(i) -> bool:
-        return type(i) is int and 0 <= i < len(gens)
-
-    covered = [m.get("generator") for m in memberships]
-    if sorted(i for i in covered if generator_index(i)) != list(range(len(gens))):
-        problems.append("certificate does not cover every generator")
+    if len(memberships) != len(gens):
+        problems.append(f"{len(memberships)} memberships for {len(gens)} generators")
     tau_inv = tau.inverse()
-    for m in memberships:
-        gi = m.get("generator")
-        if not generator_index(gi):
-            problems.append(f"membership names generator {gi!r}, not one of {len(gens)}")
-            continue
-        if m.get("member") is not True:
-            problems.append(f"membership failed for generator {gi}")
-            continue
+    for gi, (g, m) in enumerate(zip(gens, memberships)):
         letters = m.get("word")
-        if not (isinstance(letters, list) and all(generator_index(i) for i in letters)):
+        if not (
+            isinstance(letters, list)
+            and all(type(i) is int and 0 <= i < len(gens) for i in letters)
+        ):
             problems.append(f"word for generator {gi} is not a list of generator indices")
             continue
         word = Isometry.identity()
         for idx in letters:
             word = word * gens[idx]
-        res = word.matrix_dist(tau * gens[gi] * tau_inv)
-        if res > WORD_TOL:
+        res = word.matrix_dist(tau * g * tau_inv)
+        if not res <= WORD_TOL:
             problems.append(f"word for generator {gi} misses by {res:.2e}")
     if cert["passed"] is not True:
         problems.append("certificate is marked failed")

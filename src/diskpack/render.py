@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .domain import FundamentalDomain, SidePairing
-from .geom import GeneralizedCircle, axis
+from .geom import GeneralizedCircle, axis, midpoint
 
 SIZE = 800.0
 MARGIN = 20.0
@@ -216,10 +216,11 @@ def scene_solution(F, pairings: list[SidePairing]) -> Scene:
     return scene
 
 
-def scene_certificate(F, P: complex, o_prime: complex, mid: complex) -> Scene:
+def scene_certificate(F, P: complex, o_prime: complex) -> Scene:
     scene = scene_base(F)
     layer = scene.layer("certificate")
     layer.append(dict(type="point", at=P, r=4.0, style="fill:#e0a000", label="P"))
     layer.append(dict(type="point", at=o_prime, r=4.0, style="fill:#3060c0", label="O'"))
+    mid = midpoint(P, o_prime)
     layer.append(dict(type="point", at=mid, r=3.0, style="fill:#c03030", label="m"))
     return scene

@@ -13,6 +13,7 @@ from conftest import (
 from diskpack.geom import (
     CoincidentCurves,
     GeneralizedCircle,
+    GeometryError,
     Isometry,
     NotAxial,
     axis,
@@ -105,6 +106,23 @@ class TestApplyComposeInverse:
         for _ in range(200):
             g = random_isometry(rng) * random_isometry(rng) * random_isometry(rng)
             assert abs(abs(g.a) ** 2 - abs(g.b) ** 2 - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1.0, 1.0), (0.5, 1.0), (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)],
+    )
+    def test_rejects_a_determinant_that_is_not_positive_and_finite(self, a, b):
+        # a NaN determinant fails every comparison, and an infinite one
+        # renormalizes to a zero matrix
+        with pytest.raises(GeometryError, match="does not preserve the disk"):
+            Isometry(a, b)
+
+    def test_from_json_requires_a_boolean_reversing(self):
+        record = Isometry(1.0, 0.5).to_json()
+        assert Isometry.from_json(record) == Isometry(1.0, 0.5)
+        for value in ("false", 0, None):
+            with pytest.raises(GeometryError, match="JSON boolean"):
+                Isometry.from_json({**record, "reversing": value})
 
     def test_associativity(self, rng):
         for _ in range(50):
