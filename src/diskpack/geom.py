@@ -65,7 +65,10 @@ class Isometry:
 
     def __post_init__(self):
         a, b = complex(self.a), complex(self.b)
-        det = abs(a) ** 2 - abs(b) ** 2
+        try:
+            det = abs(a) ** 2 - abs(b) ** 2
+        except OverflowError:  # float pow raises where a product gives inf
+            det = math.inf
         if not 0.0 < det < math.inf:  # NaN fails both comparisons
             raise GeometryError(f"matrix does not preserve the disk (det={det})")
         if abs(det - 1.0) > 1e-15:

@@ -2,11 +2,12 @@
 
 Membership of an isometry h in the group generated by a solution's side
 pairings is decided by fundamental-domain reduction: push h(basepoint) back
-into the domain greedily along generators, then compare the accumulated word
-with h.  A half-turn about the midpoint of the obvious center and the hidden
-center normalizes the group exactly when it conjugates every generator back
-into the group; that is the certificate that an automorphism carries the
-obvious packing onto the hidden one.
+into the domain greedily along generators; h is a member when the word
+found has a word_residual of at most WORD_TOL, the one test the run and
+verify_certificate_file share.  A half-turn about the midpoint of the
+obvious center and the hidden center normalizes the group exactly when it
+conjugates every generator back into the group; that is the certificate
+that an automorphism carries the obvious packing onto the hidden one.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import math
 from dataclasses import dataclass
 
 from .domain import FundamentalDomain
-from .geom import Isometry, dist, elliptic_about, midpoint
+from .geom import GeometryError, Isometry, dist, elliptic_about, midpoint
 from .search import PairingSolution
 
-RESIDUAL_TOL = 1e-6
+# how far a membership word may lie from the isometry it claims to compose
+# to, as matrix distance relative to the isometry's |a| + |b|
+WORD_TOL = 3e-9
 SWAP_TOL = 1e-8
 BASEPOINT_NUDGE = 0.001 + 0.0013j
 GREEDY_STEP_LIMIT = 4096
@@ -44,9 +47,8 @@ class GroupPresentation:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    member: bool
-    word: tuple[int, ...]  # generator indices composing (left to right) to h
-    residual: float
+    word: tuple[int, ...]  # generator indices; h is a member when they compose to it
+    residual: float  # word_residual of the word against h
     strategy: str
 
 
@@ -61,19 +63,33 @@ def _inverse_index(i: int) -> int:
     return i ^ 1
 
 
+def word_residual(word, gens, h: Isometry) -> float:
+    """How far the word, composed left to right from the identity, lies from
+    h: their matrix distance over |h.a| + |h.b|, or inf for a word whose
+    product leaves the float range.  h is a member when this is at most
+    WORD_TOL."""
+    acc = Isometry.identity()
+    try:
+        for i in word:
+            acc = acc * gens[i]
+    except GeometryError:
+        return math.inf
+    return acc.matrix_dist(h) / (abs(h.a) + abs(h.b))
+
+
 def reduce_to_domain(h: Isometry, G: GroupPresentation) -> MembershipResult:
-    """Decide membership of h in the group by fundamental-domain reduction.
+    """Find a word for h by fundamental-domain reduction.
 
     Greedy phase: while the tracked point is outside the domain, apply the
     generator whose image is strictly nearest the basepoint: walking the
     generators in index order, take one whose distance is below the best
     so far minus 1e-12.  If greedy stalls, fall back to best-first search
-    over generator words up to BFS_DEPTH.  h is a member when the residual
-    is below RESIDUAL_TOL; the result's word then composes to h.
+    over generator words up to BFS_DEPTH.  The word inverts the letters
+    applied; its residual is word_residual against h, and h is a member
+    when that is at most WORD_TOL.
     """
     F, bp = G.domain, G.basepoint
     w = h(bp)
-    acc = Isometry.identity()
     applied: list[int] = []
     strategy = "immediate"
     cur = dist(bp, w)
@@ -91,17 +107,13 @@ def reduce_to_domain(h: Isometry, G: GroupPresentation) -> MembershipResult:
             stalled = True
             break
         w, cur = best_w, best_d
-        acc = G.generators[best_i] * acc
         applied.append(best_i)
         steps += 1
     if stalled:
         strategy = "bfs"
-        acc, applied = _best_first(h, G)
-    residual_iso = acc * h
-    residual = residual_iso.matrix_dist(Isometry.identity())
-    member = residual < RESIDUAL_TOL
-    word = tuple(_inverse_index(i) for i in applied) if member else ()
-    return MembershipResult(member, word, residual, strategy)
+        _, applied = _best_first(h, G)
+    word = tuple(_inverse_index(i) for i in applied)
+    return MembershipResult(word, word_residual(word, G.generators, h), strategy)
 
 
 def _best_first(h: Isometry, G: GroupPresentation):
@@ -152,22 +164,6 @@ def _best_first(h: Isometry, G: GroupPresentation):
     )
 
 
-def normalizes(t: Isometry, G: GroupPresentation) -> tuple[bool, list[MembershipResult]]:
-    """Whether t g t^-1 lies in the group for every listed generator g.
-
-    The check stops at the first non-member, so a failing result list ends
-    with it; a passing one holds every generator's evidence.
-    """
-    t_inv = t.inverse()
-    results = []
-    for g in G.generators:
-        res = reduce_to_domain(t * g * t_inv, G)
-        results.append(res)
-        if not res.member:
-            return False, results
-    return True, results
-
-
 def second_neighbor_center(F: FundamentalDomain) -> complex:
     """O', the second-neighbor tile center (ca)^2 b (0) under the domain's
     frame: the obvious center a half-turn must swap with the hidden one."""
@@ -186,23 +182,23 @@ def second_packing_certificate(P: complex, G: GroupPresentation) -> dict:
     """Certificate that a half-turn swaps the obvious center with P.
 
     O' is second_neighbor_center(G.domain); tau is swapping_half_turn(P, O').
-    The certificate passes when tau conjugates every generator into the
-    group (membership residuals below RESIDUAL_TOL) and swaps P with O'
-    (within SWAP_TOL); a non-member or a stalled reduction fails it.  A
-    passing certificate's memberships are in generator order.
+    The certificate passes when tau swaps P with O' (within SWAP_TOL) and
+    conjugates every generator into the group: each conjugate's membership
+    residual is at most WORD_TOL.  The walk over the generators stops at the
+    first residual that is not, or at a stalled reduction, so only a passing
+    certificate holds one membership per generator, in generator order.
     """
     o_prime = second_neighbor_center(G.domain)
     tau = swapping_half_turn(P, o_prime)
-    swap_residual = dist(tau(P), o_prime)
+    tau_inv = tau.inverse()
+    passed = dist(tau(P), o_prime) <= SWAP_TOL
+    results = []
     try:
-        ok, results = normalizes(tau, G)
+        for g in G.generators:
+            results.append(reduce_to_domain(tau * g * tau_inv, G))
+            if not results[-1].residual <= WORD_TOL:
+                passed = False
+                break
     except ReductionStalled:
-        ok, results = False, []
-    return {
-        "candidate": P,
-        "o_prime": o_prime,
-        "tau": tau,
-        "swap_residual": swap_residual,
-        "memberships": results,
-        "passed": ok and swap_residual <= SWAP_TOL,
-    }
+        passed = False
+    return {"candidate": P, "o_prime": o_prime, "memberships": results, "passed": passed}

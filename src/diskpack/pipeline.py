@@ -27,10 +27,12 @@ from .domain import (
 from .geom import CoincidentCurves, GeometryError, Isometry, dist
 from .group import (
     SWAP_TOL,
+    WORD_TOL,
     group_from_solution,
     second_neighbor_center,
     second_packing_certificate,
     swapping_half_turn,
+    word_residual,
 )
 from .search import (
     Candidate,
@@ -253,9 +255,9 @@ def _solution_record(sol: PairingSolution, F: FundamentalDomain, pairing_index: 
 
 def _certificate_data(cert: dict, sol: PairingSolution, F: FundamentalDomain) -> dict:
     """A passing certificate: one membership per generator, in generator
-    order.  A membership's ``residual`` and ``strategy`` record how the
-    reduction found its word; verify_certificate_file re-checks the word
-    and reads neither."""
+    order.  A membership's ``residual`` is the word_residual that passed it
+    and ``strategy`` how its word was found; verify_certificate_file
+    recomputes the one and reads neither."""
     return {
         "candidate": _cpx(cert["candidate"]),
         "o_prime": _cpx(cert["o_prime"]),
@@ -391,10 +393,12 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResu
                 continue
             if cert["passed"]:
                 topo = surface_topology(sol, F)
+                worst = max(m.residual for m in cert["memberships"])
                 log(
                     f"certificate passed at {it['candidate'].point:.6f} "
                     f"(genus {topo['genus']}, chi {topo['euler_characteristic']}) "
-                    f"after {attempts} attempts"
+                    f"after {attempts} attempts, worst word residual {worst:.2e} "
+                    f"(WORD_TOL {WORD_TOL:.0e})"
                 )
                 res.solved = (it, sol)
                 res.certificate = cert
@@ -463,9 +467,6 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
 _CERTIFICATE_KEYS = ("memberships", "candidate", "o_prime", "passed", "solution")
 # the embedded solution's cell counts, in the order the verifier reads them
 _TOPOLOGY_COUNTS = ("vertices", "edges", "faces", "euler_characteristic", "genus")
-# how far, as matrix distance, a membership word may lie from the conjugated
-# generator it claims to compose to
-WORD_TOL = 1e-7
 
 
 def _disk_point(xy) -> complex:
@@ -487,14 +488,15 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
     a one-sided surface with chi = V - E + F and genus 2 - chi; that tau,
     rebuilt as swapping_half_turn(candidate, O'), swaps them within
     SWAP_TOL; that there is one membership per generator, the i-th for
-    generator i, whose word composes to tau g_i tau^-1 within WORD_TOL;
-    that the passed flag is JSON true; and, when ``config_hash`` is given,
-    that the artifact was made by that config.  A membership's ``residual``
-    and ``strategy`` are the producer's record of its reduction and are not
-    read.  A candidate equal to O' and malformed input (a file that is not
-    JSON, a missing key, a matrix that does not decode, a point not strictly
-    inside the unit disk, a word index out of range) are reported as
-    problems, not raised.
+    generator i, whose word_residual against tau g_i tau^-1 is at most
+    group.WORD_TOL, the test the run passed it by; that the passed flag is
+    JSON true; and, when ``config_hash`` is given, that the artifact was
+    made by that config.  A membership's ``residual`` and ``strategy`` are
+    the producer's record and are not read: the residual is recomputed from
+    the word.  A candidate equal to O' and malformed input (a file that is
+    not JSON, a missing key, a matrix that does not decode, a point not
+    strictly inside the unit disk, a word index out of range) are reported
+    as problems, not raised.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -517,7 +519,7 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
         P = _disk_point(cert["candidate"])
         o_prime = _disk_point(cert["o_prime"])
         memberships = [dict(m) for m in cert["memberships"]]
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError, GeometryError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, GeometryError) as exc:
         return False, [f"certificate does not decode: {type(exc).__name__}: {exc}"]
     problems: list[str] = []
     if config_hash is not None and cert.get("config_hash") != config_hash:
@@ -564,10 +566,7 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
         ):
             problems.append(f"word for generator {gi} is not a list of generator indices")
             continue
-        word = Isometry.identity()
-        for idx in letters:
-            word = word * gens[idx]
-        res = word.matrix_dist(tau * g * tau_inv)
+        res = word_residual(letters, gens, tau * g * tau_inv)
         if not res <= WORD_TOL:
             problems.append(f"word for generator {gi} misses by {res:.2e}")
     if cert["passed"] is not True:

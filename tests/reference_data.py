@@ -53,11 +53,11 @@ from diskpack.group import (
     BFS_DEPTH,
     BFS_NODE_LIMIT,
     GREEDY_STEP_LIMIT,
-    RESIDUAL_TOL,
     GroupPresentation,
     MembershipResult,
     ReductionStalled,
     _inverse_index,
+    word_residual,
 )
 from diskpack.search import CANDIDATE_DEDUP, Candidate, PairingSolution
 from diskpack.tess import (
@@ -709,14 +709,14 @@ def reference_reduce_to_domain(
     h: Isometry,
     G: GroupPresentation,
     bfs_depth: int = BFS_DEPTH,
-    residual_tol: float = RESIDUAL_TOL,
 ) -> MembershipResult:
     """Decide membership of h in the group by fundamental-domain reduction.
 
     Greedy phase: while the tracked point is outside the domain, apply the
     generator whose image is strictly nearest the basepoint.  If greedy
     stalls, fall back to best-first search over generator words up to
-    ``bfs_depth``.  The result's word composes to h when membership holds.
+    ``bfs_depth``.  The result's residual is the word's word_residual
+    against h.
     """
     F, bp = G.domain, G.basepoint
     w = h(bp)
@@ -744,11 +744,8 @@ def reference_reduce_to_domain(
     if stalled:
         strategy = "bfs"
         acc, applied = reference_best_first(h, G, bfs_depth)
-    residual_iso = acc * h
-    residual = residual_iso.matrix_dist(Isometry.identity())
-    member = residual < residual_tol
-    word = tuple(_inverse_index(i) for i in applied) if member else ()
-    return MembershipResult(member, word, residual, strategy)
+    word = tuple(_inverse_index(i) for i in applied)
+    return MembershipResult(word, word_residual(word, G.generators, h), strategy)
 
 
 def reference_best_first(h: Isometry, G: GroupPresentation, depth_cap: int):

@@ -32,7 +32,7 @@ from diskpack.geom import (
     hypercycle,
     signed_offset,
 )
-from diskpack.group import second_packing_certificate
+from diskpack.group import WORD_TOL, second_packing_certificate, swapping_half_turn
 from diskpack.pipeline import surface_topology
 from diskpack.search import edge_coverage
 from diskpack.tess import admissible_distances, polygon_metrics, triangle_generators
@@ -92,12 +92,12 @@ class TestCriterion4Certificate:
         cert = second_packing_certificate(n14_solution.candidate.point, n14_solution.group)
         assert cert["passed"]
         assert len(cert["memberships"]) == 36
-        assert all(m.member for m in cert["memberships"])
-        assert max(m.residual for m in cert["memberships"]) < 1e-6
-        assert cert["swap_residual"] < 1e-8
+        assert max(m.residual for m in cert["memberships"]) <= WORD_TOL
+        tau = swapping_half_turn(cert["candidate"], cert["o_prime"])
+        assert dist(tau(cert["candidate"]), cert["o_prime"]) < 1e-8
         print(
             "\nACCEPTANCE 4: PASS - tau conjugates all generators into K "
-            "(residuals < 1e-6) and swaps P with O' within 1e-8"
+            "(relative word residuals <= 3e-9) and swaps P with O' within 1e-8"
         )
 
 

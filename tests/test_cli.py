@@ -6,12 +6,12 @@ import os
 
 import pytest
 
-from diskpack import pipeline, render
+from diskpack import group, pipeline, render
 from diskpack.cli import main
 from diskpack.config import PipelineConfig, load_config
 from diskpack.domain import find_pairing
 from diskpack.geom import Isometry, dist
-from diskpack.group import SWAP_TOL, swapping_half_turn
+from diskpack.group import SWAP_TOL, WORD_TOL, swapping_half_turn
 from diskpack.pipeline import (
     run_pipeline,
     stage_domain,
@@ -243,7 +243,12 @@ def test_verify_checks_the_config_hash(n14_cfg_path, completed_run, tmp_path, ca
         # |a|^2 of a finite entry overflows
         (
             lambda c: c["solution"]["pairings"][3]["matrix"][0].__setitem__(0, 1e200),
-            "OverflowError",
+            "does not preserve the disk",
+        ),
+        # a long power of one generator leaves the float range as it composes
+        (
+            lambda c: c["memberships"][0].update(word=[0] * 60),
+            "word for generator 0 misses by inf",
         ),
         (_string_reversing, "reversing must be a JSON boolean"),
         (lambda c: json.dumps(c)[:4000], "certificate does not decode: JSONDecodeError"),
@@ -253,8 +258,8 @@ def test_verify_checks_the_config_hash(n14_cfg_path, completed_run, tmp_path, ca
         "no-solution", "no-o-prime", "no-solution-pairings", "no-pairing-matrix",
         "singular-pairing", "memberships-not-a-list", "generator-listed-twice",
         "membership-missing", "membership-extra", "nan-candidate", "infinite-o-prime",
-        "out-of-disk-candidate", "nan-pairing-matrix", "huge-pairing-matrix", "string-reversing",
-        "truncated",
+        "out-of-disk-candidate", "nan-pairing-matrix", "huge-pairing-matrix", "word-overflows",
+        "string-reversing", "truncated",
     ],
 )
 def test_verify_reports_malformed_certificates(
@@ -543,17 +548,23 @@ def test_degenerate_explicit_seeds_exit_1(tmp_path, capsys):
     assert err["stage"] == "candidates"
 
 
+def _worst_word_residual(line, head):
+    """The worst word residual a "certificate passed" line reports after
+    ``head``; the line must end with the tolerance it was held to."""
+    start, _, tail = line.partition(", worst word residual ")
+    assert start == head and tail.endswith(" (WORD_TOL 3e-09)"), line
+    return float(tail.split()[0])
+
+
 def test_run_reports_certificate_attempts(n14_cfg_path, depth5_run, tmp_path, capsys):
     # survivors are tried nearest O' first, and the certified candidate is
     # the nearest: it passes at its 5th solution at depth 5, its 3rd at depth 3
-    assert depth5_run[1].splitlines()[-1] == (
-        "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 5 attempts"
-    )
+    head = "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 5 attempts"
+    assert _worst_word_residual(depth5_run[1].splitlines()[-1], head) <= WORD_TOL / 20
     out = str(tmp_path / "out")
     assert main(["run", "--config", n14_cfg_path, "--depth", "3", "--out", out]) == 0
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 3 attempts"
-    )
+    head = "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 3 attempts"
+    assert _worst_word_residual(capsys.readouterr().err.splitlines()[-1], head) <= WORD_TOL / 20
     # one solution per survivor: three attempts, none passes
     args = ["run", "--config", n14_cfg_path, "--depth", "3", "--limit", "1", "--out", out]
     assert main(args) == 2
@@ -576,23 +587,25 @@ _K3 = [[0, 0], [0, 1]]
 
 
 @pytest.mark.parametrize(
-    "n, attachments, last",
+    "n, attachments, last, point",
     [
-        pytest.param(12, [], None, id="12"),
-        pytest.param(18, [], None, id="18"),
-        pytest.param(24, [], None, id="24"),
-        pytest.param(30, [], None, id="30"),
-        pytest.param(9, [[0, 0]], None, id="9-k2"),
-        pytest.param(10, _K3, None, id="10-k3"),
+        pytest.param(12, [], None, None, id="12"),
+        pytest.param(18, [], None, None, id="18"),
+        pytest.param(24, [], None, None, id="24"),
+        pytest.param(30, [], None, None, id="30"),
+        pytest.param(9, [[0, 0]], None, None, id="9-k2"),
+        pytest.param(10, _K3, None, None, id="10-k3"),
         pytest.param(
             14,
             _K3,
             "certificate passed at 0.527656+0.350069j (genus 6, chi -4) after 9 attempts",
+            None,
             id="14-k3",
         ),
+        pytest.param(8, _K3, None, 0.266585j, id="8-k3"),
     ],
 )
-def test_one_tile_auto_mode_runs_and_verifies(n, attachments, last, tmp_path, capsys):
+def test_one_tile_auto_mode_runs_and_verifies(n, attachments, last, point, tmp_path, capsys):
     # no seed pairs: one tile gives the k = 1 primitive pair, off N = 14,
     # and two or three tiles the k = 2 and k = 3 ones
     path = tmp_path / f"auto{n}.json"
@@ -600,13 +613,59 @@ def test_one_tile_auto_mode_runs_and_verifies(n, attachments, last, tmp_path, ca
     path.write_text(json.dumps(config))
     out = str(tmp_path / "out")
     assert main(["run", "--config", str(path), "--out", out]) == 0
-    assert _read_json(os.path.join(out, "certificate.json"))["passed"]
+    cert = _read_json(os.path.join(out, "certificate.json"))
+    assert cert["passed"]
+    if point is not None:
+        assert abs(complex(*cert["candidate"]) - point) < 1e-6
+    # every membership clears WORD_TOL by 20x; one tile at N = 30, whose
+    # conjugated generators have the largest entries, comes closest (8.3e-11)
+    worst = max(m["residual"] for m in cert["memberships"])
+    assert worst <= WORD_TOL / 20
     log = capsys.readouterr().err.splitlines()
     if last is not None:
-        assert log[-1] == last
+        assert _worst_word_residual(log[-1], last) == float(f"{worst:.2e}")
     code = main(["verify", "--config", str(path), "--out", out])
     report = json.loads(capsys.readouterr().out)
     assert report["problems"] == [] and report["ok"] is True and code == 0
+
+
+def test_near_misses_fail_by_a_wide_margin(tmp_path, monkeypatch, capsys):
+    # an N = 8 seed pair whose attempts include four near misses: words that
+    # miss their conjugated generators by 7.5e-8 to 8.9e-8 relative, each
+    # 25x or more above WORD_TOL, while passing certificates stay below 1e-10
+    attempts = []
+    certify = pipeline.second_packing_certificate
+
+    def recording(P, G):
+        attempts.append((P, G))
+        return certify(P, G)
+
+    monkeypatch.setattr(pipeline, "second_packing_certificate", recording)
+    seeds = [
+        {"type": "hyperbolic", "src": {"poly": 1, "edge": 2}, "dst": {"poly": 1, "edge": 5}},
+        {"type": "or-hyperbolic", "src": {"poly": 2, "edge": 3}, "dst": {"poly": 3, "edge": 3}},
+    ]
+    path = tmp_path / "n8.json"
+    config = {"n": 8, "attachments": _K3, "depth": 3, "limit": 16, "seed_pairs": seeds}
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "no certificate for this seed pair after 8 attempts"
+    )
+    assert len(attempts) == 8
+    checked = 0
+    for P, G in attempts:
+        tau = swapping_half_turn(P, group.second_neighbor_center(G.domain))
+        tau_inv = tau.inverse()
+        try:
+            worst = max(
+                group.reduce_to_domain(tau * g * tau_inv, G).residual for g in G.generators
+            )
+        except group.ReductionStalled:
+            continue
+        assert worst >= 20 * WORD_TOL
+        checked += 1
+    assert checked > 0
 
 
 def test_auto_mode_writes_each_artifact_once(tmp_path, monkeypatch, capsys):

@@ -109,11 +109,16 @@ class TestApplyComposeInverse:
 
     @pytest.mark.parametrize(
         "a, b",
-        [(1.0, 1.0), (0.5, 1.0), (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0)],
+        [
+            (1.0, 1.0), (0.5, 1.0), (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
+            (1e200, 0.0), (1.0, 1e200), (1e308 + 1e308j, 0.0),
+        ],
     )
     def test_rejects_a_determinant_that_is_not_positive_and_finite(self, a, b):
         # a NaN determinant fails every comparison, and an infinite one
-        # renormalizes to a zero matrix
+        # renormalizes to a zero matrix; float pow raises OverflowError where
+        # |a|^2 of a finite entry leaves the float range, and abs of the last
+        # entry overflows before it is squared
         with pytest.raises(GeometryError, match="does not preserve the disk"):
             Isometry(a, b)
 

@@ -8,14 +8,15 @@ from diskpack.config import load_config
 from diskpack.geom import Isometry, classify, dist, elliptic_about, midpoint
 from diskpack.group import (
     BASEPOINT_NUDGE,
-    RESIDUAL_TOL,
     SWAP_TOL,
+    WORD_TOL,
     ReductionStalled,
     group_from_solution,
-    normalizes,
     reduce_to_domain,
     second_neighbor_center,
     second_packing_certificate,
+    swapping_half_turn,
+    word_residual,
 )
 from diskpack.search import candidates, complete_pairing
 
@@ -51,7 +52,7 @@ class TestGroupPresentation:
 class TestReduceToDomain:
     def test_identity_is_member(self, n14_solution):
         res = reduce_to_domain(Isometry.identity(), n14_solution.group)
-        assert res.member and res.word == () and res.residual < 1e-12
+        assert res.word == () and res.residual == 0.0
 
     def test_each_generator_is_member_with_a_one_letter_word(self, n14_solution):
         # several identifications share one isometry, so the word need not
@@ -59,7 +60,7 @@ class TestReduceToDomain:
         G = n14_solution.group
         for g in G.generators:
             res = reduce_to_domain(g, G)
-            assert res.member
+            assert res.residual <= WORD_TOL
             assert len(res.word) == 1
             assert G.generators[res.word[0]].matrix_dist(g) < 1e-9
 
@@ -71,20 +72,18 @@ class TestReduceToDomain:
             for i in word:
                 h = h * G.generators[i]
             res = reduce_to_domain(h, G)
-            assert res.member
+            assert res.residual <= WORD_TOL
+            # the residual is the word's, composed left to right
             rebuilt = Isometry.identity()
             for i in res.word:
                 rebuilt = rebuilt * G.generators[i]
-            # 1e-7 soundness at unit matrix scale; deep elements carry the
-            # same relative accuracy on entries of size |a|
-            assert rebuilt.matrix_dist(h) < 1e-7 * max(1.0, abs(h.a))
+            assert res.residual == rebuilt.matrix_dist(h) / (abs(h.a) + abs(h.b))
 
     def test_elliptic_is_not_member(self, n14_solution):
         # torsion-free surface groups contain no elliptic elements
         G = n14_solution.group
         tau = elliptic_about(0.2 - 0.3j, math.pi)
         res = reduce_to_domain(tau, G)
-        assert not res.member
         assert res.residual > 1e-3
 
     def test_conjugation_preserves_translation_length(self, n14_solution):
@@ -99,28 +98,30 @@ class TestReduceToDomain:
             )
 
 
+def _conjugate_residuals(t, G):
+    """word_residual of the reduction of t g t^-1 for every generator g."""
+    t_inv = t.inverse()
+    return [reduce_to_domain(t * g * t_inv, G).residual for g in G.generators]
+
+
 class TestNormalizes:
     def test_inner_element_normalizes(self, n14_solution):
         G = n14_solution.group
-        ok, results = normalizes(G.generators[0], G)
-        assert ok
-        assert all(r.member for r in results)
+        assert max(_conjugate_residuals(G.generators[0], G)) <= WORD_TOL
 
     def test_generic_elliptic_does_not(self, n14_solution):
         G = n14_solution.group
         t = elliptic_about(0.37 + 0.11j, math.pi)
-        ok, results = normalizes(t, G)
-        assert not ok
-        assert results[-1].residual > 1e-6
+        assert max(_conjugate_residuals(t, G)) > 1e-6
 
 
 class TestCertificate:
     def test_reference_certificate_passes(self, n14, n14_solution):
         cert = second_packing_certificate(n14_solution.candidate.point, n14_solution.group)
         assert cert["passed"]
-        assert cert["swap_residual"] < 1e-8
+        assert sorted(cert) == ["candidate", "memberships", "o_prime", "passed"]
         assert len(cert["memberships"]) == 36
-        assert max(m.residual for m in cert["memberships"]) < 1e-6
+        assert max(m.residual for m in cert["memberships"]) <= WORD_TOL
 
     def test_records_the_tolerances_applied(self, n14, n14_solution):
         # the tolerances are module constants: the record carries the
@@ -128,9 +129,15 @@ class TestCertificate:
         cert = second_packing_certificate(n14_solution.candidate.point, n14_solution.group)
         assert "residual_tol" not in cert and "swap_tol" not in cert
         memberships = cert["memberships"]
-        assert all(m.member is (m.residual < RESIDUAL_TOL) for m in memberships)
-        normalizes = len(memberships) == 36 and all(m.member for m in memberships)
-        assert cert["passed"] is (normalizes and cert["swap_residual"] <= SWAP_TOL)
+        normalizes = len(memberships) == 36 and all(m.residual <= WORD_TOL for m in memberships)
+        tau = swapping_half_turn(cert["candidate"], cert["o_prime"])
+        swaps = dist(tau(cert["candidate"]), cert["o_prime"]) <= SWAP_TOL
+        assert cert["passed"] is (normalizes and swaps)
+        # each residual is the word's, as verify_certificate_file recomputes it
+        tau_inv = tau.inverse()
+        G = n14_solution.group
+        for g, m in zip(G.generators, memberships):
+            assert m.residual == word_residual(m.word, G.generators, tau * g * tau_inv)
 
     def test_o_prime_is_translated_second_neighbor(self, n14, n14_solution):
         cert = second_packing_certificate(n14_solution.candidate.point, n14_solution.group)
@@ -139,7 +146,7 @@ class TestCertificate:
         assert abs(cert["o_prime"] - expected) < 1e-12
         assert cert["o_prime"] == second_neighbor_center(n14.F)
         # the half-turn exchanges P and O'
-        tau = cert["tau"]
+        tau = swapping_half_turn(cert["candidate"], cert["o_prime"])
         assert dist(tau(cert["o_prime"]), cert["candidate"]) < 1e-9
 
     def test_degenerate_candidate_rejected(self, n14, n14_solution):
@@ -153,12 +160,15 @@ class TestCertificate:
         true_cert = second_packing_certificate(P, n14_solution.group)
         # the true half-turn does not swap a perturbed candidate with O'
         perturbed = P + 0.01
-        assert dist(true_cert["tau"](perturbed), true_cert["o_prime"]) > 1e-3
+        true_tau = swapping_half_turn(P, true_cert["o_prime"])
+        assert dist(true_tau(perturbed), true_cert["o_prime"]) > 1e-3
         # and a certificate rebuilt around the perturbed point fails to
         # normalize the group (its own swap is exact by construction)
         cert = second_packing_certificate(perturbed, n14_solution.group)
-        assert cert["swap_residual"] <= SWAP_TOL
+        tau = swapping_half_turn(perturbed, cert["o_prime"])
+        assert dist(tau(perturbed), cert["o_prime"]) <= SWAP_TOL
         assert not cert["passed"]
+        assert not cert["memberships"][-1].residual <= WORD_TOL
 
 
 def _outcome(reduce, h, G, **kwargs):
@@ -173,8 +183,8 @@ def _outcome(reduce, h, G, **kwargs):
 
 def _check_attempt(P, G, gens) -> bool:
     """Compare the reduction with its oracle on every generator conjugate
-    that normalizes checks for the half-turn of one certificate attempt;
-    returns whether the attempt normalizes."""
+    that second_packing_certificate checks for the half-turn of one
+    certificate attempt; returns whether the attempt normalizes."""
     rot = gens.rotation
     o_prime = G.domain.placements[0]((rot * rot * gens.b)(0j))
     tau = elliptic_about(midpoint(P, o_prime), math.pi)
@@ -183,7 +193,7 @@ def _check_attempt(P, G, gens) -> bool:
         h = tau * g * tau_inv
         got = _outcome(reduce_to_domain, h, G)
         assert got == _outcome(reference_reduce_to_domain, h, G)
-        if got[0] == "stalled" or not got[0].member:
+        if got[0] == "stalled" or not got[0].residual <= WORD_TOL:
             return False
     return True
 
