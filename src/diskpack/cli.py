@@ -131,7 +131,8 @@ def main(argv: list[str] | None = None) -> int:
         return pipeline.EXIT_ERROR
 
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    if args.command != "verify":  # verify only reads
+        os.makedirs(out, exist_ok=True)
 
     def log(msg: str) -> None:
         print(msg, file=sys.stderr)

@@ -26,6 +26,7 @@ import numpy as np
 from .geom import (
     GLIDE,
     HYPERBOLIC,
+    PARABOLIC_TOL,
     GeneralizedCircle,
     Isometry,
     IsometryClass,
@@ -45,6 +46,10 @@ DISC_SLACK = 1e-7
 # margins (edges x points) per block of contains' array path: its float
 # temporaries stay at 128 KB however many points come in
 CONTAINS_CELLS = 1 << 14
+# relative margin, per unit of a matching's squared size (|a|^2 + |b|^2)^2,
+# by which enumerate_pairings' trace screen stays clear of classify's
+# parabolic band
+SCREEN_MARGIN = 1e-12
 
 
 class OverlappingPolygons(ValueError):
@@ -438,7 +443,12 @@ class SidePairing:
     src: EdgeRef
     dst: EdgeRef
     reversing: bool
-    cls: IsometryClass
+
+    @cached_property
+    def cls(self) -> IsometryClass:
+        """The map's class, computed on first read: a search reads it for
+        its two seed pairings only."""
+        return classify(self.map)
 
     @cached_property
     def record(self) -> tuple[bool, int, int, int, int]:
@@ -467,28 +477,68 @@ def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
     A matching is dst's factor times src's aligner h1 = aligner(u1, u2):
     aligner(v2, v1)^-1 if conformal (endpoints crossed), aligner(v1, v2)^-1 R if
     reversing (R the reflection in the real axis); both are built once per edge.
+    All matchings are composed in one array pass, by Isometry.__mul__'s float
+    operations in its order, so each kept map, built by the Isometry
+    constructor from those products, has the bits of the Python product.
+
+    The same pass screens each matching's type by the trace t classify
+    decides by: 2 Re a, or for a reversing map the trace 2 (|a|^2 + Re b^2)
+    of its square, both taken before normalizing to unit determinant.
+    classify normalizes the map, and the square, whose determinants are
+    rounded from entries of squared size up to size = |a|^2 + |b|^2 >= 1
+    and size^2; that moves its trace from the screened one by a relative
+    few ulps of size^2 (at most 3.5 eps size^2 over every matching of the
+    domains the tests build).  So a matching with
+    |t| >= (2 + PARABOLIC_TOL) (1 + SCREEN_MARGIN size^2) is axial and kept
+    as it is; classify decides every other one, and raises as it does.
     """
-    aligner = {e.key: segment_aligner(*e.endpoints) for e in F.boundary}
-    onto = {  # edge key -> (conformal factor, reversing factor)
-        e.key: (
+    E = len(F.boundary)  # in edge-key order, as build_domain lists it
+    aligner = [segment_aligner(*e.endpoints) for e in F.boundary]
+    onto = [  # per edge: (conformal factor, reversing factor)
+        (
             segment_aligner(e.endpoints[1], e.endpoints[0]).inverse(),
-            aligner[e.key].inverse() * Isometry(1.0, 0.0, True),
+            h.inverse() * Isometry(1.0, 0.0, True),
         )
-        for e in F.boundary
-    }
+        for e, h in zip(F.boundary, aligner)
+    ]
+    # one row per matching, in sort_key's order (src, reversing, dst)
+    at = np.arange(E)
+    src, rev, dst = np.nonzero(np.repeat(at[:, None, None] < at, 2, axis=1))
+    h = np.array([_entries(g) for g in aligner])[src].T
+    o = np.array([[_entries(g) for g in pair] for pair in onto])[dst, rev].T
+    reversing = rev == 1
+    # a reversing left factor conjugates the aligner's entries
+    sign = np.where(reversing, -1.0, 1.0)
+    a2, b2 = (h[0], sign * h[1]), (h[2], sign * h[3])
+    oa, ob = (o[0], o[1]), (o[2], o[3])
+    # a = o.a a2 + o.b conj(b2), b = o.a b2 + o.b conj(a2)
+    p, q = _product(oa, a2), _product(ob, (b2[0], -b2[1]))
+    ar, ai = p[0] + q[0], p[1] + q[1]
+    p, q = _product(oa, b2), _product(ob, (a2[0], -a2[1]))
+    br, bi = p[0] + q[0], p[1] + q[1]
+    aa, bb = ar * ar + ai * ai, br * br + bi * bi
+    t = np.where(reversing, 2.0 * (aa + br * br - bi * bi), 2.0 * ar)
+    clear = np.abs(t) >= (2.0 + PARABOLIC_TOL) * (1.0 + SCREEN_MARGIN * (aa + bb) ** 2)
+    boundary = F.boundary
     out = []
-    for src in F.boundary:
-        h1 = aligner[src.key]
-        for dst in F.boundary:
-            if src.key >= dst.key:
-                continue
-            for reversing in (False, True):
-                m = onto[dst.key][reversing] * h1
-                cls = classify(m)
-                if cls.tag == (GLIDE if reversing else HYPERBOLIC):
-                    out.append(SidePairing(m, src, dst, reversing, cls))
-    out.sort(key=SidePairing.sort_key)
+    for i, r, j, a_re, a_im, b_re, b_im, axial in zip(
+        src.tolist(), reversing.tolist(), dst.tolist(),
+        ar.tolist(), ai.tolist(), br.tolist(), bi.tolist(), clear.tolist(),
+    ):
+        m = Isometry(complex(a_re, a_im), complex(b_re, b_im), r)
+        if axial or classify(m).tag == (GLIDE if r else HYPERBOLIC):
+            out.append(SidePairing(m, boundary[i], boundary[j], r))
     return out
+
+
+def _entries(g: Isometry) -> tuple[float, float, float, float]:
+    return (g.a.real, g.a.imag, g.b.real, g.b.imag)
+
+
+def _product(x, y):
+    """Python's complex product of (re, im) arrays, written out: numpy's
+    complex multiply may fuse a multiply and an add, which rounds once."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
 class BoundarySlots:

@@ -493,10 +493,10 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
     JSON true; and, when ``config_hash`` is given, that the artifact was
     made by that config.  A membership's ``residual`` and ``strategy`` are
     the producer's record and are not read: the residual is recomputed from
-    the word.  A candidate equal to O' and malformed input (a file that is
-    not JSON, a missing key, a matrix that does not decode, a point not
-    strictly inside the unit disk, a word index out of range) are reported
-    as problems, not raised.
+    the word.  A candidate equal to O' and malformed input (a file that
+    cannot be read or is not JSON, a missing key, a matrix that does not
+    decode, a point not strictly inside the unit disk, a word index out of
+    range) are reported as problems, not raised.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -519,6 +519,8 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
         P = _disk_point(cert["candidate"])
         o_prime = _disk_point(cert["o_prime"])
         memberships = [dict(m) for m in cert["memberships"]]
+    except OSError as exc:
+        return False, [f"certificate cannot be read: {type(exc).__name__}: {exc}"]
     except (KeyError, IndexError, TypeError, ValueError, GeometryError) as exc:
         return False, [f"certificate does not decode: {type(exc).__name__}: {exc}"]
     problems: list[str] = []

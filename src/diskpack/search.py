@@ -12,6 +12,7 @@ or wedges, of 2 pi / 3.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,16 +48,23 @@ def _families(
     max_families: int | None = None,
 ) -> list[tuple[float, float]]:
     """(distance, offset from the axis) of p's bananas, at the first
-    ``max_families`` distances that have one (all by default)."""
-    out = []
-    for d in dset.values:
-        if len(out) == max_families:
-            break
-        delta = displacement_offset(p.cls, d)
-        if delta is None or (max_offset is not None and delta > max_offset):
-            continue
-        out.append((d, delta))
-    return out
+    ``max_families`` distances that have one (all by default).
+
+    The offset grows with the distance, so the distances kept are one run
+    of the sorted values: from the first that p displaces some point by to
+    the last whose offset is within ``max_offset``.  Both ends are found by
+    bisection on displacement_offset's own results, and only the run's
+    offsets are computed."""
+    cls, values = p.cls, dset.values
+    lo = bisect.bisect_left(values, True, key=lambda d: displacement_offset(cls, d) is not None)
+    hi = len(values)
+    if max_offset is not None:  # every distance from lo on has an offset
+        hi = bisect.bisect_left(
+            values, True, lo, key=lambda d: displacement_offset(cls, d) > max_offset
+        )
+    if max_families is not None:
+        hi = min(hi, lo + max_families)
+    return [(d, displacement_offset(cls, d)) for d in values[lo:hi]]
 
 
 def bananas(

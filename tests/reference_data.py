@@ -1,10 +1,12 @@
 """Published reference data for the N=14 worked example (1-based polygons),
 and the oracles the fast paths are checked against: the per-matching
 pairing_between and the enumeration that lists every identification in both
-directions with it, for the one-entry-per-identification list L built from
-per-edge factors; the candidate generator with an object per banana
-curve, scalar line intersections, the edge-by-edge inside test on every
-point (reference_contains), a Python tuple per raw intersection and its
+directions with it, classifying each, for the one-entry-per-identification
+list L built from per-edge factors in one array pass with a trace screen;
+the loop that takes a banana offset at every distance, for the one that
+bisects for the run of distances kept; the candidate generator with an
+object per banana curve, scalar line intersections, the edge-by-edge
+inside test on every point (reference_contains), a Python tuple per raw intersection and its
 output sorted again, for the one that works in array passes; the scalar
 compatibility filter and the per-pairing compatibility loop for the screened compatibility kernel; the backtracker
 whose state is copied at every node (with its cycle re-trace), fed both
@@ -148,11 +150,10 @@ def reference_enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
                 continue
             for reversing in (False, True):
                 m = pairing_between(F, src, dst, reversing)
-                cls = classify(m)
                 want = GLIDE if reversing else HYPERBOLIC
-                if cls.tag != want:
+                if classify(m).tag != want:
                     continue
-                out.append(SidePairing(m, src, dst, reversing, cls))
+                out.append(SidePairing(m, src, dst, reversing))
     out.sort(key=SidePairing.sort_key)
     return out
 
@@ -482,6 +483,26 @@ def reference_compatibility_matrix(points, L, dset):
         hi = np.clip(idx, 0, len(vals) - 1)
         near = np.minimum(np.abs(vals[lo] - d), np.abs(vals[hi] - d))
         out[:, j] = near <= dset.match_tol
+    return out
+
+
+def reference_families(
+    p: SidePairing,
+    dset: DistanceSet,
+    max_offset: float | None = None,
+    max_families: int | None = None,
+) -> list[tuple[float, float]]:
+    """(distance, offset from the axis) of p's bananas, at the first
+    ``max_families`` distances that have one (all by default), taking the
+    offset at every distance in turn."""
+    out = []
+    for d in dset.values:
+        if len(out) == max_families:
+            break
+        delta = displacement_offset(p.cls, d)
+        if delta is None or (max_offset is not None and delta > max_offset):
+            continue
+        out.append((d, delta))
     return out
 
 

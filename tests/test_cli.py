@@ -85,6 +85,18 @@ def test_verify_subcommand(n14_cfg_path, completed_run, capsys):
     assert out["ok"] is True and out["problems"] == []
 
 
+def test_verify_reports_a_missing_certificate_and_creates_nothing(n14_cfg_path, tmp_path, capsys):
+    out = tmp_path / "absent" / "sub"
+    ok, problems = verify_certificate_file(str(out / "certificate.json"))
+    assert not ok and "cannot be read: FileNotFoundError" in problems[0]
+    assert main(["verify", "--config", n14_cfg_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ok"] is False and report["problems"] == problems
+    assert captured.err == ""
+    assert not (tmp_path / "absent").exists()
+
+
 def test_verify_detects_tampering(completed_run, tmp_path):
     cert = _read_json(os.path.join(completed_run, "certificate.json"))
     cert["memberships"][3]["word"] = cert["memberships"][3]["word"][:-1]

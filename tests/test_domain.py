@@ -30,7 +30,8 @@ from diskpack.domain import (
     find_pairing,
     pairing_json,
 )
-from diskpack.geom import Isometry, dist, midpoint
+from diskpack import domain as domain_module
+from diskpack.geom import Isometry, classify, dist, midpoint
 
 
 class TestBuildDomain:
@@ -318,6 +319,22 @@ class TestTileDiscs:
         _accepted_in_discs(F, pts, INSIDE_TOL)
 
 
+def _bits(p):
+    g = p.map
+    return (p.record, g.reversing, *(x.hex() for x in (g.a.real, g.a.imag, g.b.real, g.b.imag)))
+
+
+def _assert_equals_the_oracle(F):
+    """L is the oracle's entries from the smaller edge key to the larger, in
+    its order, maps bit for bit, and each class read lazily is classify's."""
+    L = enumerate_pairings(F)
+    forward = [p for p in reference_enumerate_pairings(F) if p.src.key < p.dst.key]
+    assert L and [_bits(p) for p in L] == [_bits(q) for q in forward]
+    for p, q in zip(L, forward):
+        assert "cls" not in vars(p)
+        assert p.cls == classify(q.map)
+
+
 class TestEnumeratePairings:
     def test_count_and_classes(self, n14):
         L = n14.L
@@ -334,9 +351,10 @@ class TestEnumeratePairings:
         e, p = n14.F.boundary[5], n14.L[17]
         assert e.key is e.key and e.key == (e.poly, e.edge)
         assert p.record is p.record and p.identification is p.identification
+        assert p.cls is p.cls and p.cls == classify(p.map)
         assert p.record == (p.reversing, p.src.poly, p.src.edge, p.dst.poly, p.dst.edge)
         assert [f.name for f in dataclasses.fields(e)] == ["poly", "edge", "endpoints", "carrier", "inward"]
-        assert [f.name for f in dataclasses.fields(p)] == ["map", "src", "dst", "reversing", "cls"]
+        assert [f.name for f in dataclasses.fields(p)] == ["map", "src", "dst", "reversing"]
         for old in (e, p):
             new = dataclasses.replace(old)
             assert new == old and hash(new) == hash(old) and "key" not in vars(new)
@@ -348,21 +366,45 @@ class TestEnumeratePairings:
         assert [p.record for p in n14.L] == [p.record for p in forward]
         for p, q in zip(n14.L, forward):
             assert (p.map.a, p.map.b, p.map.reversing) == (q.map.a, q.map.b, q.map.reversing)
-            assert p.cls == q.cls
+            assert p.cls == classify(q.map)
             assert (p.src, p.dst) == (q.src, q.dst)
         # no identification of the oracle is lost
         assert {p.identification for p in n14.L} == {p.identification for p in n14.L2}
 
-    @pytest.mark.parametrize("n", [12, 18, 24, 30])
+    @pytest.mark.parametrize("n", [7, 12, 18, 24, 30])
     def test_one_tile_domains_equal_the_oracle(self, n):
         # the per-edge factors give every map pairing_between gives, bit for bit
-        F = build_domain(n, [])
-        L = enumerate_pairings(F)
-        forward = [p for p in reference_enumerate_pairings(F) if p.src.key < p.dst.key]
-        assert L and [p.record for p in L] == [p.record for p in forward]
-        for p, q in zip(L, forward):
-            assert (p.map.a, p.map.b, p.map.reversing) == (q.map.a, q.map.b, q.map.reversing)
-            assert p.cls == q.cls
+        _assert_equals_the_oracle(build_domain(n, []))
+
+    @pytest.mark.parametrize(
+        "n, attachments",
+        [(9, [(0, 0)]), (8, [(0, 0), (0, 1)]), (10, [(0, 0), (0, 1)]), (14, [(0, 0), (0, 1)]),
+         (16, [(0, 0), (0, 8)])],
+    )
+    def test_assemblies_equal_the_oracle(self, n, attachments):
+        # the array pass composes each matching with Python's complex
+        # product, and the trace screen keeps what classify keeps
+        _assert_equals_the_oracle(build_domain(n, [Attachment(*a) for a in attachments]))
+
+    def test_screen_only_skips_classify(self, n14, monkeypatch):
+        # with an infinite margin every matching goes through classify and L
+        # is the same to the bit; with the default margin only the 90 vertex
+        # elliptics do, and each is dropped
+        calls = []
+
+        def counted(g, *args):
+            calls.append(g)
+            return classify(g, *args)
+
+        monkeypatch.setattr(domain_module, "classify", counted)
+        L = enumerate_pairings(n14.F)
+        assert len(calls) == 90
+        assert all(classify(g).tag == "elliptic" for g in calls)
+        calls.clear()
+        monkeypatch.setattr(domain_module, "SCREEN_MARGIN", math.inf)
+        everything = enumerate_pairings(n14.F)
+        assert len(calls) == len(n14.F.boundary) * (len(n14.F.boundary) - 1)
+        assert [_bits(p) for p in everything] == [_bits(p) for p in L] == [_bits(p) for p in n14.L]
 
     def test_no_entry_is_listed_in_both_directions(self, n14):
         records = {p.record for p in n14.L}

@@ -20,6 +20,7 @@ from reference_data import (
     reference_complete_pairing,
     reference_displacement,
     reference_enumerate_pairings,
+    reference_families,
     reference_links,
     solution_cycles,
     trace_cycles,
@@ -28,6 +29,7 @@ from diskpack import search
 from diskpack.domain import BoundarySlots, build_domain, enumerate_pairings, find_pairing
 from diskpack.geom import CoincidentCurves, Isometry, axis, dist
 from diskpack.pipeline import filter_candidates, lc_pairings, surface_topology
+from diskpack.render import BANANA_FAMILIES
 from diskpack.tess import DistanceSet, admissible_distances, log_sinh2
 from diskpack.search import (
     BLOCK_CELLS,
@@ -78,6 +80,20 @@ class TestBananas:
         full = bananas(n14.p1, n14.dset)
         pruned = bananas(n14.p1, n14.dset, max_offset=1.0)
         assert len(pruned) < len(full)
+
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_families_equal_the_reference_loop(self, n14, depth):
+        # the bisected run of distances is the one the loop over every
+        # distance keeps, under the offset bound candidates applies and
+        # under the cap the bananas figure applies
+        dset = n14.dset if depth == 5 else admissible_distances(14, depth)
+        for p in n14.L:
+            bound = search._domain_offset_bound(n14.F, axis(p.map))
+            got = search._families(p, dset, bound)
+            assert got and got == reference_families(p, dset, bound)
+            capped = search._families(p, dset, max_families=BANANA_FAMILIES)
+            assert len(capped) == BANANA_FAMILIES
+            assert capped == reference_families(p, dset, max_families=BANANA_FAMILIES)
 
     def test_max_families_builds_the_first_families_only(self, n14):
         for p in (n14.p1, n14.p2):
