@@ -170,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             return pipeline.run_pipeline(cfg, progress=log)
         if args.command == "verify":
             ok, problems = pipeline.verify_certificate_file(
-                os.path.join(out, "certificate.json"), config_hash=cfg.config_hash()
+                os.path.join(out, "certificate.json"), cfg
             )
             print(json.dumps({"ok": ok, "problems": problems}, indent=1))
             return pipeline.EXIT_OK if ok else pipeline.EXIT_ERROR

@@ -26,27 +26,33 @@ class ConfigError(ValueError):
     pass
 
 
+def _genus(n: int, k: int, orientable: bool) -> int | None:
+    """The genus k(N - 6) + 12 over 12 (orientable) or 6 (one-sided), or
+    None when that is not a whole number at least the class's floor, 2 or 3."""
+    denom, g_min = (12, 2) if orientable else (6, 3)
+    num = k * (n - 6) + 12
+    if num % denom != 0 or num // denom < g_min:
+        return None
+    return num // denom
+
+
 def primitive_pair(n: int, orientable: bool = False) -> tuple[int, int]:
     """Minimal (k, g) with (6g + 6k - 12)/k = n (12g + 6k - 12 orientable)."""
     if n not in RELEVANT_N:
         raise NotRelevantN(f"N={n} admits a unique extremal packing")
-    denom = 12 if orientable else 6
-    g_min = 2 if orientable else 3
     for k in range(1, 13):
-        num = k * (n - 6) + 12
-        if num % denom == 0 and num // denom >= g_min:
-            return k, num // denom
+        g = _genus(n, k, orientable)
+        if g is not None:
+            return k, g
     raise NotRelevantN(f"no primitive pair for N={n}")  # unreachable for listed N
 
 
-def genus_for(n: int, k: int, orientable: bool = False) -> int:
-    """Genus of the surface with a k-packing of N-gon tiles; raises if invalid."""
-    denom = 12 if orientable else 6
-    g_min = 2 if orientable else 3
-    num = k * (n - 6) + 12
-    if num % denom != 0 or num // denom < g_min:
+def genus_for(n: int, k: int) -> int:
+    """Genus of the one-sided surface with k N-gon tiles; raises if invalid."""
+    g = _genus(n, k, orientable=False)
+    if g is None:
         raise ConfigError(f"no valid genus for N={n}, k={k}")
-    return num // denom
+    return g
 
 
 # the scalar config keys and their JSON kinds (attachments and seed_pairs are structured)

@@ -1,13 +1,14 @@
 """Group membership and the automorphism certificate for a second packing.
 
 Membership of an isometry h in the group generated by a solution's side
-pairings is decided by fundamental-domain reduction: push h(basepoint) back
-into the domain greedily along generators; h is a member when the word
-found has a word_residual of at most WORD_TOL, the one test the run and
-verify_certificate_file share.  A half-turn about the midpoint of the
-obvious center and the hidden center normalizes the group exactly when it
-conjugates every generator back into the group; that is the certificate
-that an automorphism carries the obvious packing onto the hidden one.
+pairings is decided by fundamental-domain reduction: a best-first search
+over generator words brings h(basepoint) back into the domain; h is a
+member when the word found has a word_residual of at most WORD_TOL, the
+one test the run and verify_certificate_file share.  A half-turn about the
+midpoint of the obvious center and the hidden center normalizes the group
+exactly when it conjugates every generator back into the group; that is
+the certificate that an automorphism carries the obvious packing onto the
+hidden one.
 """
 
 from __future__ import annotations
@@ -25,17 +26,8 @@ from .search import PairingSolution
 WORD_TOL = 3e-9
 SWAP_TOL = 1e-8
 BASEPOINT_NUDGE = 0.001 + 0.0013j
-GREEDY_STEP_LIMIT = 4096
 BFS_DEPTH = 12
 BFS_NODE_LIMIT = 200_000
-
-
-class ReductionStalled(Exception):
-    """Neither greedy reduction nor bounded search brought the point home."""
-
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(message)
-        self.best_residual = best_residual
 
 
 @dataclass(frozen=True)
@@ -49,7 +41,7 @@ class GroupPresentation:
 class MembershipResult:
     word: tuple[int, ...]  # generator indices; h is a member when they compose to it
     residual: float  # word_residual of the word against h
-    strategy: str
+    strategy: str  # "immediate" when h(basepoint) lies in the domain, else "bfs"
 
 
 def group_from_solution(sol: PairingSolution, F: FundamentalDomain) -> GroupPresentation:
@@ -78,73 +70,36 @@ def word_residual(word, gens, h: Isometry) -> float:
 
 
 def reduce_to_domain(h: Isometry, G: GroupPresentation) -> MembershipResult:
-    """Find a word for h by fundamental-domain reduction.
-
-    Greedy phase: while the tracked point is outside the domain, apply the
-    generator whose image is strictly nearest the basepoint: walking the
-    generators in index order, take one whose distance is below the best
-    so far minus 1e-12.  If greedy stalls, fall back to best-first search
-    over generator words up to BFS_DEPTH.  The word inverts the letters
-    applied; its residual is word_residual against h, and h is a member
-    when that is at most WORD_TOL.
-    """
-    F, bp = G.domain, G.basepoint
-    w = h(bp)
-    applied: list[int] = []
-    strategy = "immediate"
-    cur = dist(bp, w)
-    steps = 0
-    stalled = False
-    while not F.contains(w):
-        strategy = "greedy"
-        best_i, best_d, best_w = -1, cur, w
-        for i, g in enumerate(G.generators):
-            gw = g(w)
-            d = dist(bp, gw)
-            if d < best_d - 1e-12:
-                best_i, best_d, best_w = i, d, gw
-        if best_i < 0 or steps >= GREEDY_STEP_LIMIT:
-            stalled = True
-            break
-        w, cur = best_w, best_d
-        applied.append(best_i)
-        steps += 1
-    if stalled:
-        strategy = "bfs"
-        _, applied = _best_first(h, G)
-    word = tuple(_inverse_index(i) for i in applied)
-    return MembershipResult(word, word_residual(word, G.generators, h), strategy)
-
-
-def _best_first(h: Isometry, G: GroupPresentation):
-    """Best-first search (by distance of the tracked point to the basepoint)
-    over words of at most BFS_DEPTH generators.
-
-    A node carries its parent's accumulated isometry and its own generator
-    index; the product is formed when the node is popped, from the same
-    operands as at the push, and only popped nodes need it.  The children's
+    """Find a word for h by fundamental-domain reduction: best-first search,
+    by distance of the tracked point to the basepoint, from h(basepoint)
+    until the point lies in the domain, over words of at most BFS_DEPTH
+    generators and BFS_NODE_LIMIT nodes.  The word inverts the letters
+    applied; its residual is word_residual against h, and h is a member when
+    that is at most WORD_TOL.  A search that runs out of nodes returns the
+    empty word, which that test fails.  A node carries its parent's letters
+    and its own generator index, joined when it is popped; the children's
     images and distances take Isometry.__call__'s and dist's operations
     inline, so every value, and with it the visiting order, is theirs.
     """
     F, bp = G.domain, G.basepoint
     start = h(bp)
     seen = {(round(start.real * 1e9), round(start.imag * 1e9))}
-    heap = [(dist(bp, start), 0, start, -1, Isometry.identity(), ())]
+    heap = [(dist(bp, start), 0, start, -1, ())]
     counter = 1
-    best_res = math.inf
     letters = [
         (i, g.a, g.b, g.b.conjugate(), g.a.conjugate(), g.reversing)
         for i, g in enumerate(G.generators)
     ]
+    word: tuple[int, ...] = ()
+    strategy = "immediate"
     while heap and counter < BFS_NODE_LIMIT:
-        _, _, w, last, acc, applied = heapq.heappop(heap)
+        _, _, w, last, applied = heapq.heappop(heap)
         if last >= 0:
-            acc, applied = G.generators[last] * acc, applied + (last,)
+            applied = applied + (last,)
         if F.contains(w):
-            return acc, list(applied)
-        res = (acc * h).matrix_dist(Isometry.identity())
-        if res < best_res:
-            best_res = res
+            word = tuple(_inverse_index(i) for i in applied)
+            break
+        strategy = "bfs"
         if len(applied) >= BFS_DEPTH:
             continue
         w_conj = w.conjugate()
@@ -156,12 +111,9 @@ def _best_first(h: Isometry, G: GroupPresentation):
                 continue
             seen.add(k)
             d = 2.0 * math.atanh(abs(bp - gw) / abs(1.0 - gw.conjugate() * bp))
-            heapq.heappush(heap, (d, counter, gw, i, acc, applied))
+            heapq.heappush(heap, (d, counter, gw, i, applied))
             counter += 1
-    raise ReductionStalled(
-        f"reduction exhausted {counter} nodes without reaching the domain",
-        best_res,
-    )
+    return MembershipResult(word, word_residual(word, G.generators, h), strategy)
 
 
 def second_neighbor_center(F: FundamentalDomain) -> complex:
@@ -185,20 +137,17 @@ def second_packing_certificate(P: complex, G: GroupPresentation) -> dict:
     The certificate passes when tau swaps P with O' (within SWAP_TOL) and
     conjugates every generator into the group: each conjugate's membership
     residual is at most WORD_TOL.  The walk over the generators stops at the
-    first residual that is not, or at a stalled reduction, so only a passing
-    certificate holds one membership per generator, in generator order.
+    first residual that is not, so only a passing certificate holds one
+    membership per generator, in generator order.
     """
     o_prime = second_neighbor_center(G.domain)
     tau = swapping_half_turn(P, o_prime)
     tau_inv = tau.inverse()
     passed = dist(tau(P), o_prime) <= SWAP_TOL
     results = []
-    try:
-        for g in G.generators:
-            results.append(reduce_to_domain(tau * g * tau_inv, G))
-            if not results[-1].residual <= WORD_TOL:
-                passed = False
-                break
-    except ReductionStalled:
-        passed = False
+    for g in G.generators:
+        results.append(reduce_to_domain(tau * g * tau_inv, G))
+        if not results[-1].residual <= WORD_TOL:
+            passed = False
+            break
     return {"candidate": P, "o_prime": o_prime, "memberships": results, "passed": passed}

@@ -255,15 +255,14 @@ def _solution_record(sol: PairingSolution, F: FundamentalDomain, pairing_index: 
 
 def _certificate_data(cert: dict, sol: PairingSolution, F: FundamentalDomain) -> dict:
     """A passing certificate: one membership per generator, in generator
-    order.  A membership's ``residual`` is the word_residual that passed it
-    and ``strategy`` how its word was found; verify_certificate_file
-    recomputes the one and reads neither."""
+    order.  A membership's ``residual`` is the word_residual that passed it;
+    verify_certificate_file recomputes it from the word and does not read
+    it."""
     return {
         "candidate": _cpx(cert["candidate"]),
         "o_prime": _cpx(cert["o_prime"]),
         "memberships": [
-            {"word": list(m.word), "residual": m.residual, "strategy": m.strategy}
-            for m in cert["memberships"]
+            {"word": list(m.word), "residual": m.residual} for m in cert["memberships"]
         ],
         "passed": cert["passed"],
         "solution": _solution_json(sol, F),
@@ -478,7 +477,7 @@ def _disk_point(xy) -> complex:
     return z
 
 
-def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[bool, list[str]]:
+def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tuple[bool, list[str]]:
     """Re-check a certificate artifact without re-running the search.
 
     The generators are the embedded solution's side pairings, each followed
@@ -490,13 +489,14 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
     SWAP_TOL; that there is one membership per generator, the i-th for
     generator i, whose word_residual against tau g_i tau^-1 is at most
     group.WORD_TOL, the test the run passed it by; that the passed flag is
-    JSON true; and, when ``config_hash`` is given, that the artifact was
-    made by that config.  A membership's ``residual`` and ``strategy`` are
-    the producer's record and are not read: the residual is recomputed from
-    the word.  A candidate equal to O' and malformed input (a file that
-    cannot be read or is not JSON, a missing key, a matrix that does not
-    decode, a point not strictly inside the unit disk, a word index out of
-    range) are reported as problems, not raised.
+    JSON true; and, when ``cfg`` is given, that the artifact was made by
+    that config and that O' lies within SWAP_TOL of the config's
+    second_neighbor_center.  A membership's ``residual`` is the producer's
+    record and is not read: it is recomputed from the word.  A candidate
+    equal to O' and malformed input (a file that cannot be read or is not
+    JSON, a missing key, a matrix that does not decode, a point not
+    strictly inside the unit disk, a word index out of range) are reported
+    as problems, not raised.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -524,10 +524,15 @@ def verify_certificate_file(path: str, config_hash: str | None = None) -> tuple[
     except (KeyError, IndexError, TypeError, ValueError, GeometryError) as exc:
         return False, [f"certificate does not decode: {type(exc).__name__}: {exc}"]
     problems: list[str] = []
-    if config_hash is not None and cert.get("config_hash") != config_hash:
-        problems.append(
-            f"config hash {cert.get('config_hash')} is not the configuration's {config_hash}"
-        )
+    if cfg is not None:
+        config_hash = cfg.config_hash()
+        if cert.get("config_hash") != config_hash:
+            problems.append(
+                f"config hash {cert.get('config_hash')} is not the configuration's {config_hash}"
+            )
+        expected = second_neighbor_center(stage_domain(cfg))
+        if not dist(o_prime, expected) <= SWAP_TOL:
+            problems.append(f"O' is not the configuration's second-neighbor center {_cpx(expected)}")
     gens = [g for p in sides for g in (p, p.inverse())]
     twice = sorted({e for e in edges if edges.count(e) > 1})
     if twice:

@@ -54,10 +54,8 @@ from diskpack.geom import (
 from diskpack.group import (
     BFS_DEPTH,
     BFS_NODE_LIMIT,
-    GREEDY_STEP_LIMIT,
     GroupPresentation,
     MembershipResult,
-    ReductionStalled,
     _inverse_index,
     word_residual,
 )
@@ -731,46 +729,13 @@ def reference_reduce_to_domain(
     G: GroupPresentation,
     bfs_depth: int = BFS_DEPTH,
 ) -> MembershipResult:
-    """Decide membership of h in the group by fundamental-domain reduction.
-
-    Greedy phase: while the tracked point is outside the domain, apply the
-    generator whose image is strictly nearest the basepoint.  If greedy
-    stalls, fall back to best-first search over generator words up to
-    ``bfs_depth``.  The result's residual is the word's word_residual
+    """Find a word for h by best-first search (by distance of the tracked
+    point to the basepoint) over generator words up to ``bfs_depth``, each
+    child's point and distance from Isometry.__call__ and dist and its
+    letters joined when it is pushed.  A search that runs out of nodes gives
+    the empty word.  The result's residual is the word's word_residual
     against h.
     """
-    F, bp = G.domain, G.basepoint
-    w = h(bp)
-    acc = Isometry.identity()
-    applied: list[int] = []
-    strategy = "immediate"
-    cur = dist(bp, w)
-    steps = 0
-    stalled = False
-    while not F.contains(w):
-        strategy = "greedy"
-        best_i, best_d, best_w = -1, cur, w
-        for i, g in enumerate(G.generators):
-            gw = g(w)
-            d = dist(bp, gw)
-            if d < best_d - 1e-12:
-                best_i, best_d, best_w = i, d, gw
-        if best_i < 0 or steps >= GREEDY_STEP_LIMIT:
-            stalled = True
-            break
-        w, cur = best_w, best_d
-        acc = G.generators[best_i] * acc
-        applied.append(best_i)
-        steps += 1
-    if stalled:
-        strategy = "bfs"
-        acc, applied = reference_best_first(h, G, bfs_depth)
-    word = tuple(_inverse_index(i) for i in applied)
-    return MembershipResult(word, word_residual(word, G.generators, h), strategy)
-
-
-def reference_best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
-    """Best-first search (by distance of the tracked point to the basepoint)."""
     F, bp = G.domain, G.basepoint
     start = h(bp)
     seen: set[tuple[int, int]] = set()
@@ -778,18 +743,18 @@ def reference_best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
     def key(z: complex) -> tuple[int, int]:
         return (round(z.real * 1e9), round(z.imag * 1e9))
 
-    heap = [(dist(bp, start), 0, start, Isometry.identity(), ())]
+    heap = [(dist(bp, start), 0, start, ())]
     seen.add(key(start))
     counter = 1
-    best_acc, best_res = Isometry.identity(), math.inf
+    word: tuple[int, ...] = ()
+    strategy = "immediate"
     while heap and counter < BFS_NODE_LIMIT:
-        d, _, w, acc, applied = heapq.heappop(heap)
+        _, _, w, applied = heapq.heappop(heap)
         if F.contains(w):
-            return acc, list(applied)
-        res = (acc * h).matrix_dist(Isometry.identity())
-        if res < best_res:
-            best_res = res
-        if len(applied) >= depth_cap:
+            word = tuple(_inverse_index(i) for i in applied)
+            break
+        strategy = "bfs"
+        if len(applied) >= bfs_depth:
             continue
         for i, g in enumerate(G.generators):
             gw = g(w)
@@ -797,11 +762,6 @@ def reference_best_first(h: Isometry, G: GroupPresentation, depth_cap: int):
             if k in seen:
                 continue
             seen.add(k)
-            heapq.heappush(
-                heap, (dist(bp, gw), counter, gw, g * acc, applied + (i,))
-            )
+            heapq.heappush(heap, (dist(bp, gw), counter, gw, applied + (i,)))
             counter += 1
-    raise ReductionStalled(
-        f"reduction exhausted {counter} nodes without reaching the domain",
-        best_res,
-    )
+    return MembershipResult(word, word_residual(word, G.generators, h), strategy)

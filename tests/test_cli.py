@@ -71,10 +71,10 @@ def test_artifacts_embed_provenance(completed_run):
 def test_certificate_artifact_passes(completed_run):
     cert = _read_json(os.path.join(completed_run, "certificate.json"))
     assert cert["passed"] is True
-    # one membership per generator, in generator order, with the reduction's
-    # record beside the word
+    # one membership per generator, in generator order, with the word's
+    # residual beside it
     assert len(cert["memberships"]) == 36
-    assert all(sorted(m) == ["residual", "strategy", "word"] for m in cert["memberships"])
+    assert all(sorted(m) == ["residual", "word"] for m in cert["memberships"])
     P, o_prime = complex(*cert["candidate"]), complex(*cert["o_prime"])
     assert dist(swapping_half_turn(P, o_prime)(P), o_prime) <= SWAP_TOL
 
@@ -217,12 +217,29 @@ def test_verify_checks_the_config_hash(n14_cfg_path, completed_run, tmp_path, ca
     out = _forged(completed_run, tmp_path, forge)
     path = os.path.join(out, "certificate.json")
     assert verify_certificate_file(path) == (True, [])  # no hash to compare with
-    expected = load_config(n14_cfg_path).config_hash()
-    ok, problems = verify_certificate_file(path, config_hash=expected)
+    ok, problems = verify_certificate_file(path, load_config(n14_cfg_path))
     assert not ok and "config hash" in problems[0]
     assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
+
+
+def test_verify_checks_o_prime_against_the_config(n14_cfg_path, completed_run, tmp_path, capsys):
+    # the half-turn about the midpoint is the same whichever point is O', so
+    # a certificate that passes the candidate off as O' verifies on its own;
+    # only the config's second-neighbor center tells the two apart
+    def forge(cert):
+        cert["candidate"], cert["o_prime"] = cert["o_prime"], cert["candidate"]
+
+    out = _forged(completed_run, tmp_path, forge)
+    path = os.path.join(out, "certificate.json")
+    assert verify_certificate_file(path) == (True, [])  # no config to compare with
+    ok, problems = verify_certificate_file(path, load_config(n14_cfg_path))
+    assert not ok and len(problems) == 1
+    assert "is not the configuration's second-neighbor center" in problems[0]
+    assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["problems"] == problems
 
 
 @pytest.mark.parametrize(
@@ -644,7 +661,9 @@ def test_one_tile_auto_mode_runs_and_verifies(n, attachments, last, point, tmp_p
 def test_near_misses_fail_by_a_wide_margin(tmp_path, monkeypatch, capsys):
     # an N = 8 seed pair whose attempts include four near misses: words that
     # miss their conjugated generators by 7.5e-8 to 8.9e-8 relative, each
-    # 25x or more above WORD_TOL, while passing certificates stay below 1e-10
+    # 25x or more above WORD_TOL, while passing certificates stay below 1e-10;
+    # the other attempts miss by far more, and every attempt's worst word
+    # is checked
     attempts = []
     certify = pipeline.second_packing_certificate
 
@@ -665,19 +684,13 @@ def test_near_misses_fail_by_a_wide_margin(tmp_path, monkeypatch, capsys):
         "no certificate for this seed pair after 8 attempts"
     )
     assert len(attempts) == 8
-    checked = 0
     for P, G in attempts:
         tau = swapping_half_turn(P, group.second_neighbor_center(G.domain))
         tau_inv = tau.inverse()
-        try:
-            worst = max(
-                group.reduce_to_domain(tau * g * tau_inv, G).residual for g in G.generators
-            )
-        except group.ReductionStalled:
-            continue
+        worst = max(
+            group.reduce_to_domain(tau * g * tau_inv, G).residual for g in G.generators
+        )
         assert worst >= 20 * WORD_TOL
-        checked += 1
-    assert checked > 0
 
 
 def test_auto_mode_writes_each_artifact_once(tmp_path, monkeypatch, capsys):

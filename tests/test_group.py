@@ -10,7 +10,6 @@ from diskpack.group import (
     BASEPOINT_NUDGE,
     SWAP_TOL,
     WORD_TOL,
-    ReductionStalled,
     group_from_solution,
     reduce_to_domain,
     second_neighbor_center,
@@ -172,12 +171,8 @@ class TestCertificate:
 
 
 def _outcome(reduce, h, G, **kwargs):
-    """A reduction's result with its residual's bits, or the stall with the
-    best residual it reports."""
-    try:
-        res = reduce(h, G, **kwargs)
-    except ReductionStalled as exc:
-        return ("stalled", exc.best_residual.hex())
+    """A reduction's result with its residual's bits."""
+    res = reduce(h, G, **kwargs)
     return (res, res.residual.hex())
 
 
@@ -193,7 +188,7 @@ def _check_attempt(P, G, gens) -> bool:
         h = tau * g * tau_inv
         got = _outcome(reduce_to_domain, h, G)
         assert got == _outcome(reference_reduce_to_domain, h, G)
-        if got[0] == "stalled" or not got[0].residual <= WORD_TOL:
+        if not got[0].residual <= WORD_TOL:
             return False
     return True
 
@@ -223,8 +218,9 @@ def depth3_attempts():
 
 
 class TestReductionOracle:
-    """The screened greedy step and the pop-time composition decide exactly
-    as the reduction that scans every generator (tests/reference_data.py)."""
+    """The search with inline images and pop-time words decides exactly as
+    the one that calls Isometry.__call__ and dist and builds each word at
+    its push (tests/reference_data.py)."""
 
     def test_every_depth3_certificate_attempt(self, n14, depth3_attempts):
         assert len(depth3_attempts) == 63
@@ -240,13 +236,16 @@ class TestReductionOracle:
                 break
         assert passed[-1] and len(passed) > 1
 
-    def test_stall_reports_the_same_best_residual(self, n14_solution, monkeypatch):
-        # reduce_to_domain reads the depth cap at call time
+    def test_stall_returns_the_empty_word_that_fails(self, n14_solution, monkeypatch):
+        # reduce_to_domain reads the depth cap at call time; a search that
+        # runs out of nodes does not raise, its empty word fails the residual
         monkeypatch.setattr(group, "BFS_DEPTH", 1)
         G = n14_solution.group
         h = elliptic_about(0.9 + 0j, math.pi)
         got = _outcome(reduce_to_domain, h, G)
-        assert got[0] == "stalled"
+        assert got[0].word == () and got[0].strategy == "bfs"
+        assert got[0].residual > WORD_TOL
+        assert got[0].residual == word_residual((), G.generators, h)
         assert got == _outcome(reference_reduce_to_domain, h, G, bfs_depth=1)
 
     def test_basepoint_depends_only_on_domain_and_nudge(self, n14, n14_solution):
