@@ -312,6 +312,12 @@ def _line_intersections(b1: _Curves, b2: _Curves):
     return np.concatenate(pts), np.concatenate(i1), np.concatenate(i2)
 
 
+# p1's curves from the last candidates call, with the p1, dset and F they
+# came from (held here, so no other object can take their ids): auto mode
+# tries every later entry of L as p2 against one p1
+_p1_curves: tuple = (None, None, None, None)
+
+
 def candidates(
     p1: SidePairing,
     p2: SidePairing,
@@ -328,11 +334,16 @@ def candidates(
     points near some tile), and a stable sort by (re, im) orders them.  Of
     points within ``dedup`` of an earlier kept one only the first is kept;
     only runs of sorted points whose real parts lie within ``dedup`` of the
-    previous one need that check.
+    previous one need that check.  p1's curves are those of the previous
+    call when it got the same p1, dset and F objects.
     """
+    global _p1_curves
     if p1.record == p2.record:
         raise ValueError("seed pairings must be distinct")
-    b1 = _banana_curves(p1, dset, F)
+    q1, qd, qF, b1 = _p1_curves
+    if not (q1 is p1 and qd is dset and qF is F):
+        b1 = _banana_curves(p1, dset, F)
+        _p1_curves = (p1, dset, F, b1)
     b2 = _banana_curves(p2, dset, F)
     pieces = []
     hit = _circle_pair_intersections(b1.center, b1.radius, b2.center, b2.radius)
@@ -371,8 +382,9 @@ def candidates(
 BLOCK_CELLS = 1 << 14
 # points this close to the unit circle skip the screen: rounding in both
 # displacement formulas grows like 1 / (1 - r^2)^2 there (over L at N = 14
-# the screen's l and the exact d's l part by up to 1.6e-7 at 1 - r^2 = 1e-2,
-# 1.7e-5 at 1e-3 and 0.11 at 1e-5, against a bin width of at least 1e-4)
+# the screen's u^2 and the exact d's part by a relative 1.8e-7 at
+# 1 - r^2 = 1e-2, 1.8e-5 at 1e-3 and 0.17 at 1e-5, against the 6.1e-5 the
+# screen allows)
 SCREEN_MIN_GAP = 1e-2
 
 
@@ -437,13 +449,14 @@ def compatibility_matrix(
        (_numerator_coefficients) come from two small matrix products,
        coefficients (pairings x 6) times monomials already divided by
        1 - r^2 (6 x points).  Their squares sum to u^2 = sinh^2(d/2), and
-       tess.AdmissibilityTable.screen looks l = log u^2 up in its bins: no
-       complex division, artanh or abs per cell.  It is sound while l stays
-       within a bin width w >= 1e-4 of the exact d's l (the table's
-       docstring has the argument); over every cell of the N = 14 depth-5
-       matrix the two part by at most 2.9e-11.  At N = 14 it keeps about
-       1 % of the cells at depth 3 and 3 % at depth 5.  Points within
-       SCREEN_MIN_GAP of the unit circle skip it.
+       tess.AdmissibilityTable.screen looks u^2 up by the key its IEEE-754
+       bits give: no logarithm, complex division, artanh or abs per cell,
+       and one clipped lookup.  It is sound while u^2 stays within a
+       relative 2^-(tess.SCREEN_BITS + 1) = 6.1e-5 of the exact d's (the
+       table's docstring has the argument); over every cell of the N = 14
+       depth-5 matrix the two part by a relative 2.9e-11 at most.  At
+       N = 14 it keeps about 1.0 % of the cells at depth 3 and 2.7 % at
+       depth 5.  Points within SCREEN_MIN_GAP of the unit circle skip it.
     2. The exact decision.  The kept cells are gathered and decided as the
        per-pairing loop decides them: the same displacement formula,
        operation for operation, then the exact rule.  Kept cells wait until
@@ -464,15 +477,17 @@ def compatibility_matrix(
     ws = np.stack([zs, np.conj(zs)])  # w of a cell is ws[reversing, point]
     coef = _numerator_coefficients(a, b, reversing)
     mono, near_circle = _screen_monomials(zs)
+    any_near = near_circle.any()
     rows = min(len(zs), BLOCK_CELLS)
     per_block = max(1, BLOCK_CELLS // rows)
     u = np.empty((2, per_block, rows))
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    # kept cells as col * len(zs) + row: a block holds whole columns
+    # (r0 = 0) or part of one, so its cells count on from c0 * len(zs) + r0
+    kept: list[np.ndarray] = []
     waiting = 0
 
     def decide():
-        row = np.concatenate([r for r, _ in kept])
-        col = np.concatenate([c for _, c in kept])
+        col, row = np.divmod(np.concatenate(kept), len(zs))
         kept.clear()
         ok = _admissible_cells(zs[row], ws[reversing[col], row], a[col], b[col], table)
         out[row[ok], col[ok]] = True
@@ -482,18 +497,19 @@ def compatibility_matrix(
             c1 = min(c0 + per_block, n)
             for r0 in range(0, len(zs), rows):
                 r1 = min(r0 + rows, len(zs))
-                re, im = u[0, : c1 - c0, : r1 - r0], u[1, : c1 - c0, : r1 - r0]
+                block = u[:, : c1 - c0, : r1 - r0]
+                re, im = block
                 np.matmul(coef[c0:c1], mono[:, r0:r1], out=re)
                 np.matmul(coef[n + c0 : n + c1], mono[:, r0:r1], out=im)
-                np.square(re, out=re)
-                np.square(im, out=im)
+                np.square(block, out=block)
                 re += im
-                np.log(re, out=re)
                 check = table.screen(re)
-                check[:, near_circle[r0:r1]] = True
-                col, row = np.divmod(np.flatnonzero(check), r1 - r0)
-                kept.append((row + r0, col + c0))
-                waiting += row.size
+                if any_near:
+                    check[:, near_circle[r0:r1]] = True
+                cells = np.flatnonzero(check)
+                cells += c0 * len(zs) + r0
+                kept.append(cells)
+                waiting += cells.size
                 if waiting >= BLOCK_CELLS // 4:
                     decide()
                     waiting = 0

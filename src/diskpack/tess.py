@@ -129,43 +129,63 @@ class DistanceSet:
         return self.values[best]
 
 
-# the screen never has more than this many bins; a small match_tol widens them
-TABLE_MAX_BINS = 1 << 18
+# the screen cuts each binade of u^2 = sinh^2(d/2) into 2^SCREEN_BITS bins
+SCREEN_BITS = 13
+# u^2 below this (d below about 5e-10) shares the bottom bin, whatever
+# match_tol is, which bounds the table at a few hundred thousand entries
+SCREEN_FLOOR = 2.0**-64
+# added to the bits of u^2 before the shift: +inf's bits become the largest
+# int64, and a NaN's, of either sign, wrap round below every table key
+_NAN_WRAP = (1 << 52) - 1
 
 
-def log_sinh2(d):
-    """l = log sinh^2(d/2), the screen's coordinate for a distance d; -inf at
-    d <= 0."""
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.log(np.sinh(0.5 * np.maximum(d, 0.0)))
+def sinh2_half(d):
+    """u^2 = sinh^2(d/2), the screen's coordinate for a distance d >= 0."""
+    return np.sinh(0.5 * np.asarray(d, dtype=float)) ** 2
+
+
+def _keys(bits: np.ndarray) -> np.ndarray:
+    """The bin keys of doubles u^2 from their IEEE-754 bits (an int64 view),
+    in place."""
+    bits += _NAN_WRAP
+    bits >>= 52 - SCREEN_BITS
+    return bits
 
 
 class AdmissibilityTable:
     """The admissibility rule |v - d| <= match_tol over arrays of d, and a
-    binned screen that rules most displacements out before d is computed.
+    screen that rules most displacements out before d is computed.
 
     The exact rule (calling the table) takes the nearest value by
     searchsorted, as DistanceSet.is_admissible does by bisection.
 
-    The screen works on l = log sinh^2(d/2), which the closed form of a
+    The screen works on u^2 = sinh^2(d/2), which the closed form of a
     displacement gives without a division or artanh per cell
-    (search.compatibility_matrix).  The l axis is cut into uniform bins of
-    width w = match_tol, wider when that would take more than TABLE_MAX_BINS
-    bins.  Each interval [v - tol, v + tol] maps to [l(v - tol), l(v + tol)]
-    (an end <= 0 to -inf, clamped into bin 0); the bins that range meets,
-    and one more on either side, are "check", all others "out".  So every l
-    within w of an admissible value's l lies in a check bin, up to a few ulp
-    of rounding in the bin index.
+    (search.compatibility_matrix), and bins it by its IEEE-754 bits: the key
+    of u^2 >= 0 is (bits + 2^52 - 1) >> (52 - SCREEN_BITS).  It never
+    decreases as u^2 grows, and it cuts every binade [2^e, 2^(e+1)] into
+    2^SCREEN_BITS bins of width 2^(e - SCREEN_BITS), so a bin spans a
+    relative 2^-SCREEN_BITS at most.  The added 2^52 - 1 moves each bin's
+    edge by one ulp, keeps +inf the largest key and sends a NaN below every
+    table key.  Each interval [max(v - tol, 0), v + tol] maps to its u^2
+    ends; their keys, and one more on either side, are "check", all others
+    "out".  The table holds the keys from the lowest interval end that is
+    not 0 (nor below SCREEN_FLOOR) to one past the highest, and a lookup
+    clips to it: the bottom bin, which holds u^2 = 0, NaN and the interval
+    around v = 0, is check, and the top bin, which holds +inf and every u^2
+    beyond the last interval, is out.
 
-    The screen is therefore sound whenever the screen's l~ lies within w of
-    l(d) for the d that the exact rule is given: a cell it leaves out fails
-    the exact rule.  As dl/dd = coth(d/2) >= 1, an l-bin spans at most w in
-    d, and an error in l is the larger one: |d~ - d| = |l~ - l(d)| tanh(d/2)
-    to first order.  Over all 816 x 1170 cells of the N = 14 depth-5 matrix
-    both errors peak at 2.9e-11, against w >= 1e-4; the exact formula's
-    artanh at the largest d sets that figure.  The interval around v = 0
-    reaches bin 0, where l = -inf (u = 0, a fixed point), NaN and every l
-    below the first bin land.
+    The screen is sound whenever its u~^2 lies within a relative
+    2^-(SCREEN_BITS + 1) of u^2 for the d that the exact rule is given: a
+    cell it leaves out fails the exact rule.  A bin of binade e is
+    2^(e - SCREEN_BITS) wide and holds no value above 2^(e+1), so such a
+    move crosses at most one bin edge, also down from 2^e into the half as
+    wide bins of binade e - 1; the interval ends' u^2 are rounded by a few
+    ulp only.  As d(u^2)/u^2 = coth(d/2) dd, a bin spans at most
+    2^-SCREEN_BITS = 1.2e-4 in d.  Over all 816 x 1170 cells of the
+    N = 14 depth-5 matrix the relative error of u~^2 peaks at 2.9e-11,
+    against 2^-(SCREEN_BITS + 1) = 6.1e-5; the exact formula's artanh at
+    the largest d sets that figure.
     """
 
     def __init__(self, dset: DistanceSet):
@@ -173,33 +193,32 @@ class AdmissibilityTable:
         tol = dset.match_tol
         self.values = vals
         self.match_tol = tol
-        lo, hi = log_sinh2(vals - tol), log_sinh2(vals + tol)
-        ends = np.concatenate([lo, hi])
-        ends = ends[np.isfinite(ends)]
-        self.width = max(tol, (ends.max() - ends.min()) / TABLE_MAX_BINS)
-        self.origin = ends.min() - 2.0 * self.width
-        self.last = int((ends.max() - self.origin) / self.width) + 2
-        # each interval's bins and one more on either side, bins first[i] ..
-        # first[i] + count[i] - 1, as one index array
-        first = self._bin(lo) - 1
-        count = self._bin(hi) + 2 - first
+        lo = np.maximum(vals - tol, 0.0)
+        first = _keys(sinh2_half(lo).view(np.int64)) - 1
+        last = _keys(sinh2_half(vals + tol).view(np.int64)) + 1
+        floor = _keys(np.array([SCREEN_FLOOR]).view(np.int64))[0]
+        # intervals that reach 0 lie in the bottom bin up to their last key
+        self.origin = max(int(np.where(lo > 0.0, first, last).min()), int(floor))
+        first = np.maximum(first - self.origin, 0)
+        last = np.maximum(last - self.origin, 0)
+        # the intervals come sorted, so overlapping key ranges are runs of
+        # neighbours; each run's keys, runs first[s] .. last[e], as one index
+        # array
+        s = np.flatnonzero(np.concatenate(([True], first[1:] > last[:-1] + 1)))
+        e = np.append(s[1:] - 1, len(vals) - 1)
+        count = last[e] + 1 - first[s]
         before = np.cumsum(count) - count
-        bins = np.repeat(first - before, count) + np.arange(count.sum())
-        check = np.zeros(self.last + 1, dtype=bool)
-        check[np.maximum(bins, 0)] = True
+        keys = np.repeat(first[s] - before, count) + np.arange(count.sum())
+        check = np.zeros(int(last[-1]) + 2, dtype=bool)
+        check[keys] = True
+        check[0] = True
         self.check = check
 
-    def _bin(self, l: np.ndarray) -> np.ndarray:
-        k = (l - self.origin) / self.width
-        return np.clip(k, 0.0, float(self.last)).astype(np.intp)
-
-    def screen(self, l: np.ndarray) -> np.ndarray:
-        """True where l = log sinh^2(d/2) lies in a check bin; overwrites l."""
-        l -= self.origin
-        l *= 1.0 / self.width
-        np.fmax(l, 0.0, out=l)  # fmax sends NaN to bin 0
-        np.fmin(l, float(self.last), out=l)
-        return self.check[l.astype(np.intp)]
+    def screen(self, u2: np.ndarray) -> np.ndarray:
+        """True where u2 = sinh^2(d/2) lies in a check bin; overwrites u2."""
+        k = _keys(u2.view(np.int64))
+        k -= self.origin
+        return np.take(self.check, k, mode="clip")
 
     def __call__(self, d: np.ndarray) -> np.ndarray:
         d = np.asarray(d, dtype=float)

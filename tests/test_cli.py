@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from diskpack import group, pipeline, render
+from diskpack import group, pipeline, render, search
 from diskpack.cli import main
 from diskpack.config import PipelineConfig, load_config
 from diskpack.domain import find_pairing
@@ -656,6 +656,35 @@ def test_one_tile_auto_mode_runs_and_verifies(n, attachments, last, point, tmp_p
     code = main(["verify", "--config", str(path), "--out", out])
     report = json.loads(capsys.readouterr().out)
     assert report["problems"] == [] and report["ok"] is True and code == 0
+
+
+def test_auto_mode_builds_p1s_curves_once(tmp_path, monkeypatch, capsys):
+    # N = 8, k = 3 auto mode certifies at its 257th seed pair; L has 252
+    # entries, so those pairs take p1 from L[0] and L[1]: each p1's curves
+    # are built once, 259 builds in all against 514, and the run writes
+    # what a run that builds every seed's curves afresh writes, byte for
+    # byte
+    path = tmp_path / "k8.json"
+    path.write_text(json.dumps({"n": 8, "attachments": _K3, "depth": 3, "limit": 16}))
+    build = search._banana_curves
+    calls, logs, files = {}, {}, {}
+    for name in ("memo", "fresh"):
+        calls[name] = 0
+
+        def counting(p, dset, F, name=name):
+            calls[name] += 1
+            if name == "fresh":
+                monkeypatch.setattr(search, "_p1_curves", (None,) * 4)
+            return build(p, dset, F)
+
+        monkeypatch.setattr(search, "_banana_curves", counting)
+        out = tmp_path / name
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        logs[name] = capsys.readouterr()
+        files[name] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    assert calls == {"memo": 259, "fresh": 514}
+    assert logs["memo"].err == logs["fresh"].err
+    assert files["memo"] == files["fresh"] and "certificate.json" in files["memo"]
 
 
 def test_near_misses_fail_by_a_wide_margin(tmp_path, monkeypatch, capsys):

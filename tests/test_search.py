@@ -30,7 +30,7 @@ from diskpack.domain import BoundarySlots, build_domain, enumerate_pairings, fin
 from diskpack.geom import CoincidentCurves, Isometry, axis, dist
 from diskpack.pipeline import filter_candidates, lc_pairings, surface_topology
 from diskpack.render import BANANA_FAMILIES
-from diskpack.tess import DistanceSet, admissible_distances, log_sinh2
+from diskpack.tess import SCREEN_BITS, DistanceSet, admissible_distances, sinh2_half
 from diskpack.search import (
     BLOCK_CELLS,
     InvalidCellStructure,
@@ -133,6 +133,25 @@ class TestCandidates:
     def test_same_seed_rejected(self, n14):
         with pytest.raises(ValueError):
             candidates(n14.p1, n14.p1, n14.dset, n14.F)
+
+    def test_p1s_curves_follow_p1_dset_and_domain(self, n14):
+        # one p1 against two p2 on the central tile alone, then on the whole
+        # domain, then with more distances, then with another p1, each after
+        # the other: every call gives what the reference generator gives
+        # from scratch; curves kept from a smaller domain or distance set
+        # would miss points
+        dset3 = admissible_distances(14, 3)
+        tile = build_domain(14, [], frame=Isometry.rotation(-math.pi / 2))
+        q1, q2, q3 = n14.L[5], n14.L[40], n14.L[300]
+        calls = [(q1, q2, dset3, tile), (q1, q3, dset3, tile), (q1, q2, dset3, n14.F),
+                 (q1, q2, n14.dset, n14.F), (q3, q2, n14.dset, n14.F)]
+        sizes = []
+        for p1, p2, dset, F in calls:
+            got = candidates(p1, p2, dset, F)
+            assert got == reference_candidates(p1, p2, dset, F)
+            sizes.append(len(got))
+        assert search._p1_curves[:3] == (q3, n14.dset, n14.F)
+        assert sizes[0] < sizes[2] < sizes[3]
 
     # two pairings whose axes coincide: every banana of one is a banana of
     # the other
@@ -240,6 +259,17 @@ class TestCompatibilityKernel:
         assert m.shape == (816, len(n14.L)) and m.flags.c_contiguous
         assert np.array_equal(m, reference_compatibility_matrix(pts, n14.L, n14.dset))
 
+    def test_more_points_than_a_block(self, n14, rng):
+        # a block then holds part of one column: the cells it keeps count on
+        # from the column's start plus the block's first row
+        pts = [random_point(rng, 0.95) for _ in range(BLOCK_CELLS + 700)]
+        sub = n14.L[::40]
+        dset = admissible_distances(14, 3)
+        m = compatibility_matrix(pts, sub, dset)
+        want = reference_compatibility_matrix(pts, sub, dset)
+        assert np.array_equal(m, want)
+        assert want[BLOCK_CELLS:].any() and want[:BLOCK_CELLS].any()
+
     @pytest.mark.parametrize("pair", range(3))
     def test_depth3_seed_pairs(self, n14, pair):
         dset = admissible_distances(14, 3)
@@ -301,8 +331,8 @@ class TestCompatibilityKernel:
 
 class TestCompatibilityScreen:
     """The screened kernel against the per-pairing loop where the screen
-    could go wrong: at the interval ends, at other bin widths, near and
-    beyond the unit circle, and below the first bin."""
+    could go wrong: at the interval ends, at other tolerances, near and
+    beyond the unit circle, and in the bottom bin."""
 
     @staticmethod
     def _straddling_cells(L, dset, rng, pairings=40):
@@ -330,7 +360,8 @@ class TestCompatibilityScreen:
     @pytest.mark.parametrize("depth", [3, 5])
     @pytest.mark.parametrize("tol", [1e-4, 0.3, 1e-9])
     def test_random_and_straddling_points(self, n14, rng, depth, tol):
-        # 0.3 merges neighbouring intervals; 1e-9 widens the bins
+        # 0.3 merges neighbouring intervals; at 1e-9 the interval around
+        # v = 0 reaches far down the table
         dset = n14.dset if depth == 5 else admissible_distances(14, 3)
         dset = dataclasses.replace(dset, match_tol=tol)
         cells = self._straddling_cells(n14.L, dset, rng)
@@ -364,8 +395,8 @@ class TestCompatibilityScreen:
     @pytest.mark.parametrize("gap", [1e-5, 1e-7])
     def test_points_near_the_circle_skip_the_screen(self, n14, gap):
         # every finite displacement of the first point is an admissible
-        # value; there the screen's l misses the exact d's l by far more
-        # than a bin width, so these rows must go to the exact rule
+        # value; there the screen's u^2 misses the exact d's by far more
+        # than a relative half bin, so these rows must go to the exact rule
         assert gap < SCREEN_MIN_GAP
         pts = np.sqrt(1.0 - gap) * np.exp(1j * np.array([0.3, 1.1, 2.5]))
         with np.errstate(all="ignore"):
@@ -379,9 +410,9 @@ class TestCompatibilityScreen:
         assert want[0].sum() == len(first) > 100
 
     def test_displacements_below_the_first_bin(self, n14):
-        # the identity fixes every point (u = 0, l = -inf) and a short
-        # translation moves the origin by 1e-7: both are admissible by
-        # v = 0, and their l lies below every interval end but v = 0's
+        # the identity fixes every point (u^2 = 0) and a short translation
+        # moves the origin by 1e-7: both are admissible by v = 0, and their
+        # u^2 lies in the bottom bin, below every interval end but v = 0's
         near = [
             dataclasses.replace(n14.L[0], map=Isometry.identity()),
             dataclasses.replace(n14.L[1], map=Isometry.axis_translation(1e-7)),
@@ -393,8 +424,9 @@ class TestCompatibilityScreen:
         assert m[:, 0].all() and m[0, 1] and m[:3, 2].all()
 
     def test_screen_error_over_every_depth5_cell(self, n14):
-        # the screen's l and d against the exact formula's: they part by
-        # 2.9e-11 here, against a bin width of at least 1e-4
+        # the screen's u^2 against the exact formula's d: they part by a
+        # relative 2.9e-11 here, against the half bin 2^-(SCREEN_BITS + 1)
+        # the screen allows
         zs = np.array([c.point for c in n14.C])
         n = len(n14.L)
         a = np.array([p.map.a for p in n14.L])
@@ -402,10 +434,31 @@ class TestCompatibilityScreen:
         coef = _numerator_coefficients(a, b, np.array([p.reversing for p in n14.L]))
         mono, near_circle = _screen_monomials(zs)
         assert not near_circle.any()
-        l_screen = np.log((coef[:n] @ mono) ** 2 + (coef[n:] @ mono) ** 2)
-        d = np.stack([reference_displacement(zs, p) for p in n14.L])
-        assert np.abs(l_screen - log_sinh2(d)).max() < 1e-9
-        assert np.abs(2.0 * np.arcsinh(np.exp(0.5 * l_screen)) - d).max() < 1e-9
+        u2 = (coef[:n] @ mono) ** 2 + (coef[n:] @ mono) ** 2
+        exact = sinh2_half(np.stack([reference_displacement(zs, p) for p in n14.L]))
+        assert exact.min() > 0.0
+        assert (np.abs(u2 - exact) / exact).max() < 1e-9 < 2.0**-(SCREEN_BITS + 1)
+
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_share_of_cells_reaching_the_exact_rule(self, n14, monkeypatch, depth):
+        # the configured seed pair keeps 1.488 % of its cells at depth 3 and
+        # 2.668 % at depth 5; the log-space bins of width max(match_tol,
+        # span / 2^18) kept 1.500 % and 3.109 %, and 2^12 bins per binade
+        # would keep 1.655 % and 3.728 %
+        dset = n14.dset if depth == 5 else admissible_distances(14, 3)
+        pts = [c.point for c in candidates(n14.p1, n14.p2, dset, n14.F)]
+        kept = []
+        exact = search._admissible_cells
+
+        def counting(z, *args):
+            kept.append(len(z))
+            return exact(z, *args)
+
+        monkeypatch.setattr(search, "_admissible_cells", counting)
+        m = compatibility_matrix(pts, n14.L, dset)
+        share = sum(kept) / m.size
+        assert m.shape == ({3: 379, 5: 816}[depth], len(n14.L))
+        assert share < {3: 0.01495, 5: 0.0270}[depth]
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +470,38 @@ def n14_filtered(n14):
         3: filter_candidates(None, n14.F, n14.L, dset3, C3),
         5: filter_candidates(None, n14.F, n14.L, n14.dset, n14.C),
     }
+
+
+class TestCertifiedCandidateInMpmath:
+    def test_every_verdict_holds_in_50_digits(self, n14):
+        # the certified depth-5 candidate's row: each displacement redone in
+        # 50-digit mpmath from the float point and map entries gives the
+        # verdict of the float kernel; its L_c holds 94 entries, the worst
+        # accepted |v - d| is 6.9e-5 and the closest rejected one 2.68e-4,
+        # against match_tol = 1e-4, and the float d misses the 50-digit one
+        # by far less than either gap
+        import mpmath
+        c = min(n14.C, key=lambda c: abs(c.point - GOOD_CANDIDATE))
+        row = compatibility_matrix([c.point], n14.L, n14.dset)[0]
+        tol = n14.dset.match_tol
+        vals = np.array(n14.dset.values)
+        with mpmath.workdps(50):
+            z = mpmath.mpc(c.point)
+            miss = []
+            for p in n14.L:
+                a, b = mpmath.mpc(p.map.a), mpmath.mpc(p.map.b)
+                w = mpmath.conj(z) if p.reversing else z
+                gz = (a * w + b) / (mpmath.conj(b) * w + mpmath.conj(a))
+                d = 2 * mpmath.atanh(abs(gz - z) / abs(1 - mpmath.conj(gz) * z))
+                i = int(np.searchsorted(vals, float(d)))
+                near = vals[max(i - 1, 0) : i + 1]
+                miss.append(min(abs(mpmath.mpf(float(v)) - d) for v in near))
+                assert abs(float(d) - reference_displacement(np.array([c.point]), p)[0]) < 1e-12
+        miss = np.array([float(m) for m in miss])
+        assert np.array_equal(miss <= tol, row)
+        assert row.sum() == 94
+        assert miss[row].max() == pytest.approx(6.9e-5, abs=1e-6)
+        assert miss[~row].min() == pytest.approx(2.68e-4, abs=1e-6)
 
 
 class TestEdgeCoverage:

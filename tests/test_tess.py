@@ -9,12 +9,14 @@ from reference_data import reference_admissible_distances
 from diskpack.geom import Isometry, classify, dist
 from diskpack.tess import (
     DEDUP_TOL,
-    TABLE_MAX_BINS,
+    SCREEN_BITS,
     AdmissibilityTable,
+    DistanceSet,
     NotHyperbolic,
+    _keys,
     admissible_distances,
-    log_sinh2,
     polygon_metrics,
+    sinh2_half,
     triangle_generators,
 )
 
@@ -300,19 +302,32 @@ class TestAdmissibleMask:
         # the ulp moves straddle the rule's boundary on both sides
         assert expected.any() and not expected.all()
 
-    @pytest.mark.parametrize("tol", [0.3, 1e-9])
+    @pytest.mark.parametrize("tol", [0.3, 1e-9, 1e-30])
     def test_equals_scalar_rule_at_other_bin_widths(self, tol, rng):
-        # 0.3 merges neighbouring intervals; 1e-9 would need more than
-        # TABLE_MAX_BINS bins, so the bins widen
+        # intervals of other widths: 0.3 merges neighbours; at 1e-9 the
+        # interval around v = 0 ends at u^2 = 2.5e-19, and at 1e-30 below
+        # SCREEN_FLOOR; the bins do not depend on tol, and the floor keeps
+        # the table under 2^20 entries
         dset = dataclasses.replace(admissible_distances(14, 3), match_tol=tol)
         table = AdmissibilityTable(dset)
-        assert table.width >= tol and len(table.check) <= TABLE_MAX_BINS + 8
-        assert (table.width > tol) == (tol < 1e-3)
+        assert len(table.check) < 1 << 20
         hi = dset.values[-1] + 1.0
         uniform = [rng.uniform(-1.0, hi) for _ in range(4000)]
         d = np.concatenate([_edge_distances(dset), uniform])
         expected = np.array([dset.is_admissible(float(x)) for x in d])
         assert np.array_equal(AdmissibilityTable(dset)(d), expected)
+
+    def test_bins_span_a_relative_two_to_the_minus_screen_bits(self, rng):
+        # a move by a relative half bin changes the key by one at most, and
+        # no bin is wider than a relative 2^-SCREEN_BITS, at binade edges too
+        random_u2 = [math.exp(rng.uniform(-40.0, 40.0)) for _ in range(2000)]
+        u2 = np.concatenate([random_u2, 2.0 ** np.arange(-60.0, 60.0)])
+        half = 2.0**-(SCREEN_BITS + 1)
+        key = _keys(u2.copy().view(np.int64))
+        for f in (1.0 - half, 1.0 + half):
+            assert np.abs(_keys((u2 * f).view(np.int64)) - key).max() <= 1
+        wider = u2 * (1.0 + 2.0 * half) * (1.0 + 1e-15)
+        assert (_keys(wider.view(np.int64)) > key).all()
 
     def test_keeps_the_shape_of_d(self):
         dset = admissible_distances(14, 2)
@@ -324,32 +339,55 @@ class TestAdmissibleMask:
 
 
 class TestAdmissibilityScreen:
+    HALF_BIN = 2.0**-(SCREEN_BITS + 1)
+
     @pytest.mark.parametrize("depth", [3, 5])
     @pytest.mark.parametrize("tol", [1e-4, 0.3, 1e-9])
-    def test_checks_every_l_within_a_bin_of_an_admissible_d(self, depth, tol):
-        # the soundness margin: an l that misses an admissible d's l by less
-        # than a bin width still reaches the exact rule; d = 0 and the ends
-        # below it give l = -inf, which goes to bin 0
+    def test_checks_every_u2_within_half_a_bin(self, depth, tol):
+        # the soundness margin: a u^2 that misses an admissible d's u^2 by a
+        # relative half bin or less still reaches the exact rule; d = 0
+        # gives u^2 = 0, which lies in the bottom bin
         dset = dataclasses.replace(admissible_distances(14, depth), match_tol=tol)
         table = AdmissibilityTable(dset)
-        d = _edge_distances(dset)
+        d = np.append(_edge_distances(dset), 0.0)
         d = d[table(d)]
-        assert np.isneginf(log_sinh2(d)).any() and len(d) > 4 * len(dset.values)
-        for off in (-0.999, -0.5, 0.0, 0.5, 0.999):
-            assert table.screen(log_sinh2(d) + off * table.width).all()
+        u2 = sinh2_half(d)
+        assert (u2 == 0.0).any() and len(d) > 4 * len(dset.values)
+        for f in (-1.0, -0.999, -0.5, 0.0, 0.5, 0.999, 1.0):
+            assert table.screen(u2 * (1.0 + f * self.HALF_BIN)).all()
 
     @pytest.mark.parametrize("depth", [3, 5])
     def test_rules_most_of_the_axis_out(self, depth):
         dset = admissible_distances(14, depth)
         table = AdmissibilityTable(dset)
-        assert table.width >= dset.match_tol
         assert table.check[0] and not table.check[-1]
         assert table.check.mean() < 0.05
-        far = log_sinh2(np.array(dset.values[1:-1]) + 0.5 * np.diff(dset.values)[1:])
-        gaps = np.diff(dset.values)[1:] > 10 * table.width
-        assert gaps.sum() > 10 and not table.screen(far[gaps]).any()
+        # the geometric middle of every gap between intervals wider than
+        # 16 bins
+        vals = np.array(dset.values)
+        ends = sinh2_half(vals[:-1] + dset.match_tol), sinh2_half(vals[1:] - dset.match_tol)
+        gaps = ends[1] > ends[0] * (1.0 + 32.0 * self.HALF_BIN)
+        middle = np.sqrt(ends[0][gaps] * ends[1][gaps])
+        assert gaps.sum() > 10 and not table.screen(middle).any()
 
     def test_screen_sends_nan_and_infinities_to_the_end_bins(self):
-        table = AdmissibilityTable(admissible_distances(14, 3))
-        got = table.screen(np.array([np.nan, -np.inf, np.inf, -1e300, 1e300]))
-        assert got.tolist() == [True, True, False, True, False]
+        # u^2 = 0 and NaN of either sign go to the bottom bin, which is
+        # check; +inf and every u^2 beyond the last interval to the top
+        # bin, which is out
+        with np.errstate(invalid="ignore"):
+            nans = [np.nan, -np.nan, np.inf - np.inf, np.float64(np.inf) * 0.0]
+        assert all(math.isnan(x) for x in nans)
+        assert {bool(np.signbit(x)) for x in nans} == {False, True}
+        for depth in (3, 5):
+            dset = admissible_distances(14, depth)
+            last = sinh2_half(dset.values[-1] + dset.match_tol) * (1.0 + 8.0 * self.HALF_BIN)
+            got = AdmissibilityTable(dset).screen(np.array([0.0, -0.0, *nans, np.inf, 1e300, last]))
+            assert got.tolist() == [True] * 6 + [False] * 3
+
+    def test_a_set_without_zero_checks_its_bottom_bin(self):
+        # the bottom bin is check whatever the values: here it holds the
+        # first interval's lower end and everything below it
+        dset = DistanceSet((1.0, 2.0), 1, match_tol=1e-4)
+        table = AdmissibilityTable(dset)
+        got = table.screen(sinh2_half(np.array([0.0, 0.5, 0.9999, 1.5, 2.0001, 3.0])))
+        assert got.tolist() == [True, True, True, False, True, False]
