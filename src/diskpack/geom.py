@@ -22,7 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-DET_TOL = 1e-12
 PARABOLIC_TOL = 1e-9
 TANGENT_TOL = 1e-12
 COINCIDENT_TOL = 1e-9
@@ -156,7 +155,6 @@ class Isometry:
 class IsometryClass:
     tag: str
     translation_length: float = 0.0
-    rotation_angle: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -263,11 +261,7 @@ def classify(g: Isometry, parabolic_tol: float = PARABOLIC_TOL) -> IsometryClass
                 return IsometryClass(IDENTITY_TAG)
             return IsometryClass(PARABOLIC)
         if abs(t) < 2.0:
-            z1, z2 = _conformal_fixed_points(g)
-            p = z1 if abs(z1) < abs(z2) else z2
-            t0 = Isometry.translation_to(p)
-            g0 = t0.inverse() * g * t0
-            return IsometryClass(ELLIPTIC, rotation_angle=cmath.phase(g0.a * g0.a))
+            return IsometryClass(ELLIPTIC)
         return IsometryClass(HYPERBOLIC, translation_length=2.0 * math.acosh(0.5 * abs(t)))
     sq = classify(g * g, parabolic_tol)
     if sq.tag == IDENTITY_TAG:

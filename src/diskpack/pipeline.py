@@ -97,9 +97,9 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("}\n")
 
 
-def _write_svg(out: str, name: str, scene: render.Scene) -> None:
+def _write_svg(out: str, name: str, layers: render.Layers) -> None:
     with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-        fh.write(render.render_svg(scene))
+        fh.write(render.render_svg(layers))
 
 
 def _write_artifact(cfg: PipelineConfig, out: str, stage: str, data: dict) -> None:
@@ -386,10 +386,7 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResu
         for sol in sols:
             G = group_from_solution(sol, F)
             attempts += 1
-            try:
-                cert = second_packing_certificate(it["candidate"].point, G)
-            except ValueError:
-                continue
+            cert = second_packing_certificate(it["candidate"].point, G)
             if cert["passed"]:
                 topo = surface_topology(sol, F)
                 worst = max(m.residual for m in cert["memberships"])
@@ -421,7 +418,7 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     _write_svg(out, "bananas.svg", render.scene_bananas(F, res.p1, res.p2, fam1, fam2))
     star = None if res.solved is None else res.solved[0]["candidate"].point
     points = [c.point for c in res.C]
-    _write_svg(out, "candidates.svg", render.scene_candidates(F, points, star=star))
+    _write_svg(out, "candidates.svg", render.scene_candidates(F, points, star))
     if res.items is None:
         return
     records = [
@@ -458,8 +455,8 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
         return
     cert = res.certificate
     _write_artifact(cfg, out, "certificate", _certificate_data(cert, sol, F))
-    scene = render.scene_certificate(F, cert["candidate"], cert["o_prime"])
-    _write_svg(out, "certificate.svg", scene)
+    layers = render.scene_certificate(F, cert["candidate"], cert["o_prime"])
+    _write_svg(out, "certificate.svg", layers)
 
 
 # the top-level keys verify_certificate_file reads

@@ -748,3 +748,20 @@ def test_auto_mode_writes_each_artifact_once(tmp_path, monkeypatch, capsys):
               "certificate")
     assert sorted(written) == sorted(os.path.join(out, f"{s}.json") for s in stages)
     assert len(rendered) == 5
+
+
+def test_a_certificate_error_stops_the_search_stage(tmp_path, monkeypatch, capsys):
+    # the certificate raises only for a candidate that coincides with O',
+    # which filtering leaves no survivor to be; were it to raise, the run
+    # must fail in its search stage (exit 1), not report no certificate
+    def coincident(P, G):
+        raise ValueError("candidate coincides with O'; midpoint undefined")
+
+    monkeypatch.setattr(pipeline, "second_packing_certificate", coincident)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", "configs/n14.json", "--depth", "3", "--out", out]) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error == {
+        "stage": "search",
+        "error": "ValueError: candidate coincides with O'; midpoint undefined",
+    }

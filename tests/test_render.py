@@ -1,9 +1,15 @@
-from diskpack import pipeline
+import json
+
+import pytest
+
+import reference_data
+from diskpack import pipeline, render
+from diskpack.cli import main
 from diskpack.config import load_config
 from diskpack.geom import GeneralizedCircle, geodesic_through
 from diskpack.render import (
     BANANA_FAMILIES,
-    Scene,
+    curve,
     render_svg,
     scene_bananas,
     scene_base,
@@ -22,9 +28,9 @@ def test_empty_scene_is_disk_boundary_only():
 
 
 def test_render_is_deterministic():
-    scene = scene_base()
-    scene.add("extra", type="curve", curve=geodesic_through(0.3 + 0.1j, -0.2 + 0.4j))
-    assert render_svg(scene) == render_svg(scene)
+    g = geodesic_through(0.3 + 0.1j, -0.2 + 0.4j)
+    layers = scene_base() + [("extra", [curve(g, "stroke:#3060c0;stroke-width:0.8")])]
+    assert render_svg(layers) == render_svg(layers)
 
 
 def test_domain_scene_structure(n14):
@@ -56,19 +62,18 @@ def test_solution_scene_marks_reversing_with_minus(n14, n14_solution):
 
 
 def test_diameter_renders_as_line():
-    scene = Scene()
-    scene.add("g", type="curve", curve=GeneralizedCircle.line(1j, 0.0))
-    svg = render_svg(scene)
-    assert " L " in svg
+    assert " L " in curve(GeneralizedCircle.line(1j, 0.0), "stroke:#000")
 
 
 def test_arc_inside_disk():
     # the rendered arc of a geodesic must pick the branch through the disk
     A = geodesic_through(0.5 + 0j, 0.0 + 0.5j)
-    scene = Scene()
-    scene.add("g", type="curve", curve=A)
-    svg = render_svg(scene)
-    assert " A " in svg
+    assert " A " in curve(A, "stroke:#000")
+
+
+def test_curve_missing_the_disk_draws_nothing():
+    svg = render_svg([("g", [curve(GeneralizedCircle.circle(3.0 + 0j, 0.5), "stroke:#000")])])
+    assert '<g id="g">\n</g>' in svg
 
 
 def test_all_path_anchor_points_inside_viewport(n14):
@@ -97,3 +102,41 @@ def test_bananas_figure_needs_only_the_families_it_draws(n14, tmp_path):
     first = [f[:BANANA_FAMILIES] for f in fams]
     written = (tmp_path / "bananas.svg").read_text(encoding="utf-8")
     assert written == render_svg(scene_bananas(n14.F, n14.p1, n14.p2, *first))
+
+
+# each figure and the scene function the pipeline draws it with
+_FIGURES = {
+    "domain.svg": "scene_base",
+    "bananas.svg": "scene_bananas",
+    "candidates.svg": "scene_candidates",
+    "solution.svg": "scene_solution",
+    "certificate.svg": "scene_certificate",
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["configs/n14.json", {"n": 12, "attachments": [], "limit": 16}],
+    ids=["n14-depth3", "one-tile-auto"],
+)
+def test_figures_match_the_item_dict_renderer(config, tmp_path, monkeypatch):
+    # every figure a run writes is the text the Scene renderer, which stored
+    # each drawn item as a dict, gives for the same arguments
+    expected = {}
+    for figure, name in _FIGURES.items():
+
+        def recording(*args, _figure=figure, _name=name, _draw=getattr(render, name)):
+            oracle = getattr(reference_data, f"reference_{_name}")
+            expected[_figure] = reference_data.reference_render_svg(oracle(*args))
+            return _draw(*args)
+
+        monkeypatch.setattr(render, name, recording)
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        config = str(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--depth", "3", "--out", str(out)]) == 0
+    assert sorted(expected) == sorted(_FIGURES)
+    for figure, text in expected.items():
+        assert (out / figure).read_text(encoding="utf-8") == text
