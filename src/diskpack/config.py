@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .domain import Attachment
 from .geom import Isometry
@@ -85,14 +86,29 @@ class PipelineConfig:
     def genus(self) -> int:
         return genus_for(self.n, self.k)
 
+    @cached_property
+    def topology(self) -> dict:
+        """Cell counts, Euler characteristic and genus of the one-sided
+        surface glued from k N-gons with corners of 2 pi / 3, fixed by N and
+        k: k faces, kN / 2 edges and kN / 3 vertices (three corners meet at
+        each), whole numbers since 6 divides kN whenever the genus is whole.
+        Computed on first read; nothing reassigns n or attachments."""
+        g = self.genus
+        return {
+            "faces": self.k,
+            "edges": self.n * self.k // 2,
+            "vertices": self.n * self.k // 3,
+            "euler_characteristic": 2 - g,
+            "orientable": False,
+            "genus": g,
+        }
+
     def validate(self) -> None:
         if self.n not in RELEVANT_N:
             raise NotRelevantN(
                 f"N={self.n} is not in the arithmetic list {RELEVANT_N}"
             )
-        chi = 2 - self.genus  # raises ConfigError when the divisibility fails
-        if self.n * self.k != 6 * (self.k - chi):
-            raise ConfigError("internal consistency N k = 6(k - chi) failed")
+        self.genus  # raises ConfigError when the divisibility fails
         if self.depth < 1:
             raise ConfigError("depth must be at least 1")
         if self.limit < 1:

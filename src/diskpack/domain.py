@@ -322,14 +322,6 @@ class FundamentalDomain:
         """The boundary's corner slots, built on first use and shared by every completion."""
         return BoundarySlots(self)
 
-    @cached_property
-    def interior_vertices(self) -> tuple[int, ...]:
-        """Indices into vertex_classes() of the vertices inside F: those where
-        three tile corners of angle 2 pi / 3 meet, a full angle."""
-        return tuple(
-            i for i, (_, members) in enumerate(self.vertex_classes()) if len(members) == 3
-        )
-
     def vertex_classes(self) -> list[tuple[complex, list[tuple[int, int]]]]:
         """Geometric vertices with the tile corners meeting there.
 

@@ -48,10 +48,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EXHAUSTED = 2
 
-# solutions.json layout; version 3 gives pairings as indices into
-# pairings.json and each vertex cycle as a list of ids into its own
-# vertices table (every cycle closes at 3 wedges, so no angle is stored)
-SOLUTIONS_SCHEMA_VERSION = 3
+# solutions.json layout; version 4 gives each solution as its pairings,
+# indices into pairings.json, and its vertex cycles, lists of ids into its
+# own vertices table (every cycle closes at 3 wedges, so no angle is
+# stored, and N and k fix the cell counts, so no topology is)
+SOLUTIONS_SCHEMA_VERSION = 4
 
 
 class StageError(RuntimeError):
@@ -209,63 +210,13 @@ def lc_pairings(item: dict, L: list[SidePairing]) -> list[SidePairing]:
     return [L[j] for j in item["Lc"]]
 
 
-def surface_topology(sol: PairingSolution, F: FundamentalDomain) -> dict:
-    """Cell counts, Euler characteristic and genus of the quotient surface,
-    one-sided as completion only emits solutions with a reversing pairing:
-    F's tiles are its faces, its internal edges and the solution's pairings
-    its edges, and the vertex cycles and F's interior vertices its
-    vertices."""
-    faces = F.k
-    edges = len(F.internal_edges) + len(sol.pairings)
-    vertices = len(sol.vertex_cycles) + len(F.interior_vertices)
-    chi = vertices - edges + faces
-    return {
-        "faces": faces,
-        "edges": edges,
-        "vertices": vertices,
-        "euler_characteristic": chi,
-        "orientable": False,
-        "genus": 2 - chi,
-    }
-
-
-def _solution_json(sol: PairingSolution, F: FundamentalDomain) -> dict:
-    """A solution with its pairings and vertex cycles (lists of points)
-    written out in full: the certificate's self-contained form."""
-    points = F.slot_table.points
-    return {
-        "pairings": [pairing_json(p) for p in sol.pairings],
-        "reversing_count": sol.reversing_count,
-        "vertex_cycles": [[_cpx(points[v]) for v in verts] for verts in sol.vertex_cycles],
-        "topology": surface_topology(sol, F),
-    }
-
-
-def _solution_record(sol: PairingSolution, F: FundamentalDomain, pairing_index: dict) -> dict:
+def _solution_record(sol: PairingSolution, pairing_index: dict) -> dict:
     """A solution as solutions.json stores it: pairings as indices into
     pairings.json's list, vertex cycles as lists of ids into the vertices
     table."""
     return {
         "pairings": [pairing_index[p.record] for p in sol.pairings],
-        "reversing_count": sol.reversing_count,
         "vertex_cycles": [list(verts) for verts in sol.vertex_cycles],
-        "topology": surface_topology(sol, F),
-    }
-
-
-def _certificate_data(cert: dict, sol: PairingSolution, F: FundamentalDomain) -> dict:
-    """A passing certificate: one membership per generator, in generator
-    order.  A membership's ``residual`` is the word_residual that passed it;
-    verify_certificate_file recomputes it from the word and does not read
-    it."""
-    return {
-        "candidate": _cpx(cert["candidate"]),
-        "o_prime": _cpx(cert["o_prime"]),
-        "memberships": [
-            {"word": list(m.word), "residual": m.residual} for m in cert["memberships"]
-        ],
-        "passed": cert["passed"],
-        "solution": _solution_json(sol, F),
     }
 
 
@@ -388,7 +339,7 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResu
             attempts += 1
             cert = second_packing_certificate(it["candidate"].point, G)
             if cert["passed"]:
-                topo = surface_topology(sol, F)
+                topo = cfg.topology
                 worst = max(m.residual for m in cert["memberships"])
                 log(
                     f"certificate passed at {it['candidate'].point:.6f} "
@@ -435,7 +386,7 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     records = [
         {
             "point": _cpx(it["candidate"].point),
-            "solutions": [_solution_record(s, F, pairing_index) for s in sols],
+            "solutions": [_solution_record(s, pairing_index) for s in sols],
         }
         for it, sols in res.completed
     ]
@@ -453,8 +404,26 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     _write_svg(out, "solution.svg", render.scene_solution(F, list(sol.pairings)))
     if res.certificate is None:
         return
+    # one membership per generator, in generator order; a membership's
+    # residual is the word_residual that passed it, which
+    # verify_certificate_file recomputes from the word and does not read;
+    # the solution is written out in full, its vertex cycles as points
     cert = res.certificate
-    _write_artifact(cfg, out, "certificate", _certificate_data(cert, sol, F))
+    vertices = F.slot_table.points
+    data = {
+        "candidate": _cpx(cert["candidate"]),
+        "o_prime": _cpx(cert["o_prime"]),
+        "memberships": [
+            {"word": list(m.word), "residual": m.residual} for m in cert["memberships"]
+        ],
+        "passed": cert["passed"],
+        "solution": {
+            "pairings": [pairing_json(p) for p in sol.pairings],
+            "vertex_cycles": [[_cpx(vertices[v]) for v in c] for c in sol.vertex_cycles],
+            "topology": cfg.topology,
+        },
+    }
+    _write_artifact(cfg, out, "certificate", data)
     layers = render.scene_certificate(F, cert["candidate"], cert["o_prime"])
     _write_svg(out, "certificate.svg", layers)
 
@@ -479,21 +448,21 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
 
     The generators are the embedded solution's side pairings, each followed
     by its inverse, as group_from_solution builds them.  Verifies that no
-    boundary edge is paired twice; that the solution's reversing count is
-    its number of reversing pairings, at least 1, and its topology that of
-    a one-sided surface with chi = V - E + F and genus 2 - chi; that tau,
-    rebuilt as swapping_half_turn(candidate, O'), swaps them within
-    SWAP_TOL; that there is one membership per generator, the i-th for
-    generator i, whose word_residual against tau g_i tau^-1 is at most
-    group.WORD_TOL, the test the run passed it by; that the passed flag is
-    JSON true; and, when ``cfg`` is given, that the artifact was made by
-    that config and that O' lies within SWAP_TOL of the config's
-    second_neighbor_center.  A membership's ``residual`` is the producer's
-    record and is not read: it is recomputed from the word.  A candidate
-    equal to O' and malformed input (a file that cannot be read or is not
-    JSON, a missing key, a matrix that does not decode, a point not
-    strictly inside the unit disk, a word index out of range) are reported
-    as problems, not raised.
+    boundary edge is paired twice; that at least one pairing is reversing;
+    that the solution's topology is that of a one-sided surface with
+    chi = V - E + F and genus 2 - chi; that tau, rebuilt as
+    swapping_half_turn(candidate, O'), swaps them within SWAP_TOL; that
+    there is one membership per generator, the i-th for generator i, whose
+    word_residual against tau g_i tau^-1 is at most group.WORD_TOL, the
+    test the run passed it by; that the passed flag is JSON true; and, when
+    ``cfg`` is given, that the artifact was made by that config, that O'
+    lies within SWAP_TOL of the config's second_neighbor_center and that
+    the topology is the config's.  A membership's ``residual`` is the
+    producer's record and is not read: it is recomputed from the word.  A
+    candidate equal to O' and malformed input (a file that cannot be read
+    or is not JSON, a missing key, a matrix that does not decode, a point
+    not strictly inside the unit disk, a word index out of range) are
+    reported as problems, not raised.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -509,7 +478,6 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
         edges = [
             (pj[end]["poly"], pj[end]["edge"]) for pj in pairings for end in ("src", "dst")
         ]
-        reversing_count = solution["reversing_count"]
         topology = solution["topology"]
         counts = [topology[key] for key in _TOPOLOGY_COUNTS]
         orientable = topology["orientable"]
@@ -530,16 +498,13 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
         expected = second_neighbor_center(stage_domain(cfg))
         if not dist(o_prime, expected) <= SWAP_TOL:
             problems.append(f"O' is not the configuration's second-neighbor center {_cpx(expected)}")
+        if topology != cfg.topology:
+            problems.append(f"topology {topology} is not the configuration's {cfg.topology}")
     gens = [g for p in sides for g in (p, p.inverse())]
     twice = sorted({e for e in edges if edges.count(e) > 1})
     if twice:
         problems.append(f"boundary edges paired twice: {twice}")
-    reversing = sum(p.reversing for p in sides)
-    if reversing_count != reversing:
-        problems.append(
-            f"reversing count {reversing_count!r} is not the {reversing} reversing pairings"
-        )
-    if reversing == 0:
+    if not any(p.reversing for p in sides):
         problems.append("solution has no reversing pairing")
     if orientable is not False:
         problems.append(f"topology says orientable {orientable!r} for a one-sided surface")

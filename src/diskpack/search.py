@@ -377,8 +377,9 @@ def candidates(
     ]
 
 
-# cells (pairings x points) per block of compatibility_matrix: its float
-# temporaries stay at 256 KB however many points come in
+# cells (pairings x points) per block of compatibility_matrix, which takes
+# whole columns, at least one: its float temporaries stay at
+# max(256 KB, 16 B per point)
 BLOCK_CELLS = 1 << 14
 # points this close to the unit circle skip the screen: rounding in both
 # displacement formulas grows like 1 / (1 - r^2)^2 there (over L at N = 14
@@ -443,7 +444,9 @@ def compatibility_matrix(
 ) -> np.ndarray:
     """Boolean matrix admissible[i, j]: pairing L[j] displaces points[i] admissibly.
 
-    Two phases, in blocks of at most BLOCK_CELLS pairings x points:
+    Two phases, in blocks of whole columns, max(1, BLOCK_CELLS // points)
+    pairings by every point, so the float temporaries stay at
+    max(256 KB, 16 B per point):
 
     1. The screen.  Re N and Im N of sinh(d/2) = |N| / (1 - r^2)
        (_numerator_coefficients) come from two small matrix products,
@@ -461,7 +464,7 @@ def compatibility_matrix(
        per-pairing loop decides them: the same displacement formula,
        operation for operation, then the exact rule.  Kept cells wait until
        at least BLOCK_CELLS // 4 of them have gathered, so at most about
-       BLOCK_CELLS cells wait at a time.
+       max(BLOCK_CELLS, points) cells wait at a time.
 
     So every cell is that pairing's own value under the exact rule.
     """
@@ -478,11 +481,9 @@ def compatibility_matrix(
     coef = _numerator_coefficients(a, b, reversing)
     mono, near_circle = _screen_monomials(zs)
     any_near = near_circle.any()
-    rows = min(len(zs), BLOCK_CELLS)
-    per_block = max(1, BLOCK_CELLS // rows)
-    u = np.empty((2, per_block, rows))
-    # kept cells as col * len(zs) + row: a block holds whole columns
-    # (r0 = 0) or part of one, so its cells count on from c0 * len(zs) + r0
+    per_block = max(1, BLOCK_CELLS // len(zs))
+    u = np.empty((2, per_block, len(zs)))
+    # kept cells as col * len(zs) + row: a block's cells count on from c0 * len(zs)
     kept: list[np.ndarray] = []
     waiting = 0
 
@@ -495,24 +496,22 @@ def compatibility_matrix(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for c0 in range(0, n, per_block):
             c1 = min(c0 + per_block, n)
-            for r0 in range(0, len(zs), rows):
-                r1 = min(r0 + rows, len(zs))
-                block = u[:, : c1 - c0, : r1 - r0]
-                re, im = block
-                np.matmul(coef[c0:c1], mono[:, r0:r1], out=re)
-                np.matmul(coef[n + c0 : n + c1], mono[:, r0:r1], out=im)
-                np.square(block, out=block)
-                re += im
-                check = table.screen(re)
-                if any_near:
-                    check[:, near_circle[r0:r1]] = True
-                cells = np.flatnonzero(check)
-                cells += c0 * len(zs) + r0
-                kept.append(cells)
-                waiting += cells.size
-                if waiting >= BLOCK_CELLS // 4:
-                    decide()
-                    waiting = 0
+            block = u[:, : c1 - c0]
+            re, im = block
+            np.matmul(coef[c0:c1], mono, out=re)
+            np.matmul(coef[n + c0 : n + c1], mono, out=im)
+            np.square(block, out=block)
+            re += im
+            check = table.screen(re)
+            if any_near:
+                check[:, near_circle] = True
+            cells = np.flatnonzero(check)
+            cells += c0 * len(zs)
+            kept.append(cells)
+            waiting += cells.size
+            if waiting >= BLOCK_CELLS // 4:
+                decide()
+                waiting = 0
         if kept:
             decide()
     return out
@@ -535,7 +534,6 @@ def edge_coverage(
 class PairingSolution:
     pairings: tuple[SidePairing, ...]  # from L_c, one per identification, by sort_key
     vertex_cycles: tuple[tuple[int, ...], ...]  # each cycle's ids into F.slot_table.points
-    reversing_count: int
 
     @cached_property
     def identifications(self) -> frozenset:
@@ -652,10 +650,8 @@ def complete_pairing(
 
     def emit() -> None:
         pairings = tuple(options[o] for o in sorted(chosen))
-        reversing_count = sum(p.reversing for p in pairings)
-        if reversing_count:
-            cycles = _vertex_cycles(slots, succ)
-            solutions.append(PairingSolution(pairings, cycles, reversing_count))
+        if any(p.reversing for p in pairings):
+            solutions.append(PairingSolution(pairings, _vertex_cycles(slots, succ)))
 
     def descend(targets: list[frozenset] | None) -> None:
         fewest = min(live, default=done)

@@ -422,15 +422,14 @@ def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
             chosen.get(p.identification, p), p, key=SidePairing.sort_key
         )
     pairings = tuple(sorted(chosen.values(), key=SidePairing.sort_key))
-    reversing_count = sum(1 for p in pairings if p.reversing)
-    if require_reversing and reversing_count == 0:
+    if require_reversing and not any(p.reversing for p in pairings):
         return
     cycles = solution_cycles(pairings, struct)
     for _, total in cycles:
         if abs(total - 2.0 * math.pi) > angle_tol:
             raise InvalidCellStructure(f"vertex cycle closes at {total}")
     vertex_cycles = tuple(tuple(struct.points[v] for v in cyc) for cyc, _ in cycles)
-    solutions.append(PairingSolution(pairings, vertex_cycles, reversing_count))
+    solutions.append(PairingSolution(pairings, vertex_cycles))
 
 
 def reference_admissible_distances(

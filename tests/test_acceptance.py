@@ -33,7 +33,6 @@ from diskpack.geom import (
     signed_offset,
 )
 from diskpack.group import WORD_TOL, second_packing_certificate, swapping_half_turn
-from diskpack.pipeline import surface_topology
 from diskpack.search import edge_coverage
 from diskpack.tess import admissible_distances, polygon_metrics, triangle_generators
 
@@ -74,10 +73,14 @@ class TestCriterion3Completion:
         assert SOLUTION_18_IDENTS in [
             s.identifications for s in n14_solution.solutions
         ]
-        topo = surface_topology(n14_solution.reference, n14.F)
+        topo = load_config("configs/n14.json").topology
         assert topo["euler_characteristic"] == -4
         assert topo["orientable"] is False
         assert topo["genus"] == 6
+        # the solution's vertex cycles and F's interior vertices are the
+        # surface's vertices
+        interior = sum(len(members) == 3 for _, members in n14.F.vertex_classes())
+        assert len(n14_solution.reference.vertex_cycles) + interior == topo["vertices"]
         slots = n14.F.slot_table
         for verts in n14_solution.reference.vertex_cycles:
             assert sum(slots.wedges[v] for v in verts) == 3

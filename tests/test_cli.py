@@ -144,20 +144,19 @@ def test_verify_requires_json_true_flags(completed_run, tmp_path, forge, message
 def _no_reversing_pairing(solution):
     for p in solution["pairings"]:
         p["reversing"] = False
-    solution["reversing_count"] = 0
 
 
 @pytest.mark.parametrize(
     "forge, messages",
     [
-        # 3 of the cycles kept, genus 99, chi 7 and no reversing pairing
-        # counted: a forgery that verified while the topology went unread
+        # 3 of the cycles kept, genus 99 and chi 7: a forgery that verified
+        # while the topology went unread
         (
             lambda s: (
-                s.update(vertex_cycles=s["vertex_cycles"][:3], reversing_count=0),
+                s.update(vertex_cycles=s["vertex_cycles"][:3]),
                 s["topology"].update(genus=99, euler_characteristic=7),
             ),
-            ["reversing count 0", "euler characteristic 7", "genus 99"],
+            ["euler characteristic 7", "genus 99"],
         ),
         (_no_reversing_pairing, ["no reversing pairing"]),
         (lambda s: s["topology"].update(genus=7), ["genus 7 is not 2 - chi = 6"]),
@@ -172,6 +171,26 @@ def test_verify_checks_the_embedded_topology(completed_run, tmp_path, forge, mes
     assert not ok
     for message in messages:
         assert any(message in p for p in problems), (message, problems)
+
+
+def test_verify_given_the_config_rejects_a_consistent_wrong_topology(
+    n14_cfg_path, completed_run, tmp_path, capsys
+):
+    # V = 15, chi = -3, genus 5 agree with each other and with E = 21,
+    # F = 3, so only the config's genus-6 surface can reject them
+    out = _forged(
+        completed_run,
+        tmp_path,
+        lambda c: c["solution"]["topology"].update(vertices=15, euler_characteristic=-3, genus=5),
+    )
+    path = os.path.join(out, "certificate.json")
+    assert verify_certificate_file(path) == (True, [])
+    ok, problems = verify_certificate_file(path, load_config(n14_cfg_path))
+    assert not ok and len(problems) == 1
+    assert problems[0].startswith("topology {") and "is not the configuration's" in problems[0]
+    assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["problems"] == problems
 
 
 def test_verify_rejects_an_identity_tau_with_o_prime_at_the_candidate(completed_run, tmp_path):
@@ -303,27 +322,28 @@ def test_verify_reports_malformed_certificates(
 
 
 def test_solutions_json_decodes_to_the_certified_solution(completed_run):
-    # schema 3: pairings index pairings.json, each vertex cycle is a list
-    # of ids into "vertices"
+    # schema 4: a solution is its pairings, indices into pairings.json, and
+    # its vertex cycles, lists of ids into "vertices"; the certificate
+    # embeds the same solution in full, with the config's topology
     def load(name):
         with open(os.path.join(completed_run, name), encoding="utf-8") as fh:
             return json.load(fh)
 
     sols, L, cert = load("solutions.json"), load("pairings.json"), load("certificate.json")
-    assert sols["schema_version"] == 3
-    assert os.path.getsize(os.path.join(completed_run, "solutions.json")) < 2_000_000
+    assert sols["schema_version"] == 4
+    assert os.path.getsize(os.path.join(completed_run, "solutions.json")) <= 145_000
     vertices = sols["vertices"]
 
     def decode(s):
+        assert sorted(s) == ["pairings", "vertex_cycles"]
         return {
             "pairings": [L["pairings"][i] for i in s["pairings"]],
-            "reversing_count": s["reversing_count"],
             "vertex_cycles": [[vertices[v] for v in c] for c in s["vertex_cycles"]],
-            "topology": s["topology"],
         }
 
     (entry,) = [c for c in sols["candidates"] if c["point"] == cert["candidate"]]
-    embedded = cert["solution"]
+    embedded = dict(cert["solution"])
+    assert embedded.pop("topology") == load_config("configs/n14.json").topology
     hits = [
         d
         for d in map(decode, entry["solutions"])

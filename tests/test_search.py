@@ -26,9 +26,16 @@ from reference_data import (
     trace_cycles,
 )
 from diskpack import search
-from diskpack.domain import BoundarySlots, build_domain, enumerate_pairings, find_pairing
+from diskpack.config import PipelineConfig, genus_for
+from diskpack.domain import (
+    Attachment,
+    BoundarySlots,
+    build_domain,
+    enumerate_pairings,
+    find_pairing,
+)
 from diskpack.geom import CoincidentCurves, Isometry, axis, dist
-from diskpack.pipeline import filter_candidates, lc_pairings, surface_topology
+from diskpack.pipeline import filter_candidates, lc_pairings
 from diskpack.render import BANANA_FAMILIES
 from diskpack.tess import SCREEN_BITS, DistanceSet, admissible_distances, sinh2_half
 from diskpack.search import (
@@ -750,7 +757,7 @@ def n30_survivor():
 
 def _summary(sols, F=None):
     """Per solution, in order: identification set, vertex cycles (compared
-    bit for bit) and reversing count.  Given F, the engine's cycles of slot
+    bit for bit) and number of reversing pairings.  Given F, the engine's cycles of slot
     ids become F.slot_table's points, the form the oracle's solutions hold."""
 
     def cycles(s):
@@ -758,7 +765,11 @@ def _summary(sols, F=None):
             return s.vertex_cycles
         return tuple(tuple(F.slot_table.points[v] for v in verts) for verts in s.vertex_cycles)
 
-    return [(s.identifications, cycles(s), s.reversing_count) for s in sols]
+    return [(s.identifications, cycles(s), _reversing(s)) for s in sols]
+
+
+def _reversing(sol):
+    return sum(p.reversing for p in sol.pairings)
 
 
 class TestCompletionOracle:
@@ -831,7 +842,7 @@ class TestCompletionOracle:
         covers = reference_complete_pairing(
             both_directions(Lc, n14.L2), n14.F, limit=256, require_reversing=False
         )
-        assert len(covers) == 10 and not any(s.reversing_count for s in covers)
+        assert len(covers) == 10 and not any(map(_reversing, covers))
         assert complete_pairing(Lc, n14.F, limit=256) == []
 
     def test_pruned_edge_matches_reference(self, n14, n14_survivors):
@@ -932,10 +943,10 @@ class TestOrbitCarry:
         )
         targets = [s.identifications for s in every]
         # 40 solutions, 10 of them without a reversing pairing
-        assert len(every) == 40 and sum(s.reversing_count == 0 for s in every) == 10
+        assert len(every) == 40 and sum(_reversing(s) == 0 for s in every) == 10
         got = complete_pairing(Lc, n14.F, limit=256, within=targets)
         assert _summary(got) == _summary(complete_pairing(Lc, n14.F, limit=256))
-        assert _summary(got, n14.F) == _summary([s for s in every if s.reversing_count])
+        assert _summary(got, n14.F) == _summary([s for s in every if _reversing(s)])
         assert len(got) == 30
         for limit in (0, 1, 7):
             cut = complete_pairing(Lc, n14.F, limit=limit, within=targets)
@@ -1008,12 +1019,19 @@ class TestOrbitCarry:
 
 
 class TestVerifyTopology:
-    """The topology written with each solution: a pure count, which checks
-    nothing (completion's emit and closure test already did)."""
+    """PipelineConfig.topology, the cell counts N and k fix, against the
+    count it replaced: a solution's vertex cycles plus F's interior
+    vertices, where three tile corners meet, are the surface's vertices."""
+
+    TOPOLOGY = PipelineConfig(n=14, attachments=[Attachment(0, 0), Attachment(0, 1)]).topology
+
+    @staticmethod
+    def _vertices(sols, F):
+        interior = sum(len(members) == 3 for _, members in F.vertex_classes())
+        return {len(sol.vertex_cycles) + interior for sol in sols}
 
     def test_reference_solution_counts(self, n14, n14_solution):
-        topo = surface_topology(n14_solution.reference, n14.F)
-        assert topo == {
+        assert self.TOPOLOGY == {
             "faces": 3,
             "edges": 21,
             "vertices": 14,
@@ -1021,15 +1039,36 @@ class TestVerifyTopology:
             "orientable": False,
             "genus": 6,
         }
+        assert self._vertices([n14_solution.reference], n14.F) == {14}
 
     def test_euler_relation_nk(self, n14, n14_survivors):
-        # N k = 6 (k - chi) holds exactly for every emitted solution
+        # every depth-5 solution counts the config's V, so N k = 6 (k - chi)
         completed, _ = complete_survivors(n14_survivors, n14.F, limit=256)
         sols = [sol for sols in completed for sol in sols]
         assert len(sols) == 495
-        F = n14.F
-        for sol in sols:
-            topo = surface_topology(sol, F)
-            chi = topo["euler_characteristic"]
-            assert F.n * F.k == 6 * (F.k - chi)
-            assert topo["genus"] == 2 - chi == 6
+        assert self._vertices(sols, n14.F) == {self.TOPOLOGY["vertices"]}
+        chi = self.TOPOLOGY["euler_characteristic"]
+        assert n14.F.n * n14.F.k == 6 * (n14.F.k - chi)
+
+    def test_every_depth3_solution_counts_the_configs_vertices(self, n14, n14_filtered):
+        items = [it for it in n14_filtered[3] if it["covered"] and not it["is_center"]]
+        Lcs = [lc_pairings(it, n14.L) for it in items]
+        completed, _ = complete_survivors(Lcs, n14.F, limit=256)
+        sols = [sol for sols in completed for sol in sols]
+        assert len(sols) == 90
+        assert self._vertices(sols, n14.F) == {self.TOPOLOGY["vertices"]}
+
+    @pytest.mark.parametrize(
+        "n, k", [(12, 1), (18, 1), (24, 1), (30, 1), (9, 2), (8, 3), (10, 3), (14, 3)]
+    )
+    def test_auto_mode_domains(self, n, k):
+        # the genus is genus_for's, and F's tiles and edges are the faces and
+        # edges: its internal edges and one per pair of boundary edges
+        attachments = [Attachment(0, e) for e in range(k - 1)]
+        topo = PipelineConfig(n=n, attachments=attachments).topology
+        F = build_domain(n, attachments)
+        assert topo["genus"] == genus_for(n, k)
+        assert topo["faces"] == F.k
+        assert topo["edges"] == len(F.internal_edges) + len(F.boundary) // 2
+        chi = topo["vertices"] - topo["edges"] + topo["faces"]
+        assert chi == topo["euler_characteristic"] == 2 - topo["genus"]
