@@ -154,15 +154,19 @@ class PipelineConfig:
         if seeds is not None:
             if not isinstance(seeds, list):
                 raise ConfigError(f"seed_pairs must be a list of records, not {seeds!r}")
-            kwargs["seed_pairs"] = [_record_from_json(r) for r in seeds]
+            kwargs["seed_pairs"] = [record_from_json(r) for r in seeds]
         return cls(**kwargs)
 
-    def config_hash(self) -> str:
-        """Hash of the mathematical configuration (the output path does not
-        change what is computed)."""
+    def hashed_json_dict(self) -> dict:
+        """The mathematical configuration: to_json_dict without out_dir
+        (the output path does not change what is computed).  config_hash
+        hashes it and certificate.json embeds it."""
         d = self.to_json_dict()
-        d.pop("out_dir", None)
-        canon = json.dumps(d, sort_keys=True)
+        d.pop("out_dir")
+        return d
+
+    def config_hash(self) -> str:
+        canon = json.dumps(self.hashed_json_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -178,8 +182,9 @@ def _record_to_json(rec: tuple) -> dict:
 _SEED_TYPES = {"hyperbolic": False, "or-hyperbolic": True}
 
 
-def _record_from_json(r: dict) -> tuple:
-    """(reversing, sp, se, dp, de) of a well-formed seed record; polygons are 1-based."""
+def record_from_json(r: dict) -> tuple:
+    """(reversing, sp, se, dp, de) of a well-formed seed record; polygons
+    are 1-based.  certificate.json's pairing records are read by it too."""
     try:
         reversing = _SEED_TYPES[r["type"]] if "type" in r else r["reversing"]
         ends = [r[end][key] for end in ("src", "dst") for key in ("poly", "edge")]

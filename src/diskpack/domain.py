@@ -40,6 +40,8 @@ from .tess import TriangleGenerators, triangle_generators
 
 EDGE_MATCH_TOL = 1e-9
 INSIDE_TOL = 1e-9
+# a point this close to a tile center is that center
+CENTER_TOL = 1e-6
 # hyperbolic distance by which contains' discs exceed the bound on the
 # points it can accept (see FundamentalDomain.tile_discs)
 DISC_SLACK = 1e-7
@@ -189,8 +191,15 @@ class FundamentalDomain:
     def center(self, poly: int) -> complex:
         return self.placements[poly](0j)
 
-    def edge_ref(self, poly: int, edge: int) -> EdgeRef:
-        return self.edges[poly][edge]
+    @cached_property
+    def centers(self) -> tuple[complex, ...]:
+        """The tile centers, in tile order."""
+        return tuple(self.center(i) for i in range(self.k))
+
+    def is_center(self, z: complex) -> bool:
+        """Whether z lies within CENTER_TOL of a tile center: the run
+        drops such a candidate, and verify rejects it."""
+        return any(abs(z - c) < CENTER_TOL for c in self.centers)
 
     def is_internal(self, poly: int, edge: int) -> bool:
         return any((poly, edge) in pair for pair in self.internal_edges)
@@ -249,7 +258,7 @@ class FundamentalDomain:
         # the hyperbolic disc of radius rho about c is the image of |w| <= t
         # under w -> (w + c) / (1 + conj(c) w)
         t = math.tanh(0.5 * rho)
-        c = np.array([self.center(i) for i in range(self.k)])
+        c = np.array(self.centers)
         c2 = np.abs(c) ** 2
         den = 1.0 - c2 * (t * t)
         return c * ((1.0 - t * t) / den), t * (1.0 - c2) / den
@@ -284,7 +293,7 @@ class FundamentalDomain:
         """
         n = self.n
         to_central = self.placements[0].inverse()
-        centers = np.array([self.center(i) for i in range(self.k)])
+        centers = np.array(self.centers)
         corners = np.array(self.corners).ravel()
         ends = np.array([e.endpoints for e in self.boundary])
         keys = [e.key for e in self.boundary]
@@ -614,11 +623,17 @@ def find_pairing(
     raise KeyError(f"no side pairing with record {record}")
 
 
-def pairing_json(p: SidePairing) -> dict:
-    """JSON record: the map and the two edges it glues, polygon indices
-    1-based as in a config's seed record, which the record also reads as."""
+def pairing_record(p: SidePairing) -> dict:
+    """JSON record of p's identification: the two edges it glues, polygon
+    indices 1-based, and whether it reverses orientation; it reads as a
+    config seed record, which find_pairing looks up in L."""
     return {
         "src": {"poly": p.src.poly + 1, "edge": p.src.edge},
         "dst": {"poly": p.dst.poly + 1, "edge": p.dst.edge},
-        **p.map.to_json(),
+        "reversing": p.reversing,
     }
+
+
+def pairing_json(p: SidePairing) -> dict:
+    """pairing_record with the map's matrix row, as pairings.json lists L."""
+    return {**pairing_record(p), **p.map.to_json()}

@@ -91,11 +91,6 @@ class Isometry:
         return cls(1.0, p)
 
     @classmethod
-    def axis_translation(cls, t: float) -> "Isometry":
-        """Hyperbolic translation by t along the real diameter."""
-        return cls(math.cosh(0.5 * t), math.sinh(0.5 * t))
-
-    @classmethod
     def diameter_reflection(cls, normal: complex) -> "Isometry":
         """Reflection across the diameter {z : Re(conj(normal) z) = 0}."""
         n = complex(normal)
@@ -131,9 +126,6 @@ class Isometry:
         minus = abs(self.a + other.a) + abs(self.b + other.b)
         return min(plus, minus)
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return not self.reversing and self.matrix_dist(Isometry.identity()) <= tol
-
     def to_json(self) -> dict:
         """Artifact form: the matrix's first row [a, b] as [re, im] pairs; the
         second row [conj(b), conj(a)] follows from it."""
@@ -141,14 +133,6 @@ class Isometry:
             "matrix": [[self.a.real, self.a.imag], [self.b.real, self.b.imag]],
             "reversing": self.reversing,
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Isometry":
-        (ar, ai), (br, bi) = d["matrix"][0], d["matrix"][1]
-        reversing = d["reversing"]
-        if type(reversing) is not bool:
-            raise GeometryError(f"reversing must be a JSON boolean, got {reversing!r}")
-        return cls(complex(ar, ai), complex(br, bi), reversing)
 
 
 @dataclass(frozen=True)
@@ -195,11 +179,6 @@ class GeneralizedCircle:
         if self.kind == "circle":
             return abs(z - self.center) ** 2 - self.radius**2
         return (self.normal.conjugate() * z).real - self.offset
-
-    def point_at(self, t: float) -> complex:
-        if self.kind == "circle":
-            return self.center + self.radius * cmath.exp(1j * t)
-        return self.offset * self.normal + t * (1j * self.normal)
 
     def ideal_points(self) -> tuple[complex, complex]:
         """The two intersections with the unit circle."""
@@ -319,10 +298,6 @@ def signed_offset(z, A: GeneralizedCircle):
         dx, dy, r = x - A.center.real, y - A.center.imag, A.radius
         return (dx * dx + dy * dy - r * r) / (r * D)
     return 2.0 * (A.normal.real * x + A.normal.imag * y - A.offset) / D
-
-
-def dist_to_geodesic(z: complex, A: GeneralizedCircle) -> float:
-    return math.asinh(abs(signed_offset(z, A)))
 
 
 def displacement_offset(cls: IsometryClass, d: float) -> float | None:

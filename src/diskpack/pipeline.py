@@ -15,16 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import render
-from .config import ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig, record_from_json
 from .domain import (
     FundamentalDomain,
+    InvalidCellStructure,
     SidePairing,
     build_domain,
     enumerate_pairings,
     find_pairing,
     pairing_json,
+    pairing_record,
 )
-from .geom import CoincidentCurves, GeometryError, Isometry, dist
+from .geom import CoincidentCurves, GeometryError, dist
 from .group import (
     SWAP_TOL,
     WORD_TOL,
@@ -40,6 +42,7 @@ from .search import (
     bananas,
     candidates,
     compatibility_matrix,
+    complete_pairing,
     complete_survivors,
 )
 from .tess import DistanceSet, admissible_distances
@@ -177,7 +180,9 @@ def filter_candidates(
     glues it, so coverage for every candidate is the boolean product of the
     compatibility matrix with the pairing x boundary-edge incidence matrix:
     per edge, an any() over the matrix columns of the pairings touching it.
-    ``cfg`` is unused; it keeps the stage functions' leading argument.
+    ``is_center`` is F.is_center, the test verify_certificate_file applies.
+    ``cfg`` is unused; the signature stays, because the benchmark's tracer
+    (perfbench/tracer.py) reads L as the third positional argument.
     """
     matrix = compatibility_matrix([c.point for c in C], L, dset)
     touching: dict[tuple[int, int], list[int]] = {
@@ -189,7 +194,6 @@ def filter_candidates(
                 touching[key].append(j)
     keys = list(touching)
     covered = np.stack([matrix[:, cols].any(axis=1) for cols in touching.values()], axis=1)
-    centers = [F.center(i) for i in range(F.k)]
     items = []
     for c, row, cov in zip(C, matrix, covered):
         uncovered = [keys[i] for i in np.flatnonzero(~cov)]
@@ -199,7 +203,7 @@ def filter_candidates(
                 "Lc": np.flatnonzero(row),
                 "covered": not uncovered,
                 "uncovered": uncovered,
-                "is_center": any(abs(c.point - z) < 1e-6 for z in centers),
+                "is_center": F.is_center(c.point),
             }
         )
     return items
@@ -407,19 +411,18 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     # one membership per generator, in generator order; a membership's
     # residual is the word_residual that passed it, which
     # verify_certificate_file recomputes from the word and does not read;
-    # the solution is written out in full, its vertex cycles as points
+    # the solution is its pairings' records, and verify rebuilds F, L and
+    # O' from the embedded config
     cert = res.certificate
-    vertices = F.slot_table.points
     data = {
         "candidate": _cpx(cert["candidate"]),
-        "o_prime": _cpx(cert["o_prime"]),
+        "config": cfg.hashed_json_dict(),
         "memberships": [
             {"word": list(m.word), "residual": m.residual} for m in cert["memberships"]
         ],
         "passed": cert["passed"],
         "solution": {
-            "pairings": [pairing_json(p) for p in sol.pairings],
-            "vertex_cycles": [[_cpx(vertices[v]) for v in c] for c in sol.vertex_cycles],
+            "pairings": [pairing_record(p) for p in sol.pairings],
             "topology": cfg.topology,
         },
     }
@@ -429,9 +432,7 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
 
 
 # the top-level keys verify_certificate_file reads
-_CERTIFICATE_KEYS = ("memberships", "candidate", "o_prime", "passed", "solution")
-# the embedded solution's cell counts, in the order the verifier reads them
-_TOPOLOGY_COUNTS = ("vertices", "edges", "faces", "euler_characteristic", "genus")
+_CERTIFICATE_KEYS = ("candidate", "config", "config_hash", "memberships", "passed", "solution")
 
 
 def _disk_point(xy) -> complex:
@@ -444,25 +445,29 @@ def _disk_point(xy) -> complex:
 
 
 def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tuple[bool, list[str]]:
-    """Re-check a certificate artifact without re-running the search.
+    """Re-check a certificate artifact from the config it embeds, without
+    re-running the search.
 
-    The generators are the embedded solution's side pairings, each followed
-    by its inverse, as group_from_solution builds them.  Verifies that no
-    boundary edge is paired twice; that at least one pairing is reversing;
-    that the solution's topology is that of a one-sided surface with
-    chi = V - E + F and genus 2 - chi; that tau, rebuilt as
-    swapping_half_turn(candidate, O'), swaps them within SWAP_TOL; that
-    there is one membership per generator, the i-th for generator i, whose
-    word_residual against tau g_i tau^-1 is at most group.WORD_TOL, the
-    test the run passed it by; that the passed flag is JSON true; and, when
-    ``cfg`` is given, that the artifact was made by that config, that O'
-    lies within SWAP_TOL of the config's second_neighbor_center and that
-    the topology is the config's.  A membership's ``residual`` is the
-    producer's record and is not read: it is recomputed from the word.  A
-    candidate equal to O' and malformed input (a file that cannot be read
-    or is not JSON, a missing key, a matrix that does not decode, a point
-    not strictly inside the unit disk, a word index out of range) are
-    reported as problems, not raised.
+    The embedded config must parse and validate, and hash to the artifact's
+    config_hash; so must ``cfg`` when it is given, which is all ``cfg`` is
+    for.  F and L are rebuilt from the embedded config.  Each stored pairing
+    record is read as a config seed record and must name an entry of L; the
+    generators are those entries' maps, each followed by its inverse, as
+    group_from_solution builds them.  The records must glue F:
+    complete_pairing, restricted to their identification set, must return
+    it, so every boundary edge is paired exactly once, every vertex cycle
+    closes at 3 wedges and some pairing is reversing.  The topology must be
+    the embedded config's.  The candidate must lie in F and not be a tile
+    center (F.is_center, the run's test).  O' is second_neighbor_center(F),
+    and tau, swapping_half_turn(candidate, O'), must swap the two within
+    SWAP_TOL.  There must be one membership per generator, the i-th for
+    generator i, whose word_residual against tau g_i tau^-1 is at most
+    group.WORD_TOL, the test the run passed it by; and the passed flag must
+    be JSON true.  A membership's ``residual`` is the producer's record and
+    is not read: it is recomputed from the word.  Malformed input (a file
+    that cannot be read or is not JSON, a missing key, a config or record
+    that does not parse, a point not strictly inside the unit disk, a word
+    index out of range) is reported as a problem, not raised.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -472,58 +477,55 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
         missing = [key for key in _CERTIFICATE_KEYS if key not in cert]
         if missing:
             return False, [f"certificate lacks {', '.join(missing)}"]
+        made_by = PipelineConfig.from_json_dict(cert["config"])
+        made_by.validate()
         solution = cert["solution"]
-        pairings = solution["pairings"]
-        sides = [Isometry.from_json(pj) for pj in pairings]
-        edges = [
-            (pj[end]["poly"], pj[end]["edge"]) for pj in pairings for end in ("src", "dst")
-        ]
+        records = [record_from_json(r) for r in solution["pairings"]]
         topology = solution["topology"]
-        counts = [topology[key] for key in _TOPOLOGY_COUNTS]
-        orientable = topology["orientable"]
         P = _disk_point(cert["candidate"])
-        o_prime = _disk_point(cert["o_prime"])
         memberships = [dict(m) for m in cert["memberships"]]
+        F = stage_domain(made_by)
+        L = enumerate_pairings(F)
     except OSError as exc:
         return False, [f"certificate cannot be read: {type(exc).__name__}: {exc}"]
     except (KeyError, IndexError, TypeError, ValueError, GeometryError) as exc:
         return False, [f"certificate does not decode: {type(exc).__name__}: {exc}"]
     problems: list[str] = []
-    if cfg is not None:
-        config_hash = cfg.config_hash()
-        if cert.get("config_hash") != config_hash:
-            problems.append(
-                f"config hash {cert.get('config_hash')} is not the configuration's {config_hash}"
-            )
-        expected = second_neighbor_center(stage_domain(cfg))
-        if not dist(o_prime, expected) <= SWAP_TOL:
-            problems.append(f"O' is not the configuration's second-neighbor center {_cpx(expected)}")
-        if topology != cfg.topology:
-            problems.append(f"topology {topology} is not the configuration's {cfg.topology}")
-    gens = [g for p in sides for g in (p, p.inverse())]
-    twice = sorted({e for e in edges if edges.count(e) > 1})
-    if twice:
-        problems.append(f"boundary edges paired twice: {twice}")
-    if not any(p.reversing for p in sides):
-        problems.append("solution has no reversing pairing")
-    if orientable is not False:
-        problems.append(f"topology says orientable {orientable!r} for a one-sided surface")
-    if not all(type(c) is int for c in counts):
-        problems.append(f"topology counts {counts} are not all integers")
-    else:
-        vertices, edge_count, faces, chi, genus = counts
-        if chi != vertices - edge_count + faces:
-            problems.append(
-                f"euler characteristic {chi} is not V - E + F = {vertices - edge_count + faces}"
-            )
-        if genus != 2 - chi:
-            problems.append(f"genus {genus} is not 2 - chi = {2 - chi}")
+    stored = cert["config_hash"]
+    for whose, config in (("embedded config", made_by), ("configuration", cfg)):
+        if config is not None and config.config_hash() != stored:
+            problems.append(f"config hash {stored} is not the {whose}'s {config.config_hash()}")
+    try:
+        sides = [find_pairing(L, *rec) for rec in records]
+    except KeyError as exc:
+        return False, problems + [exc.args[0]]
+    idents = frozenset(p.identification for p in sides)
+    try:
+        glued = len(idents) == len(sides) and complete_pairing(
+            sides, F, limit=1, within=[idents]
+        )
+    except InvalidCellStructure:
+        glued = False
+    if not glued:
+        problems.append(
+            "the pairings do not glue F: every boundary edge paired once, every "
+            "vertex cycle closing at 3 wedges and a reversing pairing are not all met"
+        )
+    # compared as JSON: 0 and 3.0 equal False and 3 in Python, not in JSON
+    if _encode(topology) != _encode(made_by.topology):
+        problems.append(f"topology {topology} is not the embedded config's {made_by.topology}")
+    if not F.contains(P):
+        problems.append(f"candidate {_cpx(P)} is not in F")
+    elif F.is_center(P):
+        problems.append(f"candidate {_cpx(P)} is a tile center")
+    o_prime = second_neighbor_center(F)
     try:
         tau = swapping_half_turn(P, o_prime)
     except ValueError as exc:
         return False, problems + [str(exc)]
     if not dist(tau(P), o_prime) <= SWAP_TOL:
         problems.append("tau does not swap the candidate with O'")
+    gens = [g for p in sides for g in (p.map, p.map.inverse())]
     if len(memberships) != len(gens):
         problems.append(f"{len(memberships)} memberships for {len(gens)} generators")
     tau_inv = tau.inverse()

@@ -91,8 +91,8 @@ def bananas(
 
 def _domain_offset_bound(F: FundamentalDomain, A: GeneralizedCircle) -> float:
     # distance to a geodesic is convex, so the max over each convex tile is
-    # attained at a corner; dist_to_geodesic's arithmetic, signed_offset's
-    # array path agreeing with its scalar one
+    # attained at a corner; the distance is asinh |signed_offset|, whose
+    # array path agrees with its scalar one
     offsets = np.abs(signed_offset(np.array(F.corners).ravel(), A))
     return max(map(math.asinh, offsets.tolist())) + 1e-6
 

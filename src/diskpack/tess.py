@@ -13,7 +13,6 @@ endpoints at angles (2m -+ 1) pi / n.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -45,10 +44,6 @@ class PolygonMetrics:
     def corners(self) -> list[complex]:
         return [self.corner(j) for j in range(self.n)]
 
-    def edge_endpoints(self, m: int) -> tuple[complex, complex]:
-        """Endpoints of edge m in counterclockwise order."""
-        return self.corner(m - 1), self.corner(m)
-
 
 def polygon_metrics(n: int) -> PolygonMetrics:
     if n <= 6:
@@ -71,16 +66,6 @@ class TriangleGenerators:
     def rotation(self) -> Isometry:
         """ca, the rotation by 2pi/n about the origin."""
         return self.c * self.a
-
-    def edge_carrier(self, m: int = 0) -> GeneralizedCircle:
-        """Carrier geodesic of edge m of the central tile."""
-        x0 = math.tanh(0.5 * self.metrics.inradius)
-        c0 = (1.0 + x0 * x0) / (2.0 * x0)
-        carrier = GeneralizedCircle.circle(c0, c0 - x0)
-        if m % self.n == 0:
-            return carrier
-        w = cmath.exp(2j * math.pi * m / self.n)
-        return GeneralizedCircle.circle(carrier.center * w, carrier.radius)
 
 
 def triangle_generators(n: int) -> TriangleGenerators:
@@ -107,26 +92,11 @@ class DistanceSet:
     depth: int
     match_tol: float = MATCH_TOL
 
-    def is_admissible(self, d: float) -> bool:
-        i = bisect.bisect_left(self.values, d)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.values) and abs(self.values[j] - d) <= self.match_tol:
-                return True
-        return False
-
     @cached_property
     def table(self) -> "AdmissibilityTable":
         """The admissibility rule and screen over these values, built on
         first use and shared by every compatibility_matrix call."""
         return AdmissibilityTable(self)
-
-    def nearest(self, d: float) -> float:
-        i = bisect.bisect_left(self.values, d)
-        best = min(
-            (j for j in (i - 1, i) if 0 <= j < len(self.values)),
-            key=lambda j: abs(self.values[j] - d),
-        )
-        return self.values[best]
 
 
 # the screen cuts each binade of u^2 = sinh^2(d/2) into 2^SCREEN_BITS bins
@@ -157,7 +127,7 @@ class AdmissibilityTable:
     screen that rules most displacements out before d is computed.
 
     The exact rule (calling the table) takes the nearest value by
-    searchsorted, as DistanceSet.is_admissible does by bisection.
+    searchsorted.
 
     The screen works on u^2 = sinh^2(d/2), which the closed form of a
     displacement gives without a division or artanh per cell

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from diskpack.geom import Isometry
+from reference_data import axis_translation
 
 
 def random_point(rng: random.Random, rmax: float = 0.9) -> complex:
@@ -29,13 +30,13 @@ def random_hyperbolic(rng: random.Random, tmin=0.2, tmax=4.0) -> tuple[Isometry,
     """Random hyperbolic isometry with known translation length."""
     t = rng.uniform(tmin, tmax)
     h = random_conformal(rng)
-    return h * Isometry.axis_translation(t) * h.inverse(), t
+    return h * axis_translation(t) * h.inverse(), t
 
 
 def random_glide(rng: random.Random, tmin=0.2, tmax=4.0) -> tuple[Isometry, float]:
     """Random glide reflection with known translation length."""
     t = rng.uniform(tmin, tmax)
-    g0 = Isometry.axis_translation(t) * Isometry(1.0, 0.0, True)
+    g0 = axis_translation(t) * Isometry(1.0, 0.0, True)
     h = random_conformal(rng)
     return h * g0 * h.inverse(), t
 

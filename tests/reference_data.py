@@ -22,8 +22,14 @@ the one that composes it at the pop; the enumeration of the admissible
 distances over every product of neighbor maps, for the one that takes one
 word per rotation orbit; and the renderer that stores each drawn item as a
 dict in a Scene layer and dispatches on its type, for the one whose figures
-are lists of SVG element strings."""
+are lists of SVG element strings.  Also the small helpers only tests use:
+the translation along the real diameter, the distance to a geodesic, a
+point of a generalized circle, a central-tile edge carrier, and the scalar
+admissibility rule for one distance that AdmissibilityTable is checked
+against."""
 
+import bisect
+import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -48,7 +54,6 @@ from diskpack.geom import (
     classify,
     displacement_offset,
     dist,
-    dist_to_geodesic,
     hypercycle,
     intersect,
     midpoint,
@@ -69,9 +74,44 @@ from diskpack.tess import (
     DEDUP_TOL,
     MATCH_TOL,
     DistanceSet,
+    TriangleGenerators,
     _compose_arrays,
     triangle_generators,
 )
+
+def axis_translation(t: float) -> Isometry:
+    """Hyperbolic translation by t along the real diameter."""
+    return Isometry(math.cosh(0.5 * t), math.sinh(0.5 * t))
+
+
+def dist_to_geodesic(z: complex, A: GeneralizedCircle) -> float:
+    return math.asinh(abs(signed_offset(z, A)))
+
+
+def point_at(C: GeneralizedCircle, t: float) -> complex:
+    """The point of a circle at angle t, or of a line at parameter t."""
+    if C.kind == "circle":
+        return C.center + C.radius * cmath.exp(1j * t)
+    return C.offset * C.normal + t * (1j * C.normal)
+
+
+def edge_carrier(gens: TriangleGenerators, m: int = 0) -> GeneralizedCircle:
+    """Carrier geodesic of edge m of the central tile."""
+    x0 = math.tanh(0.5 * gens.metrics.inradius)
+    c0 = (1.0 + x0 * x0) / (2.0 * x0)
+    w = cmath.exp(2j * math.pi * m / gens.n) if m % gens.n else 1.0
+    return GeneralizedCircle.circle(c0 * w, c0 - x0)
+
+
+def is_admissible(dset: DistanceSet, d: float) -> bool:
+    """The admissibility rule |v - d| <= match_tol for one distance, by
+    bisection: the scalar reference for AdmissibilityTable."""
+    i = bisect.bisect_left(dset.values, d)
+    for j in (i - 1, i):
+        if 0 <= j < len(dset.values) and abs(dset.values[j] - d) <= dset.match_tol:
+            return True
+    return False
+
 
 # the float closure rule the completion oracle keeps: a tile corner's angle,
 # and the tolerance on a cycle's angle sum
@@ -178,7 +218,7 @@ def compatible_pairings(c, L, dset):
     """The sublist of L displacing the candidate (or point) c by an admissible
     distance, one pairing at a time; compatibility_matrix must agree."""
     z = getattr(c, "point", c)
-    return [p for p in L if dset.is_admissible(dist(z, p.map(z)))]
+    return [p for p in L if is_admissible(dset, dist(z, p.map(z)))]
 
 
 def vertex_at(struct: BoundarySlots, z: complex) -> int:

@@ -19,7 +19,10 @@ from reference_data import (
     LC_REJECTED_IDENTS,
     REJECTED_CANDIDATE,
     SOLUTION_18_IDENTS,
+    axis_translation,
     compatible_pairings,
+    dist_to_geodesic,
+    is_admissible,
 )
 from diskpack.config import RELEVANT_N, ConfigError, NotRelevantN, PipelineConfig, load_config, primitive_pair
 from diskpack.geom import (
@@ -28,7 +31,6 @@ from diskpack.geom import (
     classify,
     displacement_offset,
     dist,
-    dist_to_geodesic,
     hypercycle,
     signed_offset,
 )
@@ -146,7 +148,7 @@ class TestCriterion5KernelProperties:
                 2 * math.pi * rng.random()
             )
             glide = rng.random() < 0.5
-            g0 = Isometry.axis_translation(t)
+            g0 = axis_translation(t)
             if glide:
                 g0 = g0 * Isometry(1.0, 0.0, True)
             g = h * g0 * h.inverse()
@@ -157,7 +159,7 @@ class TestCriterion5KernelProperties:
             side = 1 if rng.random() < 0.5 else -1
             s = rng.uniform(-1.5, 1.5)
             z = h(
-                Isometry.axis_translation(s)(1j * side * math.tanh(0.5 * delta))
+                axis_translation(s)(1j * side * math.tanh(0.5 * delta))
             )
             assert abs(dist(z, g(z)) - d) <= 1e-7
             # z lies on the equidistant curve of its own side of the axis
@@ -192,13 +194,13 @@ class TestCriterion6DistanceSets:
         r = gens.rm
         walk = r[1] * r[6] * r[4] * r[1] * r[5]
         d = dist(0j, walk(0j))
-        assert admissible_distances(7, 5).is_admissible(d)
+        assert is_admissible(admissible_distances(7, 5), d)
 
     def test_depth_monotone_3_to_4(self):
         d3 = admissible_distances(7, 3)
         d4 = admissible_distances(7, 4)
         for v in d3.values:
-            assert abs(d4.nearest(v) - v) <= 1e-9
+            assert min(abs(x - v) for x in d4.values) <= 1e-9
         print(
             "\nACCEPTANCE 6: PASS - depth-1 set, five-step walk membership, "
             "and depth monotonicity all hold"

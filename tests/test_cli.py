@@ -10,7 +10,7 @@ from diskpack import group, pipeline, render, search
 from diskpack.cli import main
 from diskpack.config import PipelineConfig, load_config
 from diskpack.domain import find_pairing
-from diskpack.geom import Isometry, dist
+from diskpack.geom import dist, elliptic_about, geodesic_reflection, geodesic_through, midpoint
 from diskpack.group import SWAP_TOL, WORD_TOL, swapping_half_turn
 from diskpack.pipeline import (
     run_pipeline,
@@ -75,7 +75,12 @@ def test_certificate_artifact_passes(completed_run):
     # residual beside it
     assert len(cert["memberships"]) == 36
     assert all(sorted(m) == ["residual", "word"] for m in cert["memberships"])
-    P, o_prime = complex(*cert["candidate"]), complex(*cert["o_prime"])
+    # the config it was made by, which hashes to its header's config_hash;
+    # O' is that config's second-neighbor center and is not stored
+    made_by = PipelineConfig.from_json_dict(cert["config"])
+    assert made_by.config_hash() == cert["config_hash"]
+    assert "o_prime" not in cert
+    P, o_prime = complex(*cert["candidate"]), group.second_neighbor_center(stage_domain(made_by))
     assert dist(swapping_half_turn(P, o_prime)(P), o_prime) <= SWAP_TOL
 
 
@@ -83,6 +88,8 @@ def test_verify_subcommand(n14_cfg_path, completed_run, capsys):
     assert main(["verify", "--config", n14_cfg_path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True and out["problems"] == []
+    # without a config, from the config the certificate carries
+    assert verify_certificate_file(os.path.join(completed_run, "certificate.json")) == (True, [])
 
 
 def test_verify_reports_a_missing_certificate_and_creates_nothing(n14_cfg_path, tmp_path, capsys):
@@ -117,15 +124,31 @@ def _forged(completed_run, tmp_path, forge):
     return str(out)
 
 
-def test_verify_rejects_an_edge_paired_twice(completed_run, tmp_path):
+def _rejected(n14_cfg_path, out, capsys, message):
+    """verify_certificate_file rejects the certificate in ``out`` naming
+    ``message``, with the config and without one, and so does `verify`;
+    returns the problems found with the config."""
+    path = os.path.join(out, "certificate.json")
+    reports = [verify_certificate_file(path), verify_certificate_file(path, load_config(n14_cfg_path))]
+    for ok, problems in reports:
+        assert not ok and any(message in p for p in problems), (message, problems)
+    assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["problems"] == reports[1][1]
+    return reports[1][1]
+
+
+# what verify says of pairing records that do not glue F
+_NOT_GLUED = "the pairings do not glue F"
+
+
+def test_verify_rejects_an_edge_paired_twice(n14_cfg_path, completed_run, tmp_path, capsys):
     def forge(cert):
         pairings = cert["solution"]["pairings"]
         pairings[1]["src"] = dict(pairings[0]["src"])
 
     out = _forged(completed_run, tmp_path, forge)
-    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
-    assert not ok
-    assert any("paired twice" in p for p in problems)
+    _rejected(n14_cfg_path, out, capsys, _NOT_GLUED)
 
 
 @pytest.mark.parametrize(
@@ -146,24 +169,35 @@ def _no_reversing_pairing(solution):
         p["reversing"] = False
 
 
+# the embedded config's topology is not the forged one
+_TOPOLOGY = "is not the embedded config's"
+
+
 @pytest.mark.parametrize(
     "forge, messages",
     [
-        # 3 of the cycles kept, genus 99 and chi 7: a forgery that verified
-        # while the topology went unread
+        # 3 pairings kept, genus 99 and chi 7: the solution cut short and
+        # counts that no gluing of three 14-gons gives
         (
             lambda s: (
-                s.update(vertex_cycles=s["vertex_cycles"][:3]),
+                s.update(pairings=s["pairings"][:3]),
                 s["topology"].update(genus=99, euler_characteristic=7),
             ),
-            ["euler characteristic 7", "genus 99"],
+            [_NOT_GLUED, _TOPOLOGY],
         ),
-        (_no_reversing_pairing, ["no reversing pairing"]),
-        (lambda s: s["topology"].update(genus=7), ["genus 7 is not 2 - chi = 6"]),
-        (lambda s: s["topology"].update(orientable=True), ["orientable True"]),
-        (lambda s: s["topology"].update(faces="3"), ["not all integers"]),
+        # every record names its edges' conformal matching instead: each
+        # is in L, but a gluing needs a reversing pairing
+        (_no_reversing_pairing, [_NOT_GLUED]),
+        (lambda s: s["topology"].update(genus=7), [_TOPOLOGY]),
+        (lambda s: s["topology"].update(orientable=True), [_TOPOLOGY]),
+        (lambda s: s["topology"].update(faces="3"), [_TOPOLOGY]),
+        # equal in Python, but not the JSON false and integer the config gives
+        (lambda s: s["topology"].update(orientable=0, faces=3.0), [_TOPOLOGY]),
     ],
-    ids=["cut-cycles-and-counts", "no-reversing-pairing", "genus", "orientable", "faces-not-int"],
+    ids=[
+        "cut-cycles-and-counts", "no-reversing-pairing", "genus", "orientable", "faces-not-int",
+        "orientable-zero-faces-float",
+    ],
 )
 def test_verify_checks_the_embedded_topology(completed_run, tmp_path, forge, messages):
     out = _forged(completed_run, tmp_path, lambda cert: forge(cert["solution"]))
@@ -177,34 +211,40 @@ def test_verify_given_the_config_rejects_a_consistent_wrong_topology(
     n14_cfg_path, completed_run, tmp_path, capsys
 ):
     # V = 15, chi = -3, genus 5 agree with each other and with E = 21,
-    # F = 3, so only the config's genus-6 surface can reject them
+    # F = 3; only the config's genus-6 surface rejects them, the embedded
+    # one as much as the given one
     out = _forged(
         completed_run,
         tmp_path,
         lambda c: c["solution"]["topology"].update(vertices=15, euler_characteristic=-3, genus=5),
     )
-    path = os.path.join(out, "certificate.json")
-    assert verify_certificate_file(path) == (True, [])
-    ok, problems = verify_certificate_file(path, load_config(n14_cfg_path))
-    assert not ok and len(problems) == 1
-    assert problems[0].startswith("topology {") and "is not the configuration's" in problems[0]
-    assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["ok"] is False and report["problems"] == problems
+    problems = _rejected(n14_cfg_path, out, capsys, _TOPOLOGY)
+    assert len(problems) == 1 and problems[0].startswith("topology {")
 
 
-def test_verify_rejects_an_identity_tau_with_o_prime_at_the_candidate(completed_run, tmp_path):
+@pytest.fixture(scope="module")
+def n14_domain():
+    return stage_domain(load_config("configs/n14.json"))
+
+
+def _at_o_prime(F):
+    """A forge that moves the candidate onto O', the second-neighbor center."""
+    o_prime = group.second_neighbor_center(F)
+    return lambda cert: cert.update(candidate=[o_prime.real, o_prime.imag])
+
+
+def test_verify_rejects_an_identity_tau_with_o_prime_at_the_candidate(
+    n14_cfg_path, completed_run, n14_domain, tmp_path, capsys
+):
     # the identity swaps the candidate with itself and conjugates every
     # generator to itself, so one-letter words would fit it exactly
     def forge(cert):
-        cert["o_prime"] = cert["candidate"]
+        _at_o_prime(n14_domain)(cert)
         for i, m in enumerate(cert["memberships"]):
             m["word"] = [i]
 
     out = _forged(completed_run, tmp_path, forge)
-    ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
-    assert not ok
-    assert any("coincides with O'" in p for p in problems)
+    _rejected(n14_cfg_path, out, capsys, "coincides with O'")
 
 
 def test_verify_checks_the_words_against_the_rebuilt_tau(completed_run, tmp_path):
@@ -234,31 +274,123 @@ def test_verify_checks_the_config_hash(n14_cfg_path, completed_run, tmp_path, ca
         cert["config_hash"] = "0" * 16
 
     out = _forged(completed_run, tmp_path, forge)
-    path = os.path.join(out, "certificate.json")
-    assert verify_certificate_file(path) == (True, [])  # no hash to compare with
-    ok, problems = verify_certificate_file(path, load_config(n14_cfg_path))
-    assert not ok and "config hash" in problems[0]
-    assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["ok"] is False
+    problems = _rejected(n14_cfg_path, out, capsys, "config hash")
+    assert [p.split(" is not the ")[1].split("'s ")[0] for p in problems] == [
+        "embedded config", "configuration"
+    ]
 
 
-def test_verify_checks_o_prime_against_the_config(n14_cfg_path, completed_run, tmp_path, capsys):
-    # the half-turn about the midpoint is the same whichever point is O', so
-    # a certificate that passes the candidate off as O' verifies on its own;
-    # only the config's second-neighbor center tells the two apart
+def test_verify_checks_o_prime_against_the_config(n14_cfg_path, completed_run, n14_domain, tmp_path, capsys):
+    # the half-turn about the midpoint is the same whichever point is O',
+    # so a certificate that passes O' off as its candidate keeps every word;
+    # O' is not stored but rebuilt from the config, and lies outside F
+    out = _forged(completed_run, tmp_path, _at_o_prime(n14_domain))
+    problems = _rejected(n14_cfg_path, out, capsys, "coincides with O'")
+    assert any(p.endswith("is not in F") for p in problems)
+
+
+def _commuting_solution(F, P, records):
+    """A forge giving the candidate P and a solution of the pairing
+    ``records``, each stored with a map that commutes with tau, the
+    half-turn about the midpoint M of P and O': the reflection in the
+    geodesic through M and O' for a reversing record, the quarter-turn
+    about M for a conformal one.  Each generator is then its own conjugate,
+    so its one-letter word fits, whatever the records glue; a verifier that
+    decoded the stored maps accepted such a certificate."""
+    o_prime = group.second_neighbor_center(F)
+    M = midpoint(P, o_prime)
+    maps = {
+        True: geodesic_reflection(geodesic_through(M, o_prime)),
+        False: elliptic_about(M, math.pi / 2),
+    }
+
     def forge(cert):
-        cert["candidate"], cert["o_prime"] = cert["o_prime"], cert["candidate"]
+        cert["candidate"] = [P.real, P.imag]
+        cert["solution"]["pairings"] = [
+            {**rec, **maps[rec["reversing"]].to_json()} for rec in records
+        ]
+        cert["memberships"] = [{"word": [i], "residual": 0.0} for i in range(2 * len(records))]
 
-    out = _forged(completed_run, tmp_path, forge)
-    path = os.path.join(out, "certificate.json")
-    assert verify_certificate_file(path) == (True, [])  # no config to compare with
-    ok, problems = verify_certificate_file(path, load_config(n14_cfg_path))
-    assert not ok and len(problems) == 1
-    assert "is not the configuration's second-neighbor center" in problems[0]
-    assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["ok"] is False and report["problems"] == problems
+    return forge
+
+
+def _record(src, dst, reversing):
+    """A certificate pairing record gluing pol1 edge src to pol1 edge dst."""
+    return {"src": {"poly": 1, "edge": src}, "dst": {"poly": 1, "edge": dst}, "reversing": reversing}
+
+
+def _drop_last_pairing(cert):
+    # no other membership's word uses the last pairing's two generators,
+    # so every word left still composes
+    cert["solution"]["pairings"].pop()
+    del cert["memberships"][-2:]
+    assert not {34, 35} & {i for m in cert["memberships"] for i in m["word"]}
+
+
+def _internal_edge(cert):
+    # pol1 edge 0 is glued to pol2 inside F
+    cert["solution"]["pairings"][0]["dst"] = {"poly": 1, "edge": 0}
+
+
+def _embedded_config(**change):
+    return lambda cert: cert["config"].update(change)
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda F, P: _commuting_solution(F, P, [_record(2, 3, True)]), _NOT_GLUED),
+        (lambda F, P: _drop_last_pairing, _NOT_GLUED),
+        (lambda F, P: _internal_edge, "no side pairing with record (True, 0, 2, 0, 0)"),
+        # edges 2 and 3 of pol1 share a corner: their conformal matching is
+        # the rotation about it, an elliptic that L leaves out
+        (
+            lambda F, P: _commuting_solution(F, P, [_record(2, 3, False), _record(4, 5, True)]),
+            "no side pairing with record (False, 0, 2, 0, 3)",
+        ),
+        (
+            lambda F, P: _commuting_solution(F, F.centers[0], [_record(2, 3, True)]),
+            "is a tile center",
+        ),
+        (lambda F, P: _commuting_solution(F, 0.95 + 0j, [_record(2, 3, True)]), "is not in F"),
+        (lambda F, P: _embedded_config(n=18), "is not the embedded config's"),
+        (lambda F, P: _embedded_config(attachments=[[0, 0], [0, 2]]), "is not the embedded config's"),
+    ],
+    ids=[
+        "one-reflection", "dropped-pairing", "internal-edge", "vertex-elliptic",
+        "candidate-at-center", "candidate-outside-F", "config-n", "config-attachments",
+    ],
+)
+def test_verify_rejects_a_forged_gluing(
+    n14_cfg_path, completed_run, n14_domain, tmp_path, capsys, forge, message
+):
+    cert = _read_json(os.path.join(completed_run, "certificate.json"))
+    P = complex(*cert["candidate"])
+    out = _forged(completed_run, tmp_path, forge(n14_domain, P))
+    _rejected(n14_cfg_path, out, capsys, message)
+
+
+@pytest.fixture(scope="module")
+def depth3_run(n14_cfg_path):
+    out = os.path.join(os.path.dirname(n14_cfg_path), "out-d3")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "--config", n14_cfg_path, "--depth", "3", "--out", out]) == 0
+    return out
+
+
+def test_verify_recomputes_the_run_residuals_to_the_bit(depth3_run, monkeypatch):
+    # the generators are L's own maps, not maps decoded from the artifact,
+    # so every word residual verify takes is the one the run recorded
+    taken = []
+
+    def recording(word, gens, h):
+        taken.append(group.word_residual(word, gens, h))
+        return taken[-1]
+
+    monkeypatch.setattr(pipeline, "word_residual", recording)
+    path = os.path.join(depth3_run, "certificate.json")
+    assert verify_certificate_file(path) == (True, [])
+    assert taken == [m["residual"] for m in _read_json(path)["memberships"]]
 
 
 @pytest.mark.parametrize(
@@ -268,46 +400,35 @@ def test_verify_checks_o_prime_against_the_config(n14_cfg_path, completed_run, t
         (lambda c: c["memberships"][5]["word"].append(-1), "not a list of generator indices"),
         (lambda c: c["memberships"][5].update(word=7), "not a list of generator indices"),
         (lambda c: c.pop("solution"), "lacks solution"),
-        (lambda c: c.pop("o_prime"), "lacks o_prime"),
+        (lambda c: c.pop("config"), "lacks config"),
+        (lambda c: c.update(config=[14]), "config must be a JSON object"),
+        (lambda c: c["config"].update(n=13), "NotRelevantN"),
         (lambda c: c["solution"].pop("pairings"), "KeyError: 'pairings'"),
-        (lambda c: c["solution"]["pairings"][3].pop("matrix"), "KeyError: 'matrix'"),
-        (
-            lambda c: c["solution"]["pairings"][3].update(matrix=[[1, 0], [1, 0]]),
-            "does not preserve the disk",
-        ),
+        (lambda c: c["solution"]["pairings"][3]["src"].update(poly="1"), "malformed seed record"),
         (lambda c: c.update(memberships=5), "TypeError"),
         (lambda c: c["memberships"].__setitem__(1, c["memberships"][0]), "generator 1 misses"),
         (lambda c: c["memberships"].pop(), "35 memberships for 36 generators"),
         (lambda c: c["memberships"].append(c["memberships"][0]), "37 memberships for 36"),
         # JSON decodes NaN and Infinity, and every comparison with NaN is
-        # False: no point or matrix entry may slip through as one
+        # False: no point may slip through as one
         (lambda c: c.update(candidate=[math.nan, 0.0]), "not inside the unit disk"),
-        (lambda c: c.update(o_prime=[math.inf, 0.0]), "not inside the unit disk"),
+        (lambda c: c.update(candidate=[math.inf, 0.0]), "not inside the unit disk"),
         (lambda c: c.update(candidate=[2.0, 0.0]), "not inside the unit disk"),
-        (
-            lambda c: c["solution"]["pairings"][3]["matrix"][1].__setitem__(0, math.nan),
-            "does not preserve the disk",
-        ),
-        # |a|^2 of a finite entry overflows
-        (
-            lambda c: c["solution"]["pairings"][3]["matrix"][0].__setitem__(0, 1e200),
-            "does not preserve the disk",
-        ),
         # a long power of one generator leaves the float range as it composes
         (
             lambda c: c["memberships"][0].update(word=[0] * 60),
             "word for generator 0 misses by inf",
         ),
-        (_string_reversing, "reversing must be a JSON boolean"),
+        (_string_reversing, "malformed seed record"),
         (lambda c: json.dumps(c)[:4000], "certificate does not decode: JSONDecodeError"),
     ],
     ids=[
         "word-index-99", "word-index-negative", "word-not-a-list",
-        "no-solution", "no-o-prime", "no-solution-pairings", "no-pairing-matrix",
-        "singular-pairing", "memberships-not-a-list", "generator-listed-twice",
-        "membership-missing", "membership-extra", "nan-candidate", "infinite-o-prime",
-        "out-of-disk-candidate", "nan-pairing-matrix", "huge-pairing-matrix", "word-overflows",
-        "string-reversing", "truncated",
+        "no-solution", "no-config", "config-not-an-object", "config-n-13",
+        "no-solution-pairings", "pairing-poly-a-string",
+        "memberships-not-a-list", "generator-listed-twice",
+        "membership-missing", "membership-extra", "nan-candidate", "infinite-candidate",
+        "out-of-disk-candidate", "word-overflows", "string-reversing", "truncated",
     ],
 )
 def test_verify_reports_malformed_certificates(
@@ -321,10 +442,15 @@ def test_verify_reports_malformed_certificates(
     assert report["ok"] is False and any(message in p for p in report["problems"])
 
 
+def _record_of(pairing: dict) -> dict:
+    """A pairings.json record as certificate.json stores it: without the matrix."""
+    return {key: value for key, value in pairing.items() if key != "matrix"}
+
+
 def test_solutions_json_decodes_to_the_certified_solution(completed_run):
     # schema 4: a solution is its pairings, indices into pairings.json, and
     # its vertex cycles, lists of ids into "vertices"; the certificate
-    # embeds the same solution in full, with the config's topology
+    # embeds the same pairings as records, with the config's topology
     def load(name):
         with open(os.path.join(completed_run, name), encoding="utf-8") as fh:
             return json.load(fh)
@@ -332,32 +458,27 @@ def test_solutions_json_decodes_to_the_certified_solution(completed_run):
     sols, L, cert = load("solutions.json"), load("pairings.json"), load("certificate.json")
     assert sols["schema_version"] == 4
     assert os.path.getsize(os.path.join(completed_run, "solutions.json")) <= 145_000
-    vertices = sols["vertices"]
-
-    def decode(s):
+    for s in sols["candidates"][0]["solutions"]:
         assert sorted(s) == ["pairings", "vertex_cycles"]
-        return {
-            "pairings": [L["pairings"][i] for i in s["pairings"]],
-            "vertex_cycles": [[vertices[v] for v in c] for c in s["vertex_cycles"]],
-        }
+        assert all(0 <= v < len(sols["vertices"]) for c in s["vertex_cycles"] for v in c)
 
     (entry,) = [c for c in sols["candidates"] if c["point"] == cert["candidate"]]
     embedded = dict(cert["solution"])
     assert embedded.pop("topology") == load_config("configs/n14.json").topology
+    assert sorted(embedded) == ["pairings"]
     hits = [
-        d
-        for d in map(decode, entry["solutions"])
-        if d["pairings"] == embedded["pairings"]
+        s
+        for s in entry["solutions"]
+        if [_record_of(L["pairings"][i]) for i in s["pairings"]] == embedded["pairings"]
     ]
     assert len(hits) == 1
-    assert hits[0] == embedded
 
 
 # fields no artifact writes: each copied another field or a constant
 _DROPPED = {
     "type", "angle_sum", "seeds", "covered", "residual_tol", "swap_tol", "generators",
     "dedup_tol", "midpoint", "count", "basepoint", "tau", "swap_residual", "normalizes",
-    "stalled", "generator", "label", "member",
+    "stalled", "generator", "label", "member", "o_prime",
 }
 
 
@@ -376,31 +497,36 @@ def test_artifacts_write_each_fact_once(n14_cfg_path, completed_run):
     names = ("distances", "domain", "pairings", "candidates", "filtering", "solutions")
     docs = {name: _read_json(os.path.join(completed_run, f"{name}.json")) for name in names}
     cert = docs["certificate"] = _read_json(os.path.join(completed_run, "certificate.json"))
+    # the embedded config is the config as config_hash hashes it, seed
+    # records and all
+    cfg = load_config(n14_cfg_path)
+    assert cert.pop("config") == cfg.hashed_json_dict()
     for name, doc in docs.items():
         fields = list(_walk(doc))
         assert not _DROPPED & {key for key, _ in fields}, name
         # an isometry's matrix is its first row; conj b, conj a follow
         assert all(len(v) == 2 for key, v in fields if key == "matrix"), name
     records = docs["pairings"]["pairings"]
-    for rec in records + cert["solution"]["pairings"]:
+    for rec in records:
         assert sorted(rec) == ["dst", "matrix", "reversing", "src"]
-    assert all(isinstance(c, list) for c in cert["solution"]["vertex_cycles"])
+    # the certificate stores no map and no vertex cycle: verify takes both
+    # from L, which it rebuilds from the embedded config
+    for rec in cert["solution"]["pairings"]:
+        assert sorted(rec) == ["dst", "reversing", "src"]
+    assert sorted(cert["solution"]) == ["pairings", "topology"]
 
     # pasted into a config's seed_pairs, every record names an entry of L;
-    # it stores that entry's matrix row to the bit, and decodes as the
-    # Isometry constructor rebuilds the entry from that row
-    cfg = load_config(n14_cfg_path)
+    # pairings.json stores that entry's matrix row to the bit
     L = stage_pairings(cfg, stage_domain(cfg))
     shipped = cfg.to_json_dict()
 
     def entry(rec):
         seeded = PipelineConfig.from_json_dict({**shipped, "seed_pairs": [rec, rec]})
-        p = find_pairing(L, *seeded.seed_pairs[0])
+        return find_pairing(L, *seeded.seed_pairs[0])
+
+    for rec, p in zip(records, L):
         a, b = p.map.a, p.map.b
         assert rec["matrix"] == [[a.real, a.imag], [b.real, b.imag]]
-        assert Isometry.from_json(rec) == Isometry(a, b, p.reversing)
-        return p
-
     assert [entry(rec) for rec in records] == L
     for rec in cert["solution"]["pairings"]:
         entry(rec)
@@ -426,6 +552,8 @@ def test_seed_flags_in_the_opposite_direction(n14_cfg_path, completed_run, tmp_p
         with open(os.path.join(out, name), encoding="utf-8") as fh:
             after = json.load(fh)
         assert before.pop("config_hash") != after.pop("config_hash")
+        if name == "certificate.json":  # the config it embeds names the seeds
+            assert before.pop("config") != after.pop("config")
         assert after == before
     # seed records are written in L's direction, smaller edge key first
     assert after["seed_pair"] == [[True, 0, 10, 0, 13], [False, 0, 2, 1, 7]]

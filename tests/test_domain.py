@@ -56,8 +56,8 @@ class TestBuildDomain:
         # relabeling convention: an attached tile's edge 0 coincides with the
         # parent edge it was attached across, endpoints matching as a set
         F = n14.F
-        parent_edge = F.edge_ref(0, 0)
-        child_edge = F.edge_ref(1, 0)
+        parent_edge = F.edges[0][0]
+        child_edge = F.edges[1][0]
         pa, pb = parent_edge.endpoints
         ca, cb = child_edge.endpoints
         assert min(abs(pa - ca) + abs(pb - cb), abs(pa - cb) + abs(pb - ca)) < 1e-9
@@ -159,7 +159,7 @@ class TestContains:
     def test_internal_edge_point_inside(self, n14):
         F = n14.F
         (p, e), _ = F.internal_edges[0]
-        ref = F.edge_ref(p, e)
+        ref = F.edges[p][e]
         mid = 0.5 * (ref.endpoints[0] + ref.endpoints[1])
         # Euclidean midpoint of the endpoints is close enough to the edge to
         # sit inside both closed tiles
@@ -188,7 +188,7 @@ class TestContains:
         F = n14.F
         pts = [c.point for c in n14.C]
         for (p, e), _ in F.internal_edges:
-            a, b = F.edge_ref(p, e).endpoints
+            a, b = F.edges[p][e].endpoints
             pts.append(0.5 * (a + b))
         pts += [pt for pt, members in F.vertex_classes() if len(members) == 3]
         pts += [0.999 + 0j, -0.95j] + [random_point(rng, 0.98) for _ in range(300)]
@@ -204,7 +204,7 @@ class TestContains:
         F = n14.F
         # the two tiles' carriers of an internal edge differ by rounding, so
         # some internal edges leave a sliver of overlap and others a gap
-        internal = [F.edge_ref(*key) for key, _ in F.internal_edges]
+        internal = [F.edges[key[0]][key[1]] for key, _ in F.internal_edges]
         pts = []
         for ref in [F.boundary[0], F.boundary[17]] + internal:
             for target in (INSIDE_TOL, -INSIDE_TOL):
@@ -516,7 +516,8 @@ class TestSymmetries:
     def test_n14_group_has_order_six(self, n14):
         group = n14.F.symmetries
         assert len(group) == 6
-        assert group[0].map.is_identity()
+        identity = group[0].map
+        assert not identity.reversing and identity.matrix_dist(Isometry.identity()) <= 1e-9
         assert sum(s.map.reversing for s in group) == 3
         keys = sorted(e.key for e in n14.F.boundary)
         for s in group:

@@ -41,7 +41,7 @@ class TestGroupPresentation:
         F = n14.F
         assert F.contains(G.basepoint)
         clear = min(
-            abs(F.edge_ref(poly, e).margin(G.basepoint))
+            abs(F.edges[poly][e].margin(G.basepoint))
             for poly in range(F.k)
             for e in range(F.n)
         )

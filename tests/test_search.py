@@ -12,9 +12,12 @@ from reference_data import (
     LC_REJECTED_IDENTS,
     REJECTED_CANDIDATE,
     SOLUTION_18_IDENTS,
+    axis_translation,
     both_directions,
     compatible_pairings,
     flipped,
+    is_admissible,
+    point_at,
     reference_candidates,
     reference_compatibility_matrix,
     reference_complete_pairing,
@@ -69,7 +72,7 @@ class TestBananas:
         for d, curves in fam[:10]:
             for c in curves:
                 for i in range(10):
-                    z = c.point_at(0.6 * i)
+                    z = point_at(c, 0.6 * i)
                     if abs(z) < 0.995:
                         assert dist(z, g(z)) == pytest.approx(d, abs=1e-6)
                         checked += 1
@@ -133,7 +136,7 @@ class TestCandidates:
         # tolerance contract
         for c in n14.C[::17]:
             d1, d2 = c.seed_distances
-            assert n14.dset.is_admissible(d1) and n14.dset.is_admissible(d2)
+            assert is_admissible(n14.dset, d1) and is_admissible(n14.dset, d2)
             assert dist(c.point, n14.p1.map(c.point)) == pytest.approx(d1, abs=1e-9)
             assert dist(c.point, n14.p2.map(c.point)) == pytest.approx(d2, abs=1e-9)
 
@@ -422,7 +425,7 @@ class TestCompatibilityScreen:
         # u^2 lies in the bottom bin, below every interval end but v = 0's
         near = [
             dataclasses.replace(n14.L[0], map=Isometry.identity()),
-            dataclasses.replace(n14.L[1], map=Isometry.axis_translation(1e-7)),
+            dataclasses.replace(n14.L[1], map=axis_translation(1e-7)),
             dataclasses.replace(n14.L[2], map=Isometry(1.0, 0.0, True)),
         ]
         pts = [0j, 0.5, -0.25, 0.3 + 0.1j]

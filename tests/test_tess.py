@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reference_data import reference_admissible_distances
+from reference_data import edge_carrier, is_admissible, reference_admissible_distances
 from diskpack.geom import Isometry, classify, dist
 from diskpack.tess import (
     DEDUP_TOL,
@@ -112,8 +112,8 @@ class TestTriangleGenerators:
             corners = m.corners()
             for j, v in enumerate(corners):
                 assert dist(0j, v) == pytest.approx(m.circumradius, abs=1e-10)
-                t_prev = _tangent_toward(gens.edge_carrier(j), v, corners[j - 1])
-                t_next = _tangent_toward(gens.edge_carrier((j + 1) % n), v, corners[(j + 1) % n])
+                t_prev = _tangent_toward(edge_carrier(gens, j), v, corners[j - 1])
+                t_next = _tangent_toward(edge_carrier(gens, (j + 1) % n), v, corners[(j + 1) % n])
                 angle = abs(cmath.phase(t_next / t_prev))
                 assert angle == pytest.approx(2 * math.pi / 3, abs=1e-9)
 
@@ -121,8 +121,8 @@ class TestTriangleGenerators:
         gens = triangle_generators(14)
         m = gens.metrics
         for e in range(14):
-            carrier = gens.edge_carrier(e)
-            for v in m.edge_endpoints(e):
+            carrier = edge_carrier(gens, e)
+            for v in (m.corner(e - 1), m.corner(e)):
                 assert abs(carrier.side(v)) < 1e-12
 
     def test_neighbor_shares_exactly_edge_m(self):
@@ -135,7 +135,7 @@ class TestTriangleGenerators:
                 v for v in image if any(abs(v - w) < 1e-9 for w in base)
             ]
             assert len(shared) == 2
-            expected = m.edge_endpoints(e)
+            expected = (m.corner(e - 1), m.corner(e))
             for v in shared:
                 assert any(abs(v - w) < 1e-9 for w in expected)
 
@@ -148,7 +148,7 @@ class TestTriangleGenerators:
         from diskpack.geom import geodesic_reflection
 
         for e in range(n):
-            base_refl.append(geodesic_reflection(gens.edge_carrier(e)))
+            base_refl.append(geodesic_reflection(edge_carrier(gens, e)))
 
         def flood(steps):
             level = [Isometry.identity()]
@@ -218,8 +218,8 @@ class TestAdmissibleDistances:
         d2 = admissible_distances(7, 2)
         d3 = admissible_distances(7, 3)
         for v in d2.values:
-            assert d3.is_admissible(v)
-            assert abs(d3.nearest(v) - v) < 1e-9
+            assert is_admissible(d3, v)
+            assert min(abs(x - v) for x in d3.values) < 1e-9
 
     def test_five_step_walk_distance_is_member(self):
         gens = triangle_generators(7)
@@ -227,13 +227,13 @@ class TestAdmissibleDistances:
         word = r[1] * r[6] * r[4] * r[1] * r[5]
         d = dist(0j, word(0j))
         dset = admissible_distances(7, 5)
-        assert abs(dset.nearest(d) - d) < 1e-9
+        assert min(abs(x - d) for x in dset.values) < 1e-9
 
     def test_is_admissible_matching(self):
         dset = admissible_distances(14, 1)
-        assert dset.is_admissible(0.0)
-        assert dset.is_admissible(2 * INRADIUS_14 + 0.5 * dset.match_tol)
-        assert not dset.is_admissible(2 * INRADIUS_14 + 10 * dset.match_tol)
+        assert is_admissible(dset, 0.0)
+        assert is_admissible(dset, 2 * INRADIUS_14 + 0.5 * dset.match_tol)
+        assert not is_admissible(dset, 2 * INRADIUS_14 + 10 * dset.match_tol)
 
     def test_random_product_is_member(self, rng):
         gens = triangle_generators(7)
@@ -242,7 +242,7 @@ class TestAdmissibleDistances:
             word = Isometry.identity()
             for _ in range(4):
                 word = word * gens.rm[rng.randrange(7)]
-            assert dset.is_admissible(dist(0j, word(0j)))
+            assert is_admissible(dset, dist(0j, word(0j)))
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -298,7 +298,7 @@ class TestAdmissibleMask:
     def test_equals_scalar_rule_at_interval_ends(self, depth):
         dset = admissible_distances(14, depth)
         d = _edge_distances(dset)
-        expected = np.array([dset.is_admissible(float(x)) for x in d])
+        expected = np.array([is_admissible(dset, float(x)) for x in d])
         assert np.array_equal(AdmissibilityTable(dset)(d), expected)
         # the ulp moves straddle the rule's boundary on both sides
         assert expected.any() and not expected.all()
@@ -315,7 +315,7 @@ class TestAdmissibleMask:
         hi = dset.values[-1] + 1.0
         uniform = [rng.uniform(-1.0, hi) for _ in range(4000)]
         d = np.concatenate([_edge_distances(dset), uniform])
-        expected = np.array([dset.is_admissible(float(x)) for x in d])
+        expected = np.array([is_admissible(dset, float(x)) for x in d])
         assert np.array_equal(AdmissibilityTable(dset)(d), expected)
 
     def test_bins_span_a_relative_two_to_the_minus_screen_bits(self, rng):
