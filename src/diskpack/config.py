@@ -15,6 +15,8 @@ from functools import cached_property
 
 from .domain import Attachment
 from .geom import Isometry
+from .search import CANDIDATE_DEDUP
+from .tess import MATCH_TOL
 
 RELEVANT_N = (7, 8, 9, 10, 11, 12, 14, 16, 18, 24, 30)
 
@@ -69,10 +71,10 @@ class PipelineConfig:
     n: int
     attachments: list[Attachment] = field(default_factory=list)
     depth: int = 5
-    match_tol: float = 1e-4
+    match_tol: float = MATCH_TOL
     # one value in use, but the benchmark's screen (perfbench/common.py)
     # reads cfg.candidate_dedup, so it stays a field
-    candidate_dedup: float = 1e-6
+    candidate_dedup: float = CANDIDATE_DEDUP
     seed_pairs: list[tuple] | None = None  # two records (reversing, sp, se, dp, de), 0-based
     limit: int = 32
     frame_rotation_deg: float = 0.0

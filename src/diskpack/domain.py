@@ -34,7 +34,6 @@ from .geom import (
     dist,
     geodesic_through,
     segment_aligner,
-    signed_offset,
 )
 from .tess import TriangleGenerators, triangle_generators
 
@@ -83,11 +82,6 @@ class EdgeRef:
     @cached_property
     def key(self) -> tuple[int, int]:
         return (self.poly, self.edge)
-
-    def margin(self, z):
-        """Signed sinh-distance to the carrier, positive on the inward side;
-        z is a point or an array of points."""
-        return self.inward * signed_offset(z, self.carrier)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +132,8 @@ class _CarrierTable:
         """The margin of z at every edge: shape (k, n) for a point, (k, n, m)
         for a 1-D array of m points."""
         # signed_offset's operations in its order, on float64 like the
-        # scalar path, so every entry equals EdgeRef.margin bit for bit
+        # scalar path, so every entry equals the edge's inward sign times
+        # signed_offset(z, carrier) bit for bit
         x, y = z.real, z.imag
         cx, cy, r2, signed_r = self.cx, self.cy, self.r2, self.signed_r
         nx, ny, offset, twice = (
@@ -543,7 +538,7 @@ def _product(x, y):
 
 
 class BoundarySlots:
-    """Vertex classes and the corner slots used for vertex-cycle tracing.
+    """Each vertex's tile corners and the corner slots completion links.
 
     A slot is a pair (boundary vertex, incident boundary edge); every
     boundary vertex carries exactly two.  Choosing a pairing g for edge e
@@ -555,12 +550,10 @@ class BoundarySlots:
     """
 
     def __init__(self, F: FundamentalDomain):
-        self.points: list[complex] = []
+        # vertex ids index F.vertex_classes()
         self.wedges: list[int] = []  # tile corners of F at each vertex
         index_of: dict[tuple[int, int], int] = {}
-        for point, members in F.vertex_classes():
-            idx = len(self.points)
-            self.points.append(point)
+        for idx, (_, members) in enumerate(F.vertex_classes()):
             self.wedges.append(len(members))
             for key in members:
                 index_of[key] = idx
@@ -582,8 +575,7 @@ class BoundarySlots:
 
         self.slots = [(key, v) for v in sorted(self.incident) for key in self.incident[v]]
         self.slot_of = {slot: s for s, slot in enumerate(self.slots)}
-        self.slot_vertex = [v for _, v in self.slots]
-        self.slot_wedges = [self.wedges[v] for v in self.slot_vertex]
+        self.slot_wedges = [self.wedges[v] for _, v in self.slots]
         self.edge_index = {key: i for i, key in enumerate(sorted(e.key for e in F.boundary))}
 
     def links_for(self, p: SidePairing) -> tuple[tuple[int, int], ...]:
@@ -591,7 +583,9 @@ class BoundarySlots:
         each edge's in increasing vertex order: the slot of an endpoint v
         on its edge, to the slot of the other boundary edge at v's image.
         The images follow enumerate_pairings' rule: a conformal pairing
-        crosses the endpoints, a reversing one keeps their order."""
+        crosses the endpoints, a reversing one keeps their order.  With
+        each link u -> w comes its mirror m(w) -> m(u), m taking a slot to
+        the other slot at its vertex, which complete_pairing relies on."""
         u, w = self.ends[p.src.key], self.ends[p.dst.key]
         if not p.reversing:
             w = w[::-1]

@@ -44,15 +44,20 @@ class MembershipResult:
     strategy: str  # "immediate" when h(basepoint) lies in the domain, else "bfs"
 
 
-def group_from_solution(sol: PairingSolution, F: FundamentalDomain) -> GroupPresentation:
-    """Each side pairing of the solution and its inverse, in that order; the
-    basepoint is F.clear_point(BASEPOINT_NUDGE)."""
-    gens = tuple(g for p in sol.pairings for g in (p.map, p.map.inverse()))
-    return GroupPresentation(gens, F, F.clear_point(BASEPOINT_NUDGE))
+def pairing_generators(pairings) -> tuple[Isometry, ...]:
+    """Each side pairing's map followed by its inverse, so generator i ^ 1
+    inverts generator i (_inverse_index)."""
+    return tuple(g for p in pairings for g in (p.map, p.map.inverse()))
 
 
 def _inverse_index(i: int) -> int:
     return i ^ 1
+
+
+def group_from_solution(sol: PairingSolution, F: FundamentalDomain) -> GroupPresentation:
+    """The solution's pairing_generators; the basepoint is
+    F.clear_point(BASEPOINT_NUDGE)."""
+    return GroupPresentation(pairing_generators(sol.pairings), F, F.clear_point(BASEPOINT_NUDGE))
 
 
 def word_residual(word, gens, h: Isometry) -> float:

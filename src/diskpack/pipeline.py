@@ -31,6 +31,7 @@ from .group import (
     SWAP_TOL,
     WORD_TOL,
     group_from_solution,
+    pairing_generators,
     second_neighbor_center,
     second_packing_certificate,
     swapping_half_turn,
@@ -38,7 +39,6 @@ from .group import (
 )
 from .search import (
     Candidate,
-    PairingSolution,
     bananas,
     candidates,
     compatibility_matrix,
@@ -51,11 +51,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EXHAUSTED = 2
 
-# solutions.json layout; version 4 gives each solution as its pairings,
-# indices into pairings.json, and its vertex cycles, lists of ids into its
-# own vertices table (every cycle closes at 3 wedges, so no angle is
-# stored, and N and k fix the cell counts, so no topology is)
-SOLUTIONS_SCHEMA_VERSION = 4
+# solutions.json layout; version 5 gives each solution as the list of its
+# pairings' indices into pairings.json, and nothing more: the pairings fix
+# the vertex cycles, each closing at 3 wedges, and N and k fix the cell
+# counts
+SOLUTIONS_SCHEMA_VERSION = 5
 
 
 class StageError(RuntimeError):
@@ -212,16 +212,6 @@ def filter_candidates(
 def lc_pairings(item: dict, L: list[SidePairing]) -> list[SidePairing]:
     """A filtering item's L_c as pairings of L, in L's order."""
     return [L[j] for j in item["Lc"]]
-
-
-def _solution_record(sol: PairingSolution, pairing_index: dict) -> dict:
-    """A solution as solutions.json stores it: pairings as indices into
-    pairings.json's list, vertex cycles as lists of ids into the vertices
-    table."""
-    return {
-        "pairings": [pairing_index[p.record] for p in sol.pairings],
-        "vertex_cycles": [list(verts) for verts in sol.vertex_cycles],
-    }
 
 
 def resolve_seeds(cfg: PipelineConfig, L: list[SidePairing]):
@@ -390,7 +380,7 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     records = [
         {
             "point": _cpx(it["candidate"].point),
-            "solutions": [_solution_record(s, pairing_index) for s in sols],
+            "solutions": [[pairing_index[p.record] for p in s.pairings] for s in sols],
         }
         for it, sols in res.completed
     ]
@@ -398,7 +388,6 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
         "schema_version": SOLUTIONS_SCHEMA_VERSION,
         "seed_pair": seed_pair,
         "limit": cfg.limit,
-        "vertices": [_cpx(z) for z in F.slot_table.points],
         "candidates": records,
     }
     _write_artifact(cfg, out, "solutions", data)
@@ -452,7 +441,7 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
     config_hash; so must ``cfg`` when it is given, which is all ``cfg`` is
     for.  F and L are rebuilt from the embedded config.  Each stored pairing
     record is read as a config seed record and must name an entry of L; the
-    generators are those entries' maps, each followed by its inverse, as
+    generators are those entries' pairing_generators, as
     group_from_solution builds them.  The records must glue F:
     complete_pairing, restricted to their identification set, must return
     it, so every boundary edge is paired exactly once, every vertex cycle
@@ -525,7 +514,7 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
         return False, problems + [str(exc)]
     if not dist(tau(P), o_prime) <= SWAP_TOL:
         problems.append("tau does not swap the candidate with O'")
-    gens = [g for p in sides for g in (p.map, p.map.inverse())]
+    gens = pairing_generators(sides)
     if len(memberships) != len(gens):
         problems.append(f"{len(memberships)} memberships for {len(gens)} generators")
     tau_inv = tau.inverse()

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import BoundarySlots, FundamentalDomain, InvalidCellStructure, SidePairing
+from .domain import FundamentalDomain, SidePairing
 from .geom import (
     TANGENT_TOL,
     CoincidentCurves,
@@ -533,52 +533,10 @@ def edge_coverage(
 @dataclass(frozen=True)
 class PairingSolution:
     pairings: tuple[SidePairing, ...]  # from L_c, one per identification, by sort_key
-    vertex_cycles: tuple[tuple[int, ...], ...]  # each cycle's ids into F.slot_table.points
 
     @cached_property
     def identifications(self) -> frozenset:
         return frozenset(p.identification for p in self.pairings)
-
-
-def _vertex_cycles(slots: BoundarySlots, succ: list[int]):
-    """Vertex cycles of a full slot permutation, as tuples of vertex ids
-    (indices into slots.points).
-
-    Each slot cycle is walked once from its smallest slot, counting its
-    wedges.  Each quotient vertex on the boundary shows up as a mirror pair
-    of slot cycles over the same vertices; the smaller vertex sequence
-    represents it.  A cycle of other than 3 wedges is an error.
-    """
-    vertex, wedges = slots.slot_vertex, slots.slot_wedges
-    seen = [False] * len(succ)
-    by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], int]]] = {}
-    for start in range(len(succ)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        verts = [vertex[start]]
-        total = wedges[start]
-        cur = succ[start]
-        while cur != start:
-            if cur < 0 or seen[cur]:
-                raise InvalidCellStructure("vertex links do not form a permutation")
-            seen[cur] = True
-            verts.append(vertex[cur])
-            total += wedges[cur]
-            cur = succ[cur]
-        by_vertex_set.setdefault(frozenset(verts), []).append((tuple(verts), total))
-    cycles = []
-    for group in by_vertex_set.values():
-        if len(group) != 2:
-            raise InvalidCellStructure(
-                "slot cycles do not pair up; an identification fixes a vertex"
-            )
-        cycles.append(min(group))
-    cycles.sort()
-    for _, total in cycles:
-        if total != 3:
-            raise InvalidCellStructure(f"vertex cycle closes at {total} wedges, not 3")
-    return tuple(verts for verts, _ in cycles)
 
 
 def complete_pairing(
@@ -609,8 +567,19 @@ def complete_pairing(
     State is kept in flat integer arrays (after Knuth's "Dancing Links"):
     per-edge live option counts, and the slot permutation built so far as
     ``succ``/``pred`` with chain endpoints and consumed wedges, undone from a
-    log on backtrack.  A solution's vertex cycles are read off ``succ``.  The
-    slot table and each option's slot links are F.slot_table's, built once per domain.
+    log on backtrack.  The slot table and each option's slot links are
+    F.slot_table's, built once per domain.
+
+    A solution is its pairings alone: the search has already decided every
+    vertex cycle, so none is walked again.  Write m(s) for the other slot
+    at s's vertex.  links_for lists each link u -> w with its mirror
+    m(w) -> m(u), so m maps a slot cycle C onto a reversed cycle over the
+    same vertices.  m(C) = C is impossible: C would hold both slots of each
+    of its vertices, an even wedge total, and every cycle closes at exactly
+    3.  Two mirror pairs cannot share a vertex, which has only two slots.
+    At a full cover every slot has a successor, and no link enters a taken
+    slot, so ``succ`` is a permutation.  Its slot cycles pair up into the
+    quotient's boundary vertices, each closing at 2 pi.
     """
     slots = F.slot_table
     edge_of = slots.edge_index
@@ -651,7 +620,7 @@ def complete_pairing(
     def emit() -> None:
         pairings = tuple(options[o] for o in sorted(chosen))
         if any(p.reversing for p in pairings):
-            solutions.append(PairingSolution(pairings, _vertex_cycles(slots, succ)))
+            solutions.append(PairingSolution(pairings))
 
     def descend(targets: list[frozenset] | None) -> None:
         fewest = min(live, default=done)
@@ -739,10 +708,11 @@ def complete_survivors(
 
     When a symmetry of F maps the identification set of an earlier L_c whose
     search was exhaustive (fewer than ``limit`` solutions) exactly onto this
-    one's, the images of that search's solutions are replayed through
-    complete_pairing(..., within=images), which checks each one and puts
-    them in the full search's order, instead of searching again.  Returns
-    the solutions per L_c and the number of full searches run.
+    one's, the images of that search's solutions' identification sets are
+    replayed through complete_pairing(..., within=images), which checks
+    each one by the same cover, link and wedge tests and puts them in the
+    full search's order, instead of searching again.  Returns the solutions
+    per L_c and the number of full searches run.
     """
     exhaustive: list[tuple[frozenset, list[PairingSolution]]] = []
     out = []

@@ -13,8 +13,9 @@ whose state is copied at every node (with its cycle re-trace), fed both
 directions of each identification and closing cycles by float angle sums
 within a tolerance, for the exact-cover completion engine that counts
 wedges;
-the slot-permutation walker trace_cycles that the engine's single-pass
-vertex-cycle walk replaced; the geometric slot links (each endpoint's
+the slot-permutation walker trace_cycles, and solution_cycles, the vertex
+cycles of a solution, which the engine emits as its pairings alone; the
+geometric slot links (each endpoint's
 image under the pairing, looked up among the vertices) for the links
 BoundarySlots takes by the endpoint rule; the membership reduction
 whose best-first search composes every child's isometry at the push, for
@@ -24,7 +25,8 @@ word per rotation orbit; and the renderer that stores each drawn item as a
 dict in a Scene layer and dispatches on its type, for the one whose figures
 are lists of SVG element strings.  Also the small helpers only tests use:
 the translation along the real diameter, the distance to a geodesic, a
-point of a generalized circle, a central-tile edge carrier, and the scalar
+point of a generalized circle, a central-tile edge carrier, the scalar
+edge margin that _CarrierTable.margins is checked against, and the scalar
 admissibility rule for one distance that AdmissibilityTable is checked
 against."""
 
@@ -68,7 +70,7 @@ from diskpack.group import (
     _inverse_index,
     word_residual,
 )
-from diskpack.search import CANDIDATE_DEDUP, Candidate, PairingSolution
+from diskpack.search import CANDIDATE_DEDUP, Candidate
 from diskpack.render import R_VIEW, SIZE, _arc_path, _fmt, _xy
 from diskpack.tess import (
     DEDUP_TOL,
@@ -221,17 +223,23 @@ def compatible_pairings(c, L, dset):
     return [p for p in L if is_admissible(dset, dist(z, p.map(z)))]
 
 
-def vertex_at(struct: BoundarySlots, z: complex) -> int:
-    for idx, p in enumerate(struct.points):
+def vertex_points(F: FundamentalDomain) -> list[complex]:
+    """The point of each vertex id: BoundarySlots numbers the vertices in
+    F.vertex_classes() order."""
+    return [z for z, _ in F.vertex_classes()]
+
+
+def vertex_at(points: list[complex], z: complex) -> int:
+    for idx, p in enumerate(points):
         if abs(z - p) < 1e-6:
             return idx
     raise InvalidCellStructure(f"pairing image {z} is not a vertex of the domain")
 
 
-def _links_one_direction(struct: BoundarySlots, src_key, dst_key, mp: Isometry):
+def _links_one_direction(struct: BoundarySlots, points, src_key, dst_key, mp: Isometry):
     out = []
     for v in (v for (key, v) in struct.slots if key == src_key):
-        w = vertex_at(struct, mp(struct.points[v]))
+        w = vertex_at(points, mp(points[v]))
         if dst_key not in struct.incident.get(w, ()):
             raise InvalidCellStructure(
                 f"pairing sends vertex {v} off the endpoints of {dst_key}"
@@ -241,12 +249,14 @@ def _links_one_direction(struct: BoundarySlots, src_key, dst_key, mp: Isometry):
     return out
 
 
-def reference_links(struct: BoundarySlots, p: SidePairing) -> tuple[tuple[int, int], ...]:
+def reference_links(
+    struct: BoundarySlots, points: list[complex], p: SidePairing
+) -> tuple[tuple[int, int], ...]:
     """The four slot links of p from the images of its endpoints under p
-    and p^-1, src's endpoints first."""
+    and p^-1, src's endpoints first; ``points`` is vertex_points(F)."""
     return tuple(
-        _links_one_direction(struct, p.src.key, p.dst.key, p.map)
-        + _links_one_direction(struct, p.dst.key, p.src.key, p.map.inverse())
+        _links_one_direction(struct, points, p.src.key, p.dst.key, p.map)
+        + _links_one_direction(struct, points, p.dst.key, p.src.key, p.map.inverse())
     )
 
 
@@ -351,13 +361,27 @@ class _ChainState:
         return True
 
 
+@dataclass(frozen=True)
+class ReferenceSolution:
+    """A solution of reference_complete_pairing: its pairings, and its
+    vertex cycles as tuples of vertex points (the engine's solutions hold
+    the pairings alone)."""
+
+    pairings: tuple[SidePairing, ...]
+    vertex_cycles: tuple[tuple[complex, ...], ...]
+
+    @property
+    def identifications(self) -> frozenset:
+        return frozenset(p.identification for p in self.pairings)
+
+
 def reference_complete_pairing(
     Lc: list[SidePairing],
     F: FundamentalDomain,
     limit: int = 32,
     require_reversing: bool = True,
     angle_tol: float = ANGLE_TOL,
-) -> list[PairingSolution]:
+) -> list[ReferenceSolution]:
     """The copy-per-node backtracker that complete_pairing replaced.
 
     Picks the unmatched boundary edge with the fewest live options, tries its
@@ -369,6 +393,7 @@ def reference_complete_pairing(
     with no solution.
     """
     struct = BoundarySlots(F)
+    points = vertex_points(F)
     angles = slot_angles(struct)
     by_src: dict[tuple[int, int], list[SidePairing]] = {e.key: [] for e in F.boundary}
     for p in sorted(set(Lc), key=SidePairing.sort_key):
@@ -378,17 +403,17 @@ def reference_complete_pairing(
     for plist in by_src.values():
         for p in plist:
             if p.record not in link_cache:
-                link_cache[p.record] = reference_links(struct, p)
+                link_cache[p.record] = reference_links(struct, points, p)
 
     edge_keys = sorted(by_src)
-    solutions: list[PairingSolution] = []
+    solutions: list[ReferenceSolution] = []
 
     def descend(matched: dict, state: _ChainState):
         if len(solutions) >= limit:
             return
         unmatched = [k for k in edge_keys if k not in matched]
         if not unmatched:
-            _emit_solution(matched, struct, solutions, require_reversing, angle_tol)
+            _emit_solution(matched, struct, points, solutions, require_reversing, angle_tol)
             return
         best_key, best_opts = None, None
         for key in unmatched:
@@ -424,21 +449,31 @@ def slot_angles(struct: BoundarySlots) -> list[float]:
 
 
 def solution_cycles(
-    pairings, struct: BoundarySlots
+    pairings, struct: BoundarySlots, points: list[complex]
 ) -> list[tuple[tuple[int, ...], float]]:
-    """Vertex cycles of a full identification set, one per mirror pair.
+    """Vertex cycles of a full identification set, one per mirror pair,
+    from the geometric links of reference_links (``points`` is
+    vertex_points(F)).
 
     Returns (vertex class ids in cycle order, angle sum) for each quotient
     vertex coming from the boundary.
     """
     links: dict[int, int] = {}
     for p in pairings:
-        for u, w in reference_links(struct, p):
+        for u, w in reference_links(struct, points, p):
             if u in links:
                 raise InvalidCellStructure("boundary edge identified twice")
             links[u] = w
     if len(links) != len(struct.slots):
         raise InvalidCellStructure("identifications do not cover the boundary")
+    return paired_cycles(links, struct)
+
+
+def paired_cycles(links: dict[int, int], struct) -> list[tuple[tuple[int, ...], float]]:
+    """The slot cycles of the permutation ``links``, paired by vertex set:
+    each pair's smaller vertex sequence with its angle sum, in sorted
+    order.  ``struct`` gives each slot's vertex (``slots``) and wedges
+    (``slot_wedges``).  Slot cycles that do not pair up are an error."""
     slot_cycles = reference_trace_cycles(links, dict(enumerate(slot_angles(struct))))
     by_vertex_set: dict[frozenset, list[tuple[tuple[int, ...], float]]] = {}
     for cyc, total in slot_cycles:
@@ -455,7 +490,7 @@ def solution_cycles(
     return out
 
 
-def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
+def _emit_solution(matched, struct, points, solutions, require_reversing, angle_tol):
     chosen = {}
     for p in matched.values():
         chosen[p.identification] = min(
@@ -464,12 +499,12 @@ def _emit_solution(matched, struct, solutions, require_reversing, angle_tol):
     pairings = tuple(sorted(chosen.values(), key=SidePairing.sort_key))
     if require_reversing and not any(p.reversing for p in pairings):
         return
-    cycles = solution_cycles(pairings, struct)
+    cycles = solution_cycles(pairings, struct, points)
     for _, total in cycles:
         if abs(total - 2.0 * math.pi) > angle_tol:
             raise InvalidCellStructure(f"vertex cycle closes at {total}")
-    vertex_cycles = tuple(tuple(struct.points[v] for v in cyc) for cyc, _ in cycles)
-    solutions.append(PairingSolution(pairings, vertex_cycles))
+    vertex_cycles = tuple(tuple(points[v] for v in cyc) for cyc, _ in cycles)
+    solutions.append(ReferenceSolution(pairings, vertex_cycles))
 
 
 def reference_admissible_distances(
@@ -688,8 +723,15 @@ def _circle_pair_intersections(circ1, circ2, block=256):
     return np.concatenate(pts), np.concatenate(out1), np.concatenate(out2)
 
 
+def edge_margin(e: EdgeRef, z):
+    """Signed sinh-distance to e's carrier, positive on the inward side; z
+    is a point or an array of points.  The scalar reference for
+    _CarrierTable.margins."""
+    return e.inward * signed_offset(z, e.carrier)
+
+
 def polygon_margin(F: FundamentalDomain, z, poly: int):
-    return np.minimum.reduce([e.margin(z) for e in F.edges[poly]])
+    return np.minimum.reduce([edge_margin(e, z) for e in F.edges[poly]])
 
 
 def reference_contains(F: FundamentalDomain, z, tol: float = INSIDE_TOL):

@@ -23,6 +23,8 @@ from reference_data import (
     compatible_pairings,
     dist_to_geodesic,
     is_admissible,
+    solution_cycles,
+    vertex_points,
 )
 from diskpack.config import RELEVANT_N, ConfigError, NotRelevantN, PipelineConfig, load_config, primitive_pair
 from diskpack.geom import (
@@ -79,12 +81,13 @@ class TestCriterion3Completion:
         assert topo["euler_characteristic"] == -4
         assert topo["orientable"] is False
         assert topo["genus"] == 6
-        # the solution's vertex cycles and F's interior vertices are the
-        # surface's vertices
-        interior = sum(len(members) == 3 for _, members in n14.F.vertex_classes())
-        assert len(n14_solution.reference.vertex_cycles) + interior == topo["vertices"]
+        # the solution's vertex cycles, by the oracle, and F's interior
+        # vertices are the surface's vertices
         slots = n14.F.slot_table
-        for verts in n14_solution.reference.vertex_cycles:
+        cycles = solution_cycles(n14_solution.reference.pairings, slots, vertex_points(n14.F))
+        interior = sum(len(members) == 3 for _, members in n14.F.vertex_classes())
+        assert len(cycles) + interior == topo["vertices"]
+        for verts, _ in cycles:
             assert sum(slots.wedges[v] for v in verts) == 3
         print(
             "\nACCEPTANCE 3: PASS - completion recovers the reference 18-entry "

@@ -6,10 +6,11 @@ import os
 
 import pytest
 
+from reference_data import solution_cycles, vertex_points
 from diskpack import group, pipeline, render, search
 from diskpack.cli import main
 from diskpack.config import PipelineConfig, load_config
-from diskpack.domain import find_pairing
+from diskpack.domain import BoundarySlots, find_pairing
 from diskpack.geom import dist, elliptic_about, geodesic_reflection, geodesic_through, midpoint
 from diskpack.group import SWAP_TOL, WORD_TOL, swapping_half_turn
 from diskpack.pipeline import (
@@ -448,19 +449,21 @@ def _record_of(pairing: dict) -> dict:
 
 
 def test_solutions_json_decodes_to_the_certified_solution(completed_run):
-    # schema 4: a solution is its pairings, indices into pairings.json, and
-    # its vertex cycles, lists of ids into "vertices"; the certificate
-    # embeds the same pairings as records, with the config's topology
+    # schema 5: a solution is the list of its pairings' indices into
+    # pairings.json, and nothing more; the certificate embeds the same
+    # pairings as records, with the config's topology
     def load(name):
         with open(os.path.join(completed_run, name), encoding="utf-8") as fh:
             return json.load(fh)
 
     sols, L, cert = load("solutions.json"), load("pairings.json"), load("certificate.json")
-    assert sols["schema_version"] == 4
-    assert os.path.getsize(os.path.join(completed_run, "solutions.json")) <= 145_000
-    for s in sols["candidates"][0]["solutions"]:
-        assert sorted(s) == ["pairings", "vertex_cycles"]
-        assert all(0 <= v < len(sols["vertices"]) for c in s["vertex_cycles"] for v in c)
+    assert sols["schema_version"] == 5
+    assert "vertices" not in sols
+    assert os.path.getsize(os.path.join(completed_run, "solutions.json")) <= 47_000
+    for c in sols["candidates"]:
+        assert sorted(c) == ["point", "solutions"]
+        for s in c["solutions"]:
+            assert s and all(type(i) is int and 0 <= i < len(L["pairings"]) for i in s)
 
     (entry,) = [c for c in sols["candidates"] if c["point"] == cert["candidate"]]
     embedded = dict(cert["solution"])
@@ -469,7 +472,7 @@ def test_solutions_json_decodes_to_the_certified_solution(completed_run):
     hits = [
         s
         for s in entry["solutions"]
-        if [_record_of(L["pairings"][i]) for i in s["pairings"]] == embedded["pairings"]
+        if [_record_of(L["pairings"][i]) for i in s] == embedded["pairings"]
     ]
     assert len(hits) == 1
 
@@ -782,14 +785,39 @@ _K3 = [[0, 0], [0, 1]]
         pytest.param(8, _K3, None, 0.266585j, id="8-k3"),
     ],
 )
-def test_one_tile_auto_mode_runs_and_verifies(n, attachments, last, point, tmp_path, capsys):
+def test_one_tile_auto_mode_runs_and_verifies(
+    n, attachments, last, point, tmp_path, capsys, monkeypatch
+):
     # no seed pairs: one tile gives the k = 1 primitive pair, off N = 14,
     # and two or three tiles the k = 2 and k = 3 ones
     path = tmp_path / f"auto{n}.json"
     config = {"n": n, "attachments": attachments, "depth": 3, "limit": 16}
     path.write_text(json.dumps(config))
     out = str(tmp_path / "out")
+    emitted = []
+    engine = search.complete_pairing
+
+    def recording(Lc, F, *args, **kwargs):
+        sols = engine(Lc, F, *args, **kwargs)
+        emitted.extend((F, sol) for sol in sols)
+        return sols
+
+    monkeypatch.setattr(search, "complete_pairing", recording)
     assert main(["run", "--config", str(path), "--out", out]) == 0
+    monkeypatch.undo()
+    # every solution the engine emitted, by the oracle: its slot cycles pair
+    # up, each vertex cycle collects 3 wedges, and with F's interior
+    # vertices they are the config's vertices
+    assert emitted
+    F = emitted[0][0]
+    assert all(G is F for G, _ in emitted)
+    struct, points = BoundarySlots(F), vertex_points(F)
+    interior = sum(len(members) == 3 for _, members in F.vertex_classes())
+    vertices = load_config(str(path)).topology["vertices"]
+    for _, sol in emitted:
+        cycles = solution_cycles(sol.pairings, struct, points)
+        assert all(sum(struct.wedges[v] for v in verts) == 3 for verts, _ in cycles)
+        assert len(cycles) + interior == vertices
     cert = _read_json(os.path.join(out, "certificate.json"))
     assert cert["passed"]
     if point is not None:

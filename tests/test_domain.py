@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from conftest import random_point
 from reference_data import (
     SEED_P1,
+    edge_margin,
     flipped,
     ident,
     reference_enumerate_pairings,
     reference_links,
     vertex_at,
+    vertex_points,
 )
 from diskpack.domain import (
     INSIDE_TOL,
@@ -124,7 +126,7 @@ def _ulps(x: float, k: int) -> float:
 def _per_tile_rule(F, z, tol=INSIDE_TOL) -> bool:
     """Strictly inside some tile, or within tol of two: tile by tile, edge by
     edge, in plain floats."""
-    tiles = [min(F.edges[q][j].margin(z) for j in range(F.n)) for q in range(F.k)]
+    tiles = [min(edge_margin(F.edges[q][j], z) for j in range(F.n)) for q in range(F.k)]
     return any(m > tol for m in tiles) or sum(m >= -tol for m in tiles) >= 2
 
 
@@ -135,7 +137,7 @@ def _point_at_margin(ref, target: float) -> complex:
     mid, normal = 0.5 * (a + b), 1j * (b - a) / abs(b - a)
 
     def excess(t):
-        return ref.margin(mid + t * normal) - target
+        return edge_margin(ref, mid + t * normal) - target
 
     lo, hi = -0.1, 0.1
     if excess(lo) > 0:
@@ -214,7 +216,7 @@ class TestContains:
                     for dx in range(-2, 3)
                     for dy in range(-2, 3)
                 ]
-                margins = [ref.margin(w) for w in near]
+                margins = [edge_margin(ref, w) for w in near]
                 assert min(margins) < target < max(margins)
                 assert all(abs(m - target) < 1e-13 for m in margins)
                 pts += near
@@ -226,7 +228,7 @@ class TestContains:
         # margins are too coarse here to land on +-INSIDE_TOL exactly, so
         # also move tol onto each point's tile margin and -2..+2 ulp off it
         for z in pts:
-            for m in [min(edge.margin(z) for edge in tile) for tile in F.edges]:
+            for m in [min(edge_margin(edge, z) for edge in tile) for tile in F.edges]:
                 if abs(abs(m) - INSIDE_TOL) > 1e-12:
                     continue
                 for k in range(-2, 3):
@@ -435,9 +437,9 @@ class TestEnumeratePairings:
                 chord_mid - c.center
             )
             inside = arc_mid + 0.01 * (F.center(p.src.poly) - arc_mid)
-            assert p.src.margin(inside) > 0
+            assert edge_margin(p.src, inside) > 0
             image = p.map(inside)
-            assert p.dst.margin(image) < 0
+            assert edge_margin(p.dst, image) < 0
 
     def test_closed_under_inversion(self, n14):
         # every identification's other direction, which L does not list, is
@@ -483,9 +485,9 @@ class TestSlotLinks:
     # looked up among the vertices: the same links, tuple for tuple
     @staticmethod
     def _check(F, pairings):
-        struct = BoundarySlots(F)
+        struct, points = BoundarySlots(F), vertex_points(F)
         for p in pairings:
-            assert struct.links_for(p) == reference_links(struct, p), p.record
+            assert struct.links_for(p) == reference_links(struct, points, p), p.record
 
     def test_rule_equals_the_geometric_links_at_n14(self, n14):
         # L, and the oracle's list with every identification both ways
@@ -534,11 +536,11 @@ class TestSymmetries:
                 assert (g * p.map * g_inv).matrix_dist(want) < 1e-9
 
     def test_permutes_the_slots_keeping_their_angles(self, n14):
-        struct = n14.F.slot_table
+        struct, points = n14.F.slot_table, vertex_points(n14.F)
         for s in n14.F.symmetries:
             images = []
             for key, v in struct.slots:
-                w = vertex_at(struct, s.map(struct.points[v]))
+                w = vertex_at(points, s.map(points[v]))
                 images.append(struct.slot_of[(s.edges[key], w)])
             assert sorted(images) == list(range(len(struct.slots)))
             assert [struct.slot_wedges[t] for t in images] == struct.slot_wedges

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from reference_data import reference_reduce_to_domain
+from reference_data import edge_margin, reference_reduce_to_domain
 from diskpack import group, pipeline
 from diskpack.config import load_config
 from diskpack.geom import Isometry, classify, dist, elliptic_about, midpoint
@@ -41,7 +41,7 @@ class TestGroupPresentation:
         F = n14.F
         assert F.contains(G.basepoint)
         clear = min(
-            abs(F.edges[poly][e].margin(G.basepoint))
+            abs(edge_margin(F.edges[poly][e], G.basepoint))
             for poly in range(F.k)
             for e in range(F.n)
         )

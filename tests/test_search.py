@@ -17,6 +17,7 @@ from reference_data import (
     compatible_pairings,
     flipped,
     is_admissible,
+    paired_cycles,
     point_at,
     reference_candidates,
     reference_compatibility_matrix,
@@ -27,12 +28,14 @@ from reference_data import (
     reference_links,
     solution_cycles,
     trace_cycles,
+    vertex_points,
 )
 from diskpack import search
 from diskpack.config import PipelineConfig, genus_for
 from diskpack.domain import (
     Attachment,
     BoundarySlots,
+    InvalidCellStructure,
     build_domain,
     enumerate_pairings,
     find_pairing,
@@ -43,11 +46,9 @@ from diskpack.render import BANANA_FAMILIES
 from diskpack.tess import SCREEN_BITS, DistanceSet, admissible_distances, sinh2_half
 from diskpack.search import (
     BLOCK_CELLS,
-    InvalidCellStructure,
     SCREEN_MIN_GAP,
     _numerator_coefficients,
     _screen_monomials,
-    _vertex_cycles,
     bananas,
     candidates,
     compatibility_matrix,
@@ -590,26 +591,37 @@ class TestCompletePairing:
         assert len(sols) == 5
 
     def test_vertex_cycles_close_at_two_pi(self, n14, n14_solution):
-        # 3 wedges of 2 pi / 3
-        slots = n14.F.slot_table
+        # the oracle's cycles of the engine's solutions: 3 wedges of 2 pi / 3
+        struct, points = n14.F.slot_table, vertex_points(n14.F)
         for sol in n14_solution.solutions[:10]:
-            for verts in sol.vertex_cycles:
-                assert sum(slots.wedges[v] for v in verts) == 3
+            for verts, _ in solution_cycles(sol.pairings, struct, points):
+                assert sum(struct.wedges[v] for v in verts) == 3
+
+
+def _mock_slots(wedges):
+    """Slots 2 v and 2 v + 1 at vertex v, each with v's wedges."""
+    return SimpleNamespace(
+        slots=[(None, s // 2) for s in range(2 * len(wedges))],
+        slot_wedges=[wedges[s // 2] for s in range(2 * len(wedges))],
+    )
 
 
 class TestCycleMachinery:
+    """The vertex-cycle oracle: the engine emits pairings alone, and these
+    are the cycles its search decided."""
+
     def test_torus_mock(self):
         # hexagon of 2 pi / 3 corners with opposite sides glued: its corners
         # are two vertices of three wedges each, each a mirror pair of slot
         # cycles (slot 2 v walks forward, 2 v + 1 back); V - E + F =
         # 2 - 3 + 1 = 0
-        succ = [-1] * 12
+        links = {}
         for v in range(6):
-            succ[2 * v] = 2 * ((v + 2) % 6)
-            succ[2 * v + 1] = 2 * ((v - 2) % 6) + 1
-        slots = SimpleNamespace(slot_vertex=[s // 2 for s in range(12)], slot_wedges=[1] * 12)
-        cycles = _vertex_cycles(slots, succ)
-        assert cycles == ((0, 2, 4), (1, 3, 5))
+            links[2 * v] = 2 * ((v + 2) % 6)
+            links[2 * v + 1] = 2 * ((v - 2) % 6) + 1
+        cycles = paired_cycles(links, _mock_slots([1] * 6))
+        assert [verts for verts, _ in cycles] == [(0, 2, 4), (1, 3, 5)]
+        assert all(total == pytest.approx(2 * math.pi) for _, total in cycles)
         vertices, edges, faces = len(cycles), 3, 1
         assert vertices - edges + faces == 0
 
@@ -618,20 +630,20 @@ class TestCycleMachinery:
             trace_cycles([1, 0, 1], [1.0, 1.0, 1.0])
         with pytest.raises(InvalidCellStructure):
             trace_cycles([1, -1], [1.0, 1.0])  # slot 1 has no successor
-        slots = n14.F.slot_table
-        succ = self._reference_succ(slots, n14_solution.reference.pairings)
+        struct = n14.F.slot_table
+        links = self._reference_links(n14.F, n14_solution.reference.pairings)
         # two slots followed by the same one, and a slot with no successor
-        merged = list(succ)
-        merged[0] = succ[1]
-        open_end = list(succ)
-        open_end[5] = -1
+        merged = dict(links)
+        merged[0] = links[1]
+        open_end = dict(links)
+        del open_end[5]
         for bad in (merged, open_end):
             with pytest.raises(InvalidCellStructure, match="permutation"):
-                _vertex_cycles(slots, bad)
+                paired_cycles(bad, struct)
 
     def test_solution_cycles_pair_up(self, n14, n14_solution):
         struct = n14.F.slot_table
-        cycles = solution_cycles(n14_solution.reference.pairings, struct)
+        cycles = solution_cycles(n14_solution.reference.pairings, struct, vertex_points(n14.F))
         assert len(cycles) == 13  # quotient boundary vertices
         for verts, total in cycles:
             assert total == pytest.approx(2 * math.pi, abs=1e-9)
@@ -640,100 +652,82 @@ class TestCycleMachinery:
         # the cycles visit every boundary vertex exactly once, so their 3
         # wedges each account for every boundary corner of F
         struct = n14.F.slot_table
-        cycles = n14_solution.reference.vertex_cycles
-        assert sorted(v for verts in cycles for v in verts) == sorted(struct.incident)
+        cycles = solution_cycles(n14_solution.reference.pairings, struct, vertex_points(n14.F))
+        assert sorted(v for verts, _ in cycles for v in verts) == sorted(struct.incident)
         assert 3 * len(cycles) == sum(struct.wedges[v] for v in struct.incident) == 39
 
-
     @staticmethod
-    def _reference_succ(struct, pairings):
-        succ = [-1] * len(struct.slots)
-        for p in pairings:
-            for u, w in reference_links(struct, p):
-                succ[u] = w
-        return succ
-
-    def test_vertex_cycles_match_reference(self, n14, n14_solution):
-        struct = n14.F.slot_table
-        succ = self._reference_succ(struct, n14_solution.reference.pairings)
-        cycles = _vertex_cycles(struct, succ)
-        expected = solution_cycles(n14_solution.reference.pairings, struct)
-        assert cycles == tuple(verts for verts, _ in expected)
-        assert cycles == n14_solution.reference.vertex_cycles
+    def _reference_links(F, pairings):
+        struct, points = F.slot_table, vertex_points(F)
+        return {u: w for p in pairings for u, w in reference_links(struct, points, p)}
 
     def test_vertex_cycles_match_oracle_on_every_depth5_solution(self, n14, n14_survivors):
         # the oracle re-traces each solution's links with its own slot table
         # and sums float angles; each of its sums is 2 pi to the bit, which
         # is why no artifact stores a cycle's angle
-        slots, fresh = n14.F.slot_table, BoundarySlots(n14.F)
+        fresh, points = BoundarySlots(n14.F), vertex_points(n14.F)
         completed, _ = complete_survivors(n14_survivors, n14.F, limit=256)
         sols = [sol for sols in completed for sol in sols]
         assert len(sols) == 495
         for sol in sols:
-            cycles = _vertex_cycles(slots, self._reference_succ(fresh, sol.pairings))
-            expected = solution_cycles(sol.pairings, fresh)
-            assert list(cycles) == [verts for verts, _ in expected]
-            assert sol.vertex_cycles == cycles
-            assert all(total == 2.0 * math.pi for _, total in expected)
+            cycles = solution_cycles(sol.pairings, fresh, points)
+            assert len(cycles) == 13
+            assert all(total == 2.0 * math.pi for _, total in cycles)
 
     def test_vertex_cycle_sums_keep_the_cycle_order(self):
         # a cycle of three 1-wedge vertices and two of a 1- and a 2-wedge
         # vertex, over shuffled vertex ids, slot 2 v walking forward and slot
-        # 2 v + 1 back: every cycle sums to 3 wedges, and lists its points in
-        # the order of its smaller slot cycle from its smallest slot, as the
-        # oracle walks it
+        # 2 v + 1 back: every cycle sums to 3 wedges, and lists its vertices
+        # in the order of its smaller slot cycle from its smallest slot
         rng = random.Random(3)
         order = rng.sample(range(7), 7)
         cycles_of = [order[0:3], order[3:5], order[5:7]]
         wedges = [1] * 7
         wedges[order[3]] = wedges[order[6]] = 2
-        succ = [-1] * 14
+        links = {}
         for vs in cycles_of:
             for i, v in enumerate(vs):
-                succ[2 * v] = 2 * vs[(i + 1) % len(vs)]
-                succ[2 * v + 1] = 2 * vs[i - 1] + 1
-        slots = SimpleNamespace(
-            slot_vertex=[s // 2 for s in range(14)],
-            slot_wedges=[wedges[s // 2] for s in range(14)],
-        )
-        walked = trace_cycles(succ, slots.slot_wedges)
+                links[2 * v] = 2 * vs[(i + 1) % len(vs)]
+                links[2 * v + 1] = 2 * vs[i - 1] + 1
+        slots = _mock_slots(wedges)
+        walked = trace_cycles([links[s] for s in range(14)], slots.slot_wedges)
         assert sorted(total for _, total in walked) == [3] * 6
         by_set: dict[frozenset, list] = {}
         for cyc, _ in walked:
             verts = tuple(s // 2 for s in cyc)
             by_set.setdefault(frozenset(verts), []).append(verts)
         want = sorted(min(pair) for pair in by_set.values())
-        cycles = _vertex_cycles(slots, succ)
-        assert cycles == tuple(want)
-        # one wedge more at a 1-wedge vertex leaves its cycle open
+        cycles = paired_cycles(links, slots)
+        assert [verts for verts, _ in cycles] == want
+        assert all(total == pytest.approx(2 * math.pi) for _, total in cycles)
+        # one wedge more at a 1-wedge vertex: its cycle sums to 4 wedges
         slots.slot_wedges[2 * order[0]] = slots.slot_wedges[2 * order[0] + 1] = 2
-        with pytest.raises(InvalidCellStructure, match="4 wedges"):
-            _vertex_cycles(slots, succ)
+        totals = {verts: total for verts, total in paired_cycles(links, slots)}
+        (opened,) = [verts for verts in totals if order[0] in verts]
+        assert totals[opened] == pytest.approx(8 * math.pi / 3)
 
-    def test_unclosed_cycle_rejected(self, n14, n14_solution):
-        # the published solution's links over a slot table with one wedge
-        # more at one vertex: that vertex's cycle collects 4
-        struct = n14.F.slot_table
-        succ = self._reference_succ(struct, n14_solution.reference.pairings)
-        v = struct.slot_vertex[0]
-        slots = SimpleNamespace(
-            slot_vertex=struct.slot_vertex,
-            slot_wedges=[w + (u == v) for u, w in zip(struct.slot_vertex, struct.slot_wedges)],
-        )
-        _vertex_cycles(struct, succ)
-        with pytest.raises(InvalidCellStructure, match="4 wedges, not 3"):
-            _vertex_cycles(slots, succ)
+    def test_unclosed_cycle_rejected(self, n14, n14_solution, monkeypatch):
+        # the published solution, given alone, over a slot table with one
+        # wedge more at one vertex: that vertex's cycle would collect 4, so
+        # the engine's wedge count rejects the cover
+        sol = n14_solution.reference
+        assert complete_pairing(list(sol.pairings), n14.F) == [sol]
+        slots = n14.F.slot_table
+        v = slots.slots[0][1]
+        bumped = [w + (u == v) for (_, u), w in zip(slots.slots, slots.slot_wedges)]
+        monkeypatch.setattr(slots, "slot_wedges", bumped)
+        assert complete_pairing(list(sol.pairings), n14.F) == []
 
     def test_unpaired_slot_cycles_rejected(self, n14):
         # both slots of one vertex in a single cycle, every other slot fixed:
         # that vertex's slot cycle has no mirror partner
         struct = n14.F.slot_table
-        succ = list(range(len(struct.slots)))
+        links = {s: s for s in range(len(struct.slots))}
         v = struct.slots[0][1]
         a, b = (s for s, (_, w) in enumerate(struct.slots) if w == v)
-        succ[a], succ[b] = b, a
+        links[a], links[b] = b, a
         with pytest.raises(InvalidCellStructure, match="pair up"):
-            _vertex_cycles(struct, succ)
+            paired_cycles(links, struct)
 
 
 @pytest.fixture(scope="module")
@@ -758,17 +752,10 @@ def n30_survivor():
     return SimpleNamespace(F=F, L2=reference_enumerate_pairings(F), Lc=Lc)
 
 
-def _summary(sols, F=None):
-    """Per solution, in order: identification set, vertex cycles (compared
-    bit for bit) and number of reversing pairings.  Given F, the engine's cycles of slot
-    ids become F.slot_table's points, the form the oracle's solutions hold."""
-
-    def cycles(s):
-        if F is None:
-            return s.vertex_cycles
-        return tuple(tuple(F.slot_table.points[v] for v in verts) for verts in s.vertex_cycles)
-
-    return [(s.identifications, cycles(s), _reversing(s)) for s in sols]
+def _summary(sols):
+    """Per solution, in order: identification set and number of reversing
+    pairings (a solution's pairings fix its vertex cycles)."""
+    return [(s.identifications, _reversing(s)) for s in sols]
 
 
 def _reversing(sol):
@@ -778,7 +765,7 @@ def _reversing(sol):
 class TestCompletionOracle:
     """The exact-cover engine against the copy-per-node backtracker it
     replaced, fed the two-direction L_c that backtracker was written for:
-    the same solutions in the same order, every float equal."""
+    the same solutions in the same order."""
 
     def test_three_survivors(self, n14_survivors):
         assert len(n14_survivors) == 3
@@ -794,7 +781,7 @@ class TestCompletionOracle:
         for F, L2, Lc, count in cases:
             got = complete_pairing(Lc, F, limit=limit)
             ref = reference_complete_pairing(both_directions(Lc, L2), F, limit=limit)
-            assert _summary(got, F) == _summary(ref)
+            assert _summary(got) == _summary(ref)
             assert len(got) == min(limit, count)
             assert all(p in Lc for s in got for p in s.pairings)
 
@@ -831,7 +818,7 @@ class TestCompletionOracle:
         got = complete_pairing(Lc, n14.F, limit=limit)
         ref = reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=limit)
         assert got
-        assert _summary(got, n14.F) == _summary(ref)
+        assert _summary(got) == _summary(ref)
 
     def test_an_lc_with_no_reversing_pairing_emits_nothing(self, n14, n14_filtered):
         # the first depth-3 survivor's conformal pairings alone still cover
@@ -869,7 +856,7 @@ def _carries(F, Lcs, target):
 class TestOrbitCarry:
     """Solutions carried along a symmetry of F are replayed by the engine
     under ``within``: against the engine's full search, the same pairings in
-    the same order, reversing counts, and vertex cycles bit for bit."""
+    the same order."""
 
     @pytest.mark.parametrize("depth", [3, 5])
     def test_carried_solutions_equal_the_engine(self, n14, n14_filtered, depth):
@@ -949,7 +936,7 @@ class TestOrbitCarry:
         assert len(every) == 40 and sum(_reversing(s) == 0 for s in every) == 10
         got = complete_pairing(Lc, n14.F, limit=256, within=targets)
         assert _summary(got) == _summary(complete_pairing(Lc, n14.F, limit=256))
-        assert _summary(got, n14.F) == _summary([s for s in every if _reversing(s)])
+        assert _summary(got) == _summary([s for s in every if _reversing(s)])
         assert len(got) == 30
         for limit in (0, 1, 7):
             cut = complete_pairing(Lc, n14.F, limit=limit, within=targets)
@@ -1021,17 +1008,21 @@ class TestOrbitCarry:
         self._check(n14, Lcs, 256, 2, monkeypatch)
 
 
+def _surface_vertices(sols, F):
+    """The vertex counts of the solutions' surfaces: each one's oracle
+    vertex cycles plus F's interior vertices, where three tile corners
+    meet."""
+    struct, points = BoundarySlots(F), vertex_points(F)
+    interior = sum(len(members) == 3 for _, members in F.vertex_classes())
+    return {len(solution_cycles(sol.pairings, struct, points)) + interior for sol in sols}
+
+
 class TestVerifyTopology:
     """PipelineConfig.topology, the cell counts N and k fix, against the
     count it replaced: a solution's vertex cycles plus F's interior
-    vertices, where three tile corners meet, are the surface's vertices."""
+    vertices are the surface's vertices."""
 
     TOPOLOGY = PipelineConfig(n=14, attachments=[Attachment(0, 0), Attachment(0, 1)]).topology
-
-    @staticmethod
-    def _vertices(sols, F):
-        interior = sum(len(members) == 3 for _, members in F.vertex_classes())
-        return {len(sol.vertex_cycles) + interior for sol in sols}
 
     def test_reference_solution_counts(self, n14, n14_solution):
         assert self.TOPOLOGY == {
@@ -1042,14 +1033,14 @@ class TestVerifyTopology:
             "orientable": False,
             "genus": 6,
         }
-        assert self._vertices([n14_solution.reference], n14.F) == {14}
+        assert _surface_vertices([n14_solution.reference], n14.F) == {14}
 
     def test_euler_relation_nk(self, n14, n14_survivors):
         # every depth-5 solution counts the config's V, so N k = 6 (k - chi)
         completed, _ = complete_survivors(n14_survivors, n14.F, limit=256)
         sols = [sol for sols in completed for sol in sols]
         assert len(sols) == 495
-        assert self._vertices(sols, n14.F) == {self.TOPOLOGY["vertices"]}
+        assert _surface_vertices(sols, n14.F) == {self.TOPOLOGY["vertices"]}
         chi = self.TOPOLOGY["euler_characteristic"]
         assert n14.F.n * n14.F.k == 6 * (n14.F.k - chi)
 
@@ -1059,7 +1050,7 @@ class TestVerifyTopology:
         completed, _ = complete_survivors(Lcs, n14.F, limit=256)
         sols = [sol for sols in completed for sol in sols]
         assert len(sols) == 90
-        assert self._vertices(sols, n14.F) == {self.TOPOLOGY["vertices"]}
+        assert _surface_vertices(sols, n14.F) == {self.TOPOLOGY["vertices"]}
 
     @pytest.mark.parametrize(
         "n, k", [(12, 1), (18, 1), (24, 1), (30, 1), (9, 2), (8, 3), (10, 3), (14, 3)]
@@ -1075,3 +1066,34 @@ class TestVerifyTopology:
         assert topo["edges"] == len(F.internal_edges) + len(F.boundary) // 2
         chi = topo["vertices"] - topo["edges"] + topo["faces"]
         assert chi == topo["euler_characteristic"] == 2 - topo["genus"]
+
+
+class TestCyclesNeedNoWalk:
+    """Why complete_pairing emits its pairings alone: the links are closed
+    under the mirror m that swaps the two slots at a vertex, so the slot
+    cycles of every cover the engine closes at 3 wedges pair up into the
+    surface's vertex cycles (the oracle checks every solution of the
+    auto-mode runs in tests/test_cli.py)."""
+
+    @staticmethod
+    def _assert_mirror_closed(F, L):
+        struct = F.slot_table
+        at: dict[int, list[int]] = {}
+        for s, (_, v) in enumerate(struct.slots):
+            at.setdefault(v, []).append(s)
+        mirror = [0] * len(struct.slots)
+        for a, b in at.values():
+            mirror[a], mirror[b] = b, a
+        for p in L:
+            links = set(struct.links_for(p))
+            assert {(mirror[w], mirror[u]) for u, w in links} == links, p.record
+
+    def test_links_are_mirror_closed_at_n14(self, n14):
+        self._assert_mirror_closed(n14.F, n14.L)
+
+    # the domains of the auto-mode runs that certify at depth 3: k tiles
+    # attached [[0, 0], [0, 1]] as far as they go
+    @pytest.mark.parametrize("n, k", [(12, 1), (18, 1), (24, 1), (30, 1), (9, 2), (8, 3), (10, 3)])
+    def test_links_are_mirror_closed_on_auto_mode_domains(self, n, k):
+        F = build_domain(n, [Attachment(0, e) for e in range(k - 1)])
+        self._assert_mirror_closed(F, enumerate_pairings(F))
