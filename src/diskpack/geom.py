@@ -225,7 +225,7 @@ def _conformal_fixed_points(g: Isometry) -> tuple[complex, complex]:
     return q / A, C / q
 
 
-def classify(g: Isometry, parabolic_tol: float = PARABOLIC_TOL) -> IsometryClass:
+def classify(g: Isometry) -> IsometryClass:
     """Classify a disk isometry.
 
     Conformal maps by real trace t = 2 Re(a): |t| < 2 elliptic, |t| = 2
@@ -235,14 +235,14 @@ def classify(g: Isometry, parabolic_tol: float = PARABOLIC_TOL) -> IsometryClass
     """
     if not g.reversing:
         t = 2.0 * g.a.real
-        if abs(abs(t) - 2.0) <= parabolic_tol:
-            if abs(g.b) <= parabolic_tol and abs(g.a.imag) <= parabolic_tol:
+        if abs(abs(t) - 2.0) <= PARABOLIC_TOL:
+            if abs(g.b) <= PARABOLIC_TOL and abs(g.a.imag) <= PARABOLIC_TOL:
                 return IsometryClass(IDENTITY_TAG)
             return IsometryClass(PARABOLIC)
         if abs(t) < 2.0:
             return IsometryClass(ELLIPTIC)
         return IsometryClass(HYPERBOLIC, translation_length=2.0 * math.acosh(0.5 * abs(t)))
-    sq = classify(g * g, parabolic_tol)
+    sq = classify(g * g)
     if sq.tag == IDENTITY_TAG:
         return IsometryClass(REFLECTION)
     if sq.tag == HYPERBOLIC:
@@ -317,94 +317,6 @@ def displacement_offset(cls: IsometryClass, d: float) -> float | None:
     if rhs <= 1.0:
         return 0.0
     return math.acosh(rhs)
-
-
-def hypercycle(A: GeneralizedCircle, delta: float, side: int = 1) -> GeneralizedCircle:
-    """Equidistant curve at distance delta from the geodesic A.
-
-    ``side`` is +1 or -1 and selects the component with that sign of
-    ``signed_offset``; for a circle geodesic +1 is the component on the
-    origin's side of A.  delta = 0 returns A itself.
-    """
-    if side not in (1, -1):
-        raise GeometryError(f"side must be +1 or -1, got {side}")
-    if delta < 0.0:
-        raise GeometryError("hypercycle offset must be nonnegative")
-    if delta == 0.0:
-        return A
-    if A.kind == "circle":
-        k = side * math.sinh(delta) * A.radius
-        span = math.sqrt(A.radius**2 + k * k)
-        if abs(1.0 + k) <= 1e-9 * span:
-            # radius would exceed ~1e9; the curve is the chord of A's ideal
-            # points to within the returned-curve tolerance
-            d = abs(A.center)
-            return GeneralizedCircle.line(A.center / d, 1.0 / d)
-        c = A.center / (1.0 + k)
-        return GeneralizedCircle.circle(c, span / abs(1.0 + k))
-    k = side * math.sinh(delta)
-    if abs(k) <= 1e-9 * math.sqrt(1.0 + k * k):
-        return A
-    return GeneralizedCircle.circle(-A.normal / k, math.sqrt(1.0 + k * k) / abs(k))
-
-
-def _in_open_disk(z: complex) -> bool:
-    return abs(z) < 1.0
-
-
-def intersect(
-    c1: GeneralizedCircle, c2: GeneralizedCircle, tangent_tol: float = TANGENT_TOL
-) -> list[complex]:
-    """Intersection points of two generalized circles inside the open unit disk.
-
-    Tangencies (discriminant within tangent_tol of zero) give one point.
-    Raises CoincidentCurves when both curves are the same within tolerance.
-    """
-    if c1.kind == "line" and c2.kind == "line":
-        n1, n2 = c1.normal, c2.normal
-        det = n1.real * n2.imag - n1.imag * n2.real
-        if abs(det) <= 1e-13:
-            same = abs(c1.side(c2.offset * n2)) <= COINCIDENT_TOL
-            if same:
-                raise CoincidentCurves("identical lines")
-            return []
-        x = (c1.offset * n2.imag - c2.offset * n1.imag) / det
-        y = (c2.offset * n1.real - c1.offset * n2.real) / det
-        pts = [complex(x, y)]
-    elif c1.kind == "line" or c2.kind == "line":
-        line, circ = (c1, c2) if c1.kind == "line" else (c2, c1)
-        s = line.side(circ.center)
-        foot = circ.center - s * line.normal
-        h2 = circ.radius**2 - s * s
-        if h2 < -tangent_tol:
-            return []
-        if h2 <= tangent_tol:
-            pts = [foot]
-        else:
-            h = math.sqrt(h2)
-            u = 1j * line.normal
-            pts = [foot + h * u, foot - h * u]
-    else:
-        dvec = c2.center - c1.center
-        d = abs(dvec)
-        if d <= COINCIDENT_TOL:
-            if abs(c1.radius - c2.radius) <= COINCIDENT_TOL:
-                raise CoincidentCurves("identical circles")
-            return []
-        x = (d * d + c1.radius**2 - c2.radius**2) / (2.0 * d)
-        h2 = c1.radius**2 - x * x
-        if h2 < -tangent_tol:
-            return []
-        u = dvec / d
-        base = c1.center + x * u
-        if h2 <= tangent_tol:
-            pts = [base]
-        else:
-            h = math.sqrt(h2)
-            pts = [base + h * 1j * u, base - h * 1j * u]
-    pts = [p for p in pts if _in_open_disk(p)]
-    pts.sort(key=lambda p: (p.real, p.imag))
-    return pts
 
 
 def elliptic_about(p: complex, theta: float) -> Isometry:

@@ -39,7 +39,7 @@ from .group import (
 )
 from .search import (
     Candidate,
-    bananas,
+    banana_curves,
     candidates,
     compatibility_matrix,
     complete_pairing,
@@ -358,9 +358,8 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
         {"point": _cpx(c.point), "seed_distances": list(c.seed_distances)} for c in res.C
     ]
     _write_artifact(cfg, out, "candidates", {"seed_pair": seed_pair, "candidates": records})
-    fam1 = bananas(res.p1, dset, max_families=render.BANANA_FAMILIES)
-    fam2 = bananas(res.p2, dset, max_families=render.BANANA_FAMILIES)
-    _write_svg(out, "bananas.svg", render.scene_bananas(F, res.p1, res.p2, fam1, fam2))
+    curves = [banana_curves(p, dset, F) for p in (res.p1, res.p2)]
+    _write_svg(out, "bananas.svg", render.scene_bananas(F, *curves))
     star = None if res.solved is None else res.solved[0]["candidate"].point
     points = [c.point for c in res.C]
     _write_svg(out, "candidates.svg", render.scene_candidates(F, points, star))

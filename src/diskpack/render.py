@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .domain import FundamentalDomain, SidePairing
-from .geom import GeneralizedCircle, GeometryError, axis, midpoint
+from .geom import GeneralizedCircle, GeometryError, midpoint
+from .search import BananaCurves
 
 SIZE = 800.0
 MARGIN = 20.0
@@ -137,15 +140,17 @@ def scene_base(F: FundamentalDomain | None = None) -> Layers:
     return layers + [("domain", edges), ("edge-labels", labels), ("centers", centers)]
 
 
-def scene_bananas(F, p1: SidePairing, p2: SidePairing, fam1, fam2) -> Layers:
+def scene_bananas(F, b1: BananaCurves, b2: BananaCurves) -> Layers:
+    """Each seed's axis, dashed, and the curves the search intersects at its
+    first BANANA_FAMILIES distances."""
     layers = scene_base(F)
-    for name, p, fam, color in (
-        ("bananas-p1", p1, fam1, "#3060c0"),
-        ("bananas-p2", p2, fam2, "#208040"),
-    ):
+    for name, b, color in (("bananas-p1", b1, "#3060c0"), ("bananas-p2", b2, "#208040")):
+        # a family's curves are adjacent, so the families drawn end where one more starts
+        starts = np.flatnonzero(np.diff(b.d, prepend=-np.inf))
+        stop = starts[BANANA_FAMILIES] if len(starts) > BANANA_FAMILIES else len(b.d)
         thin = f"stroke:{color};stroke-width:0.6"
-        axis_curve = curve(axis(p.map), f"stroke:{color};stroke-width:1.4", dashed=True)
-        layers.append((name, [axis_curve] + [curve(c, thin) for _, cs in fam for c in cs]))
+        axis_curve = curve(b.axis, f"stroke:{color};stroke-width:1.4", dashed=True)
+        layers.append((name, [axis_curve] + [curve(b.curve(i), thin) for i in range(stop)]))
     return layers
 
 

@@ -21,13 +21,12 @@ import numpy as np
 
 from .domain import FundamentalDomain, SidePairing
 from .geom import (
+    COINCIDENT_TOL,
     TANGENT_TOL,
     CoincidentCurves,
     GeneralizedCircle,
     axis,
     displacement_offset,
-    hypercycle,
-    intersect,
     signed_offset,
 )
 from .tess import AdmissibilityTable, DistanceSet
@@ -41,14 +40,9 @@ class Candidate:
     seed_distances: tuple[float, float]
 
 
-def _families(
-    p: SidePairing,
-    dset: DistanceSet,
-    max_offset: float | None = None,
-    max_families: int | None = None,
-) -> list[tuple[float, float]]:
-    """(distance, offset from the axis) of p's bananas, at the first
-    ``max_families`` distances that have one (all by default).
+def _families(p: SidePairing, dset: DistanceSet, max_offset: float) -> list[tuple[float, float]]:
+    """(distance, offset from the axis) of p's bananas within ``max_offset``
+    of its axis.
 
     The offset grows with the distance, so the distances kept are one run
     of the sorted values: from the first that p displaces some point by to
@@ -57,36 +51,11 @@ def _families(
     offsets are computed."""
     cls, values = p.cls, dset.values
     lo = bisect.bisect_left(values, True, key=lambda d: displacement_offset(cls, d) is not None)
-    hi = len(values)
-    if max_offset is not None:  # every distance from lo on has an offset
-        hi = bisect.bisect_left(
-            values, True, lo, key=lambda d: displacement_offset(cls, d) > max_offset
-        )
-    if max_families is not None:
-        hi = min(hi, lo + max_families)
+    # every distance from lo on has an offset
+    hi = bisect.bisect_left(
+        values, True, lo, key=lambda d: displacement_offset(cls, d) > max_offset
+    )
     return [(d, displacement_offset(cls, d)) for d in values[lo:hi]]
-
-
-def bananas(
-    p: SidePairing,
-    dset: DistanceSet,
-    max_offset: float | None = None,
-    max_families: int | None = None,
-) -> list[tuple[float, list[GeneralizedCircle]]]:
-    """Displacement loci of p at every admissible distance that has one.
-
-    Distances below the minimal displacement are skipped; the distance equal
-    to the translation length of a hyperbolic map contributes the axis as a
-    single degenerate curve.  ``max_offset`` drops loci farther than that
-    from the axis (used to restrict to curves that can meet the domain);
-    ``max_families`` stops after that many distances (a figure draws only
-    the first few).
-    """
-    A = axis(p.map)
-    return [
-        (d, [A] if delta == 0.0 else [hypercycle(A, delta, 1), hypercycle(A, delta, -1)])
-        for d, delta in _families(p, dset, max_offset, max_families)
-    ]
 
 
 def _domain_offset_bound(F: FundamentalDomain, A: GeneralizedCircle) -> float:
@@ -122,7 +91,7 @@ def _quotient(c: complex, t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _Curves:
+class BananaCurves:
     """A seed pairing's bananas that can meet F, as arrays with one entry
     per curve in family order, the + side before the - side: distance d and
     signed sinh offset tau; circles and lines index the curves of each kind,
@@ -137,14 +106,27 @@ class _Curves:
     lines: np.ndarray
     line_curves: tuple[GeneralizedCircle, ...]
 
+    def curve(self, i: int) -> GeneralizedCircle:
+        """Curve i as one object: its circle, or the line that stands in for it."""
+        j = int(np.searchsorted(self.circles, i))
+        if j < len(self.circles) and self.circles[j] == i:
+            return GeneralizedCircle.circle(complex(self.center[j]), float(self.radius[j]))
+        return self.line_curves[int(np.searchsorted(self.lines, i))]
 
-def _banana_curves(p: SidePairing, dset: DistanceSet, F: FundamentalDomain) -> _Curves:
-    """p's bananas within _domain_offset_bound of its axis, by hypercycle's
-    arithmetic and operation order on arrays, with no object per curve.  A
-    circle of radius above INTERSECT_RADIUS_CUT becomes the axis's chord.
-    Every line is one of the axis's own, each built once: that chord,
-    hypercycle's chord for a curve too flat for a circle, or a diameter
-    axis itself."""
+
+def banana_curves(p: SidePairing, dset: DistanceSet, F: FundamentalDomain) -> BananaCurves:
+    """p's bananas within _domain_offset_bound of its axis A, on arrays,
+    with no object per curve.
+
+    The curve at signed sinh offset tau from a circle A (center c, radius
+    r) is the circle of center c / (1 + k) and radius
+    sqrt(r^2 + k^2) / |1 + k|, k = tau r, or, where |1 + k| is at most 1e-9
+    times that root, the chord of A's ideal points.  From a diameter A of
+    unit normal n it is the circle of center -n / tau and radius
+    sqrt(1 + tau^2) / |tau|, or A itself where |tau| is at most 1e-9 times
+    that root.  A circle of radius above INTERSECT_RADIUS_CUT becomes the
+    chord too.  Every line is one of the axis's own, each built once: that
+    chord, the flat curve's line, or a diameter axis itself."""
     A = axis(p.map)
     d, tau = [], []
     for dist_, delta in _families(p, dset, _domain_offset_bound(F, A)):
@@ -179,7 +161,7 @@ def _banana_curves(p: SidePairing, dset: DistanceSet, F: FundamentalDomain) -> _
     circles, lines = np.flatnonzero(~(flat | far)), np.flatnonzero(flat | far)
     chord = _chord(A)
     line_curves = tuple(flat_line if flat[i] else chord for i in lines.tolist())
-    return _Curves(A, d, tau, circles, center[circles], radius[circles], lines, line_curves)
+    return BananaCurves(A, d, tau, circles, center[circles], radius[circles], lines, line_curves)
 
 
 def _sigma_and_grad(A: GeneralizedCircle, x, y):
@@ -199,7 +181,10 @@ def _sigma_and_grad(A: GeneralizedCircle, x, y):
     return s, sx, sy
 
 
-def _newton_polish(A1, tau1, A2, tau2, zs, iterations: int = 3):
+NEWTON_ITERATIONS = 3
+
+
+def _newton_polish(A1, tau1, A2, tau2, zs):
     """Move raw intersection points onto the exact displacement loci.
 
     Solves signed_offset(z, A1) = tau1, signed_offset(z, A2) = tau2 by Newton
@@ -207,7 +192,7 @@ def _newton_polish(A1, tau1, A2, tau2, zs, iterations: int = 3):
     position (near-tangent intersections, harmless after deduplication).
     """
     x, y = zs.real.copy(), zs.imag.copy()
-    for _ in range(iterations):
+    for _ in range(NEWTON_ITERATIONS):
         s1, s1x, s1y = _sigma_and_grad(A1, x, y)
         s2, s2x, s2y = _sigma_and_grad(A2, x, y)
         r1, r2 = s1 - tau1, s2 - tau2
@@ -222,23 +207,28 @@ def _newton_polish(A1, tau1, A2, tau2, zs, iterations: int = 3):
     return x + 1j * y
 
 
-def _circle_pair_intersections(c1, r1, c2, r2, block=256):
+# circles of the first family per block of _circle_pair_intersections
+CIRCLE_BLOCK = 256
+
+
+def _circle_pair_intersections(c1, r1, c2, r2):
     """Raw intersection points of two circle families (centers c, radii r),
     with the index of each point's circle in either family."""
     if not len(c1) or not len(c2):
         return None
     pts, out1, out2 = [], [], []
-    for start in range(0, len(c1), block):
-        sl = slice(start, start + block)
+    for start in range(0, len(c1), CIRCLE_BLOCK):
+        sl = slice(start, start + CIRCLE_BLOCK)
         dc = c2[None, :] - c1[sl, None]
         dd = np.abs(dc)
-        coincident = (dd <= 1e-9) & (np.abs(r2[None, :] - r1[sl, None]) <= 1e-9)
+        same_radius = np.abs(r2[None, :] - r1[sl, None]) <= COINCIDENT_TOL
+        coincident = (dd <= COINCIDENT_TOL) & same_radius
         if coincident.any():
             raise CoincidentCurves("seed pairings share a displacement curve")
         with np.errstate(divide="ignore", invalid="ignore"):
             a = (dd * dd + r1[sl, None] ** 2 - r2[None, :] ** 2) / (2.0 * dd)
             h2 = r1[sl, None] ** 2 - a * a
-            ok = (dd > 1e-9) & (h2 >= -1e-12)
+            ok = (dd > COINCIDENT_TOL) & (h2 >= -TANGENT_TOL)
             h = np.sqrt(np.where(h2 > 0.0, h2, 0.0))
             u = dc / np.where(dd > 0.0, dd, 1.0)
             base = c1[sl, None] + a * u
@@ -256,23 +246,26 @@ def _circle_pair_intersections(c1, r1, c2, r2, block=256):
 
 
 def _line_circle_points(line: GeneralizedCircle, center, radius):
-    """geom.intersect(line, circle) for every circle (center, radius), with
-    its arithmetic and its order: points and a mask of those it returns,
-    both of shape (circles, 2)."""
+    """The points where the line meets each circle (center, radius) inside
+    the unit disk: points and a mask of those that count, both of shape
+    (circles, 2).  Where h^2 = radius^2 - s^2 (s the center's signed
+    distance to the line) is within TANGENT_TOL of 0, the circle touches
+    the line once, at the foot of that distance; two points come in
+    (re, im) order."""
     n = line.normal
     # Re(conj(n) c) as Python forms it: numpy's product of two complex
     # arrays may fuse its multiply-adds (a product by a real or by 1j has
     # nothing to fuse), and its abs is not libm's hypot, as Python's is
     s = n.real * center.real + n.imag * center.imag - line.offset
     foot = center - s * n
-    # float ** 2 takes libm pow, as intersect does, not numpy's square
+    # float ** 2 takes libm pow, as the scalar r**2 does, not numpy's square
     h2 = np.array([r**2 for r in radius.tolist()]) - s * s
     tangent = h2 <= TANGENT_TOL
     hu = np.sqrt(np.where(tangent, 0.0, h2)) * (1j * n)
     pts = np.stack([np.where(tangent, foot, foot + hu), foot - hu], axis=-1)
     ok = (np.hypot(pts.real, pts.imag) < 1.0) & (h2 >= -TANGENT_TOL)[:, None]
     ok[:, 1] &= ~tangent
-    # intersect sorts each pair by (re, im)
+    # each pair in (re, im) order
     first, second = pts[:, 0], pts[:, 1]
     swap = ok.all(axis=1) & (
         (second.real < first.real) | ((second.real == first.real) & (second.imag < first.imag))
@@ -281,12 +274,13 @@ def _line_circle_points(line: GeneralizedCircle, center, radius):
     return pts, ok
 
 
-def _line_intersections(b1: _Curves, b2: _Curves):
+def _line_intersections(b1: BananaCurves, b2: BananaCurves):
     """Raw intersection points that involve a line, with the index of each
-    point's curve in either seed's curves, in the order of a loop of
-    intersect over each line of b1 against b2's circles and then its lines,
-    and then over each circle of b1 against b2's lines.  Line pairs, one or
-    two per seed pair, go through intersect itself."""
+    point's curve in either seed's curves, in the order of a loop over each
+    line of b1 against b2's circles and then its lines, and then over each
+    circle of b1 against b2's lines.  Line pairs, one or two per seed pair,
+    meet by Cramer's rule; parallel lines meet nowhere, and the same line
+    twice raises CoincidentCurves."""
     pts, i1, i2 = [], [], []
     for a, la in zip(b1.lines.tolist(), b1.line_curves):
         z, ok = _line_circle_points(la, b2.center, b2.radius)
@@ -295,10 +289,20 @@ def _line_intersections(b1: _Curves, b2: _Curves):
         i1.append(np.full(len(at), a))
         i2.append(b2.circles[at])
         for b, lb in zip(b2.lines.tolist(), b2.line_curves):
-            w = intersect(la, lb)
-            pts.append(np.array(w, dtype=complex))
-            i1.append(np.full(len(w), a))
-            i2.append(np.full(len(w), b))
+            n1, n2 = la.normal, lb.normal
+            det = n1.real * n2.imag - n1.imag * n2.real
+            if abs(det) <= 1e-13:
+                if abs(la.side(lb.offset * n2)) <= COINCIDENT_TOL:
+                    raise CoincidentCurves("identical lines")
+                continue
+            w = complex(
+                (la.offset * n2.imag - lb.offset * n1.imag) / det,
+                (lb.offset * n1.real - la.offset * n2.real) / det,
+            )
+            if abs(w) < 1.0:
+                pts.append(np.array([w]))
+                i1.append(np.array([a]))
+                i2.append(np.array([b]))
     if len(b2.lines):
         # circle by circle of b1, each against every line of b2
         each = [_line_circle_points(lb, b1.center, b1.radius) for lb in b2.line_curves]
@@ -328,7 +332,7 @@ def candidates(
     """Intersections of p1's bananas with p2's bananas that lie in F.
 
     Deduplicated at ``dedup`` point distance and sorted by (re, im).  The
-    points come from whole arrays of curves (_banana_curves), circles
+    points come from whole arrays of curves (banana_curves), circles
     against circles first, then every pair involving a line; they are
     Newton-polished, F.contains keeps those inside (it decides only the
     points near some tile), and a stable sort by (re, im) orders them.  Of
@@ -342,9 +346,9 @@ def candidates(
         raise ValueError("seed pairings must be distinct")
     q1, qd, qF, b1 = _p1_curves
     if not (q1 is p1 and qd is dset and qF is F):
-        b1 = _banana_curves(p1, dset, F)
+        b1 = banana_curves(p1, dset, F)
         _p1_curves = (p1, dset, F, b1)
-    b2 = _banana_curves(p2, dset, F)
+    b2 = banana_curves(p2, dset, F)
     pieces = []
     hit = _circle_pair_intersections(b1.center, b1.radius, b2.center, b2.radius)
     if hit is not None:
@@ -542,7 +546,7 @@ class PairingSolution:
 def complete_pairing(
     Lc: list[SidePairing],
     F: FundamentalDomain,
-    limit: int = 32,
+    limit: int,
     within: list[frozenset] | None = None,
 ) -> list[PairingSolution]:
     """Exact-cover completion of Lc into full side-pairing sets with at
@@ -702,7 +706,7 @@ def complete_pairing(
 def complete_survivors(
     Lcs: list[list[SidePairing]],
     F: FundamentalDomain,
-    limit: int = 32,
+    limit: int,
 ) -> tuple[list[list[PairingSolution]], int]:
     """complete_pairing for every L_c in order, one full search per orbit.
 

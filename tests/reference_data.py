@@ -4,7 +4,10 @@ pairing_between and the enumeration that lists every identification in both
 directions with it, classifying each, for the one-entry-per-identification
 list L built from per-edge factors in one array pass with a trace screen;
 the loop that takes a banana offset at every distance, for the one that
-bisects for the run of distances kept; the candidate generator with an
+bisects for the run of distances kept; the scalar hypercycle, one object
+per curve, and the scalar intersect of two generalized circles, for the
+curves search.banana_curves builds on arrays and the intersections it
+takes of them; the candidate generator with an
 object per banana curve, scalar line intersections, the edge-by-edge
 inside test on every point (reference_contains), a Python tuple per raw intersection and its
 output sorted again, for the one that works in array passes; the scalar
@@ -47,17 +50,18 @@ from diskpack.domain import (
     SidePairing,
 )
 from diskpack.geom import (
+    COINCIDENT_TOL,
     GLIDE,
     HYPERBOLIC,
+    TANGENT_TOL,
     CoincidentCurves,
     GeneralizedCircle,
+    GeometryError,
     Isometry,
     axis,
     classify,
     displacement_offset,
     dist,
-    hypercycle,
-    intersect,
     midpoint,
     segment_aligner,
     signed_offset,
@@ -71,7 +75,7 @@ from diskpack.group import (
     word_residual,
 )
 from diskpack.search import CANDIDATE_DEDUP, Candidate
-from diskpack.render import R_VIEW, SIZE, _arc_path, _fmt, _xy
+from diskpack.render import BANANA_FAMILIES, R_VIEW, SIZE, _arc_path, _fmt, _xy
 from diskpack.tess import (
     DEDUP_TOL,
     MATCH_TOL,
@@ -563,21 +567,103 @@ def reference_compatibility_matrix(points, L, dset):
     return out
 
 
+def hypercycle(A: GeneralizedCircle, delta: float, side: int = 1) -> GeneralizedCircle:
+    """Equidistant curve at distance delta from the geodesic A.
+
+    ``side`` is +1 or -1 and selects the component with that sign of
+    ``signed_offset``; for a circle geodesic +1 is the component on the
+    origin's side of A.  delta = 0 returns A itself.
+    """
+    if side not in (1, -1):
+        raise GeometryError(f"side must be +1 or -1, got {side}")
+    if delta < 0.0:
+        raise GeometryError("hypercycle offset must be nonnegative")
+    if delta == 0.0:
+        return A
+    if A.kind == "circle":
+        k = side * math.sinh(delta) * A.radius
+        span = math.sqrt(A.radius**2 + k * k)
+        if abs(1.0 + k) <= 1e-9 * span:
+            # radius would exceed ~1e9; the curve is the chord of A's ideal
+            # points to within the returned-curve tolerance
+            d = abs(A.center)
+            return GeneralizedCircle.line(A.center / d, 1.0 / d)
+        c = A.center / (1.0 + k)
+        return GeneralizedCircle.circle(c, span / abs(1.0 + k))
+    k = side * math.sinh(delta)
+    if abs(k) <= 1e-9 * math.sqrt(1.0 + k * k):
+        return A
+    return GeneralizedCircle.circle(-A.normal / k, math.sqrt(1.0 + k * k) / abs(k))
+
+
+def _in_open_disk(z: complex) -> bool:
+    return abs(z) < 1.0
+
+
+def intersect(
+    c1: GeneralizedCircle, c2: GeneralizedCircle, tangent_tol: float = TANGENT_TOL
+) -> list[complex]:
+    """Intersection points of two generalized circles inside the open unit disk.
+
+    Tangencies (discriminant within tangent_tol of zero) give one point.
+    Raises CoincidentCurves when both curves are the same within tolerance.
+    """
+    if c1.kind == "line" and c2.kind == "line":
+        n1, n2 = c1.normal, c2.normal
+        det = n1.real * n2.imag - n1.imag * n2.real
+        if abs(det) <= 1e-13:
+            same = abs(c1.side(c2.offset * n2)) <= COINCIDENT_TOL
+            if same:
+                raise CoincidentCurves("identical lines")
+            return []
+        x = (c1.offset * n2.imag - c2.offset * n1.imag) / det
+        y = (c2.offset * n1.real - c1.offset * n2.real) / det
+        pts = [complex(x, y)]
+    elif c1.kind == "line" or c2.kind == "line":
+        line, circ = (c1, c2) if c1.kind == "line" else (c2, c1)
+        s = line.side(circ.center)
+        foot = circ.center - s * line.normal
+        h2 = circ.radius**2 - s * s
+        if h2 < -tangent_tol:
+            return []
+        if h2 <= tangent_tol:
+            pts = [foot]
+        else:
+            h = math.sqrt(h2)
+            u = 1j * line.normal
+            pts = [foot + h * u, foot - h * u]
+    else:
+        dvec = c2.center - c1.center
+        d = abs(dvec)
+        if d <= COINCIDENT_TOL:
+            if abs(c1.radius - c2.radius) <= COINCIDENT_TOL:
+                raise CoincidentCurves("identical circles")
+            return []
+        x = (d * d + c1.radius**2 - c2.radius**2) / (2.0 * d)
+        h2 = c1.radius**2 - x * x
+        if h2 < -tangent_tol:
+            return []
+        u = dvec / d
+        base = c1.center + x * u
+        if h2 <= tangent_tol:
+            pts = [base]
+        else:
+            h = math.sqrt(h2)
+            pts = [base + h * 1j * u, base - h * 1j * u]
+    pts = [p for p in pts if _in_open_disk(p)]
+    pts.sort(key=lambda p: (p.real, p.imag))
+    return pts
+
+
 def reference_families(
-    p: SidePairing,
-    dset: DistanceSet,
-    max_offset: float | None = None,
-    max_families: int | None = None,
+    p: SidePairing, dset: DistanceSet, max_offset: float
 ) -> list[tuple[float, float]]:
-    """(distance, offset from the axis) of p's bananas, at the first
-    ``max_families`` distances that have one (all by default), taking the
-    offset at every distance in turn."""
+    """(distance, offset from the axis) of p's bananas within ``max_offset``
+    of its axis, taking the offset at every distance in turn."""
     out = []
     for d in dset.values:
-        if len(out) == max_families:
-            break
         delta = displacement_offset(p.cls, d)
-        if delta is None or (max_offset is not None and delta > max_offset):
+        if delta is None or delta > max_offset:
             continue
         out.append((d, delta))
     return out
@@ -982,21 +1068,22 @@ def reference_scene_base(F: FundamentalDomain | None = None) -> Scene:
     return scene
 
 
-def reference_scene_bananas(F, p1: SidePairing, p2: SidePairing, fam1, fam2) -> Scene:
+def reference_scene_bananas(F, p1: SidePairing, p2: SidePairing, dset: DistanceSet) -> Scene:
+    """Each seed's axis and its curves that can meet F, by hypercycle, at
+    its first BANANA_FAMILIES distances, each circle of radius above
+    INTERSECT_RADIUS_CUT drawn as the chord _chordify gives."""
     scene = reference_scene_base(F)
-    for name, p, fam, color in (
-        ("bananas-p1", p1, fam1, "#3060c0"),
-        ("bananas-p2", p2, fam2, "#208040"),
-    ):
+    for name, p, color in (("bananas-p1", p1, "#3060c0"), ("bananas-p2", p2, "#208040")):
+        A = axis(p.map)
+        _, recs = _banana_records(p, dset, _domain_offset_bound(F, A), BANANA_FAMILIES)
         layer = scene.layer(name)
         layer.append(
-            dict(type="curve", curve=axis(p.map), dashed=True, style=f"stroke:{color};stroke-width:1.4")
+            dict(type="curve", curve=A, dashed=True, style=f"stroke:{color};stroke-width:1.4")
         )
-        for _, curves in fam:
-            for c in curves:
-                layer.append(
-                    dict(type="curve", curve=c, style=f"stroke:{color};stroke-width:0.6")
-                )
+        for _, _, c in recs:
+            layer.append(
+                dict(type="curve", curve=_chordify(c, A), style=f"stroke:{color};stroke-width:0.6")
+            )
     return scene
 
 

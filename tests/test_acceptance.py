@@ -11,6 +11,7 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import random_glide, random_hyperbolic, random_isometry, random_point
@@ -22,7 +23,9 @@ from reference_data import (
     axis_translation,
     compatible_pairings,
     dist_to_geodesic,
+    hypercycle,
     is_admissible,
+    reference_displacement,
     solution_cycles,
     vertex_points,
 )
@@ -33,11 +36,10 @@ from diskpack.geom import (
     classify,
     displacement_offset,
     dist,
-    hypercycle,
     signed_offset,
 )
 from diskpack.group import WORD_TOL, second_packing_certificate, swapping_half_turn
-from diskpack.search import edge_coverage
+from diskpack.search import banana_curves, edge_coverage
 from diskpack.tess import admissible_distances, polygon_metrics, triangle_generators
 
 
@@ -172,6 +174,36 @@ class TestCriterion5KernelProperties:
             if curve.kind == "circle" and curve.radius < 1e5:
                 assert abs(curve.side(z)) <= 1e-8 * max(1.0, curve.radius**2)
         print("\nACCEPTANCE 5d: PASS - 1e4 hypercycle round-trips at 1e-7")
+
+    def test_banana_curves_round_trip(self, n14):
+        # the curves the search intersects: on each circle (radius at most
+        # INTERSECT_RADIUS_CUT, 1e5) of every entry of L at N = 14 depth 3,
+        # seven points spread over its arc inside the disk, between the
+        # axis's ideal points, are displaced by the curve's distance
+        dset = admissible_distances(14, 3)
+        spread = np.arange(1, 8) / 8.0
+        checked = worst = 0
+        for p in n14.L:
+            b = banana_curves(p, dset, n14.F)
+            c, r = b.center[:, None], b.radius[:, None]
+            assert (r < 1e5).all()
+            u, v = b.axis.ideal_points()
+            at_u, at_v = np.angle(u - c), np.angle(v - c)
+            ccw = (at_v - at_u) % (2.0 * math.pi)
+            # the arc from u counterclockwise, or the other one
+            inside = np.abs(c + r * np.exp(1j * (at_u + 0.5 * ccw))) < 1.0
+            start = np.where(inside, at_u, at_v)
+            sweep = np.where(inside, ccw, 2.0 * math.pi - ccw)
+            zs = c + r * np.exp(1j * (start + sweep * spread))
+            assert (np.abs(zs) < 1.0).all()
+            err = np.abs(reference_displacement(zs, p) - b.d[b.circles][:, None])
+            worst = max(worst, err.max(initial=0.0))
+            checked += zs.size
+        assert checked > 100_000 and worst <= 1e-7
+        print(
+            f"\nACCEPTANCE 5e: PASS - {checked} points on the search's banana "
+            f"circles displaced by their distance within {worst:.1e} (bound 1e-7)"
+        )
 
     def test_classification_conjugation_invariance(self):
         rng = random.Random(505)

@@ -842,7 +842,7 @@ def test_auto_mode_builds_p1s_curves_once(tmp_path, monkeypatch, capsys):
     # byte
     path = tmp_path / "k8.json"
     path.write_text(json.dumps({"n": 8, "attachments": _K3, "depth": 3, "limit": 16}))
-    build = search._banana_curves
+    build = search.banana_curves
     calls, logs, files = {}, {}, {}
     for name in ("memo", "fresh"):
         calls[name] = 0
@@ -853,7 +853,7 @@ def test_auto_mode_builds_p1s_curves_once(tmp_path, monkeypatch, capsys):
                 monkeypatch.setattr(search, "_p1_curves", (None,) * 4)
             return build(p, dset, F)
 
-        monkeypatch.setattr(search, "_banana_curves", counting)
+        monkeypatch.setattr(search, "banana_curves", counting)
         out = tmp_path / name
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         logs[name] = capsys.readouterr()

@@ -23,13 +23,11 @@ from diskpack.geom import (
     elliptic_about,
     geodesic_reflection,
     geodesic_through,
-    hypercycle,
-    intersect,
     midpoint,
     segment_aligner,
     signed_offset,
 )
-from reference_data import axis_translation, dist_to_geodesic, point_at
+from reference_data import axis_translation, dist_to_geodesic, hypercycle, intersect, point_at
 
 
 class TestDist:

@@ -16,7 +16,7 @@ from diskpack.render import (
     scene_candidates,
     scene_solution,
 )
-from diskpack.search import bananas
+from diskpack.search import banana_curves
 
 
 def test_empty_scene_is_disk_boundary_only():
@@ -92,16 +92,21 @@ def test_all_path_anchor_points_inside_viewport(n14):
 
 
 def test_bananas_figure_needs_only_the_families_it_draws(n14, tmp_path):
-    # the pipeline caps each seed's families at BANANA_FAMILIES when it
-    # builds them, and the figure draws every family it is given
-    fams = [bananas(p, n14.dset) for p in (n14.p1, n14.p2)]
-    assert all(len(f) > BANANA_FAMILIES for f in fams)
+    # the pipeline draws the curves the search intersects, and of them the
+    # figure draws each seed's axis and the curves of its first
+    # BANANA_FAMILIES distances
+    curves = [banana_curves(p, n14.dset, n14.F) for p in (n14.p1, n14.p2)]
     cfg = load_config("configs/n14.json")
     res = pipeline.SeedPairResult(n14.p1, n14.p2, n14.C)
     pipeline._write_seed_pair(cfg, n14.F, n14.L, n14.dset, res, str(tmp_path))
-    first = [f[:BANANA_FAMILIES] for f in fams]
     written = (tmp_path / "bananas.svg").read_text(encoding="utf-8")
-    assert written == render_svg(scene_bananas(n14.F, n14.p1, n14.p2, *first))
+    layers = scene_bananas(n14.F, *curves)
+    assert written == render_svg(layers)
+    for b, (_, drawn) in zip(curves, layers[-2:]):
+        families = sorted(set(b.d.tolist()))
+        assert len(families) > BANANA_FAMILIES
+        first = [d for d in b.d.tolist() if d <= families[BANANA_FAMILIES - 1]]
+        assert len(drawn) == 1 + len(first) and all(drawn)
 
 
 # each figure and the scene function the pipeline draws it with
@@ -121,13 +126,26 @@ _FIGURES = {
 )
 def test_figures_match_the_item_dict_renderer(config, tmp_path, monkeypatch):
     # every figure a run writes is the text the Scene renderer, which stored
-    # each drawn item as a dict, gives for the same arguments
-    expected = {}
+    # each drawn item as a dict, gives for the same arguments; the bananas
+    # figure's, for the seed pairings and distances its curves came from
+    expected, seeds = {}, {}
+
+    def building(p, dset, F, _build=pipeline.banana_curves):
+        b = _build(p, dset, F)
+        seeds[id(b)] = (p, dset)
+        return b
+
+    monkeypatch.setattr(pipeline, "banana_curves", building)
     for figure, name in _FIGURES.items():
 
         def recording(*args, _figure=figure, _name=name, _draw=getattr(render, name)):
             oracle = getattr(reference_data, f"reference_{_name}")
-            expected[_figure] = reference_data.reference_render_svg(oracle(*args))
+            given = args
+            if _name == "scene_bananas":
+                F, b1, b2 = args
+                (p1, dset), (p2, _) = seeds[id(b1)], seeds[id(b2)]
+                given = (F, p1, p2, dset)
+            expected[_figure] = reference_data.reference_render_svg(oracle(*given))
             return _draw(*args)
 
         monkeypatch.setattr(render, name, recording)

@@ -12,6 +12,9 @@ from reference_data import (
     LC_REJECTED_IDENTS,
     REJECTED_CANDIDATE,
     SOLUTION_18_IDENTS,
+    _banana_records,
+    _chordify,
+    _domain_offset_bound,
     axis_translation,
     both_directions,
     compatible_pairings,
@@ -42,14 +45,13 @@ from diskpack.domain import (
 )
 from diskpack.geom import CoincidentCurves, Isometry, axis, dist
 from diskpack.pipeline import filter_candidates, lc_pairings
-from diskpack.render import BANANA_FAMILIES
 from diskpack.tess import SCREEN_BITS, DistanceSet, admissible_distances, sinh2_half
 from diskpack.search import (
     BLOCK_CELLS,
     SCREEN_MIN_GAP,
     _numerator_coefficients,
     _screen_monomials,
-    bananas,
+    banana_curves,
     candidates,
     compatibility_matrix,
     complete_pairing,
@@ -60,58 +62,72 @@ from diskpack.search import (
 
 class TestBananas:
     def test_distances_below_minimum_omitted(self, n14):
-        fam = bananas(n14.p1, n14.dset)
+        d = banana_curves(n14.p1, n14.dset, n14.F).d.tolist()
         t = n14.p1.cls.translation_length
         # glide: minimal displacement is the translation length
-        assert all(d >= t - 1e-9 for d, _ in fam)
-        assert 0.0 not in [d for d, _ in fam]
+        assert all(x >= t - 1e-9 for x in d)
+        assert 0.0 not in d
 
     def test_sampled_points_displaced_exactly(self, n14):
-        fam = bananas(n14.p1, n14.dset)
+        b = banana_curves(n14.p1, n14.dset, n14.F)
         g = n14.p1.map
         checked = 0
-        for d, curves in fam[:10]:
-            for c in curves:
-                for i in range(10):
-                    z = point_at(c, 0.6 * i)
-                    if abs(z) < 0.995:
-                        assert dist(z, g(z)) == pytest.approx(d, abs=1e-6)
-                        checked += 1
+        for i in b.circles[:20].tolist():
+            c = b.curve(i)
+            for k in range(10):
+                z = point_at(c, 0.6 * k)
+                if abs(z) < 0.995:
+                    assert dist(z, g(z)) == pytest.approx(b.d[i], abs=1e-6)
+                    checked += 1
         assert checked > 20
 
     def test_curves_share_axis_ideal_points(self, n14):
-        A = axis(n14.p2.map)
-        fam = bananas(n14.p2, n14.dset)
-        _, curves = fam[0]
-        for c in curves:
-            for p in A.ideal_points():
-                assert abs(c.side(p)) < 1e-9
+        b = banana_curves(n14.p2, n14.dset, n14.F)
+        for i in np.flatnonzero(b.d == b.d[0]).tolist():
+            for p in b.axis.ideal_points():
+                assert abs(b.curve(i).side(p)) < 1e-9
 
     def test_offset_bound_prunes(self, n14):
-        full = bananas(n14.p1, n14.dset)
-        pruned = bananas(n14.p1, n14.dset, max_offset=1.0)
-        assert len(pruned) < len(full)
+        # only the families within F's reach of the axis, the first ones
+        for p in (n14.p1, n14.p2):
+            kept = sorted(set(banana_curves(p, n14.dset, n14.F).d.tolist()))
+            every = [d for d, _ in reference_families(p, n14.dset, math.inf)]
+            assert 0 < len(kept) < len(every)
+            assert kept == every[: len(kept)]
 
     @pytest.mark.parametrize("depth", [3, 5])
     def test_families_equal_the_reference_loop(self, n14, depth):
         # the bisected run of distances is the one the loop over every
-        # distance keeps, under the offset bound candidates applies and
-        # under the cap the bananas figure applies
+        # distance keeps, under the offset bound candidates applies
         dset = n14.dset if depth == 5 else admissible_distances(14, depth)
         for p in n14.L:
             bound = search._domain_offset_bound(n14.F, axis(p.map))
             got = search._families(p, dset, bound)
             assert got and got == reference_families(p, dset, bound)
-            capped = search._families(p, dset, max_families=BANANA_FAMILIES)
-            assert len(capped) == BANANA_FAMILIES
-            assert capped == reference_families(p, dset, max_families=BANANA_FAMILIES)
 
-    def test_max_families_builds_the_first_families_only(self, n14):
-        for p in (n14.p1, n14.p2):
-            every = bananas(p, n14.dset)
-            assert len(every) > 8
-            assert bananas(p, n14.dset, max_families=8) == every[:8]
-            assert bananas(p, n14.dset, max_families=len(every) + 1) == every
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_curves_equal_the_scalar_hypercycles(self, n14, n):
+        # curve for curve, in family order, the + side first: the scalar
+        # hypercycle of each family within F's reach, or the chord that
+        # stands in for a circle of radius above INTERSECT_RADIUS_CUT, with
+        # the same bits; lines among them too (diameter axes, and curves too
+        # flat for a circle)
+        if n == 14:
+            F, L, dset = n14.F, n14.L, admissible_distances(14, 3)
+        else:
+            F = build_domain(12, [])
+            L, dset = enumerate_pairings(F), admissible_distances(12, 3)
+        lines = 0
+        for p in L:
+            b = banana_curves(p, dset, F)
+            A, recs = _banana_records(p, dset, _domain_offset_bound(F, axis(p.map)))
+            assert b.axis == A
+            assert b.d.tolist() == [d for d, _, _ in recs]
+            assert b.tau.tolist() == [tau for _, tau, _ in recs]
+            assert [b.curve(i) for i in range(len(recs))] == [_chordify(c, A) for *_, c in recs]
+            assert sorted(b.circles.tolist() + b.lines.tolist()) == list(range(len(recs)))
+            lines += len(b.lines)
+        assert lines >= len(L)
 
 
 class TestCandidates:
@@ -167,6 +183,9 @@ class TestCandidates:
     # two pairings whose axes coincide: every banana of one is a banana of
     # the other
     SHARED_AXIS = ((False, 0, 2, 0, 6), (False, 0, 7, 2, 13))
+    # on the one-tile 12-gon, the translation and the glide between two
+    # opposite edges share their axis, a diameter: the line pair raises
+    OPPOSITE_EDGES = ((False, 0, 0, 0, 6), (True, 0, 0, 0, 6))
 
     @pytest.mark.parametrize("pair", [0, 1, 2, 3, "sample", "n12", "n30"])
     def test_equal_to_the_reference_generator(self, n14, pair):
@@ -186,6 +205,8 @@ class TestCandidates:
             L = enumerate_pairings(F)
             dset = admissible_distances(n, 3)
             pairs = [tuple(random.Random(n).sample(L, 2))]
+            if n == 12:
+                pairs += [tuple(find_pairing(L, *rec) for rec in self.OPPOSITE_EDGES)]
         elif pair == 3:
             dset = n14.dset
             pairs = [(n14.p1, n14.p2)]
@@ -208,6 +229,7 @@ class TestCandidates:
             assert min(sizes[:-2]) > 200
         elif pair in ("n12", "n30"):
             assert sizes[0] > 0
+            assert sizes[1:] == ([CoincidentCurves] if pair == "n12" else [])
         else:
             assert sizes == [(26, 688, 1378, 816)[pair]]
 
@@ -584,7 +606,7 @@ class TestCompletePairing:
         # wedges at every slot no cycle collects exactly 3
         slots = n14.F.slot_table
         monkeypatch.setattr(slots, "slot_wedges", [2] * len(slots.slots))
-        assert complete_pairing(n14_solution.Lc, n14.F) == []
+        assert complete_pairing(n14_solution.Lc, n14.F, limit=32) == []
 
     def test_limit_caps_output(self, n14, n14_solution):
         sols = complete_pairing(n14_solution.Lc, n14.F, limit=5)
@@ -711,12 +733,12 @@ class TestCycleMachinery:
         # wedge more at one vertex: that vertex's cycle would collect 4, so
         # the engine's wedge count rejects the cover
         sol = n14_solution.reference
-        assert complete_pairing(list(sol.pairings), n14.F) == [sol]
+        assert complete_pairing(list(sol.pairings), n14.F, limit=32) == [sol]
         slots = n14.F.slot_table
         v = slots.slots[0][1]
         bumped = [w + (u == v) for (_, u), w in zip(slots.slots, slots.slot_wedges)]
         monkeypatch.setattr(slots, "slot_wedges", bumped)
-        assert complete_pairing(list(sol.pairings), n14.F) == []
+        assert complete_pairing(list(sol.pairings), n14.F, limit=32) == []
 
     def test_unpaired_slot_cycles_rejected(self, n14):
         # both slots of one vertex in a single cycle, every other slot fixed:
