@@ -119,8 +119,21 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and positive, not {value}")
-        if self.seed_pairs is not None and len(self.seed_pairs) != 2:
+        if self.seed_pairs is None:
+            return
+        if len(self.seed_pairs) != 2:
             raise ConfigError("seed_pairs must list exactly the two seed pairings")
+        # polygons 1-based, as a config writes them
+        for i, (_, sp, se, dp, de) in enumerate(self.seed_pairs, start=1):
+            for poly, edge in ((sp, se), (dp, de)):
+                if not 0 <= poly < self.k:
+                    raise ConfigError(
+                        f"seed pairing {i} names polygon {poly + 1}, outside 1..{self.k}"
+                    )
+                if not 0 <= edge < self.n:
+                    raise ConfigError(
+                        f"seed pairing {i} names edge {edge}, outside 0..{self.n - 1}"
+                    )
 
     @property
     def frame(self) -> Isometry | None:

@@ -17,6 +17,7 @@ uniformizing group and are dropped from the list.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -433,12 +434,37 @@ def _same_edge(e1: EdgeRef, e2: EdgeRef) -> bool:
     )
 
 
+class _MapOfRow:
+    """SidePairing.map of an entry built by SidePairing._of_row: made from
+    its row of the table on first read, then held by the instance like any
+    field (as cached_property holds a value).  An entry given its map holds
+    it from the start, which hides this descriptor."""
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            # no class-level value, so dataclass sees a field without default
+            raise AttributeError("map")
+        arrays, row = vars(p)["_row"]
+        m = vars(p)["map"] = arrays.map(row)
+        return m
+
+
 @dataclass(frozen=True)
 class SidePairing:
-    map: Isometry
+    map: Isometry = _MapOfRow()  # a required field: see _MapOfRow
     src: EdgeRef
     dst: EdgeRef
     reversing: bool
+
+    @classmethod
+    def _of_row(
+        cls, arrays: "MapArrays", row: int, src: EdgeRef, dst: EdgeRef, reversing: bool
+    ) -> "SidePairing":
+        """An entry of enumerate_pairings' table whose map is row ``row`` of
+        ``arrays``, built on first read: set-up builds no Isometry."""
+        p = cls.__new__(cls)
+        vars(p).update(src=src, dst=dst, reversing=reversing, _row=(arrays, row))
+        return p
 
     @cached_property
     def cls(self) -> IsometryClass:
@@ -460,7 +486,87 @@ class SidePairing:
         return (self.src.poly, self.src.edge, self.reversing, self.dst.poly, self.dst.edge)
 
 
-def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
+def numerator_coefficients(a: np.ndarray, b: np.ndarray, reversing: np.ndarray) -> np.ndarray:
+    """Re N and Im N of the maps [[a, b], [conj b, conj a]] (reversing or
+    not) over the monomials 1, x, y, x^2 - y^2, 2xy, r^2 of z = x + iy:
+    rows 0 .. len(a) - 1 for Re N, the next len(a) rows for Im N.
+
+    For such a map g, sinh(d(z, gz) / 2) = |N| / (1 - r^2) with
+    N = b + (a - conj a) z - conj(b) z^2 if g is conformal and
+    N = b + a conj(z) - conj(a) z - conj(b) r^2 if it is reversing
+    (Beardon, The Geometry of Discrete Groups, 7.2).
+    """
+    a1, a2, b1, b2 = a.real, a.imag, b.real, b.imag
+    rev = reversing.astype(bool)
+    o = np.zeros(len(a))
+    re = np.where(rev, [b1, o, o, o, o, -b1], [b1, o, -2.0 * a2, -b1, -b2, o])
+    im = np.where(rev, [b2, 2.0 * a2, -2.0 * a1, o, o, b2], [b2, 2.0 * a2, o, b2, -b1, o])
+    return np.concatenate([re.T, im.T])
+
+
+@dataclass(frozen=True, eq=False)
+class MapArrays:
+    """The maps of a list of side pairings as arrays, one row per entry: the
+    matrix's first row a, b (complex), the reversing flags (0 or 1) and the
+    compatibility screen's numerator_coefficients (2 len(a) rows of 6)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    reversing: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def of(cls, a: np.ndarray, b: np.ndarray, reversing: np.ndarray) -> "MapArrays":
+        return cls(a, b, reversing, numerator_coefficients(a, b, reversing))
+
+    def map(self, row: int) -> Isometry:
+        """Row ``row`` as an Isometry, its entries kept as they are."""
+        return Isometry.unit(complex(self.a[row]), complex(self.b[row]), bool(self.reversing[row]))
+
+
+class PairingTable(list):
+    """L as enumerate_pairings builds it: the entries, in sort_key order,
+    with their maps as one MapArrays, the table the compatibility kernel,
+    pairings.json and each entry's map read.  A slice or any other list of
+    entries is a plain list."""
+
+    def __init__(self, entries: list[SidePairing], arrays: MapArrays):
+        super().__init__(entries)
+        self.arrays = arrays
+
+    @cached_property
+    def by_identification(self) -> dict[tuple, SidePairing]:
+        """Entry by identification, for find_pairing; built on first lookup
+        (auto mode never looks a record up).  An entry glues its smaller
+        edge key to its larger one, so (reversing, src key, dst key) is its
+        identification."""
+        return {(p.reversing, p.src.key, p.dst.key): p for p in self}
+
+    def json_rows(self) -> list[dict]:
+        """pairings.json's list: each entry's pairing_record with its map's
+        matrix row, read off the arrays (Isometry.to_json's form)."""
+        a, b = self.arrays.a, self.arrays.b
+        return [
+            {**pairing_record(p), "matrix": [[ar, ai], [br, bi]]}
+            for p, ar, ai, br, bi in zip(
+                self, a.real.tolist(), a.imag.tolist(), b.real.tolist(), b.imag.tolist()
+            )
+        ]
+
+
+def map_arrays(L: list[SidePairing]) -> MapArrays:
+    """The MapArrays of L's maps: the table's own when enumerate_pairings
+    built L, else built from each entry's map by the same MapArrays.of."""
+    if isinstance(L, PairingTable):
+        return L.arrays
+    return MapArrays.of(
+        np.array([p.map.a for p in L], dtype=complex),
+        np.array([p.map.b for p in L], dtype=complex),
+        np.array([p.reversing for p in L], dtype=np.intp),
+    )
+
+
+def enumerate_pairings(F: FundamentalDomain) -> PairingTable:
     """The axial side pairings of F, one per identification, by sort_key.
 
     Generates the E (E-1) matchings of src onto dst, src.key < dst.key, and
@@ -474,8 +580,9 @@ def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
     aligner(v2, v1)^-1 if conformal (endpoints crossed), aligner(v1, v2)^-1 R if
     reversing (R the reflection in the real axis); both are built once per edge.
     All matchings are composed in one array pass, by Isometry.__mul__'s float
-    operations in its order, so each kept map, built by the Isometry
-    constructor from those products, has the bits of the Python product.
+    operations in its order, and normalized to unit determinant by
+    Isometry.__post_init__'s (_unit_rows), so each kept map, built from its
+    row of the table on first read, has the bits of the Python product.
 
     The same pass screens each matching's type by the trace t classify
     decides by: 2 Re a, or for a reversing map the trace 2 (|a|^2 + Re b^2)
@@ -486,7 +593,9 @@ def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
     few ulps of size^2 (at most 3.5 eps size^2 over every matching of the
     domains the tests build).  So a matching with
     |t| >= (2 + PARABOLIC_TOL) (1 + SCREEN_MARGIN size^2) is axial and kept
-    as it is; classify decides every other one, and raises as it does.
+    as it is; classify decides every other one, and raises as it does, as
+    the Isometry constructor does for a matrix that does not preserve the
+    disk.
     """
     E = len(F.boundary)  # in edge-key order, as build_domain lists it
     aligner = [segment_aligner(*e.endpoints) for e in F.boundary]
@@ -515,16 +624,46 @@ def enumerate_pairings(F: FundamentalDomain) -> list[SidePairing]:
     aa, bb = ar * ar + ai * ai, br * br + bi * bi
     t = np.where(reversing, 2.0 * (aa + br * br - bi * bi), 2.0 * ar)
     clear = np.abs(t) >= (2.0 + PARABOLIC_TOL) * (1.0 + SCREEN_MARGIN * (aa + bb) ** 2)
+    unit, (a, b) = _unit_rows(ar, ai, br, bi)
+    keep = clear & unit
+    for i in np.flatnonzero(~keep).tolist():
+        m = Isometry(complex(ar[i], ai[i]), complex(br[i], bi[i]), bool(reversing[i]))
+        keep[i] = classify(m).tag == (GLIDE if reversing[i] else HYPERBOLIC)
+    arrays = MapArrays.of(a[keep], b[keep], rev[keep])
     boundary = F.boundary
+    return PairingTable(
+        [
+            SidePairing._of_row(arrays, row, boundary[i], boundary[j], r)
+            for row, (i, j, r) in enumerate(
+                zip(src[keep].tolist(), dst[keep].tolist(), reversing[keep].tolist())
+            )
+        ],
+        arrays,
+    )
+
+
+def _unit_rows(ar, ai, br, bi) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Isometry.__post_init__ on arrays of first rows a = (ar, ai),
+    b = (br, bi): whether each preserves the disk, and a, b scaled to unit
+    determinant where det = |a|^2 - |b|^2 is more than 1e-15 from 1, by the
+    constructor's float operations.  |.| is C hypot and ** 2 is C pow:
+    np.float_power with an array exponent calls pow, where a scalar
+    exponent of 2 would square, which rounds differently on some maps.  A
+    complex divided by a float s is divided by the complex (s, 0), whose
+    ratio 0 / s adds a signed zero to each part first."""
+    two = np.full(ar.shape, 2.0)
+    with np.errstate(all="ignore"):
+        det = np.float_power(np.hypot(ar, ai), two) - np.float_power(np.hypot(br, bi), two)
+    unit = (0.0 < det) & (det < np.inf)
+    scaled = unit & (np.abs(det - 1.0) > 1e-15)
+    s = np.sqrt(np.where(scaled, det, 1.0))
     out = []
-    for i, r, j, a_re, a_im, b_re, b_im, axial in zip(
-        src.tolist(), reversing.tolist(), dst.tolist(),
-        ar.tolist(), ai.tolist(), br.tolist(), bi.tolist(), clear.tolist(),
-    ):
-        m = Isometry(complex(a_re, a_im), complex(b_re, b_im), r)
-        if axial or classify(m).tag == (GLIDE if r else HYPERBOLIC):
-            out.append(SidePairing(m, boundary[i], boundary[j], r))
-    return out
+    for re, im in ((ar, ai), (br, bi)):
+        z = np.empty(ar.shape, dtype=complex)
+        z.real = np.where(scaled, (re + im * 0.0) / s, re)
+        z.imag = np.where(scaled, (im - re * 0.0) / s, im)
+        out.append(z)
+    return unit, tuple(out)
 
 
 def _entries(g: Isometry) -> tuple[float, float, float, float]:
@@ -598,7 +737,7 @@ class BoundarySlots:
 
 
 def find_pairing(
-    L: list[SidePairing],
+    L: PairingTable,
     reversing: bool,
     src_poly: int,
     src_edge: int,
@@ -607,27 +746,27 @@ def find_pairing(
 ) -> SidePairing:
     """Look up the entry of L for an identification by its record (0-based
     polygon indices), given in either direction: a record and its flip
-    (reversing, dst_poly, dst_edge, src_poly, src_edge) name the same entry."""
+    (reversing, dst_poly, dst_edge, src_poly, src_edge) name the same entry.
+    A record that names none is reported as a config writes it, polygons
+    1-based."""
     ends = sorted([(src_poly, src_edge), (dst_poly, dst_edge)])
-    ident = (reversing, ends[0], ends[1])
-    for p in L:
-        if p.identification == ident:
-            return p
-    record = (reversing, src_poly, src_edge, dst_poly, dst_edge)
-    raise KeyError(f"no side pairing with record {record}")
+    p = L.by_identification.get((reversing, ends[0], ends[1]))
+    if p is None:
+        record = _record_json(reversing, src_poly, src_edge, dst_poly, dst_edge)
+        raise KeyError(f"no side pairing with record {json.dumps(record)}")
+    return p
+
+
+def _record_json(reversing: bool, sp: int, se: int, dp: int, de: int) -> dict:
+    return {
+        "src": {"poly": sp + 1, "edge": se},
+        "dst": {"poly": dp + 1, "edge": de},
+        "reversing": reversing,
+    }
 
 
 def pairing_record(p: SidePairing) -> dict:
     """JSON record of p's identification: the two edges it glues, polygon
     indices 1-based, and whether it reverses orientation; it reads as a
     config seed record, which find_pairing looks up in L."""
-    return {
-        "src": {"poly": p.src.poly + 1, "edge": p.src.edge},
-        "dst": {"poly": p.dst.poly + 1, "edge": p.dst.edge},
-        "reversing": p.reversing,
-    }
-
-
-def pairing_json(p: SidePairing) -> dict:
-    """pairing_record with the map's matrix row, as pairings.json lists L."""
-    return {**pairing_record(p), **p.map.to_json()}
+    return _record_json(*p.record)

@@ -77,6 +77,14 @@ class Isometry:
         object.__setattr__(self, "b", b)
 
     @classmethod
+    def unit(cls, a: complex, b: complex, reversing: bool) -> "Isometry":
+        """The isometry of a first row [a, b] already of unit determinant,
+        kept as given: renormalizing it again could move its last bits."""
+        g = cls.__new__(cls)
+        vars(g).update(a=a, b=b, reversing=reversing)
+        return g
+
+    @classmethod
     def identity(cls) -> "Isometry":
         return cls(1.0, 0.0)
 

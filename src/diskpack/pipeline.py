@@ -19,11 +19,11 @@ from .config import ConfigError, PipelineConfig, record_from_json
 from .domain import (
     FundamentalDomain,
     InvalidCellStructure,
+    PairingTable,
     SidePairing,
     build_domain,
     enumerate_pairings,
     find_pairing,
-    pairing_json,
     pairing_record,
 )
 from .geom import CoincidentCurves, GeometryError, dist
@@ -154,14 +154,11 @@ def stage_domain(cfg: PipelineConfig, out: str | None = None) -> FundamentalDoma
 
 def stage_pairings(
     cfg: PipelineConfig, F: FundamentalDomain, out: str | None = None
-) -> list[SidePairing]:
+) -> PairingTable:
     L = enumerate_pairings(F)
     if out:
         _write_artifact(
-            cfg,
-            out,
-            "pairings",
-            {"boundary_edges": len(F.boundary), "pairings": [pairing_json(p) for p in L]},
+            cfg, out, "pairings", {"boundary_edges": len(F.boundary), "pairings": L.json_rows()}
         )
     return L
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import FundamentalDomain, SidePairing
+from .domain import FundamentalDomain, SidePairing, map_arrays
 from .geom import (
     COINCIDENT_TOL,
     TANGENT_TOL,
@@ -393,24 +393,6 @@ BLOCK_CELLS = 1 << 14
 SCREEN_MIN_GAP = 1e-2
 
 
-def _numerator_coefficients(a: np.ndarray, b: np.ndarray, reversing: np.ndarray) -> np.ndarray:
-    """Re N and Im N of the maps [[a, b], [conj b, conj a]] (reversing or
-    not) over the monomials 1, x, y, x^2 - y^2, 2xy, r^2 of z = x + iy:
-    rows 0 .. len(a) - 1 for Re N, the next len(a) rows for Im N.
-
-    For such a map g, sinh(d(z, gz) / 2) = |N| / (1 - r^2) with
-    N = b + (a - conj a) z - conj(b) z^2 if g is conformal and
-    N = b + a conj(z) - conj(a) z - conj(b) r^2 if it is reversing
-    (Beardon, The Geometry of Discrete Groups, 7.2).
-    """
-    a1, a2, b1, b2 = a.real, a.imag, b.real, b.imag
-    rev = reversing.astype(bool)
-    o = np.zeros(len(a))
-    re = np.where(rev, [b1, o, o, o, o, -b1], [b1, o, -2.0 * a2, -b1, -b2, o])
-    im = np.where(rev, [b2, 2.0 * a2, -2.0 * a1, o, o, b2], [b2, 2.0 * a2, o, b2, -b1, o])
-    return np.concatenate([re.T, im.T])
-
-
 def _screen_monomials(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The monomials 1, x, y, x^2 - y^2, 2xy, r^2 of each point divided by
     1 - r^2 (6 x points), and which points lie within SCREEN_MIN_GAP of the
@@ -453,7 +435,7 @@ def compatibility_matrix(
     max(256 KB, 16 B per point):
 
     1. The screen.  Re N and Im N of sinh(d/2) = |N| / (1 - r^2)
-       (_numerator_coefficients) come from two small matrix products,
+       (domain.numerator_coefficients) come from two small matrix products,
        coefficients (pairings x 6) times monomials already divided by
        1 - r^2 (6 x points).  Their squares sum to u^2 = sinh^2(d/2), and
        tess.AdmissibilityTable.screen looks u^2 up by the key its IEEE-754
@@ -470,7 +452,9 @@ def compatibility_matrix(
        at least BLOCK_CELLS // 4 of them have gathered, so at most about
        max(BLOCK_CELLS, points) cells wait at a time.
 
-    So every cell is that pairing's own value under the exact rule.
+    So every cell is that pairing's own value under the exact rule.  The
+    maps' arrays are map_arrays(L): the table's, built once with L, when
+    enumerate_pairings built L.
     """
     zs = np.asarray(points, dtype=complex)
     out = np.zeros((len(zs), len(L)), dtype=bool)
@@ -478,11 +462,9 @@ def compatibility_matrix(
         return out
     table = dset.table
     n = len(L)
-    a = np.array([p.map.a for p in L], dtype=complex)
-    b = np.array([p.map.b for p in L], dtype=complex)
-    reversing = np.array([p.reversing for p in L], dtype=np.intp)
+    maps = map_arrays(L)
+    a, b, reversing, coef = maps.a, maps.b, maps.reversing, maps.coef
     ws = np.stack([zs, np.conj(zs)])  # w of a cell is ws[reversing, point]
-    coef = _numerator_coefficients(a, b, reversing)
     mono, near_circle = _screen_monomials(zs)
     any_near = near_circle.any()
     per_block = max(1, BLOCK_CELLS // len(zs))

@@ -342,12 +342,17 @@ def _embedded_config(**change):
     [
         (lambda F, P: _commuting_solution(F, P, [_record(2, 3, True)]), _NOT_GLUED),
         (lambda F, P: _drop_last_pairing, _NOT_GLUED),
-        (lambda F, P: _internal_edge, "no side pairing with record (True, 0, 2, 0, 0)"),
+        (
+            lambda F, P: _internal_edge,
+            'no side pairing with record {"src": {"poly": 1, "edge": 2}, '
+            '"dst": {"poly": 1, "edge": 0}, "reversing": true}',
+        ),
         # edges 2 and 3 of pol1 share a corner: their conformal matching is
         # the rotation about it, an elliptic that L leaves out
         (
             lambda F, P: _commuting_solution(F, P, [_record(2, 3, False), _record(4, 5, True)]),
-            "no side pairing with record (False, 0, 2, 0, 3)",
+            'no side pairing with record {"src": {"poly": 1, "edge": 2}, '
+            '"dst": {"poly": 1, "edge": 3}, "reversing": false}',
         ),
         (
             lambda F, P: _commuting_solution(F, F.centers[0], [_record(2, 3, True)]),
@@ -635,6 +640,8 @@ _SEED = {"type": "hyperbolic", "src": {"poly": 1, "edge": 2}, "dst": {"poly": 2,
         ({"seed_pairs": [_SEED, 3]}, "seed record"),
         ([1, 2], "config must be a JSON object, not list"),
         (b"\xff\xfe{", "can't decode byte 0xff"),
+        ({"seed_pairs": [_SEED, {**_SEED, "src": {"poly": 0, "edge": 2}}]}, "names polygon 0"),
+        ({"seed_pairs": [_SEED, {**_SEED, "dst": {"poly": 2, "edge": 99}}]}, "names edge 99"),
     ],
 )
 def test_ill_typed_config_exits_1(tmp_path, change, named, capsys):
@@ -685,6 +692,12 @@ def test_missing_seed_flags_rejected(n14_cfg_path):
         ("--seed-dst", "1.10,", "''"),
         ("--seed-reversing", "2,0", "'2'"),
         ("--seed-reversing", "1,maybe", "'maybe'"),
+        # well formed, but naming no polygon or edge of F: caught with the
+        # config, not when L is searched for the record
+        ("--seed-src", "0.13,1.2", "seed pairing 1 names polygon 0, outside 1..3"),
+        ("--seed-dst", "1.10,4.7", "seed pairing 2 names polygon 4, outside 1..3"),
+        ("--seed-src", "1.99,1.2", "seed pairing 1 names edge 99, outside 0..13"),
+        ("--seed-dst", "1.10,2.14", "seed pairing 2 names edge 14, outside 0..13"),
     ],
 )
 def test_malformed_seed_flags_exit_1(n14_cfg_path, tmp_path, flag, value, named, capsys):
@@ -698,6 +711,22 @@ def test_malformed_seed_flags_exit_1(n14_cfg_path, tmp_path, flag, value, named,
     err = json.loads(capsys.readouterr().err)
     assert err["stage"] == "config" and named in err["error"]
     assert not os.path.exists(out)
+
+
+def test_seed_record_naming_no_entry_of_L_exits_1(n14_cfg_path, tmp_path, capsys):
+    # edge 0 of pol1 and pol2 is the internal edge between them: a valid
+    # polygon and edge, but no side pairing; the record is reported the way
+    # a config writes it, polygons 1-based
+    out = str(tmp_path / "out")
+    args = ["candidates", "--config", n14_cfg_path, "--depth", "3", "--out", out,
+            "--seed-src=1.0,1.2", "--seed-dst=2.0,2.7", "--seed-reversing=0,0"]
+    assert main(args) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {
+        "stage": "candidates",
+        "error": "KeyError: 'no side pairing with record "
+        '{"src": {"poly": 1, "edge": 0}, "dst": {"poly": 2, "edge": 0}, "reversing": false}\'',
+    }
 
 
 def test_primitive_pair_subcommand(capsys):

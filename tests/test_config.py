@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -100,6 +101,22 @@ class TestPipelineConfig:
         cfg = self._n14()
         cfg.seed_pairs = [(True, 0, 13, 0, 10)]
         with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "record, named",
+        [
+            ((True, -1, 13, 0, 10), "seed pairing 2 names polygon 0, outside 1..3"),
+            ((True, 0, 13, 3, 10), "seed pairing 2 names polygon 4, outside 1..3"),
+            ((True, 0, 14, 0, 10), "seed pairing 2 names edge 14, outside 0..13"),
+            ((True, 0, 13, 0, -1), "seed pairing 2 names edge -1, outside 0..13"),
+        ],
+    )
+    def test_seed_pairs_name_polygons_and_edges_of_F(self, record, named):
+        # polygons are reported 1-based, as a config writes them
+        cfg = self._n14()
+        cfg.seed_pairs = [cfg.seed_pairs[0], record]
+        with pytest.raises(ConfigError, match=re.escape(named)):
             cfg.validate()
 
     def test_orientable_rejected(self, tmp_path):

@@ -30,7 +30,6 @@ from diskpack.domain import (
     build_domain,
     enumerate_pairings,
     find_pairing,
-    pairing_json,
 )
 from diskpack import domain as domain_module
 from diskpack.geom import Isometry, classify, dist, midpoint
@@ -328,13 +327,22 @@ def _bits(p):
 
 def _assert_equals_the_oracle(F):
     """L is the oracle's entries from the smaller edge key to the larger, in
-    its order, maps bit for bit, and each class read lazily is classify's."""
+    its order, maps bit for bit, each map and class built lazily (the map
+    from the table's row, the class by classify), and the table's arrays
+    hold every entry's map bit for bit."""
     L = enumerate_pairings(F)
+    for p in L:
+        assert "map" not in vars(p) and "cls" not in vars(p)
     forward = [p for p in reference_enumerate_pairings(F) if p.src.key < p.dst.key]
     assert L and [_bits(p) for p in L] == [_bits(q) for q in forward]
     for p, q in zip(L, forward):
         assert "cls" not in vars(p)
         assert p.cls == classify(q.map)
+    A = L.arrays
+    rows = zip(A.a.tolist(), A.b.tolist(), A.reversing.tolist())
+    assert [_bits(p)[1:] for p in L] == [
+        (bool(r), *(x.hex() for x in (a.real, a.imag, b.real, b.imag))) for a, b, r in rows
+    ]
 
 
 class TestEnumeratePairings:
@@ -381,7 +389,8 @@ class TestEnumeratePairings:
     @pytest.mark.parametrize(
         "n, attachments",
         [(9, [(0, 0)]), (8, [(0, 0), (0, 1)]), (10, [(0, 0), (0, 1)]), (14, [(0, 0), (0, 1)]),
-         (16, [(0, 0), (0, 8)])],
+         (16, [(0, 0), (0, 8)]), (16, [(0, 0), (0, 1)]),
+         (11, [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)])],
     )
     def test_assemblies_equal_the_oracle(self, n, attachments):
         # the array pass composes each matching with Python's complex
@@ -469,7 +478,9 @@ class TestEnumeratePairings:
 
     def test_json_record_shape(self, n14):
         # the matrix's first row only; reversing alone gives the type
-        rec = pairing_json(n14.p1)
+        rows = n14.L.json_rows()
+        assert len(rows) == len(n14.L)
+        rec = next(r for p, r in zip(n14.L, rows) if p is n14.p1)
         assert sorted(rec) == ["dst", "matrix", "reversing", "src"]
         assert rec["src"] == {"poly": 1, "edge": 10}
         assert rec["dst"] == {"poly": 1, "edge": 13}

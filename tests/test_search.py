@@ -42,6 +42,7 @@ from diskpack.domain import (
     build_domain,
     enumerate_pairings,
     find_pairing,
+    numerator_coefficients,
 )
 from diskpack.geom import CoincidentCurves, Isometry, axis, dist
 from diskpack.pipeline import filter_candidates, lc_pairings
@@ -49,7 +50,6 @@ from diskpack.tess import SCREEN_BITS, DistanceSet, admissible_distances, sinh2_
 from diskpack.search import (
     BLOCK_CELLS,
     SCREEN_MIN_GAP,
-    _numerator_coefficients,
     _screen_monomials,
     banana_curves,
     candidates,
@@ -347,6 +347,21 @@ class TestCompatibilityKernel:
         m = compatibility_matrix(pts, sub, n14.dset)
         assert np.array_equal(m, reference_compatibility_matrix(pts, sub, n14.dset))
 
+    def test_reads_the_table_not_the_maps(self, n14):
+        # the kernel and pairings.json read the arrays enumerate_pairings
+        # builds with L, and build no entry's map; a plain list of the same
+        # entries takes its arrays from the maps, to the same cells
+        L = enumerate_pairings(n14.F)
+        pts = [c.point for c in n14.C[::4]]
+        m = compatibility_matrix(pts, L, n14.dset)
+        rows = L.json_rows()
+        assert not any("map" in vars(p) for p in L)
+        assert np.array_equal(m, compatibility_matrix(pts, list(L), n14.dset))
+        assert np.array_equal(m, reference_compatibility_matrix(pts, n14.L, n14.dset))
+        assert [r["matrix"] for r in rows] == [
+            [[p.map.a.real, p.map.a.imag], [p.map.b.real, p.map.b.imag]] for p in L
+        ]
+
     def test_inverse_entries_are_inverse_maps(self, n14):
         # the identity that lets L drop an identification's other direction:
         # the dropped entry is the inverse map, to rounding, and at every
@@ -464,7 +479,7 @@ class TestCompatibilityScreen:
         n = len(n14.L)
         a = np.array([p.map.a for p in n14.L])
         b = np.array([p.map.b for p in n14.L])
-        coef = _numerator_coefficients(a, b, np.array([p.reversing for p in n14.L]))
+        coef = numerator_coefficients(a, b, np.array([p.reversing for p in n14.L]))
         mono, near_circle = _screen_monomials(zs)
         assert not near_circle.any()
         u2 = (coef[:n] @ mono) ** 2 + (coef[n:] @ mono) ** 2
