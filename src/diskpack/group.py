@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import FundamentalDomain
-from .geom import GeometryError, Isometry, dist, elliptic_about, midpoint
+from .geom import Isometry, dist, elliptic_about, midpoint
 from .search import PairingSolution
 
 # how far a membership word may lie from the isometry it claims to compose
@@ -64,14 +64,49 @@ def word_residual(word, gens, h: Isometry) -> float:
     """How far the word, composed left to right from the identity, lies from
     h: their matrix distance over |h.a| + |h.b|, or inf for a word whose
     product leaves the float range.  h is a member when this is at most
-    WORD_TOL."""
-    acc = Isometry.identity()
+    WORD_TOL.
+
+    The product is exact: a float is an integer over a power of two
+    (as_integer_ratio), so each letter's first row is two Gaussian integers
+    over one 2^shift, the rows compose in Python integers, and only the
+    product's entries are rounded, once each, to the nearest float.  No
+    rounding builds up along the word, and no step renormalizes a product
+    whose determinant |a|^2 - |b|^2 cancels."""
+    ratios = {
+        i: [
+            x.as_integer_ratio()
+            for x in (gens[i].a.real, gens[i].a.imag, gens[i].b.real, gens[i].b.imag)
+        ]
+        for i in set(word)
+    }
+    shift = max((den.bit_length() - 1 for r in ratios.values() for _, den in r), default=0)
+    rows = {
+        i: ([num << (shift - den.bit_length() + 1) for num, den in r], gens[i].reversing)
+        for i, r in ratios.items()
+    }
+    ar, ai, br, bi, reversing = 1, 0, 0, 0, False
+    for i in word:
+        (gar, gai, gbr, gbi), g_reversing = rows[i]
+        if reversing:
+            # a reversing left factor conjugates the right factor's entries
+            gai, gbi = -gai, -gbi
+        # [a, b] [[ga, gb], [conj gb, conj ga]] = [a ga + b conj gb, a gb + b conj ga]
+        ar, ai, br, bi = (
+            ar * gar - ai * gai + br * gbr + bi * gbi,
+            ar * gai + ai * gar + bi * gbr - br * gbi,
+            ar * gbr - ai * gbi + br * gar + bi * gai,
+            ar * gbi + ai * gbr + bi * gar - br * gai,
+        )
+        reversing = reversing != g_reversing
+    scale = 1 << (shift * len(word))
     try:
-        for i in word:
-            acc = acc * gens[i]
-    except GeometryError:
+        # int / int rounds the exact quotient once
+        acc = Isometry.unit(
+            complex(ar / scale, ai / scale), complex(br / scale, bi / scale), reversing
+        )
+        return acc.matrix_dist(h) / (abs(h.a) + abs(h.b))
+    except OverflowError:
         return math.inf
-    return acc.matrix_dist(h) / (abs(h.a) + abs(h.b))
 
 
 def reduce_to_domain(h: Isometry, G: GroupPresentation) -> MembershipResult:

@@ -439,10 +439,10 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
     record is read as a config seed record and must name an entry of L; the
     generators are those entries' pairing_generators, as
     group_from_solution builds them.  The records must glue F:
-    complete_pairing, restricted to their identification set, must return
-    it, so every boundary edge is paired exactly once, every vertex cycle
-    closes at 3 wedges and some pairing is reversing.  The topology must be
-    the embedded config's.  The candidate must lie in F and not be a tile
+    complete_pairing over those entries alone, with limit 1, must return a
+    solution that uses every one of them, so every boundary edge is paired
+    exactly once, every vertex cycle closes at 3 wedges and some pairing is
+    reversing.  The topology must be the embedded config's.  The candidate must lie in F and not be a tile
     center (F.is_center, the run's test).  O' is second_neighbor_center(F),
     and tau, swapping_half_turn(candidate, O'), must swap the two within
     SWAP_TOL.  There must be one membership per generator, the i-th for
@@ -486,9 +486,9 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
         return False, problems + [exc.args[0]]
     idents = frozenset(p.identification for p in sides)
     try:
-        glued = len(idents) == len(sides) and complete_pairing(
-            sides, F, limit=1, within=[idents]
-        )
+        glued = len(idents) == len(sides) and [
+            s.identifications for s in complete_pairing(sides, F, limit=1)
+        ] == [idents]
     except InvalidCellStructure:
         glued = False
     if not glued:

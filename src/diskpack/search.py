@@ -529,7 +529,6 @@ def complete_pairing(
     Lc: list[SidePairing],
     F: FundamentalDomain,
     limit: int,
-    within: list[frozenset] | None = None,
 ) -> list[PairingSolution]:
     """Exact-cover completion of Lc into full side-pairing sets with at
     least one reversing pairing each.
@@ -537,24 +536,30 @@ def complete_pairing(
     Each identification of Lc is one option (the first entry of Lc naming
     it), numbered in SidePairing.sort_key order and listed under both of its
     edges by (reversing, other edge's key).  Every boundary edge must be
-    matched exactly once.  The search branches on the first unmatched edge,
-    in key order, with the fewest live options, tries them in listed order,
-    and prunes on the Poincare vertex condition in wedges of 2 pi / 3: a
-    closing cycle must collect exactly 3 and a partial chain never more.
-    Returns up to ``limit`` solutions in deterministic order; an empty list
-    means the search space is exhausted with no solution.
+    matched exactly once, and the search prunes on the Poincare vertex
+    condition in wedges of 2 pi / 3: a closing cycle must collect exactly 3
+    and a partial chain never more.
 
-    ``within`` (identification sets) keeps only the branches that still
-    lead to one of them: an option that no target left contains is skipped.
-    Branching and option order stay those of the full Lc, so the targets
-    that pass the same link, wedge and cover checks come back in the full
-    search's order.
+    The search branches on a vertex cycle that is still open, the most
+    constrained item (after Knuth's "Dancing Links"): of the slot chains
+    the last chosen option extended and left open, the one that has
+    collected the most wedges, tail slot included (the first such chain in
+    link order), and there on the unmatched edge of its tail slot.  Only
+    when the last choice closed every chain it touched does it take the
+    first edge, in key order, with the fewest live options.  Options are
+    tried in listed order.  The search stops at ``limit`` solutions; those
+    it found come back in one canonical order, lexicographic in their
+    sorted option indices, which for entries of L is L's order, so an
+    exhausted search (fewer than ``limit``) returns the same list whatever
+    the branch rule.  An empty list means the search space is exhausted
+    with no solution.
 
-    State is kept in flat integer arrays (after Knuth's "Dancing Links"):
-    per-edge live option counts, and the slot permutation built so far as
-    ``succ``/``pred`` with chain endpoints and consumed wedges, undone from a
-    log on backtrack.  The slot table and each option's slot links are
-    F.slot_table's, built once per domain.
+    State is kept in flat integer arrays: per-edge live option counts, and
+    the slot permutation built so far as ``succ``/``pred`` with chain
+    endpoints and consumed wedges, undone from a log on backtrack.  A
+    chain collects at most 3 wedges, so it spans at most 3 slots and is
+    walked to its tail in as many steps.  The slot table and each option's
+    slot links are F.slot_table's, built once per domain.
 
     A solution is its pairings alone: the search has already decided every
     vertex cycle, so none is walked again.  Write m(s) for the other slot
@@ -594,6 +599,7 @@ def complete_pairing(
 
     wedges = slots.slot_wedges
     n_slots = len(wedges)
+    slot_edge = [edge_of[key] for key, _ in slots.slots]
     succ = [-1] * n_slots
     pred = [-1] * n_slots
     head_of = list(range(n_slots))  # valid at chain tails
@@ -601,31 +607,33 @@ def complete_pairing(
     consumed = [0] * n_slots  # valid at chain heads: wedges of linked slots
     undo: list[tuple[int, int, int, int, int]] = []
     chosen: list[int] = []
-    solutions: list[PairingSolution] = []
+    found: list[tuple[int, ...]] = []
 
-    def emit() -> None:
-        pairings = tuple(options[o] for o in sorted(chosen))
-        if any(p.reversing for p in pairings):
-            solutions.append(PairingSolution(pairings))
-
-    def descend(targets: list[frozenset] | None) -> None:
+    def descend(last: int) -> None:
         fewest = min(live, default=done)
         if fewest > n_opts:
-            # the targets left contain every chosen option: emit if one is no more
-            if targets is None or any(len(t) == len(chosen) for t in targets):
-                emit()
+            if any(options[o].reversing for o in chosen):
+                found.append(tuple(sorted(chosen)))
             return
         if fewest == 0:
             return
-        e = live.index(fewest)
+        # the tail of the fullest open chain the last option extended: a
+        # slot has a successor once its edge is matched, so the tail's
+        # edge is unmatched
+        e, most = -1, 0
+        if last >= 0:
+            for u, _ in opt_links[last]:
+                t = succ[u]
+                while t != u and succ[t] >= 0:
+                    t = succ[t]
+                if t != u and consumed[head_of[t]] + wedges[t] > most:
+                    most = consumed[head_of[t]] + wedges[t]
+                    e = slot_edge[t]
+        if e < 0:
+            e = live.index(fewest)
         for o, d in by_edge[e]:
             if live[d] > n_opts:
                 continue
-            kept = None
-            if targets is not None:
-                kept = [t for t in targets if o in t]
-                if not kept:
-                    continue
             mark = len(undo)
             # link o's slots, stopping at a taken slot or a failed wedge count
             for u, w in opt_links[o]:
@@ -656,7 +664,7 @@ def complete_pairing(
                 for x in touched[o]:
                     live[x] -= 1
                 chosen.append(o)
-                descend(kept)
+                descend(o)
                 chosen.pop()
                 for x in touched[o]:
                     live[x] += 1
@@ -670,19 +678,12 @@ def complete_pairing(
                     tail_of[hu] = u
                     head_of[tw] = w
                     consumed[hu] = old
-            if len(solutions) >= limit:
+            if len(found) >= limit:
                 return
 
-    targets = None
-    if within is not None:
-        # as option sets; a target naming an identification outside Lc is no cover
-        option_of = {p.identification: o for o, p in enumerate(options)}
-        targets = [
-            frozenset(option_of[i] for i in t) for t in within if t.issubset(option_of)
-        ]
     if limit > 0:
-        descend(targets)
-    return solutions
+        descend(-1)
+    return [PairingSolution(tuple(options[o] for o in key)) for key in sorted(found)]
 
 
 def complete_survivors(
@@ -694,18 +695,21 @@ def complete_survivors(
 
     When a symmetry of F maps the identification set of an earlier L_c whose
     search was exhaustive (fewer than ``limit`` solutions) exactly onto this
-    one's, the images of that search's solutions' identification sets are
-    replayed through complete_pairing(..., within=images), which checks
-    each one by the same cover, link and wedge tests and puts them in the
-    full search's order, instead of searching again.  Returns the solutions
-    per L_c and the number of full searches run.
+    one's, this one's solutions are the images of that search's: the
+    symmetry maps covers to covers and vertex cycles to vertex cycles of
+    the same wedges, and keeps each pairing's orientation type, so the
+    images are exactly the solutions a full search would find.  Each image
+    takes the first entry of this L_c naming each of its identifications,
+    as complete_pairing's options do, and the images come back in
+    complete_pairing's canonical order.  Returns the solutions per L_c and
+    the number of full searches run.
     """
     exhaustive: list[tuple[frozenset, list[PairingSolution]]] = []
     out = []
     searches = 0
     for Lc in Lcs:
         idents = frozenset(p.identification for p in Lc)
-        within = None
+        sols = None
         for source, source_sols in exhaustive:
             if len(source) != len(idents):
                 continue
@@ -714,12 +718,20 @@ def complete_survivors(
                 None,
             )
             if sym is not None:
-                within = [
-                    frozenset(map(sym.identification, s.identifications)) for s in source_sols
-                ]
+                # this L_c's entry per identification, ranked by sort_key as
+                # complete_pairing numbers its options
+                first: dict[tuple, SidePairing] = {}
+                for p in Lc:
+                    first.setdefault(p.identification, p)
+                ranked = sorted(first.values(), key=SidePairing.sort_key)
+                rank = {p.identification: r for r, p in enumerate(ranked)}
+                used = set().union(*(s.identifications for s in source_sols))
+                image = {i: rank[sym.identification(i)] for i in used}
+                keys = sorted(tuple(sorted(image[i] for i in s.identifications)) for s in source_sols)
+                sols = [PairingSolution(tuple(ranked[r] for r in key)) for key in keys]
                 break
-        sols = complete_pairing(Lc, F, limit=limit, within=within)
-        if within is None:
+        if sols is None:
+            sols = complete_pairing(Lc, F, limit=limit)
             searches += 1
             if len(sols) < limit:
                 exhaustive.append((idents, sols))

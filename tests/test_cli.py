@@ -10,7 +10,7 @@ from reference_data import solution_cycles, vertex_points
 from diskpack import group, pipeline, render, search
 from diskpack.cli import main
 from diskpack.config import PipelineConfig, load_config
-from diskpack.domain import BoundarySlots, find_pairing
+from diskpack.domain import BoundarySlots, enumerate_pairings, find_pairing, pairing_record
 from diskpack.geom import dist, elliptic_about, geodesic_reflection, geodesic_through, midpoint
 from diskpack.group import SWAP_TOL, WORD_TOL, swapping_half_turn
 from diskpack.pipeline import (
@@ -165,9 +165,19 @@ def test_verify_requires_json_true_flags(completed_run, tmp_path, forge, message
     assert any(message in p for p in problems)
 
 
-def _no_reversing_pairing(solution):
-    for p in solution["pairings"]:
-        p["reversing"] = False
+def _no_reversing_pairing(solution, run):
+    # every record names its edges' conformal matching instead: each is in
+    # L, but a gluing needs a reversing pairing; the records are those of
+    # the run's first solution whose edges' conformal matchings are all in L
+    rows = _read_json(os.path.join(run, "pairings.json"))["pairings"]
+    records = [_record_of(p) for p in rows]
+    for candidate in _read_json(os.path.join(run, "solutions.json"))["candidates"]:
+        for sol in candidate["solutions"]:
+            conformal = [dict(records[i], reversing=False) for i in sol]
+            if all(r in records for r in conformal):
+                solution["pairings"] = conformal
+                return
+    raise AssertionError("no solution of the run has every conformal matching in L")
 
 
 # the embedded config's topology is not the forged one
@@ -180,7 +190,7 @@ _TOPOLOGY = "is not the embedded config's"
         # 3 pairings kept, genus 99 and chi 7: the solution cut short and
         # counts that no gluing of three 14-gons gives
         (
-            lambda s: (
+            lambda s, run: (
                 s.update(pairings=s["pairings"][:3]),
                 s["topology"].update(genus=99, euler_characteristic=7),
             ),
@@ -189,11 +199,11 @@ _TOPOLOGY = "is not the embedded config's"
         # every record names its edges' conformal matching instead: each
         # is in L, but a gluing needs a reversing pairing
         (_no_reversing_pairing, [_NOT_GLUED]),
-        (lambda s: s["topology"].update(genus=7), [_TOPOLOGY]),
-        (lambda s: s["topology"].update(orientable=True), [_TOPOLOGY]),
-        (lambda s: s["topology"].update(faces="3"), [_TOPOLOGY]),
+        (lambda s, run: s["topology"].update(genus=7), [_TOPOLOGY]),
+        (lambda s, run: s["topology"].update(orientable=True), [_TOPOLOGY]),
+        (lambda s, run: s["topology"].update(faces="3"), [_TOPOLOGY]),
         # equal in Python, but not the JSON false and integer the config gives
-        (lambda s: s["topology"].update(orientable=0, faces=3.0), [_TOPOLOGY]),
+        (lambda s, run: s["topology"].update(orientable=0, faces=3.0), [_TOPOLOGY]),
     ],
     ids=[
         "cut-cycles-and-counts", "no-reversing-pairing", "genus", "orientable", "faces-not-int",
@@ -201,7 +211,7 @@ _TOPOLOGY = "is not the embedded config's"
     ],
 )
 def test_verify_checks_the_embedded_topology(completed_run, tmp_path, forge, messages):
-    out = _forged(completed_run, tmp_path, lambda cert: forge(cert["solution"]))
+    out = _forged(completed_run, tmp_path, lambda cert: forge(cert["solution"], completed_run))
     ok, problems = verify_certificate_file(os.path.join(out, "certificate.json"))
     assert not ok
     for message in messages:
@@ -328,8 +338,36 @@ def _drop_last_pairing(cert):
     assert not {34, 35} & {i for m in cert["memberships"] for i in m["word"]}
 
 
+def _extra_pairing(F):
+    """A forge that adds the first entry of L the solution does not use:
+    two edges are then paired twice."""
+
+    def forge(cert):
+        pairings = cert["solution"]["pairings"]
+        records = map(pairing_record, enumerate_pairings(F))
+        pairings.append(next(r for r in records if r not in pairings))
+
+    return forge
+
+
+def _swapped_pairing(F):
+    """A forge that swaps the last record whose edges L also glues with the
+    other orientation type for that entry: every edge is still paired once,
+    but the gluing is not the solution's."""
+
+    def forge(cert):
+        pairings = cert["solution"]["pairings"]
+        records = [pairing_record(p) for p in enumerate_pairings(F)]
+        flipped = [dict(r, reversing=not r["reversing"]) for r in pairings]
+        i = max(i for i, r in enumerate(flipped) if r in records)
+        pairings[i] = flipped[i]
+
+    return forge
+
+
 def _internal_edge(cert):
-    # pol1 edge 0 is glued to pol2 inside F
+    # pol1 edge 0 is glued to pol2 inside F; the first record, pol1 edge 2
+    # to pol1 edge 8, is conformal
     cert["solution"]["pairings"][0]["dst"] = {"poly": 1, "edge": 0}
 
 
@@ -342,10 +380,12 @@ def _embedded_config(**change):
     [
         (lambda F, P: _commuting_solution(F, P, [_record(2, 3, True)]), _NOT_GLUED),
         (lambda F, P: _drop_last_pairing, _NOT_GLUED),
+        (lambda F, P: _extra_pairing(F), _NOT_GLUED),
+        (lambda F, P: _swapped_pairing(F), _NOT_GLUED),
         (
             lambda F, P: _internal_edge,
             'no side pairing with record {"src": {"poly": 1, "edge": 2}, '
-            '"dst": {"poly": 1, "edge": 0}, "reversing": true}',
+            '"dst": {"poly": 1, "edge": 0}, "reversing": false}',
         ),
         # edges 2 and 3 of pol1 share a corner: their conformal matching is
         # the rotation about it, an elliptic that L leaves out
@@ -363,8 +403,9 @@ def _embedded_config(**change):
         (lambda F, P: _embedded_config(attachments=[[0, 0], [0, 2]]), "is not the embedded config's"),
     ],
     ids=[
-        "one-reflection", "dropped-pairing", "internal-edge", "vertex-elliptic",
-        "candidate-at-center", "candidate-outside-F", "config-n", "config-attachments",
+        "one-reflection", "dropped-pairing", "extra-pairing", "swapped-pairing", "internal-edge",
+        "vertex-elliptic", "candidate-at-center", "candidate-outside-F", "config-n",
+        "config-attachments",
     ],
 )
 def test_verify_rejects_a_forged_gluing(
@@ -420,9 +461,9 @@ def test_verify_recomputes_the_run_residuals_to_the_bit(depth3_run, monkeypatch)
         (lambda c: c.update(candidate=[math.nan, 0.0]), "not inside the unit disk"),
         (lambda c: c.update(candidate=[math.inf, 0.0]), "not inside the unit disk"),
         (lambda c: c.update(candidate=[2.0, 0.0]), "not inside the unit disk"),
-        # a long power of one generator leaves the float range as it composes
+        # a long power of one generator leaves the float range
         (
-            lambda c: c["memberships"][0].update(word=[0] * 60),
+            lambda c: c["memberships"][0].update(word=[0] * 1000),
             "word for generator 0 misses by inf",
         ),
         (_string_reversing, "malformed seed record"),
@@ -469,6 +510,9 @@ def test_solutions_json_decodes_to_the_certified_solution(completed_run):
         assert sorted(c) == ["point", "solutions"]
         for s in c["solutions"]:
             assert s and all(type(i) is int and 0 <= i < len(L["pairings"]) for i in s)
+            assert s == sorted(s)
+        # complete_pairing's canonical order, the carried mates' included
+        assert c["solutions"] == sorted(c["solutions"])
 
     (entry,) = [c for c in sols["candidates"] if c["point"] == cert["candidate"]]
     embedded = dict(cert["solution"])
@@ -767,12 +811,12 @@ def _worst_word_residual(line, head):
 
 def test_run_reports_certificate_attempts(n14_cfg_path, depth5_run, tmp_path, capsys):
     # survivors are tried nearest O' first, and the certified candidate is
-    # the nearest: it passes at its 5th solution at depth 5, its 3rd at depth 3
-    head = "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 5 attempts"
+    # the nearest: it passes at its 4th solution at depth 5, its 5th at depth 3
+    head = "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 4 attempts"
     assert _worst_word_residual(depth5_run[1].splitlines()[-1], head) <= WORD_TOL / 20
     out = str(tmp_path / "out")
     assert main(["run", "--config", n14_cfg_path, "--depth", "3", "--out", out]) == 0
-    head = "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 3 attempts"
+    head = "certificate passed at 0.515985-0.248485j (genus 6, chi -4) after 5 attempts"
     assert _worst_word_residual(capsys.readouterr().err.splitlines()[-1], head) <= WORD_TOL / 20
     # one solution per survivor: three attempts, none passes
     args = ["run", "--config", n14_cfg_path, "--depth", "3", "--limit", "1", "--out", out]
@@ -807,7 +851,7 @@ _K3 = [[0, 0], [0, 1]]
         pytest.param(
             14,
             _K3,
-            "certificate passed at 0.527656+0.350069j (genus 6, chi -4) after 9 attempts",
+            "certificate passed at 0.527656+0.350069j (genus 6, chi -4) after 1 attempts",
             None,
             id="14-k3",
         ),

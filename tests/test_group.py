@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,34 @@ class TestGroupPresentation:
         assert clear > 1e-6
 
 
+def _exact_product(word, gens) -> Isometry:
+    """The word's first row composed left to right in Fractions, from the
+    identity, and each entry rounded once to a float."""
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def conj(x):
+        return (x[0], -x[1])
+
+    one, zero = Fraction(1), Fraction(0)
+    a, b, reversing = (one, zero), (zero, zero), False
+    for i in word:
+        g = gens[i]
+        ga = (Fraction(g.a.real), Fraction(g.a.imag))
+        gb = (Fraction(g.b.real), Fraction(g.b.imag))
+        if reversing:
+            ga, gb = conj(ga), conj(gb)
+        a, b = (
+            tuple(map(sum, zip(mul(a, ga), mul(b, conj(gb))))),
+            tuple(map(sum, zip(mul(a, gb), mul(b, conj(ga))))),
+        )
+        reversing = reversing != g.reversing
+    return Isometry.unit(
+        complex(float(a[0]), float(a[1])), complex(float(b[0]), float(b[1])), reversing
+    )
+
+
 class TestReduceToDomain:
     def test_identity_is_member(self, n14_solution):
         res = reduce_to_domain(Isometry.identity(), n14_solution.group)
@@ -72,10 +101,9 @@ class TestReduceToDomain:
                 h = h * G.generators[i]
             res = reduce_to_domain(h, G)
             assert res.residual <= WORD_TOL
-            # the residual is the word's, composed left to right
-            rebuilt = Isometry.identity()
-            for i in res.word:
-                rebuilt = rebuilt * G.generators[i]
+            # the residual is the word's, composed left to right without
+            # rounding and rounded once
+            rebuilt = _exact_product(res.word, G.generators)
             assert res.residual == rebuilt.matrix_dist(h) / (abs(h.a) + abs(h.b))
 
     def test_elliptic_is_not_member(self, n14_solution):
@@ -223,7 +251,7 @@ class TestReductionOracle:
     its push (tests/reference_data.py)."""
 
     def test_every_depth3_certificate_attempt(self, n14, depth3_attempts):
-        assert len(depth3_attempts) == 63
+        assert len(depth3_attempts) == 65
         passed = [_check_attempt(P, G, n14.gens) for P, G in depth3_attempts]
         assert passed[-1] and not any(passed[:-1])
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -611,10 +612,8 @@ class TestCompletePairing:
         random.Random(7).shuffle(shuffled)
         sols_a = complete_pairing(n14_solution.Lc, n14.F, limit=100000)
         sols_b = complete_pairing(shuffled, n14.F, limit=100000)
-        assert {s.identifications for s in sols_a} == {
-            s.identifications for s in sols_b
-        }
-        assert len(sols_a) == len(sols_b) == 165
+        assert [s.pairings for s in sols_a] == [s.pairings for s in sols_b]
+        assert len(sols_a) == 165
 
     def test_wedge_counts_are_applied(self, n14, n14_solution, monkeypatch):
         # the closure test reads the slot table's wedge counts: with two
@@ -799,27 +798,57 @@ def _reversing(sol):
     return sum(p.reversing for p in sol.pairings)
 
 
+def _canonical(sols):
+    """Solutions in complete_pairing's order over entries of L, from their
+    identifications alone: an entry of L glues its smaller edge key to its
+    larger one, so its sort key is (smaller key, reversing, larger key)."""
+    return sorted(sols, key=lambda s: sorted((a, rev, b) for rev, a, b in s.identifications))
+
+
+def _assert_cut_of(got, whole, limit):
+    """``got`` is complete_pairing's output at ``limit`` over an L_c whose
+    every solution is ``whole``: all of them when fewer than ``limit``,
+    else ``limit`` of them, in canonical order either way."""
+    assert _summary(got) == _summary(_canonical(got))
+    assert len(got) == min(limit, len(whole))
+    if len(whole) < limit:
+        assert _summary(got) == _summary(_canonical(whole))
+    else:
+        assert set(_summary(got)) <= set(_summary(whole))
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(n14, n14_survivors, n30_survivor):
+    """(F, L_c, every solution of the oracle) for the N = 14 survivors and
+    the one-tile N = 30 survivor."""
+    cases = [(n14.F, n14.L2, Lc) for Lc in n14_survivors]
+    cases.append((n30_survivor.F, n30_survivor.L2, n30_survivor.Lc))
+    return [
+        (F, Lc, reference_complete_pairing(both_directions(Lc, L2), F, limit=1 << 30))
+        for F, L2, Lc in cases
+    ]
+
+
 class TestCompletionOracle:
     """The exact-cover engine against the copy-per-node backtracker it
     replaced, fed the two-direction L_c that backtracker was written for:
-    the same solutions in the same order."""
+    the oracle's whole list of solutions, sorted into the engine's
+    canonical order, is the engine's list, and a list the limit cuts holds
+    some of them in that order."""
 
     def test_three_survivors(self, n14_survivors):
         assert len(n14_survivors) == 3
 
     @pytest.mark.parametrize("limit", [1, 5, 256])
-    def test_survivors_match_reference(self, n14, n14_survivors, n30_survivor, limit):
+    def test_survivors_match_reference(self, n14, n30_survivor, oracle_cases, limit):
         # the N = 14 survivors, whose boundary vertices carry 1 or 2 wedges,
         # and the one-tile N = 30 survivor, whose all carry one
         assert set(n14.F.slot_table.slot_wedges) == {1, 2}
         assert set(n30_survivor.F.slot_table.slot_wedges) == {1}
-        cases = [(n14.F, n14.L2, Lc, 165) for Lc in n14_survivors]
-        cases.append((n30_survivor.F, n30_survivor.L2, n30_survivor.Lc, 7))
-        for F, L2, Lc, count in cases:
+        assert [len(whole) for _, _, whole in oracle_cases] == [165, 165, 165, 7]
+        for F, Lc, whole in oracle_cases:
             got = complete_pairing(Lc, F, limit=limit)
-            ref = reference_complete_pairing(both_directions(Lc, L2), F, limit=limit)
-            assert _summary(got) == _summary(ref)
-            assert len(got) == min(limit, count)
+            _assert_cut_of(got, whole, limit)
             assert all(p in Lc for s in got for p in s.pairings)
 
     def test_both_directions_give_each_solution_once(self, n14, n14_survivors):
@@ -853,9 +882,12 @@ class TestCompletionOracle:
             Lc = [p for p in Lc if p.identification in kept or rng.random() < 0.99]
         limit = rng.choice([3, 40])
         got = complete_pairing(Lc, n14.F, limit=limit)
-        ref = reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=limit)
+        whole = reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=1 << 30)
         assert got
-        assert _summary(got) == _summary(ref)
+        _assert_cut_of(got, whole, limit)
+        # the engine's own whole list is the oracle's
+        every = complete_pairing(Lc, n14.F, limit=1 << 30)
+        assert _summary(every) == _summary(_canonical(whole))
 
     def test_an_lc_with_no_reversing_pairing_emits_nothing(self, n14, n14_filtered):
         # the first depth-3 survivor's conformal pairings alone still cover
@@ -878,6 +910,54 @@ class TestCompletionOracle:
         assert reference_complete_pairing(both_directions(Lc, n14.L2), n14.F, limit=4) == []
 
 
+def _rows(sols, L):
+    """Each solution as the indices of its pairings in L, as solutions.json stores it."""
+    index = {p.record: i for i, p in enumerate(L)}
+    return [[index[p.record] for p in s.pairings] for s in sols]
+
+
+class TestCanonicalOrder:
+    """complete_pairing returns its solutions sorted by their option
+    indices, L's order, whatever order its branch rule finds them in."""
+
+    @pytest.mark.parametrize("limit", [1, 7, 256])
+    def test_every_result_is_sorted(self, n14, n14_survivors, limit):
+        for Lc in n14_survivors:
+            got = complete_pairing(Lc, n14.F, limit=limit)
+            rows = _rows(got, n14.L)
+            assert all(row == sorted(row) for row in rows)
+            assert rows == sorted(rows) and len(got) == min(limit, 165)
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_the_whole_of_l_finishes(self, n):
+        # L_c = all of L on three tiles attached [[0, 0], [0, 1]]: the search
+        # follows open vertex cycles, so it reaches 16 solutions in a few
+        # hundredths of a second; branching on the edge with the fewest
+        # options alone had not after 25 s.  An alarm turns a search that
+        # does not end into a failure.
+        F = build_domain(n, [Attachment(0, 0), Attachment(0, 1)])
+        L = enumerate_pairings(F)
+
+        def expire(signum, frame):
+            raise TimeoutError(f"completion over all of L at N = {n} ran past 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        try:
+            got = complete_pairing(list(L), F, limit=16)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(got) == 16
+        rows = _rows(got, L)
+        assert rows == sorted(rows) and all(row == sorted(row) for row in rows)
+        # each a gluing by the oracle: every vertex cycle collects 3 wedges
+        struct, points = F.slot_table, vertex_points(F)
+        for sol in got:
+            cycles = solution_cycles(sol.pairings, struct, points)
+            assert all(sum(struct.wedges[v] for v in verts) == 3 for verts, _ in cycles)
+
+
 def _carries(F, Lcs, target):
     """(source index, symmetry) for every symmetry of F mapping an L_c of
     Lcs onto Lcs[target] as identification sets."""
@@ -891,9 +971,9 @@ def _carries(F, Lcs, target):
 
 
 class TestOrbitCarry:
-    """Solutions carried along a symmetry of F are replayed by the engine
-    under ``within``: against the engine's full search, the same pairings in
-    the same order."""
+    """Solutions carried along a symmetry of F are the images of the
+    searched survivor's: against the engine's full search of each mate,
+    the same pairings in the same order."""
 
     @pytest.mark.parametrize("depth", [3, 5])
     def test_carried_solutions_equal_the_engine(self, n14, n14_filtered, depth):
@@ -903,92 +983,24 @@ class TestOrbitCarry:
             if it["covered"] and not it["is_center"]
         ]
         assert len(Lcs) == 3
+        # one orbit: every survivor, itself included, reaches each one
+        for target in range(3):
+            assert {i for i, _ in _carries(n14.F, Lcs, target)} == {0, 1, 2}
+        carried, searches = complete_survivors(Lcs, n14.F, limit=256)
+        assert searches == 1
         engine = [complete_pairing(Lc, n14.F, limit=256) for Lc in Lcs]
         assert [len(sols) for sols in engine] == [{3: 30, 5: 165}[depth]] * 3
-        for target, want in enumerate(engine):
-            carries = _carries(n14.F, Lcs, target)
-            # one orbit: every survivor, itself included, reaches each one
-            assert {i for i, _ in carries} == {0, 1, 2}
-            for i, sym in carries:
-                images = [
-                    frozenset(map(sym.identification, s.identifications)) for s in engine[i]
-                ]
-                got = complete_pairing(Lcs[target], n14.F, limit=256, within=images)
-                assert [s.pairings for s in got] == [s.pairings for s in want]
-                assert _summary(got) == _summary(want)
-
-    @staticmethod
-    def _survivor3(n14, n14_filtered):
-        return next(
-            lc_pairings(it, n14.L)
-            for it in n14_filtered[3]
-            if it["covered"] and not it["is_center"]
-        )
-
-    def test_a_target_that_is_no_solution_is_not_emitted(self, n14, n14_filtered):
-        Lc = self._survivor3(n14, n14_filtered)
-        want = complete_pairing(Lc, n14.F, limit=256)
-        first = want[0].identifications
-        dropped = first - {min(first)}
-        idents = {p.identification for p in Lc}
-        outside = next(p.identification for p in n14.L if p.identification not in idents)
-        spare = next(i for i in sorted(idents) if i not in first)
-        # one short, one too many (from L_c or from outside it), one swapped
-        # out for one outside L_c or for one of L_c
-        bad = [
-            dropped,
-            first | {spare},
-            first | {outside},
-            dropped | {outside},
-            dropped | {spare},
-        ]
-        assert complete_pairing(Lc, n14.F, limit=256, within=bad) == []
-        targets = bad + [s.identifications for s in want]
-        got = complete_pairing(Lc, n14.F, limit=256, within=targets)
-        assert _summary(got) == _summary(want)
-        assert complete_pairing(Lc, n14.F, limit=256, within=[]) == []
-
-    def test_a_shuffled_within_comes_back_in_engine_order(self, n14, n14_filtered):
-        Lc = self._survivor3(n14, n14_filtered)
-        want = complete_pairing(Lc, n14.F, limit=256)
-        targets = [s.identifications for s in want]
-        random.Random(5).shuffle(targets)
-        assert targets != [s.identifications for s in want]
-        got = complete_pairing(Lc, n14.F, limit=256, within=targets)
-        assert _summary(got) == _summary(want)
-        # a part of them: that part alone, still in engine order
-        part = set(targets[::3])
-        got = complete_pairing(Lc, n14.F, limit=256, within=targets[::3])
-        assert _summary(got) == _summary([s for s in want if s.identifications in part])
-
-    def test_limit_and_require_reversing_apply_under_within(self, n14, n14_filtered):
-        # the oracle, told not to require a reversing pairing, also finds the
-        # covers the engine never emits; as targets they are skipped
-        Lc = self._survivor3(n14, n14_filtered)
-        every = reference_complete_pairing(
-            both_directions(Lc, n14.L2), n14.F, limit=256, require_reversing=False
-        )
-        targets = [s.identifications for s in every]
-        # 40 solutions, 10 of them without a reversing pairing
-        assert len(every) == 40 and sum(_reversing(s) == 0 for s in every) == 10
-        got = complete_pairing(Lc, n14.F, limit=256, within=targets)
-        assert _summary(got) == _summary(complete_pairing(Lc, n14.F, limit=256))
-        assert _summary(got) == _summary([s for s in every if _reversing(s)])
-        assert len(got) == 30
-        for limit in (0, 1, 7):
-            cut = complete_pairing(Lc, n14.F, limit=limit, within=targets)
-            assert _summary(cut) == _summary(complete_pairing(Lc, n14.F, limit=limit))
-            assert len(cut) == limit
+        for got, want in zip(carried, engine):
+            assert [s.pairings for s in got] == [s.pairings for s in want]
 
     @staticmethod
     def _counted(monkeypatch):
-        """Full searches run: calls to the engine without ``within``."""
+        """Full searches run: calls to the engine."""
         calls = []
         engine = search.complete_pairing
 
         def counting(Lc, *args, **kwargs):
-            if kwargs.get("within") is None:
-                calls.append(len(Lc))
+            calls.append(len(Lc))
             return engine(Lc, *args, **kwargs)
 
         monkeypatch.setattr(search, "complete_pairing", counting)
@@ -1017,7 +1029,8 @@ class TestOrbitCarry:
         self._check(n14, n14_survivors, 166, 1, monkeypatch)
 
     def test_slot_table_built_once(self, n14, n14_survivors, monkeypatch):
-        # one search and two replays share F's slot table and its links
+        # one search, and two calls that build the slot table afresh if it
+        # is not F's, share F's slot table and its links
         builds = []
         init = BoundarySlots.__init__
 
