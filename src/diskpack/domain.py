@@ -192,10 +192,17 @@ class FundamentalDomain:
         """The tile centers, in tile order."""
         return tuple(self.center(i) for i in range(self.k))
 
-    def is_center(self, z: complex) -> bool:
+    def is_center(self, z):
         """Whether z lies within CENTER_TOL of a tile center: the run
-        drops such a candidate, and verify rejects it."""
-        return any(abs(z - c) < CENTER_TOL for c in self.centers)
+        drops such a candidate, and verify rejects it.  z is a point, for
+        which the answer is a bool, or a 1-D array of points, for which it
+        is a boolean array; both take |z - c| by libm's hypot (abs of a
+        complex, np.hypot of the parts), so they agree."""
+        if not isinstance(z, np.ndarray):
+            return any(abs(z - c) < CENTER_TOL for c in self.centers)
+        c = np.array(self.centers)
+        d = np.hypot(z.real[:, None] - c.real, z.imag[:, None] - c.imag)
+        return (d < CENTER_TOL).any(axis=1)
 
     def is_internal(self, poly: int, edge: int) -> bool:
         return any((poly, edge) in pair for pair in self.internal_edges)
@@ -205,10 +212,18 @@ class FundamentalDomain:
         (on an internal edge).  z is a point, for which the answer is a
         bool, or an array of points, for which it is a boolean array of its
         shape; both take the margins by signed_offset's arithmetic, so they
-        agree.  The array path decides only the points that lie in one of
-        tile_discs(tol), or not in the open unit disk, taking their margins
-        at every edge in one broadcast per block of points."""
+        agree.  Both decide only the points that lie in one of
+        tile_discs(tol), or not in the open unit disk, and reject the rest
+        outright; the array path takes the margins at every edge in one
+        broadcast per block of points."""
         if not isinstance(z, np.ndarray):
+            x, y = z.real, z.imag
+            discs = self._inside_discs if tol == INSIDE_TOL else _disc_rows(*self.tile_discs(tol))
+            # the array path's test, on the same floats in the same order
+            if x * x + y * y < 1.0 and not any(
+                (x - cx) * (x - cx) + (y - cy) * (y - cy) <= r2 for cx, cy, r2 in discs
+            ):
+                return False
             tiles = np.minimum.reduce(self._carriers.margins(z), axis=1).tolist()
             return any(m > tol for m in tiles) or sum(m >= -tol for m in tiles) >= 2
         flat = z.ravel()
@@ -258,6 +273,12 @@ class FundamentalDomain:
         c2 = np.abs(c) ** 2
         den = 1.0 - c2 * (t * t)
         return c * ((1.0 - t * t) / den), t * (1.0 - c2) / den
+
+    @cached_property
+    def _inside_discs(self) -> list[tuple[float, float, float]]:
+        """tile_discs(INSIDE_TOL) for contains' scalar path, which asks it
+        at every node a membership search pops."""
+        return _disc_rows(*self.tile_discs(INSIDE_TOL))
 
     @cached_property
     def _carriers(self) -> _CarrierTable:
@@ -343,6 +364,12 @@ class FundamentalDomain:
                 else:
                     classes.append((v, [(poly, j)]))
         return classes
+
+
+def _disc_rows(center: np.ndarray, radius: np.ndarray) -> list[tuple[float, float, float]]:
+    """Discs as (center x, center y, radius squared) floats, radius * radius
+    taken as contains' array path takes it."""
+    return list(zip(center.real.tolist(), center.imag.tolist(), (radius * radius).tolist()))
 
 
 def _images(g: Isometry, zs: np.ndarray) -> np.ndarray:
@@ -527,12 +554,22 @@ class MapArrays:
 class PairingTable(list):
     """L as enumerate_pairings builds it: the entries, in sort_key order,
     with their maps as one MapArrays, the table the compatibility kernel,
-    pairings.json and each entry's map read.  A slice or any other list of
-    entries is a plain list."""
+    pairings.json and each entry's map read, and F's boundary, whose edges
+    the entries glue.  A slice or any other list of entries is a plain
+    list."""
 
-    def __init__(self, entries: list[SidePairing], arrays: MapArrays):
+    def __init__(
+        self, entries: list[SidePairing], arrays: MapArrays, boundary: tuple[EdgeRef, ...]
+    ):
         super().__init__(entries)
         self.arrays = arrays
+        self.boundary = boundary
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The pairing-by-edge incidence filtering reads (pairing_edges),
+        built on first read, never during set-up."""
+        return _edge_rows(self, self.boundary)
 
     @cached_property
     def by_identification(self) -> dict[tuple, SidePairing]:
@@ -541,17 +578,6 @@ class PairingTable(list):
         edge key to its larger one, so (reversing, src key, dst key) is its
         identification."""
         return {(p.reversing, p.src.key, p.dst.key): p for p in self}
-
-    def json_rows(self) -> list[dict]:
-        """pairings.json's list: each entry's pairing_record with its map's
-        matrix row, read off the arrays (Isometry.to_json's form)."""
-        a, b = self.arrays.a, self.arrays.b
-        return [
-            {**pairing_record(p), "matrix": [[ar, ai], [br, bi]]}
-            for p, ar, ai, br, bi in zip(
-                self, a.real.tolist(), a.imag.tolist(), b.real.tolist(), b.imag.tolist()
-            )
-        ]
 
 
 def map_arrays(L: list[SidePairing]) -> MapArrays:
@@ -564,6 +590,21 @@ def map_arrays(L: list[SidePairing]) -> MapArrays:
         np.array([p.map.b for p in L], dtype=complex),
         np.array([p.reversing for p in L], dtype=np.intp),
     )
+
+
+def pairing_edges(L: list[SidePairing], F: FundamentalDomain) -> np.ndarray:
+    """Each entry's src and dst as indices into F.boundary, shape
+    (len(L), 2): the table's own, built once, when enumerate_pairings
+    built L."""
+    if isinstance(L, PairingTable):
+        return L.edges
+    return _edge_rows(L, F.boundary)
+
+
+def _edge_rows(L: list[SidePairing], boundary: tuple[EdgeRef, ...]) -> np.ndarray:
+    index = {e.key: i for i, e in enumerate(boundary)}
+    rows = [(index[p.src.key], index[p.dst.key]) for p in L]
+    return np.array(rows, dtype=np.intp).reshape(len(L), 2)
 
 
 def enumerate_pairings(F: FundamentalDomain) -> PairingTable:
@@ -639,6 +680,7 @@ def enumerate_pairings(F: FundamentalDomain) -> PairingTable:
             )
         ],
         arrays,
+        boundary,
     )
 
 

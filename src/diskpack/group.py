@@ -41,7 +41,9 @@ class GroupPresentation:
 class MembershipResult:
     word: tuple[int, ...]  # generator indices; h is a member when they compose to it
     residual: float  # word_residual of the word against h
-    strategy: str  # "immediate" when h(basepoint) lies in the domain, else "bfs"
+    # "immediate" when h(basepoint) lies in the domain, "bfs" when a search
+    # found the word, "inverse" when it inverts the partner generator's word
+    strategy: str
 
 
 def pairing_generators(pairings) -> tuple[Isometry, ...]:
@@ -52,6 +54,11 @@ def pairing_generators(pairings) -> tuple[Isometry, ...]:
 
 def _inverse_index(i: int) -> int:
     return i ^ 1
+
+
+def inverse_word(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of the inverse product: the letters reversed, each inverted."""
+    return tuple(_inverse_index(i) for i in reversed(word))
 
 
 def group_from_solution(sol: PairingSolution, F: FundamentalDomain) -> GroupPresentation:
@@ -176,7 +183,11 @@ def second_packing_certificate(P: complex, G: GroupPresentation) -> dict:
     O' is second_neighbor_center(G.domain); tau is swapping_half_turn(P, O').
     The certificate passes when tau swaps P with O' (within SWAP_TOL) and
     conjugates every generator into the group: each conjugate's membership
-    residual is at most WORD_TOL.  The walk over the generators stops at the
+    residual is at most WORD_TOL.  One search per generator pair: generator
+    2i is reduced to the domain, and since generator 2i + 1 is its exact
+    inverse, so is its conjugate, whose word is the inverse of 2i's (the
+    letters reversed, each inverted), held to word_residual against its own
+    conjugate like any other.  The walk over the generators stops at the
     first residual that is not, so only a passing certificate holds one
     membership per generator, in generator order.
     """
@@ -185,8 +196,13 @@ def second_packing_certificate(P: complex, G: GroupPresentation) -> dict:
     tau_inv = tau.inverse()
     passed = dist(tau(P), o_prime) <= SWAP_TOL
     results = []
-    for g in G.generators:
-        results.append(reduce_to_domain(tau * g * tau_inv, G))
+    for i, g in enumerate(G.generators):
+        h = tau * g * tau_inv
+        if i % 2 == 0:
+            results.append(reduce_to_domain(h, G))
+        else:
+            word = inverse_word(results[-1].word)
+            results.append(MembershipResult(word, word_residual(word, G.generators, h), "inverse"))
         if not results[-1].residual <= WORD_TOL:
             passed = False
             break

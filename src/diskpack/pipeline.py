@@ -24,10 +24,13 @@ from .domain import (
     build_domain,
     enumerate_pairings,
     find_pairing,
+    map_arrays,
+    pairing_edges,
     pairing_record,
 )
 from .geom import CoincidentCurves, GeometryError, dist
 from .group import (
+    BFS_DEPTH,
     SWAP_TOL,
     WORD_TOL,
     group_from_solution,
@@ -72,6 +75,13 @@ def _cpx(z: complex) -> list[float]:
 # the C encoder: json uses it for a one-shot encode without indentation
 _encode = json.JSONEncoder(sort_keys=True).encode
 
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+class Lines(list):
+    """A top-level list of an artifact given as its elements' JSON texts,
+    one string per element, which write_json writes as they are."""
+
 
 def write_json(path: str, payload: dict) -> None:
     """Write an artifact as one JSON document, one record per line.
@@ -81,8 +91,10 @@ def write_json(path: str, payload: dict) -> None:
     puts each element on its own line, indented two spaces; every other
     value is compact on its key's line; then ``}`` and a newline.  Each
     line is encoded by the C encoder (sorted keys, default separators,
-    ASCII escapes, floats by repr) and streamed to the file, so the whole
-    artifact never exists as one string.
+    ASCII escapes, floats by repr), except the elements of a ``Lines``
+    list, which come encoded: the record formatters below write the
+    encoder's text from the arrays the stages hold.  A list is written as
+    one string, so the whole artifact never exists as one.
     """
     keys = sorted(payload)
     with open(path, "w", encoding="utf-8") as fh:
@@ -91,14 +103,78 @@ def write_json(path: str, payload: dict) -> None:
             value = payload[key]
             end = ",\n" if n < len(keys) else "\n"
             if isinstance(value, list) and value:
-                fh.write(f" {_encode(key)}: [\n")
-                last = len(value) - 1
-                for i, item in enumerate(value):
-                    fh.write(f"  {_encode(item)}{',' if i < last else ''}\n")
-                fh.write(f" ]{end}")
+                lines = value if isinstance(value, Lines) else map(_encode, value)
+                fh.write(f" {_encode(key)}: [\n  ")
+                fh.write(",\n  ".join(lines))
+                fh.write(f"\n ]{end}")
             else:
                 fh.write(f" {_encode(key)}: {_encode(value)}{end}")
         fh.write("}\n")
+
+
+# The record formatters: each writes the C encoder's text for its records,
+# keys sorted, ints as ints, booleans as true and false, and floats by
+# float repr, which is the encoder's form of a finite float.  Each float
+# array is checked once, and a value that is not finite is an error.
+
+
+def _finite(*arrays) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("an artifact float is not finite")
+
+
+def distance_lines(values) -> Lines:
+    """distances.json's ``values``: each distance."""
+    _finite(values)
+    return Lines(map(float.__repr__, values))
+
+
+def pairing_lines(L: list[SidePairing]) -> Lines:
+    """pairings.json's ``pairings``: each entry's pairing_record with its
+    map's matrix row read off L's MapArrays (Isometry.to_json's form)."""
+    arrays = map_arrays(L)
+    a, b = arrays.a, arrays.b
+    _finite(a, b)
+    return Lines(
+        f'{{"dst": {{"edge": {p.dst.edge}, "poly": {p.dst.poly + 1}}}, '
+        f'"matrix": [[{ar!r}, {ai!r}], [{br!r}, {bi!r}]], '
+        f'"reversing": {_JSON_BOOL[p.reversing]}, '
+        f'"src": {{"edge": {p.src.edge}, "poly": {p.src.poly + 1}}}}}'
+        for p, ar, ai, br, bi in zip(
+            L, a.real.tolist(), a.imag.tolist(), b.real.tolist(), b.imag.tolist()
+        )
+    )
+
+
+def candidate_lines(points: np.ndarray, seed_distances: np.ndarray) -> Lines:
+    """candidates.json's ``candidates``: each point (complex, one per
+    candidate) with its two seed distances (shape (len(points), 2))."""
+    _finite(points, seed_distances)
+    return Lines(
+        f'{{"point": [{x!r}, {y!r}], "seed_distances": [{d1!r}, {d2!r}]}}'
+        for x, y, (d1, d2) in zip(
+            points.real.tolist(), points.imag.tolist(), seed_distances.tolist()
+        )
+    )
+
+
+def filtering_lines(points: np.ndarray, items: list[dict]) -> Lines:
+    """filtering.json's ``candidates``: each filtering item's point (the
+    candidates' points, in the same order), L_c size, whether it is a tile
+    center, and its uncovered edges, polygons 1-based."""
+    _finite(points)
+    edges = set().union(*(it["uncovered"] for it in items))
+    edge_json = {(p, e): f"[{p + 1}, {e}]" for p, e in edges}
+    lines = Lines()
+    for x, y, it in zip(points.real.tolist(), points.imag.tolist(), items):
+        uncovered = ", ".join(map(edge_json.__getitem__, it["uncovered"]))
+        lines.append(
+            f'{{"compatible_count": {len(it["Lc"])}, '
+            f'"is_center": {_JSON_BOOL[it["is_center"]]}, '
+            f'"point": [{x!r}, {y!r}], "uncovered": [{uncovered}]}}'
+        )
+    return lines
 
 
 def _write_svg(out: str, name: str, layers: render.Layers) -> None:
@@ -123,7 +199,7 @@ def _write_artifact(cfg: PipelineConfig, out: str, stage: str, data: dict) -> No
 def stage_distances(cfg: PipelineConfig, out: str | None = None) -> DistanceSet:
     dset = admissible_distances(cfg.n, cfg.depth, cfg.match_tol)
     if out:
-        _write_artifact(cfg, out, "distances", {"values": list(dset.values)})
+        _write_artifact(cfg, out, "distances", {"values": distance_lines(dset.values)})
     return dset
 
 
@@ -157,9 +233,8 @@ def stage_pairings(
 ) -> PairingTable:
     L = enumerate_pairings(F)
     if out:
-        _write_artifact(
-            cfg, out, "pairings", {"boundary_edges": len(F.boundary), "pairings": L.json_rows()}
-        )
+        data = {"boundary_edges": len(F.boundary), "pairings": pairing_lines(L)}
+        _write_artifact(cfg, out, "pairings", data)
     return L
 
 
@@ -172,35 +247,40 @@ def filter_candidates(
 ) -> list[dict]:
     """Per-candidate compatible pairings and edge coverage, in candidate order.
 
-    ``Lc`` is L_c as indices into L (a compatibility-matrix row's nonzeros).
-    A candidate covers a boundary edge when one of its compatible pairings
-    glues it, so coverage for every candidate is the boolean product of the
-    compatibility matrix with the pairing x boundary-edge incidence matrix:
-    per edge, an any() over the matrix columns of the pairings touching it.
-    ``is_center`` is F.is_center, the test verify_certificate_file applies.
+    ``Lc`` is L_c as indices into L: the candidate's row of the
+    compatibility matrix, cut from one nonzero of the whole matrix.  A
+    candidate covers a boundary edge when one of its compatible pairings
+    glues it, so each nonzero (candidate, pairing) marks the pairing's two
+    edges (pairing_edges) covered, and one nonzero of the coverage lists
+    every candidate's uncovered edges.  ``is_center`` is F.is_center, the
+    test verify_certificate_file applies, taken on every candidate at once.
     ``cfg`` is unused; the signature stays, because the benchmark's tracer
     (perfbench/tracer.py) reads L as the third positional argument.
     """
-    matrix = compatibility_matrix([c.point for c in C], L, dset)
-    touching: dict[tuple[int, int], list[int]] = {
-        key: [] for key in sorted(e.key for e in F.boundary)
-    }
-    for j, p in enumerate(L):
-        for key in (p.src.key, p.dst.key):
-            if key in touching:
-                touching[key].append(j)
-    keys = list(touching)
-    covered = np.stack([matrix[:, cols].any(axis=1) for cols in touching.values()], axis=1)
+    points = np.array([c.point for c in C], dtype=complex)
+    matrix = compatibility_matrix(points, L, dset)
+    n = len(C)
+    rows, cols = np.divmod(np.flatnonzero(matrix), matrix.shape[1])
+    edges = pairing_edges(L, F)[cols]
+    covered = np.zeros((n, len(F.boundary)), dtype=bool)
+    covered[rows, edges[:, 0]] = True
+    covered[rows, edges[:, 1]] = True
+    bare, bare_edges = np.nonzero(~covered)
+    keys = [e.key for e in F.boundary]
+    bare_edges = [keys[i] for i in bare_edges.tolist()]
+    at = np.arange(n + 1)
+    lc_cuts = np.searchsorted(rows, at).tolist()
+    bare_cuts = np.searchsorted(bare, at).tolist()
     items = []
-    for c, row, cov in zip(C, matrix, covered):
-        uncovered = [keys[i] for i in np.flatnonzero(~cov)]
+    for i, (c, is_center) in enumerate(zip(C, F.is_center(points).tolist())):
+        uncovered = bare_edges[bare_cuts[i] : bare_cuts[i + 1]]
         items.append(
             {
                 "candidate": c,
-                "Lc": np.flatnonzero(row),
+                "Lc": cols[lc_cuts[i] : lc_cuts[i + 1]],
                 "covered": not uncovered,
                 "uncovered": uncovered,
-                "is_center": F.is_center(c.point),
+                "is_center": is_center,
             }
         )
     return items
@@ -351,27 +431,18 @@ def _write_seed_pair(cfg, F, L, dset, res: SeedPairResult, out: str) -> None:
     ended the run), then as far as the pair got of filtering.json,
     solutions.json, solution.svg, certificate.json and certificate.svg."""
     seed_pair = [list(res.p1.record), list(res.p2.record)]
-    records = [
-        {"point": _cpx(c.point), "seed_distances": list(c.seed_distances)} for c in res.C
-    ]
-    _write_artifact(cfg, out, "candidates", {"seed_pair": seed_pair, "candidates": records})
+    points = np.array([c.point for c in res.C], dtype=complex)
+    seeds = np.array([c.seed_distances for c in res.C], dtype=float).reshape(-1, 2)
+    data = {"seed_pair": seed_pair, "candidates": candidate_lines(points, seeds)}
+    _write_artifact(cfg, out, "candidates", data)
     curves = [banana_curves(p, dset, F) for p in (res.p1, res.p2)]
     _write_svg(out, "bananas.svg", render.scene_bananas(F, *curves))
     star = None if res.solved is None else res.solved[0]["candidate"].point
-    points = [c.point for c in res.C]
-    _write_svg(out, "candidates.svg", render.scene_candidates(F, points, star))
+    _write_svg(out, "candidates.svg", render.scene_candidates(F, points.tolist(), star))
     if res.items is None:
         return
-    records = [
-        {
-            "point": _cpx(it["candidate"].point),
-            "compatible_count": len(it["Lc"]),
-            "uncovered": [[p + 1, e] for p, e in it["uncovered"]],
-            "is_center": it["is_center"],
-        }
-        for it in res.items
-    ]
-    _write_artifact(cfg, out, "filtering", {"seed_pair": seed_pair, "candidates": records})
+    data = {"seed_pair": seed_pair, "candidates": filtering_lines(points, res.items)}
+    _write_artifact(cfg, out, "filtering", data)
     pairing_index = {p.record: i for i, p in enumerate(L)}
     records = [
         {
@@ -446,8 +517,10 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
     center (F.is_center, the run's test).  O' is second_neighbor_center(F),
     and tau, swapping_half_turn(candidate, O'), must swap the two within
     SWAP_TOL.  There must be one membership per generator, the i-th for
-    generator i, whose word_residual against tau g_i tau^-1 is at most
-    group.WORD_TOL, the test the run passed it by; and the passed flag must
+    generator i, whose word of at most group.BFS_DEPTH letters (no search
+    writes a longer one, and a longer one is not composed) has a
+    word_residual against tau g_i tau^-1 of at most group.WORD_TOL, the
+    test the run passed it by; and the passed flag must
     be JSON true.  A membership's ``residual`` is the producer's record and
     is not read: it is recomputed from the word.  Malformed input (a file
     that cannot be read or is not JSON, a missing key, a config or record
@@ -521,6 +594,14 @@ def verify_certificate_file(path: str, cfg: PipelineConfig | None = None) -> tup
             and all(type(i) is int and 0 <= i < len(gens) for i in letters)
         ):
             problems.append(f"word for generator {gi} is not a list of generator indices")
+            continue
+        if len(letters) > BFS_DEPTH:
+            # no search writes a longer word, and exact composition grows
+            # faster than the word: a forged long word is not composed
+            problems.append(
+                f"word for generator {gi} has {len(letters)} letters, "
+                f"more than group.BFS_DEPTH = {BFS_DEPTH}"
+            )
             continue
         res = word_residual(letters, gens, tau * g * tau_inv)
         if not res <= WORD_TOL:

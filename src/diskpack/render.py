@@ -1,6 +1,6 @@
 """SVG figures in the disk model: domains, bananas, candidates, solutions.
 
-A figure is a list of ``(layer name, [SVG element strings])``; ``edge``,
+A figure is a list of ``(layer name, SVG element strings)``; ``edge``,
 ``curve``, ``point`` and ``label`` each draw one element, and ``render_svg``
 joins the layers in order.  Geodesics and hypercycles are true circular arcs
 clipped to the unit disk; the disk maps to a fixed square viewport.  Output
@@ -10,6 +10,7 @@ is deterministic: floats are formatted with a fixed precision.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -23,7 +24,7 @@ R_VIEW = 0.5 * SIZE - MARGIN
 # banana families per seed pairing drawn in the bananas figure
 BANANA_FAMILIES = 8
 
-Layers = list[tuple[str, list[str]]]
+Layers = list[tuple[str, Sequence[str]]]
 
 
 def _fmt(v: float) -> str:
@@ -120,11 +121,26 @@ def render_svg(layers: Layers) -> str:
     return "\n".join(parts) + "\n"
 
 
+# the domain whose base was drawn last, with that base (held here, so no
+# other object can take F's id): every figure of a run draws over one F,
+# so its edges, labels and centers are drawn once
+_last_base: tuple[FundamentalDomain | None, Layers] = (None, [])
+
+
 def scene_base(F: FundamentalDomain | None = None) -> Layers:
-    """The disk, and F's edges (internal ones grey), edge numbers and centers."""
-    layers = [("disk", [_DISK])]
+    """The disk, and F's edges (internal ones grey), edge numbers and
+    centers.  F's layers are drawn on the first call for F and shared, as
+    tuples, by every figure drawn over it until another domain is drawn."""
+    global _last_base
+    layers = [("disk", (_DISK,))]
     if F is None:
         return layers
+    if _last_base[0] is not F:
+        _last_base = (F, layers + _domain_layers(F))
+    return list(_last_base[1])
+
+
+def _domain_layers(F: FundamentalDomain) -> Layers:
     edges, labels = [], []
     for poly in range(F.k):
         for e in F.edges[poly]:
@@ -137,7 +153,7 @@ def scene_base(F: FundamentalDomain | None = None) -> Layers:
             mid = 0.5 * (e.endpoints[0] + e.endpoints[1])
             labels.append(label(mid + 0.055 * (F.center(poly) - mid), str(e.edge), 9))
     centers = [point(F.center(p), 2.0, "fill:#404040", f"pol{p + 1}") for p in range(F.k)]
-    return layers + [("domain", edges), ("edge-labels", labels), ("centers", centers)]
+    return [("domain", tuple(edges)), ("edge-labels", tuple(labels)), ("centers", tuple(centers))]
 
 
 def scene_bananas(F, b1: BananaCurves, b2: BananaCurves) -> Layers:

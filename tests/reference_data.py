@@ -26,7 +26,12 @@ the one that composes it at the pop; the enumeration of the admissible
 distances over every product of neighbor maps, for the one that takes one
 word per rotation orbit; and the renderer that stores each drawn item as a
 dict in a Scene layer and dispatches on its type, for the one whose figures
-are lists of SVG element strings.  Also the small helpers only tests use:
+are lists of SVG element strings; the artifact writer that encoded every
+line with the C encoder, and the dict and list records it encoded, for the
+formatters that write each record's line from arrays; and the filtering
+loop over candidates, with a column gather per boundary edge, for the one
+that cuts L_c and the uncovered edges out of one nonzero each.  Also the
+small helpers only tests use:
 the translation along the real diameter, the distance to a geodesic, a
 point of a generalized circle, a central-tile edge carrier, the scalar
 edge margin that _CarrierTable.margins is checked against, and the scalar
@@ -36,6 +41,7 @@ against."""
 import bisect
 import cmath
 import heapq
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +53,9 @@ from diskpack.domain import (
     EdgeRef,
     FundamentalDomain,
     InvalidCellStructure,
+    PairingTable,
     SidePairing,
+    pairing_record,
 )
 from diskpack.geom import (
     COINCIDENT_TOL,
@@ -74,7 +82,7 @@ from diskpack.group import (
     _inverse_index,
     word_residual,
 )
-from diskpack.search import CANDIDATE_DEDUP, Candidate
+from diskpack.search import CANDIDATE_DEDUP, Candidate, compatibility_matrix
 from diskpack.render import BANANA_FAMILIES, R_VIEW, SIZE, _arc_path, _fmt, _xy
 from diskpack.tess import (
     DEDUP_TOL,
@@ -1117,3 +1125,105 @@ def reference_scene_certificate(F, P: complex, o_prime: complex) -> Scene:
     mid = midpoint(P, o_prime)
     layer.append(dict(type="point", at=mid, r=3.0, style="fill:#c03030", label="m"))
     return scene
+
+
+# The artifact writer and record builders the formatters replaced: every
+# record a Python dict or list, and every line of every artifact encoded by
+# the C encoder.  pipeline's formatters must give these lines byte for byte.
+
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def reference_write_json(path: str, payload: dict) -> None:
+    """Write an artifact as one JSON document, one record per line.
+
+    Layout: a ``{`` line; each top-level key in sorted order on its own
+    line, indented one space; a non-empty list value opens with ``[`` and
+    puts each element on its own line, indented two spaces; every other
+    value is compact on its key's line; then ``}`` and a newline.  Each
+    line is encoded by the C encoder (sorted keys, default separators,
+    ASCII escapes, floats by repr) and streamed to the file, so the whole
+    artifact never exists as one string.
+    """
+    keys = sorted(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n")
+        for n, key in enumerate(keys, start=1):
+            value = payload[key]
+            end = ",\n" if n < len(keys) else "\n"
+            if isinstance(value, list) and value:
+                fh.write(f" {_encode(key)}: [\n")
+                last = len(value) - 1
+                for i, item in enumerate(value):
+                    fh.write(f"  {_encode(item)}{',' if i < last else ''}\n")
+                fh.write(f" ]{end}")
+            else:
+                fh.write(f" {_encode(key)}: {_encode(value)}{end}")
+        fh.write("}\n")
+
+
+def _cpx(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def reference_distance_values(dset: DistanceSet) -> list:
+    """distances.json's ``values``."""
+    return list(dset.values)
+
+
+def reference_pairing_rows(L: PairingTable) -> list[dict]:
+    """pairings.json's list: each entry's pairing_record with its map's
+    matrix row, read off the arrays (Isometry.to_json's form)."""
+    a, b = L.arrays.a, L.arrays.b
+    return [
+        {**pairing_record(p), "matrix": [[ar, ai], [br, bi]]}
+        for p, ar, ai, br, bi in zip(
+            L, a.real.tolist(), a.imag.tolist(), b.real.tolist(), b.imag.tolist()
+        )
+    ]
+
+
+def reference_candidate_records(C: list[Candidate]) -> list[dict]:
+    """candidates.json's ``candidates``."""
+    return [{"point": _cpx(c.point), "seed_distances": list(c.seed_distances)} for c in C]
+
+
+def reference_filtering_records(items: list[dict]) -> list[dict]:
+    """filtering.json's ``candidates``, from filter_candidates' items."""
+    return [
+        {
+            "point": _cpx(it["candidate"].point),
+            "compatible_count": len(it["Lc"]),
+            "uncovered": [[p + 1, e] for p, e in it["uncovered"]],
+            "is_center": it["is_center"],
+        }
+        for it in items
+    ]
+
+
+def reference_filter_candidates(F, L, dset, C) -> list[dict]:
+    """filter_candidates' items by a column gather per boundary edge and a
+    loop over the candidates, F.is_center asked of each."""
+    matrix = compatibility_matrix([c.point for c in C], L, dset)
+    touching: dict[tuple[int, int], list[int]] = {
+        key: [] for key in sorted(e.key for e in F.boundary)
+    }
+    for j, p in enumerate(L):
+        for key in (p.src.key, p.dst.key):
+            if key in touching:
+                touching[key].append(j)
+    keys = list(touching)
+    covered = np.stack([matrix[:, cols].any(axis=1) for cols in touching.values()], axis=1)
+    items = []
+    for c, row, cov in zip(C, matrix, covered):
+        uncovered = [keys[i] for i in np.flatnonzero(~cov)]
+        items.append(
+            {
+                "candidate": c,
+                "Lc": np.flatnonzero(row),
+                "covered": not uncovered,
+                "uncovered": uncovered,
+                "is_center": F.is_center(c.point),
+            }
+        )
+    return items

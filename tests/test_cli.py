@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -461,10 +462,12 @@ def test_verify_recomputes_the_run_residuals_to_the_bit(depth3_run, monkeypatch)
         (lambda c: c.update(candidate=[math.nan, 0.0]), "not inside the unit disk"),
         (lambda c: c.update(candidate=[math.inf, 0.0]), "not inside the unit disk"),
         (lambda c: c.update(candidate=[2.0, 0.0]), "not inside the unit disk"),
-        # a long power of one generator leaves the float range
+        # a long power of one generator would leave the float range; it is
+        # longer than any word a search writes, and rejected before it is
+        # composed
         (
             lambda c: c["memberships"][0].update(word=[0] * 1000),
-            "word for generator 0 misses by inf",
+            "word for generator 0 has 1000 letters, more than group.BFS_DEPTH = 12",
         ),
         (_string_reversing, "malformed seed record"),
         (lambda c: json.dumps(c)[:4000], "certificate does not decode: JSONDecodeError"),
@@ -487,6 +490,34 @@ def test_verify_reports_malformed_certificates(
     assert main(["verify", "--config", n14_cfg_path, "--out", out]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False and any(message in p for p in report["problems"])
+
+
+@pytest.mark.parametrize("letters", [1000, 3000])
+def test_verify_rejects_a_long_word_without_composing_it(
+    completed_run, tmp_path, monkeypatch, letters
+):
+    # exact composition grows faster than the word (a 3 000-letter power
+    # took 0.39 s); no search writes more than BFS_DEPTH letters, so a
+    # longer word is named and never composed
+    out = _forged(completed_run, tmp_path, lambda c: c["memberships"][0].update(word=[0] * letters))
+    composed = []
+
+    def recording(word, gens, h):
+        composed.append(len(word))
+        return group.word_residual(word, gens, h)
+
+    monkeypatch.setattr(pipeline, "word_residual", recording)
+    path = os.path.join(out, "certificate.json")
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        ok, problems = verify_certificate_file(path)
+        seconds.append(time.perf_counter() - start)
+    assert not ok and problems == [
+        f"word for generator 0 has {letters} letters, more than group.BFS_DEPTH = 12"
+    ]
+    assert composed and max(composed) <= group.BFS_DEPTH
+    assert min(seconds) < 0.05
 
 
 def _record_of(pairing: dict) -> dict:

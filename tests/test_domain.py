@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import functools
+import json
 import math
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from diskpack.domain import (
     enumerate_pairings,
     find_pairing,
 )
+from diskpack.pipeline import pairing_lines
 from diskpack import domain as domain_module
 from diskpack.geom import Isometry, classify, dist, midpoint
 
@@ -69,6 +71,20 @@ class TestBuildDomain:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert dist(F.center(i), F.center(j)) == pytest.approx(2 * r, abs=1e-9)
+
+    def test_is_center_on_an_array_is_the_scalar_test(self, n14):
+        # each center, points 1e-6 off it and an ulp either side of that,
+        # and every candidate: the array path's hypot is abs(complex)'s
+        F = n14.F
+        pts = [c.point for c in n14.C]
+        for z in F.centers:
+            for k in range(16):
+                r = 1e-6 * (1.0 + 1e-6 * (k % 3 - 1))
+                pts += [z, z + r * cmath.exp(2j * math.pi * k / 16)]
+            pts += [z + complex(math.nextafter(1e-6, s), 0.0) for s in (0.0, 1.0)]
+        got = F.is_center(np.array(pts))
+        assert got.dtype == bool and got.tolist() == [F.is_center(z) for z in pts]
+        assert got.any() and not got.all()
 
     def test_duplicate_attachment_edge_rejected(self):
         with pytest.raises(OverlappingPolygons):
@@ -320,6 +336,70 @@ class TestTileDiscs:
         _accepted_in_discs(F, pts, INSIDE_TOL)
 
 
+def _disc_rims(F, tol: float) -> list[complex]:
+    """Points on each tile disc's rim and 1 ulp either side of it, radially,
+    in 48 directions."""
+    center, radius = F.tile_discs(tol)
+    pts = []
+    for c, r in zip(center.tolist(), radius.tolist()):
+        for k in range(48):
+            u = cmath.exp(2j * math.pi * k / 48)
+            for rr in (math.nextafter(r, 0.0), r, math.nextafter(r, 2.0)):
+                pts.append(c + rr * u)
+    return pts
+
+
+def _off_circle(pts: list[complex]) -> list[complex]:
+    """The points whose margins do not divide by zero: 1 - |z|^2, as the
+    margins take it, is not 0."""
+    return [z for z in pts if z.real * z.real + z.imag * z.imag != 1.0]
+
+
+class TestScalarContains:
+    """contains' scalar path takes the array path's disc pre-test, on the
+    discs F caches for the default tol: its verdicts are the array path's
+    and the per-tile rule's, on and around the disc rims, on a grid over
+    and beyond the unit disk, and at hypothesis points."""
+
+    @pytest.mark.parametrize("name", DOMAINS)
+    @pytest.mark.parametrize("tol", [INSIDE_TOL, 1e-4])
+    def test_rims_and_grid(self, n14, name, tol):
+        F = _domain(n14, name)
+        grid = [complex(x, y) for x in np.linspace(-1.2, 1.2, 49) for y in np.linspace(-1.2, 1.2, 49)]
+        pts = _off_circle(_disc_rims(F, tol) + grid + [2.0 + 3.0j])
+        scalar = [F.contains(z, tol) for z in pts]
+        assert all(type(x) is bool for x in scalar)
+        assert scalar == F.contains(np.array(pts), tol).tolist()
+        assert scalar == [_per_tile_rule(F, z, tol) for z in pts]
+        assert any(scalar) and not all(scalar)
+        # on the unit circle every margin divides by zero, in both paths
+        rim = [1.0 + 0j, -1j]
+        with np.errstate(all="ignore"):
+            assert [F.contains(z, tol) for z in rim] == F.contains(np.array(rim), tol).tolist()
+
+    def test_default_discs_are_cached(self, n14):
+        F = build_domain(14, [Attachment(0, 0), Attachment(0, 1)])
+        assert "_inside_discs" not in vars(F)
+        F.contains(0.1 + 0.2j)
+        center, radius = F.tile_discs(INSIDE_TOL)
+        assert vars(F)["_inside_discs"] == list(
+            zip(center.real.tolist(), center.imag.tolist(), (radius * radius).tolist())
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(DOMAINS),
+        xs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=40),
+        ys=st.lists(st.floats(-1.5, 1.5), min_size=40, max_size=40),
+    )
+    def test_random_points(self, n14, name, xs, ys):
+        F = _domain(n14, name)
+        pts = _off_circle([complex(x, y) for x, y in zip(xs, ys)])
+        scalar = [F.contains(z) for z in pts]
+        assert scalar == F.contains(np.array(pts)).tolist()
+        assert scalar == [_per_tile_rule(F, z) for z in pts]
+
+
 def _bits(p):
     g = p.map
     return (p.record, g.reversing, *(x.hex() for x in (g.a.real, g.a.imag, g.b.real, g.b.imag)))
@@ -478,7 +558,7 @@ class TestEnumeratePairings:
 
     def test_json_record_shape(self, n14):
         # the matrix's first row only; reversing alone gives the type
-        rows = n14.L.json_rows()
+        rows = [json.loads(line) for line in pairing_lines(n14.L)]
         assert len(rows) == len(n14.L)
         rec = next(r for p, r in zip(n14.L, rows) if p is n14.p1)
         assert sorted(rec) == ["dst", "matrix", "reversing", "src"]

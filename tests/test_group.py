@@ -12,6 +12,7 @@ from diskpack.group import (
     SWAP_TOL,
     WORD_TOL,
     group_from_solution,
+    inverse_word,
     reduce_to_domain,
     second_neighbor_center,
     second_packing_certificate,
@@ -243,6 +244,45 @@ def depth3_attempts():
             if cert["passed"]:
                 return out
     raise AssertionError("the depth-3 run has no passing attempt")
+
+
+class TestOneSearchPerGeneratorPair:
+    """Generator 2i + 1 is the exact inverse of generator 2i, so its
+    conjugate is the inverse of 2i's: the certificate searches the even
+    generators only and gives each odd one its partner's word inverted,
+    held to word_residual against its own conjugate."""
+
+    @staticmethod
+    def _check(P, G) -> bool:
+        cert = second_packing_certificate(P, G)
+        ms = cert["memberships"]
+        tau = swapping_half_turn(P, cert["o_prime"])
+        tau_inv = tau.inverse()
+        for g, m in zip(G.generators, ms):
+            assert m.residual == word_residual(m.word, G.generators, tau * g * tau_inv)
+        for i in range(1, len(ms), 2):
+            assert ms[i].word == tuple(j ^ 1 for j in reversed(ms[i - 1].word))
+            assert ms[i].word == inverse_word(ms[i - 1].word)
+            assert ms[i].strategy == "inverse" and ms[i - 1].strategy != "inverse"
+        # the walk stops at the first membership that fails
+        assert all(m.residual <= WORD_TOL for m in ms[:-1])
+        assert cert["passed"] is (len(ms) == len(G.generators) and ms[-1].residual <= WORD_TOL)
+        return cert["passed"]
+
+    def test_the_published_certificate(self, n14_solution, monkeypatch):
+        searched = []
+
+        def counting(h, G):
+            searched.append(h)
+            return reduce_to_domain(h, G)
+
+        monkeypatch.setattr(group, "reduce_to_domain", counting)
+        assert self._check(n14_solution.candidate.point, n14_solution.group)
+        assert len(searched) == 18
+
+    def test_every_depth3_certificate_attempt(self, depth3_attempts):
+        passed = [self._check(P, G) for P, G in depth3_attempts]
+        assert passed[-1] and not any(passed[:-1])
 
 
 class TestReductionOracle:

@@ -158,3 +158,24 @@ def test_figures_match_the_item_dict_renderer(config, tmp_path, monkeypatch):
     assert sorted(expected) == sorted(_FIGURES)
     for figure, text in expected.items():
         assert (out / figure).read_text(encoding="utf-8") == text
+
+
+def test_a_run_draws_the_base_once(tmp_path, monkeypatch):
+    # the disk, F's edges, their labels and the tile centers are drawn for
+    # domain.svg and shared by the other four figures
+    drawn = []
+
+    def counting(F, _draw=render._domain_layers):
+        drawn.append(F)
+        return _draw(F)
+
+    monkeypatch.setattr(render, "_domain_layers", counting)
+    out = tmp_path / "out"
+    assert main(["run", "--config", "configs/n14.json", "--depth", "3", "--out", str(out)]) == 0
+    assert len(drawn) == 1
+    assert sorted(p.name for p in out.glob("*.svg")) == sorted(_FIGURES)
+    # a figure gets its own list of the shared layers, which are tuples
+    F = drawn[0]
+    a, b = scene_base(F), scene_base(F)
+    assert a == b and a is not b and all(type(elements) is tuple for _, elements in a)
+    assert len(drawn) == 1

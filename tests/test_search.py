@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import signal
@@ -46,7 +47,7 @@ from diskpack.domain import (
     numerator_coefficients,
 )
 from diskpack.geom import CoincidentCurves, Isometry, axis, dist
-from diskpack.pipeline import filter_candidates, lc_pairings
+from diskpack.pipeline import filter_candidates, lc_pairings, pairing_lines
 from diskpack.tess import SCREEN_BITS, DistanceSet, admissible_distances, sinh2_half
 from diskpack.search import (
     BLOCK_CELLS,
@@ -355,7 +356,7 @@ class TestCompatibilityKernel:
         L = enumerate_pairings(n14.F)
         pts = [c.point for c in n14.C[::4]]
         m = compatibility_matrix(pts, L, n14.dset)
-        rows = L.json_rows()
+        rows = [json.loads(line) for line in pairing_lines(L)]
         assert not any("map" in vars(p) for p in L)
         assert np.array_equal(m, compatibility_matrix(pts, list(L), n14.dset))
         assert np.array_equal(m, reference_compatibility_matrix(pts, n14.L, n14.dset))
