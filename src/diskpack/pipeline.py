@@ -387,10 +387,12 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResu
         [lc_pairings(it, L) for it in survivors], F, limit=cfg.limit
     )
     carried = len(survivors) - searches
+    stopped = sum(not sols.finished for sols in completed)
     log(
         f"completion: {len(survivors)} survivor{'s' * (len(survivors) != 1)}, "
         f"{searches} search{'es' * (searches != 1)}, {carried} carried by symmetry "
         f"(group of order {len(F.symmetries)})"
+        + (f", {stopped} stopped by the node budget" if stopped else "")
     )
     res = SeedPairResult(p1, p2, C, items, list(zip(survivors, completed)))
     solved = [entry for entry in res.completed if entry[1]]

@@ -525,11 +525,33 @@ class PairingSolution:
         return frozenset(p.identification for p in self.pairings)
 
 
+# complete_pairing stops after this many nodes (calls of its descend).  The
+# largest searches measured: N = 14 depth 5, one search of 2 380 nodes, and
+# 815 at depth 3; CI's depth-3 --tol 50 --limit 1, at most 82 over its 376
+# searches; auto mode at N = 10 k = 3, 211, at N = 8 k = 3, 66, and one
+# 30-gon, 100.  The budget is 100x the largest; a search over all of L at
+# N = 14 depth 5 reaches it in about 5 s, with 7 135 solutions found.
+NODE_BUDGET = 250_000
+
+
+class Completion(list):
+    """complete_pairing's solutions, in its canonical order, and how the
+    search ended: ``nodes`` is the number of nodes it visited (0 when the
+    solutions were carried by symmetry), and ``finished`` is False when it
+    stopped at NODE_BUDGET before it had found ``limit`` solutions or
+    exhausted its space, so that solutions may be missing."""
+
+    def __init__(self, sols, nodes: int = 0, finished: bool = True):
+        super().__init__(sols)
+        self.nodes = nodes
+        self.finished = finished
+
+
 def complete_pairing(
     Lc: list[SidePairing],
     F: FundamentalDomain,
     limit: int,
-) -> list[PairingSolution]:
+) -> Completion:
     """Exact-cover completion of Lc into full side-pairing sets with at
     least one reversing pairing each.
 
@@ -551,8 +573,10 @@ def complete_pairing(
     it found come back in one canonical order, lexicographic in their
     sorted option indices, which for entries of L is L's order, so an
     exhausted search (fewer than ``limit``) returns the same list whatever
-    the branch rule.  An empty list means the search space is exhausted
-    with no solution.
+    the branch rule.  An empty list from a finished search means the search
+    space is exhausted with no solution.  The search also stops once it has
+    visited NODE_BUDGET nodes; it then returns the solutions it found, in
+    the same order, with ``finished`` False.
 
     State is kept in flat integer arrays: per-edge live option counts, and
     the slot permutation built so far as ``succ``/``pred`` with chain
@@ -608,8 +632,13 @@ def complete_pairing(
     undo: list[tuple[int, int, int, int, int]] = []
     chosen: list[int] = []
     found: list[tuple[int, ...]] = []
+    budget = NODE_BUDGET
+    nodes = 0
+    stopped = False
 
     def descend(last: int) -> None:
+        nonlocal nodes, stopped
+        nodes += 1
         fewest = min(live, default=done)
         if fewest > n_opts:
             if any(options[o].reversing for o in chosen):
@@ -634,6 +663,9 @@ def complete_pairing(
         for o, d in by_edge[e]:
             if live[d] > n_opts:
                 continue
+            if nodes >= budget:
+                stopped = True
+                return
             mark = len(undo)
             # link o's slots, stopping at a taken slot or a failed wedge count
             for u, w in opt_links[o]:
@@ -683,7 +715,8 @@ def complete_pairing(
 
     if limit > 0:
         descend(-1)
-    return [PairingSolution(tuple(options[o] for o in key)) for key in sorted(found)]
+    sols = [PairingSolution(tuple(options[o] for o in key)) for key in sorted(found)]
+    return Completion(sols, nodes, not stopped)
 
 
 def complete_survivors(
@@ -694,15 +727,15 @@ def complete_survivors(
     """complete_pairing for every L_c in order, one full search per orbit.
 
     When a symmetry of F maps the identification set of an earlier L_c whose
-    search was exhaustive (fewer than ``limit`` solutions) exactly onto this
-    one's, this one's solutions are the images of that search's: the
-    symmetry maps covers to covers and vertex cycles to vertex cycles of
-    the same wedges, and keeps each pairing's orientation type, so the
-    images are exactly the solutions a full search would find.  Each image
+    search was exhaustive (finished, with fewer than ``limit`` solutions)
+    exactly onto this one's, this one's solutions are the images of that
+    search's: the symmetry maps covers to covers and vertex cycles to vertex
+    cycles of the same wedges, and keeps each pairing's orientation type, so
+    the images are exactly the solutions a full search would find.  Each image
     takes the first entry of this L_c naming each of its identifications,
     as complete_pairing's options do, and the images come back in
-    complete_pairing's canonical order.  Returns the solutions per L_c and
-    the number of full searches run.
+    complete_pairing's canonical order.  Returns the solutions per L_c, each
+    a Completion, and the number of full searches run.
     """
     exhaustive: list[tuple[frozenset, list[PairingSolution]]] = []
     out = []
@@ -728,12 +761,12 @@ def complete_survivors(
                 used = set().union(*(s.identifications for s in source_sols))
                 image = {i: rank[sym.identification(i)] for i in used}
                 keys = sorted(tuple(sorted(image[i] for i in s.identifications)) for s in source_sols)
-                sols = [PairingSolution(tuple(ranked[r] for r in key)) for key in keys]
+                sols = Completion(PairingSolution(tuple(ranked[r] for r in key)) for key in keys)
                 break
         if sols is None:
             sols = complete_pairing(Lc, F, limit=limit)
             searches += 1
-            if len(sols) < limit:
+            if sols.finished and len(sols) < limit:
                 exhaustive.append((idents, sols))
         out.append(sols)
     return out, searches

@@ -24,6 +24,8 @@ from .geom import GeneralizedCircle, Isometry, geodesic_reflection
 
 DEDUP_TOL = 1e-9
 MATCH_TOL = 1e-4
+# admissible_distances composes at most this many words of a level at once
+WORD_BLOCK = 4096
 
 
 class NotHyperbolic(ValueError):
@@ -216,26 +218,45 @@ def admissible_distances(
     (ca)^m is an isometry fixing 0, d(0, R_m h(0)) = d(0, R_0 h(0)).  Only
     the n^(depth-1) words whose first letter is R_0 are enumerated, so the
     cost grows as depth * n^(depth-1): at n = 14, depth 5 the last level
-    holds 38 416 words, against 537 824 for every word.  The enumeration
-    streams level by level as arrays of matrix entries, so memory stays at
-    one level's worth of products.
+    holds 38 416 words, against 537 824 for every word.
+
+    The words stream depth first in blocks of at most WORD_BLOCK products:
+    a block of one level is composed from WORD_BLOCK // n rows of the level
+    above and normalized, and its children are walked before the next block
+    is composed; the last level turns each block straight into distances.
+    Memory stays at one block per level plus the n^(depth-1) values.  Each
+    product takes the same operands, association and normalization as a
+    level-by-level walk over whole levels, so every value keeps its bits.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     gens = triangle_generators(n)
     ga = np.array([g.a for g in gens.rm], dtype=complex)
     gb = np.array([g.b for g in gens.rm], dtype=complex)
-    pa, pb = ga[:1], gb[:1]
-    for _ in range(depth - 1):
-        na, nb = _compose_arrays(pa[:, None], pb[:, None], ga[None, :], gb[None, :])
-        pa, pb = na.ravel(), nb.ravel()
-        scale = np.sqrt(np.abs(pa) ** 2 - np.abs(pb) ** 2)
-        pa /= scale
-        pb /= scale
-    w = np.abs(pb / np.conj(pa))
-    d = 2.0 * np.arctanh(w)
-    d = np.sort(d)
+    rows = max(WORD_BLOCK // n, 1)
+    d = np.empty(n ** (depth - 1))
+    filled = 0
+
+    def walk(pa, pb, level):
+        nonlocal filled
+        if level == depth:
+            w = np.abs(pb / np.conj(pa))
+            d[filled : filled + len(w)] = 2.0 * np.arctanh(w)
+            filled += len(w)
+            return
+        for r in range(0, len(pa), rows):
+            na, nb = _compose_arrays(
+                pa[r : r + rows, None], pb[r : r + rows, None], ga[None, :], gb[None, :]
+            )
+            na, nb = na.ravel(), nb.ravel()
+            scale = np.sqrt(np.abs(na) ** 2 - np.abs(nb) ** 2)
+            na /= scale
+            nb /= scale
+            walk(na, nb, level + 1)
+
+    walk(ga[:1], gb[:1], 1)
+    d.sort()
     keep = np.concatenate(([True], np.diff(d) > DEDUP_TOL))
     d = d[keep]
-    values = (0.0,) + tuple(float(v) for v in d[d > DEDUP_TOL])
+    values = (0.0,) + tuple(d[d > DEDUP_TOL].tolist())
     return DistanceSet(values, depth, match_tol)

@@ -24,13 +24,15 @@ BoundarySlots takes by the endpoint rule; the membership reduction
 whose best-first search composes every child's isometry at the push, for
 the one that composes it at the pop; the enumeration of the admissible
 distances over every product of neighbor maps, for the one that takes one
-word per rotation orbit; and the renderer that stores each drawn item as a
-dict in a Scene layer and dispatches on its type, for the one whose figures
-are lists of SVG element strings; the artifact writer that encoded every
-line with the C encoder, and the dict and list records it encoded, for the
-formatters that write each record's line from arrays; and the filtering
-loop over candidates, with a column gather per boundary edge, for the one
-that cuts L_c and the uncovered edges out of one nonzero each.  Also the
+word per rotation orbit, and that one's walk over whole levels, for the
+one that streams them depth first in fixed-size blocks; and the renderer
+that stores each drawn item as a dict in a Scene layer and dispatches on
+its type, for the one whose figures are lists of SVG element strings; the
+artifact writer that encoded every line with the C encoder, and the dict
+and list records it encoded, for the formatters that write each record's
+line from arrays; and the filtering loop over candidates, with a column
+gather per boundary edge, for the one that cuts L_c and the uncovered
+edges out of one nonzero each.  Also the
 small helpers only tests use:
 the translation along the real diameter, the distance to a geodesic, a
 point of a generalized circle, a central-tile edge carrier, the scalar
@@ -549,6 +551,43 @@ def reference_admissible_distances(
     keep = np.concatenate(([True], np.diff(d) > dedup_tol))
     d = d[keep]
     values = (0.0,) + tuple(float(v) for v in d[d > dedup_tol])
+    return DistanceSet(values, depth, match_tol)
+
+
+def reference_level_distances(
+    n: int,
+    depth: int,
+    match_tol: float = MATCH_TOL,
+) -> DistanceSet:
+    """Distances d(0, R(0)) over all products R of depth neighbor maps.
+
+    One word per rotation orbit is enough.  R_m = (ca)^m R_0 with ca the
+    rotation by 2pi/n about 0, so a word R_m h equals (ca)^m R_0 h, and as
+    (ca)^m is an isometry fixing 0, d(0, R_m h(0)) = d(0, R_0 h(0)).  Only
+    the n^(depth-1) words whose first letter is R_0 are enumerated, so the
+    cost grows as depth * n^(depth-1): at n = 14, depth 5 the last level
+    holds 38 416 words, against 537 824 for every word.  The enumeration
+    streams level by level as arrays of matrix entries, so memory stays at
+    one level's worth of products.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    gens = triangle_generators(n)
+    ga = np.array([g.a for g in gens.rm], dtype=complex)
+    gb = np.array([g.b for g in gens.rm], dtype=complex)
+    pa, pb = ga[:1], gb[:1]
+    for _ in range(depth - 1):
+        na, nb = _compose_arrays(pa[:, None], pb[:, None], ga[None, :], gb[None, :])
+        pa, pb = na.ravel(), nb.ravel()
+        scale = np.sqrt(np.abs(pa) ** 2 - np.abs(pb) ** 2)
+        pa /= scale
+        pb /= scale
+    w = np.abs(pb / np.conj(pa))
+    d = 2.0 * np.arctanh(w)
+    d = np.sort(d)
+    keep = np.concatenate(([True], np.diff(d) > DEDUP_TOL))
+    d = d[keep]
+    values = (0.0,) + tuple(float(v) for v in d[d > DEDUP_TOL])
     return DistanceSet(values, depth, match_tol)
 
 

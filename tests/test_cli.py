@@ -867,6 +867,18 @@ def test_run_reports_completion(depth5_run):
         assert b"carried" not in text and b"symmetry" not in text
 
 
+def test_run_reports_the_searches_the_node_budget_stopped(
+    n14_cfg_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(search, "NODE_BUDGET", 100)
+    assert main(["search", "--config", n14_cfg_path, "--out", str(tmp_path / "out")]) == 0
+    line = (
+        "completion: 3 survivors, 3 searches, 0 carried by symmetry (group of order 6), "
+        "3 stopped by the node budget"
+    )
+    assert line in capsys.readouterr().err.splitlines()
+
+
 _K3 = [[0, 0], [0, 1]]
 
 

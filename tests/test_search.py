@@ -1059,6 +1059,34 @@ class TestOrbitCarry:
         self._check(n14, Lcs, 256, 2, monkeypatch)
 
 
+class TestNodeBudget:
+    """complete_pairing stops after NODE_BUDGET nodes, and the orbit carry
+    takes the images of finished searches only."""
+
+    def test_the_default_budget_finishes_the_depth5_search(self, n14, n14_survivors):
+        got, searches = complete_survivors(n14_survivors, n14.F, limit=256)
+        assert searches == 1 and [len(s) for s in got] == [165, 165, 165]
+        assert [(s.finished, s.nodes) for s in got] == [(True, 2380), (True, 0), (True, 0)]
+        assert search.NODE_BUDGET >= 100 * 2380
+
+    def test_a_search_stopped_by_the_budget_is_not_carried(
+        self, n14, n14_survivors, monkeypatch
+    ):
+        full = [complete_pairing(Lc, n14.F, limit=256) for Lc in n14_survivors]
+        monkeypatch.setattr(search, "NODE_BUDGET", 100)
+        got, searches = complete_survivors(n14_survivors, n14.F, limit=256)
+        # fewer solutions than the limit, but each mate runs its own search
+        assert searches == 3
+        for sols, want in zip(got, full):
+            assert (sols.finished, sols.nodes) == (False, 100)
+            assert 0 < len(sols) < len(want)
+            # what it found, in the finished search's canonical order
+            kept = {s.identifications for s in sols}
+            assert [s.pairings for s in sols] == [
+                s.pairings for s in want if s.identifications in kept
+            ]
+
+
 def _surface_vertices(sols, F):
     """The vertex counts of the solutions' surfaces: each one's oracle
     vertex cycles plus F's interior vertices, where three tile corners

@@ -1,15 +1,23 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reference_data import edge_carrier, is_admissible, reference_admissible_distances
+from reference_data import (
+    edge_carrier,
+    is_admissible,
+    reference_admissible_distances,
+    reference_level_distances,
+)
+from diskpack.config import RELEVANT_N
 from diskpack.geom import Isometry, classify, dist
 from diskpack.tess import (
     DEDUP_TOL,
     SCREEN_BITS,
+    WORD_BLOCK,
     AdmissibilityTable,
     DistanceSet,
     NotHyperbolic,
@@ -260,6 +268,31 @@ class TestAdmissibleDistances:
         assert len(dset.values) == len(ref.values)
         diff = np.abs(np.array(dset.values) - np.array(ref.values))
         assert diff.max() <= DEDUP_TOL
+
+    @pytest.mark.parametrize(
+        "n, depth",
+        [(n, depth) for n in RELEVANT_N for depth in range(1, 6 if n < 18 else 5)]
+        + [(14, 6)],
+    )
+    def test_equals_the_level_walk_to_the_bit(self, n, depth):
+        # the blocks compose each product from the same operands as the walk
+        # over whole levels, so sorting and deduplication see the same bits
+        got = admissible_distances(n, depth).values
+        want = reference_level_distances(n, depth).values
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_depth6_peak_stays_at_the_values(self):
+        # the level walk holds several 8.6 MB arrays of the 537 824 depth-6
+        # products at once (36.9 MiB peak); the stream holds one block of at
+        # most WORD_BLOCK products per level, and the 4.3 MB of distances
+        assert 14**5 > 100 * WORD_BLOCK
+        tracemalloc.start()
+        try:
+            admissible_distances(14, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("n, letters", [(7, 3), (14, 1)])
     def test_first_letter_moves_no_distance(self, n, letters, rng):
