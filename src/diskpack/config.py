@@ -222,9 +222,14 @@ def _is_int_list(value, length: int) -> bool:
     return isinstance(value, list) and len(value) == length and all(_is(v, int) for v in value)
 
 
-def load_config(path: str) -> PipelineConfig:
+def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
+    """The validated config of a JSON file whose values for the keys of
+    ``overrides`` are replaced by the given ones before it is parsed, so
+    an override is held to the checks a file value is."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if overrides and isinstance(data, dict):  # from_json_dict names a non-object
+        data = {**data, **overrides}
     cfg = PipelineConfig.from_json_dict(data)
     cfg.validate()
     return cfg

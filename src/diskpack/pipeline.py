@@ -423,7 +423,8 @@ def _process_seed_pair(cfg, F, L, dset, p1, p2, C, log, certify) -> SeedPairResu
                 res.solved = (it, sol)
                 res.certificate = cert
                 return res
-    log(f"no certificate for this seed pair after {attempts} attempts")
+    cut = f"; {stopped} search{'es' * (stopped != 1)} stopped by the node budget"
+    log(f"no certificate for this seed pair after {attempts} attempts" + (cut if stopped else ""))
     return res
 
 

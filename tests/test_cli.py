@@ -620,15 +620,16 @@ def test_distances_subcommand(n14_cfg_path, capsys):
     assert "admissible distances" in capsys.readouterr().out
 
 
-def test_seed_flags_in_the_opposite_direction(n14_cfg_path, completed_run, tmp_path):
+def test_seed_pairs_in_the_opposite_direction(n14_cfg_path, completed_run, tmp_path):
     # the config names p1 as 1.13 -> 1.10; named 1.10 -> 1.13 (and p2 the
     # other way too) it is the same entry of L, so the run is the same
+    config = _read_json(n14_cfg_path)
+    for rec in config["seed_pairs"]:
+        rec["src"], rec["dst"] = rec["dst"], rec["src"]
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(config))
     out = str(tmp_path / "flipped")
-    args = [
-        "run", "--config", n14_cfg_path, "--out", out,
-        "--seed-src", "1.10,2.7", "--seed-dst", "1.13,1.2", "--seed-reversing", "1,0",
-    ]
-    assert main(args) == 0
+    assert main(["run", "--config", str(path), "--out", out]) == 0
     for name in ("certificate.json", "candidates.json"):
         with open(os.path.join(completed_run, name), encoding="utf-8") as fh:
             before = json.load(fh)
@@ -652,19 +653,9 @@ def test_search_subcommand_stops_before_the_certificate(n14_cfg_path, tmp_path, 
     assert line in capsys.readouterr().err.splitlines()
 
 
-def test_candidates_subcommand_with_seed_flags(n14_cfg_path, tmp_path, capsys):
+def test_candidates_subcommand(n14_cfg_path, tmp_path, capsys):
     out = str(tmp_path / "out")
-    code = main(
-        [
-            "candidates",
-            "--config", n14_cfg_path,
-            "--out", out,
-            "--seed-src", "1.13,1.2",
-            "--seed-dst", "1.10,2.7",
-            "--seed-reversing", "1,0",
-        ]
-    )
-    assert code == 0
+    assert main(["candidates", "--config", n14_cfg_path, "--out", out]) == 0
     assert "candidates" in capsys.readouterr().out
     # the stages up to the seed pair's candidates, with their figures
     assert sorted(os.listdir(out)) == [
@@ -752,56 +743,83 @@ def test_exhausted_search_exits_2(tmp_path):
     assert run_pipeline(cfg) == 2
 
 
-def test_missing_seed_flags_rejected(n14_cfg_path):
-    assert (
-        main(["candidates", "--config", n14_cfg_path, "--seed-src", "1.13,1.2"]) == 1
-    )
-
-
-@pytest.mark.parametrize(
-    "flag, value, named",
-    [
-        ("--seed-src", "1.x,1.2", "'1.x'"),
-        ("--seed-src", "1,1.2", "'1'"),
-        ("--seed-src", "1.13,1.2.3", "'1.2.3'"),
-        ("--seed-dst", "1.10,", "''"),
-        ("--seed-reversing", "2,0", "'2'"),
-        ("--seed-reversing", "1,maybe", "'maybe'"),
-        # well formed, but naming no polygon or edge of F: caught with the
-        # config, not when L is searched for the record
-        ("--seed-src", "0.13,1.2", "seed pairing 1 names polygon 0, outside 1..3"),
-        ("--seed-dst", "1.10,4.7", "seed pairing 2 names polygon 4, outside 1..3"),
-        ("--seed-src", "1.99,1.2", "seed pairing 1 names edge 99, outside 0..13"),
-        ("--seed-dst", "1.10,2.14", "seed pairing 2 names edge 14, outside 0..13"),
-    ],
-)
-def test_malformed_seed_flags_exit_1(n14_cfg_path, tmp_path, flag, value, named, capsys):
-    seeds = {"--seed-src": "1.13,1.2", "--seed-dst": "1.10,2.7", "--seed-reversing": "1,0"}
-    seeds[flag] = value
-    out = str(tmp_path / "out")
-    args = ["candidates", "--config", n14_cfg_path, "--out", out]
-    for name, text in seeds.items():
-        args.append(f"{name}={text}")
-    assert main(args) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["stage"] == "config" and named in err["error"]
-    assert not os.path.exists(out)
-
-
 def test_seed_record_naming_no_entry_of_L_exits_1(n14_cfg_path, tmp_path, capsys):
     # edge 0 of pol1 and pol2 is the internal edge between them: a valid
     # polygon and edge, but no side pairing; the record is reported the way
     # a config writes it, polygons 1-based
+    config = _read_json(n14_cfg_path)
+    config["seed_pairs"][0] = {
+        "type": "hyperbolic", "src": {"poly": 1, "edge": 0}, "dst": {"poly": 2, "edge": 0},
+    }
+    config["seed_pairs"][1]["type"] = "hyperbolic"
+    path = tmp_path / "internal.json"
+    path.write_text(json.dumps(config))
     out = str(tmp_path / "out")
-    args = ["candidates", "--config", n14_cfg_path, "--depth", "3", "--out", out,
-            "--seed-src=1.0,1.2", "--seed-dst=2.0,2.7", "--seed-reversing=0,0"]
-    assert main(args) == 1
+    assert main(["candidates", "--config", str(path), "--depth", "3", "--out", out]) == 1
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err == {
         "stage": "candidates",
         "error": "KeyError: 'no side pairing with record "
         '{"src": {"poly": 1, "edge": 0}, "dst": {"poly": 2, "edge": 0}, "reversing": false}\'',
     }
+
+
+_RUN = ["run", "--config", "CFG", "--out", "out"]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (_RUN + ["--depth", "x"], "argument --depth: invalid int value: 'x'"),
+        # the seed flags are gone: seeds come from the config's seed_pairs
+        (_RUN + ["--seed-src", "1.13,1.2"], "unrecognized arguments: --seed-src 1.13,1.2"),
+        (["run", "--out", "out"], "the following arguments are required: --config"),
+        (["primitive-pair", "x"], "argument n: invalid int value: 'x'"),
+    ],
+    ids=["depth", "seed-src", "no-config", "primitive-pair"],
+)
+def test_a_usage_error_is_a_config_error(n14_cfg_path, tmp_path, monkeypatch, args, named, capsys):
+    # exit code 1 with one JSON line, not argparse's 2, which reads here as
+    # an exhausted search; nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main([n14_cfg_path if a == "CFG" else a for a in args]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["stage"] == "config" and named in err["error"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["primitive-pair", "--help"]])
+def test_help_exits_0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: diskpack")
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_a_tol_override_is_held_to_the_file_values_kind_check(n14_cfg_path, tmp_path, tol, capsys):
+    # JSON decodes NaN and Infinity: the file value and the override meet
+    # the same kind check, and fail with the same error
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps({**_read_json(n14_cfg_path), "match_tol": tol}))
+    assert main(["run", "--config", str(path)]) == 1
+    from_file = json.loads(capsys.readouterr().err)
+    assert from_file == {"stage": "config", "error": f"match_tol must be a finite number, not {tol}"}
+    assert main(["run", "--config", n14_cfg_path, f"--tol={tol}"]) == 1
+    assert json.loads(capsys.readouterr().err) == from_file
+
+
+def test_an_override_replaces_the_file_value_before_parsing(n14_cfg_path, tmp_path, capsys):
+    # a depth of "5" fails the kind check, but --depth 3 replaces it first
+    path = tmp_path / "string_depth.json"
+    path.write_text(json.dumps({**_read_json(n14_cfg_path), "depth": "5"}))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(path), "--out", out]) == 1
+    assert "depth must be an integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main(["run", "--config", str(path), "--depth", "3", "--out", out]) == 0
+    assert _read_json(os.path.join(out, "certificate.json"))["config_hash"] == "e8451b4b532ca42b"
 
 
 def test_primitive_pair_subcommand(capsys):
@@ -878,6 +896,18 @@ def test_run_reports_the_searches_the_node_budget_stopped(
     )
     assert line in capsys.readouterr().err.splitlines()
 
+
+
+def test_an_exhausted_run_names_the_searches_the_node_budget_stopped(
+    n14_cfg_path, tmp_path, capsys, monkeypatch
+):
+    # exit code 2 as for a search that ran out, but the log says the budget cut it
+    monkeypatch.setattr(search, "NODE_BUDGET", 100)
+    assert main(["run", "--config", n14_cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "no certificate for this seed pair after 15 attempts; "
+        "3 searches stopped by the node budget"
+    )
 
 _K3 = [[0, 0], [0, 1]]
 

@@ -174,6 +174,17 @@ class TestPipelineConfig:
         loaded = load_config(str(path))
         assert loaded == cfg
 
+    def test_overrides_merge_into_the_file_object(self, tmp_path):
+        # the overrides replace the file's values before its one parse; a
+        # file that holds no object is named so with or without them
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self._n14().to_json_dict()))
+        loaded = load_config(str(path), {"depth": 3, "out_dir": "elsewhere"})
+        assert (loaded.depth, loaded.out_dir) == (3, "elsewhere")
+        path.write_text("[14]")
+        with pytest.raises(ConfigError, match="config must be a JSON object, not list"):
+            load_config(str(path), {"depth": 3})
+
     def test_shipped_n14_config(self):
         cfg = load_config("configs/n14.json")
         assert cfg.n == 14 and cfg.k == 3 and cfg.depth == 5
